@@ -1,5 +1,12 @@
 """spectralbox: numerics for exponential bases and boundary unitaries on boxes.
 
+Spectrum families are TranslatedLattice (alpha + Z^d), ExplicitSpectrum
+(a listed point set) and Tower, the one staircase type: coordinate j is
+levels[j](k_0, ..., k_{j-1}) + k_j on output axis axis_order[j].
+ClassA2D, ClassB2D and Tower3D are constructor functions returning the
+planar column- and row-shifted towers and the 3-D tower with a zero
+level 0.
+
 Submodules:
   model         domain/spectrum value types and family enumeration
   exponentials  box transforms, Gram matrices, completeness, root scans

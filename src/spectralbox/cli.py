@@ -25,16 +25,22 @@ Config schema (YAML; unknown or duplicate keys are errors):
     spectrum:                     # verify-pair, build-spectrum, check-tiling
       family: class-a             # translated-lattice | class-a | class-b
                                   #   | tower | tower3d | explicit
-      alpha: 0.25
-      alpha_vector: [0.25, 0.5]   # translated-lattice only
+      alpha: 0.25                 # class-a/class-b offset, in [0, 1)
+      alpha_vector: [0.25, 0.5]   # translated-lattice only; any finite reals
       beta:  {default: 0.0, table: {"0": 0.2, "1": 0.5}}
       gamma: {default: 0.0, table: {"0,0": 0.3}}   # tower3d only
       levels:                     # tower only; level k takes k indices
         - {default: 0.25}
         - {default: 0.0, table: {"1": 0.5}}
         - {default: 0.0, table: {"1,2": 0.3}}
-      points: [[0.0, 0.0]]        # explicit only
+      points: [[0.0, 0.0]]        # explicit only; finite coordinates
     window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]
+
+    The staircase families are aliases of one tower, level k holding a
+    table of k indices with values in [0, 1):
+      class-a   levels [alpha, beta]: points (alpha+m, beta(m)+n)
+      class-b   levels [alpha, beta] on swapped axes: (beta(n)+m, alpha+n)
+      tower3d   levels [0, beta, gamma]: (k, beta(k)+l, gamma(k,l)+m)
 
     cocycle:                      # check-cocycle; tables hold phase
       a: {default: 0.0, table: {"0": 0.25}}        # fractions in [0, 1)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import IntFunction, LatticeWindow, SpectralBoxError, Tower3D
+from .model import IntFunction, LatticeWindow, SpectralBoxError, Tower
 
 __all__ = [
     "UnitModulusError",
@@ -377,7 +377,25 @@ def check_cocycle_highdim(
     )
 
 
-def eigenfunctions_from_tower3d(spec: Tower3D) -> EigenvalueFunctionSet:
+def _tower3d_levels(spec: Tower) -> tuple[IntFunction, IntFunction]:
+    """beta = levels[1] and gamma = levels[2] of (k, beta(k)+l, gamma(k,l)+m).
+
+    Raises ValueError for any other tower: another dimension, a permuted
+    axis order or a nonzero level 0.
+    """
+    if (
+        spec.dimension != 3
+        or spec.axis_order != (0, 1, 2)
+        or spec.levels[0]() != 0.0
+    ):
+        raise ValueError(
+            "expected the 3-D staircase (k, beta(k)+l, gamma(k,l)+m): three "
+            "levels, identity axis order and a zero level 0"
+        )
+    return spec.levels[1], spec.levels[2]
+
+
+def eigenfunctions_from_tower3d(spec: Tower) -> EigenvalueFunctionSet:
     """Boundary eigenvalue functions of the 3-D staircase family.
 
     The operator omitting the first slot is the identity; the one omitting
@@ -385,9 +403,10 @@ def eigenfunctions_from_tower3d(spec: Tower3D) -> EigenvalueFunctionSet:
     omitting the third multiplies (k,l) by exp(i*2*pi*gamma(k,l)).  Basis
     phases are all zero (the staircase has integer first coordinates).
     """
+    beta, gamma = _tower3d_levels(spec)
     v1 = PhaseLift(IntFunction.constant(0.0), ())
-    v2 = PhaseLift(spec.beta, (0,))
-    v3 = PhaseLift(spec.gamma, (0, 1))
+    v2 = PhaseLift(beta, (0,))
+    v3 = PhaseLift(gamma, (0, 1))
     return EigenvalueFunctionSet(dimension=3, v=(v1, v2, v3), phases=(0.0, 0.0, 0.0))
 
 
@@ -447,7 +466,7 @@ def boundary_matrices_from_eigenfunctions(
 
 
 def boundary_matrices_from_tower3d(
-    spec: Tower3D, window: LatticeWindow
+    spec: Tower, window: LatticeWindow
 ) -> list[np.ndarray]:
     """Cyclic matrix models of the three staircase boundary operators.
 
@@ -456,6 +475,7 @@ def boundary_matrices_from_tower3d(
     third operator is beta(k)-shifted per fiber, which is exactly what
     makes generic staircases fail quasi-commutativity.
     """
+    beta, gamma = _tower3d_levels(spec)
     if window.dimension != 3:
         raise ValueError("window must have three axes")
     k_idx = window.axis_indices(0)
@@ -466,16 +486,16 @@ def boundary_matrices_from_tower3d(
     v1 = np.eye(ml * mm, dtype=complex)
 
     eig_2 = np.repeat(
-        np.exp(2j * np.pi * np.array([spec.beta(int(k)) for k in k_idx])), mm
+        np.exp(2j * np.pi * np.array([beta(int(k)) for k in k_idx])), mm
     )
     v2 = np.diag(eig_2)
 
     blocks = []
     for k in k_idx:
         eig = np.exp(
-            2j * np.pi * np.array([spec.gamma(int(k), int(l)) for l in l_idx])
+            2j * np.pi * np.array([gamma(int(k), int(l)) for l in l_idx])
         )
-        blocks.append(diagonal_boundary_matrix(eig, spec.beta(int(k))))
+        blocks.append(diagonal_boundary_matrix(eig, beta(int(k))))
     v3 = np.zeros((mk * ml, mk * ml), dtype=complex)
     for i, block in enumerate(blocks):
         v3[i * ml : (i + 1) * ml, i * ml : (i + 1) * ml] = block

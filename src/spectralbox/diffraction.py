@@ -21,6 +21,7 @@ from typing import IO, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .model import SpectralBoxError
+from .reporting import write_svg
 
 __all__ = [
     "CoefficientTailError",
@@ -342,12 +343,4 @@ def emit_diffraction_svg(
             f'x2="{_fmt(x)}" y2="{_fmt(height - margin - h)}" '
             'stroke="black" stroke-width="1.5"/>'
         )
-    parts.append("</svg>")
-    payload = ("\n".join(parts) + "\n").encode("utf-8")
-    if sink is not None:
-        if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-            with open(sink, "wb") as fh:
-                fh.write(payload)
-        else:
-            sink.write(payload)
-    return payload
+    return write_svg(parts, sink)

@@ -5,8 +5,7 @@ the first variable has extensions indexed by a unitary V on the
 cross-section: core-domain vectors are smooth compactly supported
 profiles plus the exponential defect pair exp(x) h + exp(1-x) V h, and
 the implied boundary condition is psi(1,.) = W psi(0,.) with
-W = (eI + V)(I + eV)^{-1}.  exp(W) is exposed alongside without any
-asserted contract.
+W = (eI + V)(I + eV)^{-1}.
 
 Cross sections are truncated to a window of integer Fourier modes, so
 cross-section states are coefficient vectors and V a dense unitary
@@ -35,7 +34,6 @@ __all__ = [
     "boundary_unitary_from_phases",
     "cayley_forward",
     "cayley_inverse",
-    "boundary_group_exponent",
     "BumpProfile",
     "DomainVector",
     "make_domain_vector",
@@ -150,12 +148,6 @@ def cayley_inverse(W: np.ndarray, cond_max: float = 1e8) -> np.ndarray:
     return _guarded_solve(eye - _E * W, W - _E * eye, cond_max)
 
 
-def boundary_group_exponent(W: np.ndarray) -> np.ndarray:
-    """exp(W) of the boundary map, exposed without an asserted contract."""
-    vals, vecs = np.linalg.eig(np.asarray(W, dtype=complex))
-    return vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
-
-
 # ---------------------------------------------------------------------------
 # Domain vectors
 # ---------------------------------------------------------------------------
@@ -233,29 +225,12 @@ class DomainVector:
     def coeff_profile(self, x: np.ndarray) -> np.ndarray:
         """Cross-section coefficients of psi at each x: shape (len(x), modes)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = (
-            np.exp(x)[:, None] * self.h_plus[None, :]
-            + np.exp(1.0 - x)[:, None] * self.h_minus[None, :]
-        )
-        if self.phi is not None:
-            out = out + np.outer(
-                self.phi.amplitude * self.phi.bump(x), self.phi.y_coeffs
-            )
-        return out
+        return _defect_coeffs(self, x) + _phi_coeffs(self, x)
 
     def d_coeff_profile(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of the first-variable derivative (defect part exact)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = (
-            np.exp(x)[:, None] * self.h_plus[None, :]
-            - np.exp(1.0 - x)[:, None] * self.h_minus[None, :]
-        )
-        if self.phi is not None:
-            out = out + np.outer(
-                self.phi.amplitude * self.phi.bump_derivative(x),
-                self.phi.y_coeffs,
-            )
-        return out
+        return _defect_deriv_coeffs(self, x) + _dphi_coeffs(self, x)
 
     def boundary_trace(self, end: int) -> np.ndarray:
         """psi(end, .) as a coefficient vector, end in {0, 1}; phi drops out."""
@@ -315,14 +290,9 @@ def apply_extension(
     if derivative == "analytic":
         coeffs = psi.d_coeff_profile(x)
     elif derivative == "fd":
-        coeffs = (
-            np.exp(x)[:, None] * psi.h_plus[None, :]
-            - np.exp(1.0 - x)[:, None] * psi.h_minus[None, :]
-        )
+        coeffs = _defect_deriv_coeffs(psi, x)
         if psi.phi is not None:
-            smooth = np.outer(
-                psi.phi.amplitude * psi.phi.bump(x), psi.phi.y_coeffs
-            )
+            smooth = _phi_coeffs(psi, x)
             h = x[1] - x[0]
             dsmooth = np.empty_like(smooth)
             dsmooth[1:-1] = (smooth[2:] - smooth[:-2]) / (2 * h)

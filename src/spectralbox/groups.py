@@ -410,12 +410,6 @@ def _norm_of(obj) -> float:
     return float(np.linalg.norm(obj))
 
 
-def _difference(a, b):
-    if isinstance(a, GridState):
-        return a - b
-    return a - b
-
-
 def commutator_norm(apply_x, apply_y, probes: Sequence) -> float:
     """max over probes of |XY p - YX p| / |p| for two callables.
 
@@ -431,7 +425,7 @@ def commutator_norm(apply_x, apply_y, probes: Sequence) -> float:
             raise ValueError("zero-norm probe")
         xy = apply_x(apply_y(p))
         yx = apply_y(apply_x(p))
-        worst = max(worst, _norm_of(_difference(xy, yx)) / den)
+        worst = max(worst, _norm_of(xy - yx) / den)
     return worst
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -251,6 +251,8 @@ class TranslatedLattice:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if not self.alpha:
             raise ValueError("alpha must have at least one coordinate")
+        if not all(math.isfinite(a) for a in self.alpha):
+            raise ValueError(f"alpha {self.alpha} has a non-finite entry")
 
     @property
     def dimension(self) -> int:
@@ -258,46 +260,18 @@ class TranslatedLattice:
 
 
 @dataclass(frozen=True)
-class ClassA2D:
-    """Planar family (alpha+m, beta(m)+n): columns shifted by beta."""
-
-    alpha: float
-    beta: IntFunction
-
-    def __post_init__(self) -> None:
-        if self.beta.arity != 1:
-            raise ArityMismatchError("beta must take one integer argument")
-
-    @property
-    def dimension(self) -> int:
-        return 2
-
-
-@dataclass(frozen=True)
-class ClassB2D:
-    """Planar family (beta(n)+m, alpha+n): rows shifted by beta."""
-
-    alpha: float
-    beta: IntFunction
-
-    def __post_init__(self) -> None:
-        if self.beta.arity != 1:
-            raise ArityMismatchError("beta must take one integer argument")
-
-    @property
-    def dimension(self) -> int:
-        return 2
-
-
-@dataclass(frozen=True)
 class Tower:
-    """Staircase family in d dimensions.
+    """Staircase family in d dimensions, the one type for every staircase.
 
-    Coordinate j is levels[j](k_1, ..., k_j) + k_{j+1}; level k must be a
-    function of exactly k integer arguments, level 0 the constant offset.
+    Coordinate j is levels[j](k_0, ..., k_{j-1}) + k_j, where k_j is the
+    window index on output axis axis_order[j] and the coordinate is written
+    to that axis.  Level j must be a function of exactly j integer
+    arguments, level 0 the constant offset; axis_order defaults to the
+    identity.
     """
 
     levels: tuple[IntFunction, ...]
+    axis_order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -308,31 +282,65 @@ class Tower:
                 raise ArityMismatchError(
                     f"tower level {k} has arity {fn.arity}, expected {k}"
                 )
+        d = len(self.levels)
+        order = tuple(
+            range(d) if self.axis_order is None else map(int, self.axis_order)
+        )
+        if sorted(order) != list(range(d)):
+            raise ValueError(
+                f"axis_order {order} is not a permutation of 0..{d - 1}"
+            )
+        object.__setattr__(self, "axis_order", order)
 
     @property
     def dimension(self) -> int:
         return len(self.levels)
 
+    def points_at(
+        self, indices: np.ndarray, period: Optional[int] = None
+    ) -> np.ndarray:
+        """Points at integer window tuples, an (n, d) array in row order.
 
-@dataclass(frozen=True)
-class Tower3D:
+        Row i of `indices` holds the window index on each output axis.
+        With `period`, level tables are read N-periodically: their
+        arguments are reduced modulo `period`.
+        """
+        k = np.asarray(indices, dtype=int)[:, self.axis_order]
+        out = np.empty(k.shape, dtype=float)
+        for j, fn in enumerate(self.levels):
+            if j == 0:
+                shift = fn()
+            else:
+                args = k[:, :j] if period is None else k[:, :j] % period
+                keys, inverse = np.unique(args, axis=0, return_inverse=True)
+                values = np.array([fn(*key) for key in keys.tolist()])
+                shift = values[inverse.reshape(-1)]
+            out[:, self.axis_order[j]] = shift + k[:, j]
+        return out
+
+
+def _planar(
+    alpha: float, beta: IntFunction, axis_order: tuple[int, int]
+) -> Tower:
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha {alpha} outside [0,1)")
+    return Tower((IntFunction.constant(alpha), beta), axis_order)
+
+
+def ClassA2D(alpha: float, beta: IntFunction) -> Tower:
+    """Planar staircase (alpha+m, beta(m)+n): columns shifted by beta."""
+    return _planar(alpha, beta, (0, 1))
+
+
+def ClassB2D(alpha: float, beta: IntFunction) -> Tower:
+    """Planar staircase (beta(n)+m, alpha+n): rows shifted by beta."""
+    return _planar(alpha, beta, (1, 0))
+
+
+def Tower3D(beta: IntFunction, gamma: IntFunction) -> Tower:
     """Three-dimensional staircase (k, beta(k)+l, gamma(k,l)+m)."""
-
-    beta: IntFunction
-    gamma: IntFunction
-
-    def __post_init__(self) -> None:
-        if self.beta.arity != 1:
-            raise ArityMismatchError("beta must take one integer argument")
-        if self.gamma.arity != 2:
-            raise ArityMismatchError("gamma must take two integer arguments")
-
-    @property
-    def dimension(self) -> int:
-        return 3
-
-    def as_tower(self) -> Tower:
-        return Tower((IntFunction.constant(0.0), self.beta, self.gamma))
+    return Tower((IntFunction.constant(0.0), beta, gamma))
 
 
 @dataclass(frozen=True)
@@ -345,6 +353,8 @@ class ExplicitSpectrum:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ValueError("explicit spectrum needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("explicit spectrum points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -352,13 +362,7 @@ class ExplicitSpectrum:
         return self.points.shape[1]
 
 
-SpectrumSpec = Union[
-    TranslatedLattice, ClassA2D, ClassB2D, Tower, Tower3D, ExplicitSpectrum
-]
-
-
-def _tower_point(levels: Sequence[IntFunction], idx: tuple[int, ...]) -> list[float]:
-    return [levels[j](*idx[:j]) + idx[j] for j in range(len(levels))]
+SpectrumSpec = Union[TranslatedLattice, Tower, ExplicitSpectrum]
 
 
 def enumerate_spectrum(spec: SpectrumSpec, window: LatticeWindow) -> np.ndarray:
@@ -376,26 +380,10 @@ def enumerate_spectrum(spec: SpectrumSpec, window: LatticeWindow) -> np.ndarray:
             f"window has {window.dimension} axes, spectrum family needs "
             f"{spec.dimension}"
         )
-    idx = window.index_array().astype(float)
+    idx = window.index_array()
     if isinstance(spec, TranslatedLattice):
         return idx + np.asarray(spec.alpha, dtype=float)
-    if isinstance(spec, ClassA2D):
-        m = idx[:, 0]
-        beta = np.array([spec.beta(int(v)) for v in m])
-        return np.column_stack([spec.alpha + m, beta + idx[:, 1]])
-    if isinstance(spec, ClassB2D):
-        n = idx[:, 1]
-        beta = np.array([spec.beta(int(v)) for v in n])
-        return np.column_stack([beta + idx[:, 0], spec.alpha + n])
-    if isinstance(spec, Tower3D):
-        spec = spec.as_tower()
-    if isinstance(spec, Tower):
-        pts = [
-            _tower_point(spec.levels, tuple(int(v) for v in row))
-            for row in idx
-        ]
-        return np.array(pts, dtype=float)
-    raise TypeError(f"unsupported spectrum spec {type(spec).__name__}")
+    return spec.points_at(idx)
 
 
 def spectrum_difference_set(points: np.ndarray) -> np.ndarray:

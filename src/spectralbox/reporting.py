@@ -1,25 +1,37 @@
-"""Deterministic plain-text reports.
+"""Deterministic plain-text reports and figure payloads.
 
 Reports are byte-reproducible for a fixed config and seed: stable field
-order, fixed float formatting, no wall-clock data (run timing goes to
-stderr logging, never into report files).  Every verdict line names the
-operation that produced it and the identity it instantiates.
+order, fixed float formatting, no wall-clock data (the package records no
+run timing at all).  Every verdict line names the operation that produced
+it and the identity it instantiates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import IO, Sequence, Union
 
 import numpy as np
 
-__all__ = ["format_float", "CheckResult", "ReportBuilder"]
+__all__ = ["format_float", "write_svg", "CheckResult", "ReportBuilder"]
 
 
 def format_float(value) -> str:
     if isinstance(value, complex):
         return f"{value.real:.12e}{value.imag:+.12e}j"
     return f"{float(value):.12e}"
+
+
+def write_svg(parts: list[str], sink: Union[str, IO[bytes], None]) -> bytes:
+    """Close an SVG document, write it to a path or stream, return its bytes."""
+    payload = ("\n".join([*parts, "</svg>"]) + "\n").encode("utf-8")
+    if sink is not None:
+        if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
+            with open(sink, "wb") as fh:
+                fh.write(payload)
+        else:
+            sink.write(payload)
+    return payload
 
 
 def _format_metric(value) -> str:

@@ -15,16 +15,8 @@ from typing import IO, Union
 
 import numpy as np
 
-from .model import (
-    ClassA2D,
-    ClassB2D,
-    ExplicitSpectrum,
-    IntFunction,
-    SpectrumSpec,
-    Tower,
-    Tower3D,
-    TranslatedLattice,
-)
+from .model import ExplicitSpectrum, SpectrumSpec, Tower, TranslatedLattice
+from .reporting import write_svg
 
 __all__ = [
     "torus_translates",
@@ -36,55 +28,26 @@ __all__ = [
 ]
 
 
-def _periodic(fn: IntFunction, n: int, *args: int) -> float:
-    return fn(*(int(a) % n for a in args))
-
-
 def torus_translates(
     spec: SpectrumSpec, torus_n: int, pad: int = 1
 ) -> np.ndarray:
     """Translation points covering [0,N)^d, padded one cube beyond.
 
     Family tables are reduced modulo N so the point set is N-periodic on
-    the window.
+    the window; a lattice offset is reduced modulo 1, which leaves the set
+    alpha + Z^d unchanged and keeps it inside the padding.
     """
     if torus_n < 1:
         raise ValueError("torus window must be >= 1")
-    lo, hi = -pad, torus_n + pad - 1
-    rng = range(lo, hi + 1)
-    pts = []
-    if isinstance(spec, TranslatedLattice):
-        d = spec.dimension
-        grids = np.meshgrid(*([list(rng)] * d), indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-        return idx + np.asarray(spec.alpha)
-    if isinstance(spec, ClassA2D):
-        for m in rng:
-            bm = _periodic(spec.beta, torus_n, m)
-            for n in rng:
-                pts.append((spec.alpha + m, bm + n))
-        return np.array(pts)
-    if isinstance(spec, ClassB2D):
-        for n in rng:
-            bn = _periodic(spec.beta, torus_n, n)
-            for m in rng:
-                pts.append((bn + m, spec.alpha + n))
-        return np.array(pts)
-    if isinstance(spec, Tower3D):
-        spec = spec.as_tower()
-    if isinstance(spec, Tower):
-        d = spec.dimension
-        for idx in np.ndindex(*([hi - lo + 1] * d)):
-            tup = tuple(i + lo for i in idx)
-            point = [
-                _periodic(spec.levels[j], torus_n, *tup[:j]) + tup[j]
-                for j in range(d)
-            ]
-            pts.append(tuple(point))
-        return np.array(pts)
     if isinstance(spec, ExplicitSpectrum):
         return np.array(spec.points, copy=True)
-    raise TypeError(f"unsupported spectrum spec {type(spec).__name__}")
+    d = spec.dimension
+    axis = np.arange(-pad, torus_n + pad)
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=1)
+    if isinstance(spec, TranslatedLattice):
+        return idx + np.mod(spec.alpha, 1.0)
+    return spec.points_at(idx, period=torus_n)
 
 
 @dataclass(frozen=True)
@@ -174,9 +137,9 @@ def emit_tiling_svg(
 ) -> bytes:
     """Deterministic SVG of the translated unit squares over the window.
 
-    Column-shifted families are annotated with the successive shift
-    differences between neighboring columns (rows for the transposed
-    family), in the style of staggered-tiling diagrams.
+    Staircases are annotated with the successive differences of their
+    level-1 shift between neighboring columns (rows when level 0 lies on
+    the second axis), in the style of staggered-tiling diagrams.
     """
     points = torus_translates(spec, torus_n)
     if points.shape[1] != 2:
@@ -205,25 +168,18 @@ def emit_tiling_svg(
             f'width="{_fmt(_UNIT)}" height="{_fmt(_UNIT)}" fill="none" '
             'stroke="black" stroke-width="1"/>'
         )
-    if isinstance(spec, (ClassA2D, ClassB2D)):
-        beta = spec.beta
+    if isinstance(spec, Tower):
+        offset, shift = spec.levels
         for m in range(0, torus_n - 1):
-            d = _periodic(beta, torus_n, m + 1) - _periodic(beta, torus_n, m)
+            d = shift((m + 1) % torus_n) - shift(m % torus_n)
             label = f"d{m} = {_fmt(d)}"
-            if isinstance(spec, ClassA2D):
-                tx, ty = sx(spec.alpha + m + 1.0), sy(torus_n + 0.3)
+            along = offset() + m + 1.0
+            if spec.axis_order[0] == 0:
+                tx, ty = sx(along), sy(torus_n + 0.3)
             else:
-                tx, ty = sx(torus_n + 0.1), sy(spec.alpha + m + 1.0)
+                tx, ty = sx(torus_n + 0.1), sy(along)
             parts.append(
                 f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" font-size="11" '
                 f'font-family="monospace" fill="black">{label}</text>'
             )
-    parts.append("</svg>")
-    payload = ("\n".join(parts) + "\n").encode("utf-8")
-    if sink is not None:
-        if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-            with open(sink, "wb") as fh:
-                fh.write(payload)
-        else:
-            sink.write(payload)
-    return payload
+    return write_svg(parts, sink)

@@ -21,7 +21,7 @@ from spectralbox.cocycles import (
     phase_grid,
     quasi_commutativity_check,
 )
-from spectralbox.model import IntFunction, LatticeWindow, Tower3D
+from spectralbox.model import ClassA2D, IntFunction, LatticeWindow, Tower, Tower3D
 
 
 def unit(x):
@@ -210,6 +210,21 @@ def test_tower3d_eigenfunction_formulas():
     )
     f2 = eigenfunctions_from_tower3d(spec2)
     assert f2.v[2](1, 2) == pytest.approx(1j)
+
+
+def test_tower3d_functions_reject_other_towers():
+    beta, gamma = IntFunction(1), IntFunction(2)
+    window = LatticeWindow.centered(1, 3)
+    others = [
+        ClassA2D(0.0, beta),
+        Tower((IntFunction.constant(0.5), beta, gamma)),
+        Tower((IntFunction.constant(0.0), beta, gamma), (0, 2, 1)),
+    ]
+    for spec in others:
+        with pytest.raises(ValueError, match="3-D staircase"):
+            eigenfunctions_from_tower3d(spec)
+        with pytest.raises(ValueError, match="3-D staircase"):
+            boundary_matrices_from_tower3d(spec, window)
 
 
 def test_highdim_cocycle_on_aligned_instance():

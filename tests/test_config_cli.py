@@ -1,10 +1,11 @@
 import os
+import re
 
 import pytest
 
 from spectralbox.cli import main
 from spectralbox.config import ConfigError, load_config, parse_config
-from spectralbox.model import ClassA2D, IntervalUnion, UnitCube
+from spectralbox.model import ClassA2D, IntervalUnion, IntFunction, UnitCube
 
 MINIMAL = """
 command: root-scan
@@ -42,11 +43,14 @@ def test_minimal_config_defaults():
 
 def test_beta_table_parses_to_class_a():
     cfg = parse_config(CLASS_A)
-    assert isinstance(cfg.spectrum, ClassA2D)
-    assert cfg.spectrum.alpha == 0.25
-    assert cfg.spectrum.beta(0) == 0.2
-    assert cfg.spectrum.beta(1) == 0.5
-    assert cfg.spectrum.beta(7) == 0.0
+    assert cfg.spectrum == ClassA2D(
+        alpha=0.25, beta=IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5})
+    )
+    alpha, beta = cfg.spectrum.levels
+    assert alpha() == 0.25
+    assert beta(0) == 0.2
+    assert beta(1) == 0.5
+    assert beta(7) == 0.0
     assert isinstance(cfg.domain, UnitCube)
     assert cfg.window.cardinality == 25
 
@@ -117,8 +121,9 @@ spectrum:
 window: {radius: 1}
 """
     )
-    assert cfg.spectrum.gamma(1, 2) == 0.25
-    assert cfg.spectrum.gamma(-1, 0) == 0.75
+    gamma = cfg.spectrum.levels[2]
+    assert gamma(1, 2) == 0.25
+    assert gamma(-1, 0) == 0.75
 
 
 def test_tower_family_parses_levels():
@@ -344,3 +349,127 @@ cocycle:
     code = main(["check-cocycle", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "shift" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# staircase aliases: the same tower under two spellings
+# ---------------------------------------------------------------------------
+
+CLASS_A_TILED = CLASS_A + "tiling: {window: 4, resolution: 32}\n"
+
+TOWER_2LEVEL = """
+command: verify-pair
+seed: 5
+domain: {kind: unit-cube, dimension: 2}
+spectrum:
+  family: tower
+  levels:
+    - {default: 0.25}
+    - {default: 0.0, table: {"0": 0.2, "1": 0.5}}
+window: {radius: 2}
+tiling: {window: 4, resolution: 32}
+"""
+
+TOWER3D = """
+command: build-spectrum
+spectrum:
+  family: tower3d
+  beta: {default: 0.0, table: {"1": 0.5, "-1": 0.25}}
+  gamma: {default: 0.1, table: {"1,2": 0.25, "-1,0": 0.75}}
+window: {radius: 2}
+tiling: {window: 2, resolution: 8}
+"""
+
+TOWER_3LEVEL = """
+command: build-spectrum
+spectrum:
+  family: tower
+  levels:
+    - {default: 0.0}
+    - {default: 0.0, table: {"1": 0.5, "-1": 0.25}}
+    - {default: 0.1, table: {"1,2": 0.25, "-1,0": 0.75}}
+window: {radius: 2}
+tiling: {window: 2, resolution: 8}
+"""
+
+
+def run_artifacts(tmp_path, name, text, command):
+    """Run a config as `command`; return (exit status, artifacts).
+
+    The report's "config:" line names the config path and is left out.
+    """
+    text = re.sub(r"^command: .*$", f"command: {command}", text, flags=re.M)
+    cfg = write(tmp_path, f"{name}.yaml", text)
+    out = tmp_path / name
+    code = main([command, "--config", cfg, "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    report = files.pop("report.txt").decode().splitlines()
+    files["report.txt"] = [line for line in report if not line.startswith("config:")]
+    return code, files
+
+
+@pytest.mark.parametrize("command", ["build-spectrum", "verify-pair", "check-tiling"])
+def test_class_a_and_two_level_tower_give_identical_artifacts(tmp_path, command):
+    code_a, files_a = run_artifacts(tmp_path, "class_a", CLASS_A_TILED, command)
+    code_t, files_t = run_artifacts(tmp_path, "tower", TOWER_2LEVEL, command)
+    assert code_a == code_t == 0
+    expected = {
+        "build-spectrum": "spectrum.txt",
+        "verify-pair": "gram.txt",
+        "check-tiling": "tiling.svg",
+    }
+    assert expected[command] in files_a
+    assert files_a == files_t
+    if command == "check-tiling":
+        assert b"<text" in files_t["tiling.svg"]
+
+
+@pytest.mark.parametrize("command", ["build-spectrum", "check-tiling"])
+def test_tower3d_and_three_level_tower_give_identical_artifacts(tmp_path, command):
+    code_a, files_a = run_artifacts(tmp_path, "tower3d", TOWER3D, command)
+    code_t, files_t = run_artifacts(tmp_path, "tower", TOWER_3LEVEL, command)
+    assert code_a == code_t == 0
+    if command == "build-spectrum":
+        assert len(files_a["spectrum.txt"].splitlines()) == 125
+    assert files_a == files_t
+
+
+@pytest.mark.parametrize("family", ["class-a", "class-b"])
+def test_planar_alpha_outside_unit_interval_exits_two(tmp_path, capsys, family):
+    cfg = write(
+        tmp_path,
+        "cfg.yaml",
+        f"""
+command: check-tiling
+spectrum:
+  family: {family}
+  alpha: 1.3
+  beta: {{default: 0.0, table: {{"0": 0.2}}}}
+tiling: {{window: 4, resolution: 16}}
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["check-tiling", "--config", cfg, "--out", str(out)]) == 2
+    assert "alpha 1.3 outside [0,1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        "{family: explicit, points: [[.inf, 0.0], [0.0, 0.0]]}",
+        "{family: explicit, points: [[.nan, 0.0]]}",
+        "{family: translated-lattice, alpha_vector: [-.inf, 0.0]}",
+    ],
+)
+def test_non_finite_spectrum_exits_two_without_output(tmp_path, capsys, spectrum):
+    cfg = write(
+        tmp_path,
+        "cfg.yaml",
+        f"command: build-spectrum\nspectrum: {spectrum}\nwindow: {{radius: 1}}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["build-spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+

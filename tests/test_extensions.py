@@ -11,7 +11,6 @@ from spectralbox.extensions import (
     NotUnitaryError,
     apply_extension,
     boundary_condition_residual,
-    boundary_group_exponent,
     boundary_unitary_from_phases,
     cayley_forward,
     cayley_inverse,
@@ -71,12 +70,6 @@ def test_cayley_guard_fires_on_garbage():
     object.__setattr__(bad, "eq_tol", 1e-10)
     with pytest.raises(IllConditionedError):
         cayley_forward(bad)
-
-
-def test_boundary_group_exponent_of_diagonal():
-    w = np.diag([1j * np.pi, 0.0]).astype(complex)
-    out = boundary_group_exponent(w)
-    np.testing.assert_allclose(np.diag(out), [np.exp(1j * np.pi), 1.0], atol=1e-12)
 
 
 def test_bump_support_validation():

@@ -107,6 +107,68 @@ def test_tower_level_arity_enforced():
         Tower((IntFunction.constant(0.0), IntFunction(2)))
 
 
+def test_staircase_constructors_are_towers():
+    beta = IntFunction(1, default=0.0, table={1: 0.5})
+    gamma = IntFunction(2, default=0.0, table={(1, 0): 0.7})
+    zero = IntFunction.constant(0.0)
+    offset = IntFunction.constant(0.25)
+    assert ClassA2D(alpha=0.25, beta=beta) == Tower((offset, beta))
+    assert ClassB2D(alpha=0.25, beta=beta) == Tower((offset, beta), (1, 0))
+    assert Tower3D(beta=beta, gamma=gamma) == Tower((zero, beta, gamma))
+    assert Tower((offset, beta)).axis_order == (0, 1)
+
+
+def test_tower_axis_order_must_be_a_permutation():
+    levels = (IntFunction.constant(0.0), IntFunction(1))
+    for order in [(0, 0), (0,), (1, 2)]:
+        with pytest.raises(ValueError, match="permutation"):
+            Tower(levels, order)
+
+
+def test_tower_axis_order_places_coordinates():
+    # level 0 on axis 2, level 1 on axis 0 (reading k_0), level 2 on axis 1
+    beta = IntFunction(1, default=0.0, table={3: 0.5})
+    gamma = IntFunction(2, default=0.0, table={(3, 1): 0.25})
+    spec = Tower((IntFunction.constant(0.125), beta, gamma), (2, 0, 1))
+    pts = enumerate_spectrum(spec, LatticeWindow(((1, 1), (2, 2), (3, 3))))
+    np.testing.assert_allclose(pts, [[1.5, 2.25, 3.125]])
+
+
+@pytest.mark.parametrize("period", [None, 3])
+def test_points_at_matches_loop_formula(period):
+    rng = np.random.default_rng(11)
+    levels = (
+        IntFunction.constant(0.375),
+        IntFunction(1, default=0.5, table={k: rng.random() for k in range(-2, 3)}),
+        IntFunction(
+            2,
+            default=0.25,
+            table={(k, l): rng.random() for k in range(-2, 2) for l in range(3)},
+        ),
+    )
+    order = (1, 2, 0)
+    spec = Tower(levels, order)
+    idx = LatticeWindow.centered(3, 3).index_array()
+    expected = np.empty(idx.shape)
+    for row, tup in enumerate(idx.tolist()):
+        k = [tup[axis] for axis in order]
+        args = k if period is None else [v % period for v in k]
+        for j, fn in enumerate(levels):
+            expected[row, order[j]] = fn(*args[:j]) + k[j]
+    assert np.array_equal(spec.points_at(idx, period), expected)
+    if period is None:
+        window = LatticeWindow.centered(3, 3)
+        assert np.array_equal(enumerate_spectrum(spec, window), expected)
+
+
+@pytest.mark.parametrize("alpha", [1.3, -0.1, 1.0, float("nan")])
+def test_planar_alpha_must_lie_in_unit_interval(alpha):
+    beta = IntFunction(1)
+    for make in (ClassA2D, ClassB2D):
+        with pytest.raises(ValueError, match="alpha"):
+            make(alpha, beta)
+
+
 def test_tower_fraction_invariant():
     rng = np.random.default_rng(7)
     beta = IntFunction(1, default=0.3, table={k: rng.random() for k in range(-3, 4)})

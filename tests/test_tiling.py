@@ -7,6 +7,7 @@ from spectralbox.model import (
     ClassA2D,
     ClassB2D,
     IntFunction,
+    Tower,
     Tower3D,
     TranslatedLattice,
 )
@@ -29,6 +30,15 @@ def test_integer_lattice_tiles():
     rep = tiling_verdict(mp)
     assert rep.tiles
     assert rep.overlap_fraction == 0.0 and rep.gap_fraction == 0.0
+
+
+@pytest.mark.parametrize("alpha", [(1.3, 0.0), (-2.0, 0.5), (0.4, -7.75)])
+def test_lattice_offset_outside_unit_interval_tiles(alpha):
+    # alpha + Z^d is the same set for alpha mod 1; the torus cover must
+    # not lose the cubes that a large offset pushes past the padding
+    rep = tiling_verdict(multiplicity_map(TranslatedLattice(alpha), 4, 16))
+    assert rep.tiles
+    assert rep.gap_fraction == 0.0 and rep.overlap_fraction == 0.0
 
 
 def test_sparse_lattice_leaves_gaps():
@@ -122,6 +132,20 @@ def test_svg_deterministic_and_annotated():
     buf = io.BytesIO()
     emit_tiling_svg(spec, 4, buf)
     assert buf.getvalue() == payload1
+
+
+def test_svg_row_shifted_labels_on_the_right():
+    beta = IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5, 2: 0.8, 3: 0.3})
+    text = emit_tiling_svg(ClassB2D(0.25, beta), 4).decode()
+    # labels sit right of the window (x = (4 + 0.1 + 1) * 54), one per row
+    assert text.count('<text x="275.4"') == 3
+    assert "d0 = 0.3" in text and "d2 = -0.5" in text
+
+
+def test_svg_annotates_two_level_tower_like_class_a():
+    beta = IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5, 2: 0.8, 3: 0.3})
+    tower = Tower((IntFunction.constant(0.25), beta))
+    assert emit_tiling_svg(tower, 4) == emit_tiling_svg(ClassA2D(0.25, beta), 4)
 
 
 def test_svg_plain_grid_has_no_annotations():
