@@ -6,7 +6,8 @@ Usage:
 Commands: verify-pair, build-spectrum, check-cocycle, simulate-groups,
 check-tiling, diffraction, root-scan.  Exit status 0 when every verdict
 in the run passes, 1 when some verdict fails, 2 on config or input errors
-(reported as a single machine-parsable stderr line "error: <message>").
+(reported as a single machine-parsable stderr line "error: <message>"),
+3 on an internal error (one stderr line "internal error: <message>").
 
 Config schema (YAML; unknown or duplicate keys are errors):
 
@@ -350,16 +351,18 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     bx = DiagonalBoundary(g["a"], shift=phases[1])
     by = DiagonalBoundary(g["b"], shift=phases[0])
 
+    table = commutator_norm(
+        [grid_group_action(1, s, bx) for s in g["times"]],
+        [grid_group_action(2, t, by) for t in g["times"]],
+        probes,
+    )
     rows = ["s,t,commutator_norm"]
-    worst = 0.0
-    for s in g["times"]:
-        for t in g["times"]:
-            val = commutator_norm(
-                grid_group_action(1, s, bx), grid_group_action(2, t, by), probes
-            )
-            worst = max(worst, val)
+    for i, s in enumerate(g["times"]):
+        for j, t in enumerate(g["times"]):
+            val = table[i, j]
             rows.append(f"{format_float(s)},{format_float(t)},{format_float(val)}")
     _write_text(outdir, "commutator_sweep.csv", "\n".join(rows) + "\n")
+    worst = float(table.max(initial=0.0))
 
     cocycle_holds = check_cocycle_2d(seqs, tol.eq_tol).holds
     commuting = worst < 1e-6
@@ -541,6 +544,10 @@ def main(argv=None) -> int:
     except (ConfigError, SpectralBoxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, never a verdict: keep it off status 1
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -54,10 +54,14 @@ class TrigComponent:
     coeffs: Mapping[int, complex]
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ValueError(
+                f"period must be positive and finite, got {self.period}"
+            )
         table = {int(k): complex(v) for k, v in dict(self.coeffs).items()}
         for k, v in table.items():
+            if not np.isfinite(v):
+                raise ValueError(f"coefficient at {k} must be finite, got {v}")
             partner = table.get(-k, 0.0 + 0.0j)
             if abs(partner - np.conj(v)) > 1e-12:
                 raise ValueError(

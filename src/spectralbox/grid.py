@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "GridState",
     "fft_mode_indices",
+    "grid_norm",
     "twisted_analysis",
     "twisted_synthesis",
 ]
@@ -62,7 +63,8 @@ class GridState:
         w[-1] *= 0.5
         return w
 
-    def _weight_tensor(self) -> np.ndarray:
+    def weight_tensor(self) -> np.ndarray:
+        """Product quadrature weights, one entry per sample."""
         w = self.axis_weights(0)
         for axis in range(1, self.dimension):
             w = np.multiply.outer(w, self.axis_weights(axis))
@@ -73,13 +75,11 @@ class GridState:
         if other.values.shape != self.values.shape:
             raise ValueError("grid shapes differ")
         return complex(
-            np.sum(self._weight_tensor() * np.conj(self.values) * other.values)
+            np.sum(self.weight_tensor() * np.conj(self.values) * other.values)
         )
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(self._weight_tensor() * np.abs(self.values) ** 2).real)
-        )
+        return grid_norm(self.weight_tensor(), self.values)
 
     def scaled(self, factor: complex) -> "GridState":
         return GridState(self.values * factor, self.sampling)
@@ -93,6 +93,11 @@ class GridState:
         if other.sampling != self.sampling:
             raise ValueError("sampling conventions differ")
         return GridState(self.values - other.values, self.sampling)
+
+
+def grid_norm(weights: np.ndarray, values: np.ndarray) -> float:
+    """Quadrature L2 norm of raw samples under the given weight tensor."""
+    return float(np.sqrt(np.sum(weights * np.abs(values) ** 2).real))
 
 
 def fft_mode_indices(n: int) -> np.ndarray:

@@ -17,13 +17,20 @@ the sequences by the seam factors exp(-i*2*pi*alpha), exp(-i*2*pi*beta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .cocycles import PhaseSequence, PhaseSequenceSet2D
-from .grid import GridState, fft_mode_indices, twisted_analysis, twisted_synthesis
+from .grid import (
+    GridState,
+    fft_mode_indices,
+    grid_norm,
+    twisted_analysis,
+    twisted_synthesis,
+)
 from .model import LatticeWindow, SpectralBoxError
 
 __all__ = [
@@ -149,17 +156,25 @@ class DiagonalBoundary:
 
     eigenvalues: PhaseSequence
     shift: float = 0.0
+    _eig_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def eigenvalue_array(self, n: int, power: int = 1) -> np.ndarray:
-        eig = self.eigenvalues.values(fft_mode_indices(n))
-        return eig**power
+    def eigenvalue_array(self, n: int) -> np.ndarray:
+        """Eigenvalues on the n grid modes in FFT order (cached, read-only)."""
+        eig = self._eig_cache.get(n)
+        if eig is None:
+            eig = self.eigenvalues.values(fft_mode_indices(n))
+            eig.flags.writeable = False
+            self._eig_cache[n] = eig
+        return eig
 
     def apply(self, lines: np.ndarray, axis: int, power: int = 1) -> np.ndarray:
         """Apply the operator (to the given integer power) along `axis`."""
         if power == 0:
             return lines
         coeffs = twisted_analysis(lines, axis, self.shift)
-        eig = self.eigenvalue_array(lines.shape[axis], power)
+        eig = self.eigenvalue_array(lines.shape[axis]) ** power
         shape = [1] * lines.ndim
         shape[axis] = lines.shape[axis]
         coeffs = coeffs * eig.reshape(shape)
@@ -206,6 +221,41 @@ class MatrixBoundary:
 Boundary = Union[DiagonalBoundary, MatrixBoundary]
 
 
+def _check_periodic(f: GridState) -> None:
+    if any(tag != "periodic" for tag in f.sampling):
+        raise ValueError("group actions require periodic sampling")
+
+
+def _check_axis_time(axis: int, t: float) -> None:
+    if axis not in (1, 2):
+        raise ValueError(f"axis {axis} out of range for I^2")
+    if t < 0:
+        raise ValueError("t must be nonnegative (compose inverses externally)")
+
+
+def _translate(
+    values: np.ndarray, ax: int, t: float, boundary: Boundary
+) -> np.ndarray:
+    """U(t) along the 0-based axis `ax` on raw periodic samples of I^2."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 2:
+        raise ValueError("grid group actions are implemented on I^2")
+    n = values.shape[ax]
+    full, rem = divmod(_steps_for(t, n), n)
+    other = 1 - ax
+    if rem == 0:
+        return boundary.apply(values.copy(), other, full)
+    # output rows i >= n - rem are input rows i + rem - n, which crossed
+    # the seam one extra time; rows i < n - rem are input rows i + rem
+    out = np.empty_like(values)
+    src, dst = [slice(None), slice(None)], [slice(None), slice(None)]
+    src[ax], dst[ax] = slice(0, rem), slice(n - rem, n)
+    out[tuple(dst)] = boundary.apply(values[tuple(src)], other, full + 1)
+    src[ax], dst[ax] = slice(rem, n), slice(0, n - rem)
+    out[tuple(dst)] = boundary.apply(values[tuple(src)], other, full)
+    return out
+
+
 def group_action_grid(
     f: GridState, axis: int, t: float, boundary: Boundary
 ) -> GridState:
@@ -216,43 +266,24 @@ def group_action_grid(
     that cross the seam are transported through the boundary operator,
     once per full crossing.
     """
-    ax = axis - 1
-    if ax not in range(f.dimension):
-        raise ValueError(f"axis {axis} out of range for dimension {f.dimension}")
-    if any(tag != "periodic" for tag in f.sampling):
-        raise ValueError("group actions require periodic sampling")
-    if t < 0:
-        raise ValueError("t must be nonnegative (compose inverses externally)")
-    n = f.values.shape[ax]
-    steps = _steps_for(t, n)
-    full, rem = divmod(steps, n)
-    other = 1 - ax if f.dimension == 2 else None
-    if f.dimension != 2:
-        raise ValueError("grid group actions are implemented on I^2")
-
-    rolled = np.roll(f.values, -rem, axis=ax)
-    out = np.array(rolled)
-    # rows i >= n - rem crossed the seam one extra time
-    index = [slice(None), slice(None)]
-    if rem > 0:
-        index[ax] = slice(n - rem, n)
-        wrapped = rolled[tuple(index)]
-        out[tuple(index)] = boundary.apply(wrapped, other, full + 1)
-        index[ax] = slice(0, n - rem)
-        bulk = rolled[tuple(index)]
-        out[tuple(index)] = boundary.apply(bulk, other, full)
-    else:
-        out = boundary.apply(rolled, other, full)
-    return GridState(out, f.sampling)
+    _check_periodic(f)
+    _check_axis_time(axis, t)
+    return GridState(_translate(f.values, axis - 1, t, boundary), f.sampling)
 
 
 def grid_group_action(
     axis: int, t: float, boundary: Boundary
-) -> Callable[[GridState], GridState]:
-    """Curried form of group_action_grid, handy for commutator probes."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """U_axis(t) as a map on raw (n, n) sample arrays of periodic grids.
 
-    def act(state: GridState) -> GridState:
-        return group_action_grid(state, axis, t, boundary)
+    The same action as group_action_grid, with axis and t checked here,
+    once, and no GridState built per call: commutator_norm unwraps its
+    probes at entry and applies these maps to the bare values.
+    """
+    _check_axis_time(axis, t)
+
+    def act(values: np.ndarray) -> np.ndarray:
+        return _translate(values, axis - 1, t, boundary)
 
     return act
 
@@ -404,29 +435,60 @@ def project_to_window(
 # ---------------------------------------------------------------------------
 
 
-def _norm_of(obj) -> float:
-    if isinstance(obj, GridState):
-        return obj.norm()
-    return float(np.linalg.norm(obj))
+def _euclidean_norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
 
 
-def commutator_norm(apply_x, apply_y, probes: Sequence) -> float:
-    """max over probes of |XY p - YX p| / |p| for two callables.
+def _unwrap_probes(probes: Sequence) -> list:
+    """(raw values, norm of its space, own norm) for each probe, checked.
 
-    Works uniformly for grid actions on GridState probes and truncated
-    matrices on coefficient-vector probes.
+    GridState probes on the same grid share one weight tensor, so the
+    check costs no memory per probe.
+    """
+    weights: dict = {}
+    out = []
+    for p in probes:
+        if isinstance(p, GridState):
+            _check_periodic(p)
+            key = (p.values.shape, p.sampling)
+            if key not in weights:
+                weights[key] = p.weight_tensor()
+            values, norm = p.values, partial(grid_norm, weights[key])
+        else:
+            values, norm = np.asarray(p), _euclidean_norm
+            if not np.all(np.isfinite(values)):
+                raise ValueError("probe values must be finite")
+        den = norm(values)
+        if den == 0.0:
+            raise ValueError("zero-norm probe")
+        out.append((values, norm, den))
+    return out
+
+
+def commutator_norm(
+    xs: Sequence, ys: Sequence, probes: Sequence
+) -> np.ndarray:
+    """Table of max over probes of |X Y p - Y X p| / |p|, X in xs, Y in ys.
+
+    Entry [i, j] belongs to the pair (xs[i], ys[j]).  Works uniformly for
+    grid actions (grid_group_action) on GridState probes, which are checked
+    and unwrapped once and measured with their own quadrature weights, and
+    for truncated matrices on coefficient-vector probes.  Each probe is
+    moved by every X and every Y once and the images are reused across the
+    table, so a probe costs len(xs) + len(ys) + 2 len(xs) len(ys) actions.
+    A NaN ratio propagates into its entry instead of reading as zero.
     """
     if len(probes) == 0:
         raise ValueError("empty probe list")
-    worst = 0.0
-    for p in probes:
-        den = _norm_of(p)
-        if den == 0.0:
-            raise ValueError("zero-norm probe")
-        xy = apply_x(apply_y(p))
-        yx = apply_y(apply_x(p))
-        worst = max(worst, _norm_of(xy - yx) / den)
-    return worst
+    table = np.zeros((len(xs), len(ys)))
+    for values, norm, den in _unwrap_probes(probes):
+        x_images = [x(values) for x in xs]
+        y_images = [y(values) for y in ys]
+        for i, (x, xp) in enumerate(zip(xs, x_images)):
+            for j, (y, yp) in enumerate(zip(ys, y_images)):
+                ratio = norm(x(yp) - y(xp)) / den
+                table[i, j] = np.maximum(table[i, j], ratio)
+    return table
 
 
 def default_probe_coefficients(

@@ -193,10 +193,10 @@ def test_acceptance_03_cocycle_commutator_cross_oracle():
             worst = max(
                 worst,
                 commutator_norm(
-                    grid_group_action(1, s, bx),
-                    grid_group_action(2, t, by),
+                    [grid_group_action(1, s, bx)],
+                    [grid_group_action(2, t, by)],
                     probes,
-                ),
+                )[0, 0],
             )
             if worst >= 1e-6:
                 break

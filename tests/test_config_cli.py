@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from spectralbox import cli
 from spectralbox.cli import main
 from spectralbox.config import ConfigError, load_config, parse_config
 from spectralbox.model import ClassA2D, IntervalUnion, IntFunction, UnitCube
@@ -473,3 +474,49 @@ def test_non_finite_spectrum_exits_two_without_output(tmp_path, capsys, spectrum
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        "{period: .nan, cosine_amplitude: 0.1}",
+        "{period: .inf, cosine_amplitude: 0.1}",
+        '{period: 1.5, coeffs: {"1": [.nan, 0.0], "-1": [.nan, 0.0]}}',
+        '{period: 1.5, coeffs: {"1": [.inf, 0.0], "-1": [.inf, 0.0]}}',
+    ],
+)
+def test_non_finite_diffraction_component_exits_two_without_output(
+    tmp_path, capsys, component
+):
+    cfg = write(
+        tmp_path,
+        "cfg.yaml",
+        f"""
+command: diffraction
+diffraction:
+  components:
+    - {component}
+  test_function: {{center: [0.0, 0.0], widths: [1.0, 1.0]}}
+  lambda_window: 20
+  k_radius: 4
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["diffraction", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+def test_internal_error_exits_three_with_one_stderr_line(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(cfg, report, outdir):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli._DISPATCH, "root-scan", broken)
+    cfg = write(tmp_path, "cfg.yaml", MINIMAL)
+    status = main(["root-scan", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: KeyError: 'missing'"]

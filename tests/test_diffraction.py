@@ -42,6 +42,20 @@ def test_components_must_be_real():
     np.testing.assert_allclose(comp.value(x), 0.3 * np.cos(np.pi * x), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "period, coeffs",
+    [
+        (float("nan"), {0: 0.1}),
+        (float("inf"), {0: 0.1}),
+        (1.0, {1: complex("nan"), -1: complex("nan")}),
+        (1.0, {1: float("inf"), -1: float("inf")}),
+    ],
+)
+def test_components_reject_non_finite_input(period, coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        TrigComponent(period, coeffs)
+
+
 def test_model_beta_sums_components():
     model = two_period_model()
     x = np.array([0.0, 1.0, 2.5])

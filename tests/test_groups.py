@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectralbox.cocycles import PhaseSequence, PhaseSequenceSet2D, check_cocycle_2d
-from spectralbox.grid import GridState
+from spectralbox.grid import GridState, fft_mode_indices
 from spectralbox.groups import (
     DiagonalBoundary,
     IncommensurateTimeError,
@@ -282,8 +282,8 @@ def test_commutator_scalar_boundaries_is_zero():
         for _ in range(3)
     ]
     val = commutator_norm(
-        grid_group_action(1, 5 / n, bx), grid_group_action(2, 9 / n, by), probes
-    )
+        [grid_group_action(1, 5 / n, bx)], [grid_group_action(2, 9 / n, by)], probes
+    )[0, 0]
     assert val < 1e-13
 
 
@@ -299,13 +299,11 @@ def test_commutator_class_one_is_zero():
     by = DiagonalBoundary(seqs.b)
     coeffs = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     probes = [synthesize_window_state(v, (0.0, 0.0), win, n) for v in coeffs]
-    worst = max(
-        commutator_norm(
-            grid_group_action(1, s, bx), grid_group_action(2, t, by), probes
-        )
-        for s in (0.25, 0.5)
-        for t in (0.125, 0.75)
-    )
+    worst = commutator_norm(
+        [grid_group_action(1, s, bx) for s in (0.25, 0.5)],
+        [grid_group_action(2, t, by) for t in (0.125, 0.75)],
+        probes,
+    ).max()
     assert worst < 1e-12
 
 
@@ -319,15 +317,11 @@ def test_commutator_detects_failing_pair():
     assert not check_cocycle_2d(seqs).holds
     coeffs = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     probes = [synthesize_window_state(v, (0.0, 0.0), win, n) for v in coeffs]
-    worst = max(
-        commutator_norm(
-            grid_group_action(1, s, DiagonalBoundary(a)),
-            grid_group_action(2, t, DiagonalBoundary(b)),
-            probes,
-        )
-        for s in (0.25, 0.5, 0.75)
-        for t in (0.125, 0.375, 0.625)
-    )
+    worst = commutator_norm(
+        [grid_group_action(1, s, DiagonalBoundary(a)) for s in (0.25, 0.5, 0.75)],
+        [grid_group_action(2, t, DiagonalBoundary(b)) for t in (0.125, 0.375, 0.625)],
+        probes,
+    ).max()
     assert worst > 0.01
 
 
@@ -342,7 +336,7 @@ def test_commutator_matrix_route_agrees_with_grid_verdict():
     mx = group_matrix_spectral(1, s, seqs, (0.0, 0.0), win, grid_n=n, leakage_tol=1.0)
     my = group_matrix_spectral(2, t, seqs, (0.0, 0.0), win, grid_n=n, leakage_tol=1.0)
     vec_probes = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
-    val = commutator_norm(mx, my, vec_probes)
+    val = commutator_norm([mx], [my], vec_probes)[0, 0]
     assert val > 0.01  # same verdict as the exact grid route
 
 
@@ -351,9 +345,181 @@ def test_commutator_rejects_empty_and_zero_probes():
     fx = grid_group_action(1, 0.25, b)
     fy = grid_group_action(2, 0.25, b)
     with pytest.raises(ValueError):
-        commutator_norm(fx, fy, [])
+        commutator_norm([fx], [fy], [])
     with pytest.raises(ValueError):
-        commutator_norm(fx, fy, [GridState(np.zeros((8, 8), dtype=complex))])
+        commutator_norm([fx], [fy], [GridState(np.zeros((8, 8), dtype=complex))])
+
+
+# The per-pair, per-probe loop that the table replaced, over the roll-based
+# GridState action it used; kept as a test oracle only.
+
+
+def _rolled_action(f, axis, t, boundary):
+    ax = axis - 1
+    n = f.values.shape[ax]
+    full, rem = divmod(round(t * n), n)
+    other = 1 - ax
+    rolled = np.roll(f.values, -rem, axis=ax)
+    out = np.array(rolled)
+    index = [slice(None), slice(None)]
+    if rem > 0:
+        index[ax] = slice(n - rem, n)
+        out[tuple(index)] = boundary.apply(rolled[tuple(index)], other, full + 1)
+        index[ax] = slice(0, n - rem)
+        out[tuple(index)] = boundary.apply(rolled[tuple(index)], other, full)
+    else:
+        out = boundary.apply(rolled, other, full)
+    return GridState(out, f.sampling)
+
+
+def _norm_of(obj):
+    if isinstance(obj, GridState):
+        return obj.norm()
+    return float(np.linalg.norm(obj))
+
+
+def reference_commutator_norm(apply_x, apply_y, probes):
+    worst = 0.0
+    for p in probes:
+        den = _norm_of(p)
+        xy = apply_x(apply_y(p))
+        yx = apply_y(apply_x(p))
+        worst = max(worst, _norm_of(xy - yx) / den)
+    return worst
+
+
+def reference_grid_table(bx, by, s_times, t_times, probes):
+    return np.array(
+        [
+            [
+                reference_commutator_norm(
+                    lambda f, s=s: _rolled_action(f, 1, s, bx),
+                    lambda f, t=t: _rolled_action(f, 2, t, by),
+                    probes,
+                )
+                for t in t_times
+            ]
+            for s in s_times
+        ]
+    )
+
+
+S_TIMES = (0.0, 0.125, 0.625, 1.0, 1.375)
+T_TIMES = (0.25, 0.625, 1.375)
+
+
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.3, 0.7)])
+@pytest.mark.parametrize("commuting", [True, False])
+def test_commutator_table_equals_per_pair_reference(n, phases, commuting):
+    rng = np.random.default_rng(16)
+    win = LatticeWindow.centered(8, 2)
+    one = PhaseSequence({}, 1.0)
+    if not commuting:
+        one = PhaseSequence({1: unit(0.4)}, 1.0)
+    a, b = one, random_sequence(rng, 8)
+    coeffs = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
+    probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
+    bx = DiagonalBoundary(a, shift=phases[1])
+    by = DiagonalBoundary(b, shift=phases[0])
+    table = commutator_norm(
+        [grid_group_action(1, s, bx) for s in S_TIMES],
+        [grid_group_action(2, t, by) for t in T_TIMES],
+        probes,
+    )
+    want = reference_grid_table(
+        DiagonalBoundary(a, shift=phases[1]),
+        DiagonalBoundary(b, shift=phases[0]),
+        S_TIMES,
+        T_TIMES,
+        probes,
+    )
+    assert table.shape == (len(S_TIMES), len(T_TIMES))
+    assert (table == want).all()
+    assert (table.max() < 1e-12) == (commuting and phases == (0.0, 0.0))
+
+
+def test_commutator_table_equals_reference_for_matrix_boundaries():
+    rng = np.random.default_rng(17)
+    n = 64
+    win = LatticeWindow.centered(8, 2)
+    phases = (0.1, 0.2)
+
+    def random_unitary():
+        z = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
+        return np.linalg.qr(z)[0]
+
+    bx = MatrixBoundary(random_unitary(), (-8, 8), shift=phases[1])
+    by = MatrixBoundary(random_unitary(), (-8, 8), shift=phases[0])
+    coeffs = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
+    probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
+    table = commutator_norm(
+        [grid_group_action(1, s, bx) for s in S_TIMES],
+        [grid_group_action(2, t, by) for t in T_TIMES],
+        probes,
+    )
+    want = reference_grid_table(bx, by, S_TIMES, T_TIMES, probes)
+    assert (table == want).all()
+    assert table.max() > 0.01
+
+
+def test_commutator_table_equals_reference_for_truncated_operators():
+    rng = np.random.default_rng(18)
+    win = LatticeWindow.centered(6, 2)
+    seqs = PhaseSequenceSet2D(
+        PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
+    )
+    mxs = [
+        group_matrix_spectral(1, s, seqs, (0.0, 0.0), win, grid_n=64, leakage_tol=1.0)
+        for s in (0.25, 0.5)
+    ]
+    mys = [
+        group_matrix_spectral(2, t, seqs, (0.0, 0.0), win, grid_n=64, leakage_tol=1.0)
+        for t in (0.125, 0.375, 0.625)
+    ]
+    vec_probes = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
+    table = commutator_norm(mxs, mys, vec_probes)
+    want = np.array(
+        [[reference_commutator_norm(mx, my, vec_probes) for my in mys] for mx in mxs]
+    )
+    assert (table == want).all()
+
+
+def test_commutator_validates_probes_and_actions_at_entry():
+    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    with pytest.raises(ValueError):
+        grid_group_action(3, 0.25, b)
+    with pytest.raises(ValueError):
+        grid_group_action(1, -0.25, b)
+    fx = grid_group_action(1, 0.25, b)
+    fy = grid_group_action(2, 0.25, b)
+    closed = GridState(np.ones((8, 8), dtype=complex), ("closed", "periodic"))
+    with pytest.raises(ValueError, match="periodic"):
+        commutator_norm([fx], [fy], [closed])
+    with pytest.raises(ValueError, match="finite"):
+        commutator_norm([np.eye(2)], [np.eye(2)], [np.array([1.0, np.nan])])
+    # a NaN image reads as NaN in the table, never as a commuting zero
+    table = commutator_norm([lambda v: v * np.nan], [lambda v: v], [np.ones(2)])
+    assert np.isnan(table[0, 0])
+
+
+def test_diagonal_boundary_caches_read_only_eigenvalues_per_size():
+    rng = np.random.default_rng(19)
+    seq = random_sequence(rng, 20)
+    shared = DiagonalBoundary(seq, shift=0.3)
+    for n in (32, 64, 32):
+        lines = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for axis, power in ((0, 1), (1, 2), (1, -1)):
+            got = shared.apply(lines, axis, power)
+            want = DiagonalBoundary(seq, shift=0.3).apply(lines, axis, power)
+            assert np.array_equal(got, want)
+        eig = shared.eigenvalue_array(n)
+        assert np.array_equal(eig, seq.values(fft_mode_indices(n)))
+        assert not eig.flags.writeable
+        with pytest.raises(ValueError):
+            eig[0] = 1.0
+        assert shared.eigenvalue_array(n) is eig
+    assert shared == DiagonalBoundary(seq, shift=0.3)
 
 
 def test_default_probes_shapes():
