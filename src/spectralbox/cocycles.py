@@ -1,4 +1,4 @@
-"""Cocycle identities for boundary eigenvalue data, in 2-D and higher.
+"""Cocycle identities for boundary eigenvalue data, in any dimension d >= 2.
 
 Commutativity of the induced translation groups is equivalent to product
 identities on the unit-modulus eigenvalue sequences of the boundary
@@ -6,13 +6,18 @@ unitaries; this module checks those identities over finite index windows,
 classifies the 2-D outcomes, and decides quasi-commutativity (joint
 diagonalizability in a fixed shifted product basis) for small matrix
 models.  All verdicts are relative to the supplied window.
+
+One vectorised kernel checks the pairwise shift identity for every ordered
+slot pair; check_cocycle_2d (witnesses ("b-shift" | "a-shift", m, n,
+shift, modulus)) and check_cocycle_highdim (witnesses (f, s, n, shift,
+modulus)) are adapters over it and both return a CocycleReport.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,7 +63,7 @@ class ToleranceInconsistencyError(SpectralBoxError):
 
 def _renormalize_unit(value: complex, where: str) -> complex:
     mod = abs(value)
-    if abs(mod - 1.0) > 1e-6:
+    if not abs(mod - 1.0) <= 1e-6:  # NaN fails too
         raise UnitModulusError(
             f"{where}: modulus {mod} too far from 1 to renormalize"
         )
@@ -91,7 +96,13 @@ class PhaseSequence:
     def from_phases(
         cls, table: Mapping[int, float], default: float = 0.0
     ) -> "PhaseSequence":
-        """Build from phase fractions in [0,1): value = exp(i*2*pi*phase)."""
+        """Build from phase fractions in [0,1): value = exp(i*2*pi*phase).
+
+        Raises ValueError for a NaN or infinite fraction.
+        """
+        for k, v in [*table.items(), ("default", default)]:
+            if not np.isfinite(float(v)):
+                raise ValueError(f"phase at {k} is {float(v)}, not finite")
         return cls(
             {int(k): np.exp(2j * np.pi * float(v)) for k, v in table.items()},
             np.exp(2j * np.pi * float(default)),
@@ -141,6 +152,45 @@ class CocycleReport:
 _MAX_WITNESSES = 10  # report readability
 
 
+def _shift_identity(
+    values: Sequence[np.ndarray], window: LatticeWindow, eq_tol: float
+) -> CocycleReport:
+    """Pairwise shift identities of d eigenvalue arrays over a window.
+
+    values[f] holds v_f at every window tuple, with size 1 on axis f: the
+    operator omitting slot f does not see that slot.  For every ordered
+    slot pair (f, s), window tuple n and in-window n_s' != n_s the product
+      |(v_f(n) - v_f(n with n_s -> n_s')) (1 - v_s(n))|
+    must stay below eq_tol.  Witnesses are (f, s, n, n_s' - n_s, modulus),
+    shifted slot s outermost, then f, then (n_s, n_s', the other axes) in
+    row-major order; at most _MAX_WITNESSES of them.
+    """
+    maxima = []
+    witnesses = []
+    for s in range(window.dimension):
+        size = window.axis_indices(s).size
+        # slot s to the front, then a second axis for n_s'
+        one_minus_vs = (1.0 - np.moveaxis(values[s], s, 0))[None]
+        for f in range(window.dimension):
+            if f == s:
+                continue
+            vf = np.moveaxis(values[f], s, 0)
+            viol = np.abs((vf[:, None] - vf[None, :]) * one_minus_vs)
+            viol[np.arange(size), np.arange(size)] = 0.0
+            maxima.append(viol.max())
+            room = _MAX_WITNESSES - len(witnesses)
+            if room <= 0 or not maxima[-1] >= eq_tol:
+                continue
+            for i, i2, *rest in np.argwhere(viol >= eq_tol)[:room]:
+                pos = [*rest[:s], i, *rest[s:]]
+                n = tuple(int(lo + p) for (lo, _), p in zip(window.ranges, pos))
+                witnesses.append(
+                    (f, s, n, int(i2 - i), float(viol[(i, i2, *rest)]))
+                )
+    max_violation = float(np.max(maxima))
+    return CocycleReport(max_violation < eq_tol, max_violation, tuple(witnesses))
+
+
 def check_cocycle_2d(
     seqs: PhaseSequenceSet2D, eq_tol: float = 1e-10
 ) -> CocycleReport:
@@ -148,8 +198,8 @@ def check_cocycle_2d(
 
     Both identities are evaluated for every in-window pair of indices and
     every nonzero in-window shift; `holds` iff every product has modulus
-    below eq_tol.  Up to ten witness tuples (identity, base index, other
-    index, shift, modulus) are returned otherwise.
+    below eq_tol.  Up to ten witness tuples (identity, m, n, shift,
+    modulus) are returned otherwise, the "b-shift" ones first.
     """
     m_idx = seqs.m_indices()
     n_idx = seqs.n_indices()
@@ -159,50 +209,22 @@ def check_cocycle_2d(
         )
     a = seqs.a.values(n_idx)
     b = seqs.b.values(m_idx)
-
-    witnesses = []
-    # (b_m - b_{m+k}) (1 - a_n), k != 0
-    b_diff = b[:, None] - b[None, :]
-    prod1 = np.abs(b_diff[:, :, None] * (1.0 - a)[None, None, :])
-    mask1 = ~np.eye(m_idx.size, dtype=bool)
-    viol1 = prod1 * mask1[:, :, None]
-    # (a_n - a_{n+l}) (1 - b_m), l != 0
-    a_diff = a[:, None] - a[None, :]
-    prod2 = np.abs(a_diff[:, :, None] * (1.0 - b)[None, None, :])
-    mask2 = ~np.eye(n_idx.size, dtype=bool)
-    viol2 = prod2 * mask2[:, :, None]
-
-    max_violation = float(max(viol1.max(), viol2.max()))
-    holds = max_violation < eq_tol
-    if not holds:
-        for (i, i2, j) in np.argwhere(viol1 >= eq_tol)[:_MAX_WITNESSES]:
-            witnesses.append(
-                (
-                    "b-shift",
-                    int(m_idx[i]),
-                    int(n_idx[j]),
-                    int(m_idx[i2] - m_idx[i]),
-                    float(viol1[i, i2, j]),
-                )
-            )
-        room = _MAX_WITNESSES - len(witnesses)
-        for (i, i2, j) in np.argwhere(viol2 >= eq_tol)[:room]:
-            witnesses.append(
-                (
-                    "a-shift",
-                    int(m_idx[j]),
-                    int(n_idx[i]),
-                    int(n_idx[i2] - n_idx[i]),
-                    float(viol2[i, i2, j]),
-                )
-            )
-    return CocycleReport(holds, max_violation, tuple(witnesses))
+    # a is v_0 (blind to slot 0, the m axis), b is v_1 (blind to slot 1)
+    report = _shift_identity((a[None, :], b[:, None]), seqs.window, eq_tol)
+    witnesses = tuple(
+        ("b-shift" if s == 0 else "a-shift", m, n, shift, modulus)
+        for _, s, (m, n), shift, modulus in report.witnesses
+    )
+    return replace(report, witnesses=witnesses)
 
 
 def check_single_identity_2d(
     seqs: PhaseSequenceSet2D, eq_tol: float = 1e-10
 ) -> bool:
-    """(1 - b_{m+k})(1 - a_n) = (1 - b_m)(1 - a_{n+l}) over the window."""
+    """(1 - b_{m+k})(1 - a_n) = (1 - b_m)(1 - a_{n+l}) over the window.
+
+    The M^2 N^2 comparisons run in blocks of one m row, M N^2 at a time.
+    """
     m_idx = seqs.m_indices()
     n_idx = seqs.n_indices()
     if m_idx.size < 2 or n_idx.size < 2:
@@ -212,15 +234,14 @@ def check_single_identity_2d(
     a = seqs.a.values(n_idx)
     b = seqs.b.values(m_idx)
     p = np.outer(1.0 - b, 1.0 - a)  # p[m, n]
-    # compare p[m2, n1] against p[m1, n2] for all m1 != m2, n1 != n2
-    diff = np.abs(
-        p[None, :, :, None] - p[:, None, None, :]
-    )  # [m1, m2, n1, n2]
-    mask = (
-        (~np.eye(m_idx.size, dtype=bool))[:, :, None, None]
-        & (~np.eye(n_idx.size, dtype=bool))[None, None, :, :]
-    )
-    return bool((diff * mask).max() < eq_tol)
+    n_shift = ~np.eye(n_idx.size, dtype=bool)
+    for m1, row in enumerate(p):
+        # p[m2, n1] against p[m1, n2] for all m2 != m1, n1 != n2
+        diff = np.abs(p[:, :, None] - row[None, None, :]) * n_shift
+        diff[m1] = 0.0
+        if not diff.max() < eq_tol:
+            return False
+    return True
 
 
 class Classification(enum.Enum):
@@ -292,89 +313,42 @@ class EigenvalueFunctionSet:
             raise ValueError("need one phase per coordinate")
 
 
-def _omit(tup: tuple[int, ...], slot: int) -> tuple[int, ...]:
-    return tup[:slot] + tup[slot + 1 :]
-
-
-@dataclass(frozen=True)
-class HighDimCocycleReport:
-    holds: bool
-    max_violation: float
-    witnesses: tuple = ()
-
-
 def check_cocycle_highdim(
     funcs: EigenvalueFunctionSet,
     window: LatticeWindow,
     eq_tol: float = 1e-10,
-) -> HighDimCocycleReport:
-    """Pairwise shift identities for d >= 3 over all in-window tuples.
+) -> CocycleReport:
+    """Pairwise shift identities for any d >= 2 over all in-window tuples.
 
-    For every slot pair j < k, every window tuple and every nonzero
-    in-window shift the two products
-      (v_j(shifted in slot k) - v_j)(1 - v_k)  and
-      (v_k(shifted in slot j) - v_k)(1 - v_j)
-    must vanish.  For d = 3 this is exactly the six leg identities of the
-    three boundary operators.
+    For every ordered slot pair (f, s), every window tuple n and every
+    nonzero in-window shift k in slot s the product
+      (v_f(n with n_s -> n_s + k) - v_f(n)) (1 - v_s(n))
+    must vanish; each v_j is evaluated once per tuple of the other slots.
+    For d = 3 these are the six leg identities of the three boundary
+    operators; for d = 2, with v = (a, b), the two of check_cocycle_2d.
+    Up to ten witnesses (f, s, n, k, modulus) are returned, n the window
+    tuple, in the order of the shifted slot s, then f, then (n_s, n_s + k,
+    the other slots) row-major.
     """
     d = funcs.dimension
-    if d < 3:
-        raise ValueError("use the 2-D checker for dimension < 3")
     if window.dimension != d:
         raise ValueError("window arity must match the dimension")
-
-    cache: dict[tuple[int, tuple[int, ...]], complex] = {}
-
-    def v_at(j: int, args: tuple[int, ...]) -> complex:
-        key = (j, args)
-        if key not in cache:
-            val = complex(funcs.v[j](*args))
-            if abs(abs(val) - 1.0) > 1e-6:
-                raise UnitModulusError(
-                    f"v[{j}]{args} has modulus {abs(val)}"
-                )
-            cache[key] = val
-        return cache[key]
-
-    witnesses = []
-    max_violation = 0.0
-    tuples = list(window.indices())
+    sizes = [window.axis_indices(s).size for s in range(d)]
+    values = []
     for j in range(d):
-        for k in range(j + 1, d):
-            lo_k, hi_k = window.ranges[k]
-            lo_j, hi_j = window.ranges[j]
-            for n in tuples:
-                vj = v_at(j, _omit(n, j))
-                vk = v_at(k, _omit(n, k))
-                for nk2 in range(lo_k, hi_k + 1):
-                    if nk2 == n[k]:
-                        continue
-                    shifted = n[:k] + (nk2,) + n[k + 1 :]
-                    val = abs(
-                        (v_at(j, _omit(shifted, j)) - vj) * (1.0 - vk)
-                    )
-                    if val > max_violation:
-                        max_violation = val
-                    if val >= eq_tol and len(witnesses) < _MAX_WITNESSES:
-                        witnesses.append(
-                            ("shift-k", j, k, n, nk2 - n[k], float(val))
-                        )
-                for nj2 in range(lo_j, hi_j + 1):
-                    if nj2 == n[j]:
-                        continue
-                    shifted = n[:j] + (nj2,) + n[j + 1 :]
-                    val = abs(
-                        (v_at(k, _omit(shifted, k)) - vk) * (1.0 - vj)
-                    )
-                    if val > max_violation:
-                        max_violation = val
-                    if val >= eq_tol and len(witnesses) < _MAX_WITNESSES:
-                        witnesses.append(
-                            ("shift-j", j, k, n, nj2 - n[j], float(val))
-                        )
-    return HighDimCocycleReport(
-        max_violation < eq_tol, float(max_violation), tuple(witnesses)
-    )
+        args = list(
+            itertools.product(
+                *(window.axis_indices(s).tolist() for s in range(d) if s != j)
+            )
+        )
+        vals = np.array([complex(funcs.v[j](*t)) for t in args], dtype=complex)
+        bad = np.flatnonzero(~(np.abs(np.abs(vals) - 1.0) <= 1e-6))
+        if bad.size:
+            raise UnitModulusError(
+                f"v[{j}]{args[bad[0]]} has modulus {abs(vals[bad[0]])}"
+            )
+        values.append(vals.reshape(sizes[:j] + [1] + sizes[j + 1 :]))
+    return _shift_identity(values, window, eq_tol)
 
 
 def _tower3d_levels(spec: Tower) -> tuple[IntFunction, IntFunction]:

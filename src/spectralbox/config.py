@@ -117,7 +117,10 @@ def _parse_phase_sequence(section, where: str) -> PhaseSequence:
     table = {}
     for key, value in _require_mapping(section.get("table", {}), f"{where}.table").items():
         table[int(key)] = float(value)
-    return PhaseSequence.from_phases(table, float(section.get("default", 0.0)))
+    try:
+        return PhaseSequence.from_phases(table, float(section.get("default", 0.0)))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
@@ -342,6 +345,9 @@ def parse_config(text: str) -> RunConfig:
             "n_random": int(section.get("n_random", 4)),
             "leakage_tol": float(section.get("leakage_tol", 1e-6)),
         }
+        for key in ("phases", "times", "leakage_tol"):
+            if not np.all(np.isfinite(cfg.groups[key])):
+                raise ConfigError(f"groups.{key}: {cfg.groups[key]} is not finite")
     if "tiling" in raw:
         section = _require_mapping(raw["tiling"], "tiling")
         _check_keys(section, {"window", "resolution"}, "tiling")

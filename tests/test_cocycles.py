@@ -1,8 +1,12 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from spectralbox.cocycles import (
     Classification,
+    CocycleReport,
     EigenvalueFunctionSet,
     boundary_matrices_from_eigenfunctions,
     PhaseSequence,
@@ -39,11 +43,172 @@ def random_unit_sequence(rng, radius=2):
     )
 
 
+def random_pair(rng, trial, radius=2):
+    """(a, b) by trial % 5: a identically one, b identically one, both
+    generic, or a moved at one index, by a large phase or by one near 1e-11
+    so that the products land on either side of eq_tol."""
+    one = PhaseSequence({}, 1.0)
+    kind = trial % 5
+    if kind == 0:
+        return one, random_unit_sequence(rng, radius)
+    if kind == 1:
+        return random_unit_sequence(rng, radius), one
+    if kind == 2:
+        return random_unit_sequence(rng, radius), random_unit_sequence(rng, radius)
+    phase = 0.1 + 0.8 * rng.random() if kind == 3 else 10 ** rng.uniform(-11.5, -10)
+    moved = PhaseSequence({int(rng.integers(-1, 2)): unit(phase)})
+    return moved, random_unit_sequence(rng, radius)
+
+
+# ---------------------------------------------------------------------------
+# test-only references: the direct forms the checks are measured against
+# ---------------------------------------------------------------------------
+
+MAX_WITNESSES = 10
+
+
+def reference_cocycle_2d(seqs, eq_tol=1e-10):
+    """Both 2-D identities as two M x M x N / N x N x M arrays."""
+    m_idx = seqs.m_indices()
+    n_idx = seqs.n_indices()
+    a = seqs.a.values(n_idx)
+    b = seqs.b.values(m_idx)
+    witnesses = []
+    b_diff = b[:, None] - b[None, :]
+    prod1 = np.abs(b_diff[:, :, None] * (1.0 - a)[None, None, :])
+    viol1 = prod1 * (~np.eye(m_idx.size, dtype=bool))[:, :, None]
+    a_diff = a[:, None] - a[None, :]
+    prod2 = np.abs(a_diff[:, :, None] * (1.0 - b)[None, None, :])
+    viol2 = prod2 * (~np.eye(n_idx.size, dtype=bool))[:, :, None]
+    max_violation = float(max(viol1.max(), viol2.max()))
+    holds = max_violation < eq_tol
+    if not holds:
+        for (i, i2, j) in np.argwhere(viol1 >= eq_tol)[:MAX_WITNESSES]:
+            witnesses.append(
+                ("b-shift", int(m_idx[i]), int(n_idx[j]),
+                 int(m_idx[i2] - m_idx[i]), float(viol1[i, i2, j]))
+            )
+        room = MAX_WITNESSES - len(witnesses)
+        for (i, i2, j) in np.argwhere(viol2 >= eq_tol)[:room]:
+            witnesses.append(
+                ("a-shift", int(m_idx[j]), int(n_idx[i]),
+                 int(n_idx[i2] - n_idx[i]), float(viol2[i, i2, j]))
+            )
+    return CocycleReport(holds, max_violation, tuple(witnesses))
+
+
+def reference_single_identity_2d(seqs, eq_tol=1e-10):
+    """The single identity as one dense M x M x N x N array."""
+    m_idx = seqs.m_indices()
+    n_idx = seqs.n_indices()
+    p = np.outer(1.0 - seqs.b.values(m_idx), 1.0 - seqs.a.values(n_idx))
+    diff = np.abs(p[None, :, :, None] - p[:, None, None, :])  # [m1, m2, n1, n2]
+    mask = (
+        (~np.eye(m_idx.size, dtype=bool))[:, :, None, None]
+        & (~np.eye(n_idx.size, dtype=bool))[None, None, :, :]
+    )
+    return bool((diff * mask).max() < eq_tol)
+
+
+def _omit(tup, slot):
+    return tup[:slot] + tup[slot + 1 :]
+
+
+def reference_highdim(funcs, window, eq_tol=1e-10):
+    """Slot pairs j < k, window tuples and shifts as plain Python loops.
+
+    Witnesses are (f, s, n, shift, modulus): v_f moved along slot s.
+    """
+    d = funcs.dimension
+    witnesses = []
+    max_violation = 0.0
+    for j in range(d):
+        for k in range(j + 1, d):
+            for n in window.indices():
+                vj = complex(funcs.v[j](*_omit(n, j)))
+                vk = complex(funcs.v[k](*_omit(n, k)))
+                for f, s, one_minus in ((j, k, 1.0 - vk), (k, j, 1.0 - vj)):
+                    lo, hi = window.ranges[s]
+                    for ns2 in range(lo, hi + 1):
+                        if ns2 == n[s]:
+                            continue
+                        shifted = n[:s] + (ns2,) + n[s + 1 :]
+                        val = abs(
+                            (complex(funcs.v[f](*_omit(shifted, f)))
+                             - complex(funcs.v[f](*_omit(n, f)))) * one_minus
+                        )
+                        max_violation = max(max_violation, val)
+                        if val >= eq_tol:
+                            witnesses.append((f, s, n, ns2 - n[s], val))
+    return max_violation < eq_tol, max_violation, witnesses
+
+
 def test_phase_sequence_renormalizes_and_rejects():
     seq = PhaseSequence({0: 1.0 + 5e-7j}, default=1.0)
     assert abs(abs(seq.value(0)) - 1.0) < 1e-15
     with pytest.raises(UnitModulusError):
         PhaseSequence({0: 1.5})
+    with pytest.raises(UnitModulusError):
+        PhaseSequence({0: complex("nan")})
+    with pytest.raises(UnitModulusError):
+        PhaseSequence({}, default=complex("nan+1j"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_from_phases_rejects_non_finite_fractions(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            PhaseSequence.from_phases({1: bad})
+        with pytest.raises(ValueError, match="not finite"):
+            PhaseSequence.from_phases({}, default=bad)
+
+
+def test_cocycle_2d_matches_reference_exactly():
+    rng = np.random.default_rng(17)
+    windows = [
+        LatticeWindow.centered(2, 2),
+        LatticeWindow(((0, 2), (0, 3))),
+        LatticeWindow(((-3, 3), (-1, 1))),
+        LatticeWindow.centered(4, 2),
+    ]
+    kinds = set()
+    for trial in range(40):
+        a, b = random_pair(rng, trial)
+        seqs = PhaseSequenceSet2D(a, b, windows[trial // 5 % len(windows)])
+        got = check_cocycle_2d(seqs)
+        assert got == reference_cocycle_2d(seqs)
+        kinds.add(frozenset(w[0] for w in got.witnesses))
+    assert {frozenset(), frozenset({"b-shift"}), frozenset({"b-shift", "a-shift"})} <= kinds
+
+
+def test_cocycle_2d_lists_both_witness_kinds_like_reference():
+    # 3 x 4 window: four b-shift and six a-shift violations
+    a = PhaseSequence({1: 1j})
+    b = PhaseSequence({1: -1.0})
+    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(((0, 2), (0, 3))))
+    got = check_cocycle_2d(seqs)
+    assert got == reference_cocycle_2d(seqs)
+    assert [w[0] for w in got.witnesses] == ["b-shift"] * 4 + ["a-shift"] * 6
+
+
+def test_single_identity_matches_dense_reference():
+    rng = np.random.default_rng(23)
+    failing = PhaseSequenceSet2D(
+        PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0),
+        PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0),
+        LatticeWindow(((0, 2), (0, 2))),
+    )
+    cases = [failing] + [
+        PhaseSequenceSet2D(*random_pair(rng, trial), LatticeWindow(((-2, 1), (-1, 3))))
+        for trial in range(24)
+    ]
+    verdicts = set()
+    for seqs in cases:
+        got = check_single_identity_2d(seqs)
+        assert got == reference_single_identity_2d(seqs)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_cocycle_holds_when_a_is_one():
@@ -245,10 +410,19 @@ def test_highdim_cocycle_generic_fails():
     assert report.witnesses
 
 
-def test_highdim_rejects_small_dimension():
-    funcs = EigenvalueFunctionSet(2, (lambda n: 1.0, lambda n: 1.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        check_cocycle_highdim(funcs, LatticeWindow.centered(1, 2))
+def test_highdim_dimension_two_matches_2d_check():
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        a, b = random_pair(rng, trial)
+        window = LatticeWindow(((-2, 1), (-1, 2)))
+        funcs = EigenvalueFunctionSet(2, (a.value, b.value), (0.0, 0.0))
+        got = check_cocycle_highdim(funcs, window)
+        want = check_cocycle_2d(PhaseSequenceSet2D(a, b, window))
+        assert (got.holds, got.max_violation) == (want.holds, want.max_violation)
+        kinds = {0: "b-shift", 1: "a-shift"}
+        assert [
+            (kinds[s], m, n, k, mod) for _, s, (m, n), k, mod in got.witnesses
+        ] == list(want.witnesses)
 
 
 def test_highdim_relabeling_symmetry():
@@ -267,6 +441,73 @@ def test_highdim_relabeling_symmetry():
     b = check_cocycle_highdim(swapped, w)
     assert a.holds == b.holds
     assert a.max_violation == pytest.approx(b.max_violation)
+
+
+def random_function_set(rng, d, radius, nontrivial):
+    """v_j identically one except for the slots in `nontrivial`, which get
+    random phases on every (d-1)-tuple of [-radius, radius] (default one)."""
+    funcs = []
+    for j in range(d):
+        table = {}
+        if j in nontrivial:
+            for t in itertools.product(range(-radius, radius + 1), repeat=d - 1):
+                table[t] = unit(rng.random()) if rng.random() < 0.7 else 1.0
+        funcs.append(lambda *t, table=table: table.get(t, 1.0))
+    return EigenvalueFunctionSet(d, tuple(funcs), (0.0,) * d)
+
+
+def highdim_cases():
+    rng = np.random.default_rng(29)
+    yield eigenfunctions_from_tower3d(aligned_tower3d()), LatticeWindow.centered(2, 3)
+    yield eigenfunctions_from_tower3d(generic_tower3d()), LatticeWindow.centered(2, 3)
+    yield eigenfunctions_from_tower3d(generic_tower3d()), LatticeWindow(((0, 1), (-1, 1), (0, 3)))
+    for d, window in [
+        (3, LatticeWindow.centered(2, 3)),
+        (3, LatticeWindow(((-1, 1), (0, 2), (-2, 1)))),
+        (4, LatticeWindow.centered(1, 4)),
+        (4, LatticeWindow(((-1, 1), (0, 1), (-1, 0), (0, 1)))),
+    ]:
+        for count in range(d + 1):
+            nontrivial = set(rng.permutation(d)[:count].tolist())
+            yield random_function_set(rng, d, 2, nontrivial), window
+        # v_1 and v_{d-1} move at the origin only: a few witnesses of each
+        sparse = [
+            lambda *t, j=j: unit(0.25 * j) if j in (1, d - 1) and not any(t) else 1.0
+            for j in range(d)
+        ]
+        yield EigenvalueFunctionSet(d, tuple(sparse), (0.0,) * d), window
+
+
+def test_highdim_matches_reference():
+    verdicts = set()
+    fully_listed = 0
+    for funcs, window in highdim_cases():
+        holds, worst, ref_witnesses = reference_highdim(funcs, window)
+        got = check_cocycle_highdim(funcs, window)
+        assert got.holds == holds
+        assert got.max_violation == pytest.approx(worst, rel=1e-12, abs=0.0)
+        assert len(got.witnesses) == min(len(ref_witnesses), 10)
+        if len(ref_witnesses) <= 10:
+            assert {w[:4] for w in got.witnesses} == {w[:4] for w in ref_witnesses}
+            fully_listed += bool(ref_witnesses)
+        for f, s, n, k, modulus in got.witnesses:
+            shifted = n[:s] + (n[s] + k,) + n[s + 1 :]
+            direct = abs(
+                (funcs.v[f](*_omit(shifted, f)) - funcs.v[f](*_omit(n, f)))
+                * (1.0 - funcs.v[s](*_omit(n, s)))
+            )
+            assert modulus == pytest.approx(direct, rel=1e-12) and modulus >= 1e-10
+        verdicts.add(holds)
+    assert verdicts == {True, False}
+    assert fully_listed == 3
+
+
+def test_highdim_rejects_non_unit_values():
+    funcs = EigenvalueFunctionSet(
+        3, (lambda *t: 1.0, lambda *t: float("nan"), lambda *t: 1.0), (0.0,) * 3
+    )
+    with pytest.raises(UnitModulusError, match=r"v\[1\]\(-1, -1\)"):
+        check_cocycle_highdim(funcs, LatticeWindow.centered(1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import pytest
 
@@ -505,6 +506,39 @@ diffraction:
     assert main(["diffraction", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (
+            "check-cocycle",
+            'cocycle: {a: {table: {"1": .nan}}, b: {default: 0.0}, window: {radius: 2}}',
+        ),
+        (
+            "check-cocycle",
+            'cocycle: {a: {table: {"1": .inf}}, b: {default: 0.0}, window: {radius: 2}}',
+        ),
+        (
+            "simulate-groups",
+            "groups: {a: {default: 0.0}, b: {default: .nan}, window: {radius: 2}, "
+            "grid_n: 16, times: [0.25], sub_radius: 1, n_random: 1}",
+        ),
+        ("simulate-groups", "groups: {phases: [.nan, 0.0], times: [0.25]}"),
+        ("simulate-groups", "groups: {times: [0.25, .inf]}"),
+        ("simulate-groups", "groups: {leakage_tol: .nan}"),
+    ],
+)
+def test_non_finite_phase_exits_two_without_output(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "cfg.yaml", f"command: {command}\n{text}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
