@@ -60,8 +60,9 @@ Config schema (YAML; unknown or duplicate keys are errors):
       leakage_tol: 1.0e-6         # spectral-matrix truncation acknowledgment
 
     tiling:                       # check-tiling (also read by verify-pair)
-      window: 4
-      resolution: 64
+      window: 4                   # >= 1 unit cubes per axis
+      resolution: 64              # >= 8 samples per unit; at most 2^24
+                                  #   samples, (window*resolution)^d
 
     diffraction:                  # diffraction
       components:
@@ -421,11 +422,9 @@ def _cmd_check_tiling(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     res = cfg.tiling["resolution"]
     mp = multiplicity_map(cfg.spectrum, torus_n, res)
     verdict = tiling_verdict(mp)
-    counts_lines = []
     if mp.counts.ndim == 2:
-        for row in mp.counts:
-            counts_lines.append(" ".join(str(int(v)) for v in row))
-        _write_text(outdir, "multiplicity.txt", "\n".join(counts_lines) + "\n")
+        lines = [" ".join(map(str, row)) for row in mp.counts.tolist()]
+        _write_text(outdir, "multiplicity.txt", "\n".join(lines) + "\n")
     if getattr(cfg.spectrum, "dimension", 2) == 2:
         emit_tiling_svg(cfg.spectrum, torus_n, outdir / "tiling.svg")
     report.add(

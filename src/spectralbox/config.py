@@ -31,6 +31,7 @@ from .model import (
     TranslatedLattice,
     UnitCube,
 )
+from .tiling import check_window
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
@@ -355,6 +356,11 @@ def parse_config(text: str) -> RunConfig:
             "window": int(section.get("window", 4)),
             "resolution": int(section.get("resolution", 64)),
         }
+        dim = cfg.spectrum.dimension if cfg.spectrum is not None else 2
+        try:
+            check_window(cfg.tiling["window"], cfg.tiling["resolution"], dim)
+        except ValueError as exc:
+            raise ConfigError(f"tiling: {exc}") from exc
     if "diffraction" in raw:
         section = _require_mapping(raw["diffraction"], "diffraction")
         _check_keys(

@@ -18,10 +18,14 @@ import numpy as np
 from .model import ExplicitSpectrum, SpectrumSpec, Tower, TranslatedLattice
 from .reporting import write_svg
 
+MAX_SAMPLES = 2**24  # multiplicity map samples, 128 MiB of int64 counts
+
 __all__ = [
     "torus_translates",
     "MultiplicityMap",
     "multiplicity_map",
+    "check_window",
+    "MAX_SAMPLES",
     "TilingReport",
     "tiling_verdict",
     "emit_tiling_svg",
@@ -63,6 +67,51 @@ class MultiplicityMap:
         return self.counts[~self.face_mask]
 
 
+def check_window(torus_n: int, resolution: int, dimension: int) -> None:
+    """Raise ValueError unless a multiplicity map of this size is sensible.
+
+    The window must hold at least one unit cube, the resolution at least
+    8 samples per unit, and the map at most MAX_SAMPLES samples.
+    """
+    if torus_n < 1:
+        raise ValueError("torus window must be >= 1")
+    if resolution < 8:
+        raise ValueError("resolution below 8 samples per unit is too coarse")
+    samples = (torus_n * resolution) ** dimension
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"a {dimension}-D window of {torus_n} units at resolution "
+            f"{resolution} has {samples} samples, more than {MAX_SAMPLES}"
+        )
+
+
+def _axis_spans(
+    axis: np.ndarray, coords: np.ndarray, resolution: int, face_eps: float
+):
+    """Sample range [lo, hi) and face hits of every translate on one axis.
+
+    The expressions are those of the full-grid mask, evaluated on the
+    res + 5 samples around each translate's coordinate, which always hold
+    its half-open unit range.  Returns lo, hi, the face flags of the
+    covered samples as a (P, res + 5) array whose row i holds sample lo[i]
+    at column first[i], and first.
+    """
+    n = axis.size
+    width = resolution + 5
+    # a translate beyond [-2, N + 1] covers no sample; clipping keeps the
+    # index arithmetic finite for far-away points
+    near = np.clip(coords, -2.0, n / resolution + 1.0)
+    start = np.floor(near * resolution).astype(int) - 2
+    idx = start[:, None] + np.arange(width)
+    u = axis[np.clip(idx, 0, n - 1)] - coords[:, None]
+    inside = (u >= 0.0) & (u < 1.0) & (idx >= 0) & (idx < n)
+    face = (np.abs(u) < face_eps) | (np.abs(u - 1.0) < face_eps)
+    first = np.argmax(inside, axis=1)
+    lo = start + first
+    hi = lo + np.count_nonzero(inside, axis=1)
+    return lo, hi, face & inside, first
+
+
 def multiplicity_map(
     spec: Union[SpectrumSpec, np.ndarray],
     torus_n: int,
@@ -72,32 +121,44 @@ def multiplicity_map(
     """Count covering translates at half-cell sample points.
 
     `spec` may be a spectrum family (periodized over the window) or an
-    explicit (P, d) array of translation points.  Resolution is samples
-    per unit length; fewer than 8 per unit is rejected as too coarse.
+    explicit (P, d) array of finite translation points, in any dimension.
+    Resolution is samples per unit length; the limits of `check_window`
+    apply.  Sample i on each axis sits at (i + 0.5) / resolution.  A
+    translate p covers the samples with 0 <= x_j - p_j < 1 on every axis
+    j, and the covered ones within face_eps of a face are flagged.  Each
+    translate touches only its own block of at most resolution^d samples,
+    so the cost is P * resolution^d plus one pass over the map.
     """
-    if resolution < 8:
-        raise ValueError("resolution below 8 samples per unit is too coarse")
     if isinstance(spec, np.ndarray):
         points = np.atleast_2d(np.asarray(spec, dtype=float))
+        if points.ndim != 2 or points.shape[1] < 1:
+            raise ValueError("translation points must be a (P, d) array")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("translation points must be finite")
+        check_window(torus_n, resolution, points.shape[1])
     else:
+        check_window(torus_n, resolution, spec.dimension)
         points = torus_translates(spec, torus_n)
     d = points.shape[1]
-    if d > 3:
-        raise ValueError("multiplicity maps support d <= 3")
     n_samples = torus_n * resolution
     axis = (np.arange(n_samples) + 0.5) / resolution
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    counts = np.zeros(grids[0].shape, dtype=int)
-    on_face = np.zeros(grids[0].shape, dtype=bool)
-    for p in points:
-        inside = np.ones(grids[0].shape, dtype=bool)
-        near_face = np.zeros(grids[0].shape, dtype=bool)
-        for j in range(d):
-            u = grids[j] - p[j]
-            inside &= (u >= 0.0) & (u < 1.0)
-            near_face |= (np.abs(u) < face_eps) | (np.abs(u - 1.0) < face_eps)
-        counts += inside
-        on_face |= near_face & inside
+    counts = np.zeros((n_samples,) * d, dtype=int)
+    on_face = np.zeros((n_samples,) * d, dtype=bool)
+    spans = [
+        _axis_spans(axis, points[:, j], resolution, face_eps) for j in range(d)
+    ]
+    los = np.stack([s[0] for s in spans], axis=1)
+    his = np.stack([s[1] for s in spans], axis=1)
+    hits = np.stack([s[2].any(axis=1) for s in spans], axis=1)
+    for i in np.flatnonzero(np.all(his > los, axis=1)).tolist():
+        block = tuple(map(slice, los[i].tolist(), his[i].tolist()))
+        counts[block] += 1
+        for j in np.flatnonzero(hits[i]).tolist():
+            _, _, face, first = spans[j]
+            row = face[i, first[i] : first[i] + his[i, j] - los[i, j]]
+            shape = [1] * d
+            shape[j] = row.size
+            on_face[block] |= row.reshape(shape)
     return MultiplicityMap(counts, on_face, torus_n, resolution)
 
 

@@ -554,3 +554,58 @@ def test_internal_error_exits_three_with_one_stderr_line(
     assert status == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: KeyError: 'missing'"]
+
+
+TOWER3D_TILING = """
+command: check-tiling
+spectrum:
+  family: tower3d
+  beta: {default: 0.0, table: {"1": 0.5}}
+  gamma: {default: 0.1, table: {"1,0": 0.75}}
+"""
+
+
+@pytest.mark.parametrize(
+    "tiling, message",
+    [
+        ("{window: 0, resolution: 16}", "torus window must be >= 1"),
+        ("{window: -2, resolution: 16}", "torus window must be >= 1"),
+        ("{window: 2, resolution: 4}", "too coarse"),
+        ("{window: 40, resolution: 64}", "more than 16777216"),
+    ],
+)
+def test_bad_tiling_window_exits_two_without_output(
+    tmp_path, capsys, tiling, message
+):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(TOWER3D_TILING + f"tiling: {tiling}\n")
+    cfg = write(tmp_path, "cfg.yaml", TOWER3D_TILING + f"tiling: {tiling}\n")
+    out = tmp_path / "out"
+    assert main(["check-tiling", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tiling: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_four_level_tower_check_tiling_exits_zero(tmp_path):
+    cfg = write(
+        tmp_path,
+        "cfg.yaml",
+        """
+command: check-tiling
+spectrum:
+  family: tower
+  levels:
+    - {default: 0.25}
+    - {default: 0.0, table: {"1": 0.5}}
+    - {default: 0.1, table: {"1,2": 0.25}}
+    - {default: 0.0, table: {"0,1,2": 0.375, "3,3,3": 0.5}}
+tiling: {window: 4, resolution: 8}
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["check-tiling", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+    report = (out / "report.txt").read_text()
+    assert "excluded_face_samples" in report and "FAIL" not in report

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from spectralbox.model import (
     TranslatedLattice,
 )
 from spectralbox.tiling import (
+    MAX_SAMPLES,
+    check_window,
     emit_tiling_svg,
     multiplicity_map,
     tiling_verdict,
@@ -94,9 +97,134 @@ def test_resolution_guard():
         multiplicity_map(TranslatedLattice((0.0, 0.0)), 4, 4)
 
 
-def test_dimension_guard():
-    with pytest.raises(ValueError):
-        multiplicity_map(np.zeros((1, 4)), 2, 8)
+def random_level(rng, arity, n):
+    """A level table of the given arity over indices 0..n-1."""
+    keys = itertools.product(range(n), repeat=arity)
+    return IntFunction(
+        arity, default=0.0, table={k: float(rng.random()) for k in keys}
+    )
+
+
+def random_tower(rng, d, n, offset=0.0, axis_order=None):
+    levels = [IntFunction.constant(offset)]
+    levels += [random_level(rng, k, n) for k in range(1, d)]
+    return Tower(tuple(levels), axis_order)
+
+
+def reference_map(spec, torus_n, resolution, face_eps=1e-9):
+    """The full-grid mask loop: every translate masks the whole window."""
+    if isinstance(spec, np.ndarray):
+        points = np.atleast_2d(np.asarray(spec, dtype=float))
+    else:
+        points = torus_translates(spec, torus_n)
+    d = points.shape[1]
+    n_samples = torus_n * resolution
+    axis = (np.arange(n_samples) + 0.5) / resolution
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    counts = np.zeros(grids[0].shape, dtype=int)
+    on_face = np.zeros(grids[0].shape, dtype=bool)
+    for p in points:
+        inside = np.ones(grids[0].shape, dtype=bool)
+        near_face = np.zeros(grids[0].shape, dtype=bool)
+        for j in range(d):
+            u = grids[j] - p[j]
+            inside &= (u >= 0.0) & (u < 1.0)
+            near_face |= (np.abs(u) < face_eps) | (np.abs(u - 1.0) < face_eps)
+        counts += inside
+        on_face |= near_face & inside
+    return counts, on_face
+
+
+# (d, res, n) windows of at most 4096 samples, plus one of 16^4
+ORACLE_WINDOWS = [
+    (d, res, n)
+    for d in (1, 2, 3, 4)
+    for res in (8, 16)
+    for n in (1, 2, 3)
+    if (n * res) ** d <= 4096
+] + [(4, 16, 1)]
+
+
+def assert_matches_reference(spec, n, res):
+    mp = multiplicity_map(spec, n, res)
+    counts, on_face = reference_map(spec, n, res)
+    assert mp.counts.dtype == counts.dtype
+    assert np.array_equal(mp.counts, counts)
+    assert np.array_equal(mp.face_mask, on_face)
+    return mp
+
+
+@pytest.mark.parametrize("d, res, n", ORACLE_WINDOWS)
+def test_block_kernel_matches_reference_on_face_offsets(d, res, n):
+    # samples sit at (i + 0.5) / res, so these offsets put faces on samples
+    for offset in (0.5 / res, 1.5 / res):
+        mp = assert_matches_reference(TranslatedLattice((offset,) * d), n, res)
+        assert tiling_verdict(mp).n_excluded > 0
+    assert_matches_reference(TranslatedLattice((1.0 / 3.0,) * d), n, res)
+
+
+@pytest.mark.parametrize("d, res, n", ORACLE_WINDOWS)
+def test_block_kernel_matches_reference_on_towers(d, res, n):
+    rng = np.random.default_rng(10 * d + res + n)
+    orders = [None, tuple(int(a) for a in rng.permutation(d))]
+    for offset, order in itertools.product((0.5 / res, 0.3), orders):
+        tower = random_tower(rng, d, n, offset, order)
+        mp = assert_matches_reference(tower, n, res)
+        assert tiling_verdict(mp).tiles
+
+
+@pytest.mark.parametrize("d, res, n", ORACLE_WINDOWS)
+def test_block_kernel_matches_reference_on_random_points(d, res, n):
+    # cubes reach past both window edges; some corners snap to the
+    # half-sample grid so that faces fall on samples
+    rng = np.random.default_rng(100 * d + res + n)
+    pts = rng.uniform(-1.5, n + 0.5, size=(12, d))
+    pts[:4] = np.round(pts[:4] * 2 * res) / (2 * res)
+    assert_matches_reference(pts, n, res)
+
+
+def test_block_kernel_ignores_far_away_points():
+    pts = np.array([[1e300, 0.2], [-1e300, 0.1], [0.5, 1.7e308], [0.25, 0.25]])
+    with np.errstate(all="raise"):
+        mp = multiplicity_map(pts, 2, 8)
+    assert mp.counts.sum() == 64
+    assert np.array_equal(mp.counts, reference_map(pts[3:], 2, 8)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_points_must_be_finite(bad):
+    pts = np.array([[0.0, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        multiplicity_map(pts, 2, 8)
+
+
+def test_window_limits():
+    check_window(1, 8, 4)
+    with pytest.raises(ValueError, match="window"):
+        check_window(0, 8, 2)
+    with pytest.raises(ValueError, match="coarse"):
+        check_window(4, 7, 2)
+    assert (4 * 64) ** 3 == MAX_SAMPLES
+    check_window(4, 64, 3)
+    with pytest.raises(ValueError, match="samples"):
+        check_window(40, 64, 3)
+    with pytest.raises(ValueError, match="samples"):
+        multiplicity_map(TranslatedLattice((0.0,) * 4), 8, 16)
+
+
+def test_four_level_tower_tiles_and_a_moved_copy_does_not():
+    rng = np.random.default_rng(5)
+    tower = random_tower(rng, 4, 4, offset=0.25)
+    mp = multiplicity_map(tower, 4, 8)
+    assert mp.counts.shape == (32,) * 4
+    rep = tiling_verdict(mp)
+    assert rep.tiles
+    assert rep.gap_fraction == 0.0 and rep.overlap_fraction == 0.0
+    pts = torus_translates(tower, 4)
+    pts[len(pts) // 2] += np.array([0.3, 0.0, 0.55, 0.0])
+    moved = tiling_verdict(multiplicity_map(pts, 4, 8))
+    assert not moved.tiles
+    assert moved.gap_fraction > 0.0 and moved.overlap_fraction > 0.0
 
 
 def test_tower3d_tiles_in_three_dimensions():
