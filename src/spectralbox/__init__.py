@@ -21,6 +21,7 @@ Submodules:
 from .model import (
     ClassA2D,
     ClassB2D,
+    Domain,
     ExplicitSpectrum,
     IntervalUnion,
     IntFunction,
@@ -40,6 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassA2D",
     "ClassB2D",
+    "Domain",
     "ExplicitSpectrum",
     "IntervalUnion",
     "IntFunction",

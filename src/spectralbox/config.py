@@ -19,6 +19,7 @@ from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
 from .model import (
     ClassA2D,
     ClassB2D,
+    Domain,
     ExplicitSpectrum,
     IntervalUnion,
     IntFunction,
@@ -86,10 +87,20 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         )
 
 
+def _int(value, where: str) -> int:
+    """An integer config value; a non-finite or fractional number is an error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}: {value!r} is not an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {value!r} is not an integer") from exc
+
+
 def _parse_tuple_key(key, where: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in str(key).split(","))
-    except ValueError as exc:
+        return tuple(_int(part, where) for part in str(key).split(","))
+    except ConfigError as exc:
         raise ConfigError(
             f"{where}: table key {key!r} is not comma-joined integers"
         ) from exc
@@ -117,7 +128,7 @@ def _parse_phase_sequence(section, where: str) -> PhaseSequence:
     _check_keys(section, {"default", "table"}, where)
     table = {}
     for key, value in _require_mapping(section.get("table", {}), f"{where}.table").items():
-        table[int(key)] = float(value)
+        table[_int(key, f"{where}.table")] = float(value)
     try:
         return PhaseSequence.from_phases(table, float(section.get("default", 0.0)))
     except ValueError as exc:
@@ -128,10 +139,13 @@ def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
     section = _require_mapping(section, where)
     _check_keys(section, {"radius", "ranges"}, where)
     if "radius" in section:
-        return LatticeWindow.centered(int(section["radius"]), dimension)
+        return LatticeWindow.centered(
+            _int(section["radius"], f"{where}.radius"), dimension
+        )
     if "ranges" in section:
         ranges = tuple(
-            (int(lo), int(hi)) for lo, hi in section["ranges"]
+            (_int(lo, f"{where}.ranges"), _int(hi, f"{where}.ranges"))
+            for lo, hi in section["ranges"]
         )
         if len(ranges) != dimension:
             raise ConfigError(
@@ -141,17 +155,28 @@ def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
     raise ConfigError(f"{where}: needs either 'radius' or 'ranges'")
 
 
-def _parse_domain(section, where: str):
+_DOMAIN_KEYS = {
+    "unit-cube": {"kind", "dimension"},
+    "interval-union": {"kind", "intervals"},
+}
+
+
+def _parse_domain(section, where: str) -> Domain:
     section = _require_mapping(section, where)
-    _check_keys(section, {"kind", "dimension", "intervals"}, where)
     kind = section.get("kind")
-    if kind == "unit-cube":
-        return UnitCube(int(section.get("dimension", 2)))
-    if kind == "interval-union":
-        intervals = tuple(
-            (float(a), float(b)) for a, b in section.get("intervals", ())
-        )
-        return IntervalUnion(intervals)
+    _check_keys(
+        section, _DOMAIN_KEYS.get(kind, {"kind", "dimension", "intervals"}), where
+    )
+    try:
+        if kind == "unit-cube":
+            return UnitCube(_int(section.get("dimension", 2), f"{where}.dimension"))
+        if kind == "interval-union":
+            intervals = tuple(
+                (float(a), float(b)) for a, b in section.get("intervals", ())
+            )
+            return Domain((IntervalUnion(intervals),))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(
         f"{where}.kind must be 'unit-cube' or 'interval-union', got {kind!r}"
     )
@@ -212,7 +237,9 @@ def _parse_tolerances(section, where: str) -> ToleranceConfig:
     kwargs: dict[str, Any] = {}
     for key in allowed & set(section):
         kwargs[key] = (
-            int(section[key]) if key.endswith("_n") else float(section[key])
+            _int(section[key], f"{where}.{key}")
+            if key.endswith("_n")
+            else float(section[key])
         )
     try:
         return ToleranceConfig(**kwargs)
@@ -234,7 +261,7 @@ def _parse_components(entries, where: str) -> QuasiPeriodicModel:
                 TrigComponent.cosine(
                     period,
                     float(entry["cosine_amplitude"]),
-                    int(entry.get("harmonic", 1)),
+                    _int(entry.get("harmonic", 1), f"{where}[{i}].harmonic"),
                 )
             )
             continue
@@ -242,10 +269,11 @@ def _parse_components(entries, where: str) -> QuasiPeriodicModel:
         for key, value in _require_mapping(
             entry.get("coeffs", {}), f"{where}[{i}].coeffs"
         ).items():
+            index = _int(key, f"{where}[{i}].coeffs")
             if isinstance(value, (list, tuple)):
-                coeffs[int(key)] = complex(float(value[0]), float(value[1]))
+                coeffs[index] = complex(float(value[0]), float(value[1]))
             else:
-                coeffs[int(key)] = complex(float(value), 0.0)
+                coeffs[index] = complex(float(value), 0.0)
         try:
             comps.append(TrigComponent(period, coeffs))
         except ValueError as exc:
@@ -307,13 +335,19 @@ def parse_config(text: str) -> RunConfig:
         )
     cfg = RunConfig(
         command=command,
-        seed=int(raw.get("seed", 0)),
+        seed=_int(raw.get("seed", 0), "seed"),
         tolerances=_parse_tolerances(raw.get("tolerances", {}), "tolerances"),
     )
     if "domain" in raw:
         cfg.domain = _parse_domain(raw["domain"], "domain")
     if "spectrum" in raw:
         cfg.spectrum = _parse_spectrum(raw["spectrum"], "spectrum")
+    if cfg.domain is not None and cfg.spectrum is not None:
+        if cfg.domain.dimension != cfg.spectrum.dimension:
+            raise ConfigError(
+                f"domain: dimension {cfg.domain.dimension} differs from the "
+                f"spectrum's dimension {cfg.spectrum.dimension}"
+            )
     if "window" in raw:
         dim = cfg.spectrum.dimension if cfg.spectrum is not None else 2
         cfg.window = _parse_window(raw["window"], dim, "window")
@@ -340,10 +374,10 @@ def parse_config(text: str) -> RunConfig:
             "b": _parse_phase_sequence(section.get("b", {}), "groups.b"),
             "window": _parse_window(section.get("window", {"radius": 8}), 2, "groups.window"),
             "phases": (float(phases[0]), float(phases[1])),
-            "grid_n": int(section.get("grid_n", 64)),
+            "grid_n": _int(section.get("grid_n", 64), "groups.grid_n"),
             "times": [float(t) for t in section.get("times", [0.125, 0.25, 0.375, 0.5, 0.625])],
-            "sub_radius": int(section.get("sub_radius", 2)),
-            "n_random": int(section.get("n_random", 4)),
+            "sub_radius": _int(section.get("sub_radius", 2), "groups.sub_radius"),
+            "n_random": _int(section.get("n_random", 4), "groups.n_random"),
             "leakage_tol": float(section.get("leakage_tol", 1e-6)),
         }
         for key in ("phases", "times", "leakage_tol"):
@@ -353,8 +387,8 @@ def parse_config(text: str) -> RunConfig:
         section = _require_mapping(raw["tiling"], "tiling")
         _check_keys(section, {"window", "resolution"}, "tiling")
         cfg.tiling = {
-            "window": int(section.get("window", 4)),
-            "resolution": int(section.get("resolution", 64)),
+            "window": _int(section.get("window", 4), "tiling.window"),
+            "resolution": _int(section.get("resolution", 64), "tiling.resolution"),
         }
         dim = cfg.spectrum.dimension if cfg.spectrum is not None else 2
         try:
@@ -380,8 +414,10 @@ def parse_config(text: str) -> RunConfig:
         cfg.diffraction = {
             "model": model,
             "test_function": GaussianTestFunction(center, widths),
-            "lambda_window": int(section.get("lambda_window", 200)),
-            "k_radius": int(section.get("k_radius", 12)),
+            "lambda_window": _int(
+                section.get("lambda_window", 200), "diffraction.lambda_window"
+            ),
+            "k_radius": _int(section.get("k_radius", 12), "diffraction.k_radius"),
         }
     if "rootscan" in raw:
         section = _require_mapping(raw["rootscan"], "rootscan")
@@ -392,10 +428,14 @@ def parse_config(text: str) -> RunConfig:
                 coeffs.append(complex(float(value[0]), float(value[1])))
             else:
                 coeffs.append(complex(float(value), 0.0))
-        cfg.rootscan = {
-            "coefficients": coeffs,
-            "samples": int(section.get("samples", 100_000)),
-        }
+        if not coeffs:
+            raise ConfigError("rootscan.coefficients: needs at least one entry")
+        if not np.all(np.isfinite(coeffs)):
+            raise ConfigError(f"rootscan.coefficients: {coeffs} is not finite")
+        samples = _int(section.get("samples", 100_000), "rootscan.samples")
+        if samples < 16:
+            raise ConfigError(f"rootscan.samples: {samples} is below 16")
+        cfg.rootscan = {"coefficients": coeffs, "samples": samples}
     _validate_required(cfg)
     return cfg
 

@@ -2,10 +2,11 @@
 
 The central object is the complex function F(z) = integral over the domain
 of exp(i*2*pi*z.x); orthogonality of two exponentials e_a, e_b is exactly
-membership of a-b in its zero set.  For the unit cube F factors into the
-product of exp(i*pi*z_j)*sin(pi*z_j)/(pi*z_j) over the coordinates, giving
-a closed form; for interval unions the exact antiderivative is summed per
-interval.  A Gauss-Legendre quadrature route is kept alongside as an
+membership of a-b in its zero set.  A domain is a product of 1-D interval
+unions, so F is the product over the axes of the factor transforms, each a
+closed-form sum of L*exp(i*pi*z*(a+b))*sin(pi*z*L)/(pi*z*L) over the
+factor's intervals (a, b) of length L; the unit cube has one unit interval
+per axis.  A Gauss-Legendre quadrature route is kept alongside as an
 independent oracle.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from .grid import GridState
 from .model import (
     ArityMismatchError,
-    DomainSpec,
+    Domain,
     IntervalUnion,
     LatticeWindow,
     SpectrumSpec,
@@ -56,43 +57,42 @@ def _sinc_pi(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _f_cube(zs: np.ndarray) -> np.ndarray:
-    """Product transform of the unit cube, vectorized over the last axis."""
-    zs = np.asarray(zs, dtype=complex)
-    factors = np.exp(1j * np.pi * zs) * _sinc_pi(zs)
-    return np.prod(factors, axis=-1)
-
-
-def _f_interval_union(domain: IntervalUnion, z: complex) -> complex:
+def _factor_transform(factor: IntervalUnion, z: np.ndarray) -> np.ndarray:
+    """Transform of a 1-D interval union, elementwise over the array z."""
     # midpoint-factored antiderivative: length * e^{i pi z (a+b)} *
     # sin(pi z L)/(pi z L); free of the cancellation the raw difference
-    # quotient suffers near z = 0
-    acc = 0.0 + 0.0j
-    for a, b in domain.intervals:
-        length = b - a
-        acc += (
-            length
-            * np.exp(1j * np.pi * z * (a + b))
-            * complex(_sinc_pi(np.array(z * length)))
+    # quotient suffers near z = 0.  The sum starts from its first term, not
+    # from 0, so a one-interval factor is its term exactly, signed zeros too.
+    terms = (
+        (b - a) * np.exp(1j * np.pi * z * (a + b)) * _sinc_pi(z * (b - a))
+        for a, b in factor.intervals
+    )
+    return sum(terms, next(terms))
+
+
+def _check_arity(domain: Domain, z: np.ndarray) -> None:
+    if z.shape[-1] != domain.dimension:
+        raise ArityMismatchError(
+            f"z has {z.shape[-1]} coordinates, domain dimension is "
+            f"{domain.dimension}"
         )
-    return complex(acc)
 
 
-def eval_F_omega(domain: DomainSpec, z: Sequence[complex]) -> complex:
-    """Exact transform of the domain's indicator at frequency vector z."""
+def eval_F_omega(domain: Domain, z: Sequence[complex]) -> complex | np.ndarray:
+    """Exact transform of the domain's indicator at frequency vector z.
+
+    z is one vector (a complex number is returned) or a (..., d) stack (an
+    array of shape (...) is returned).  The transform of a product domain
+    is the product of its factor transforms.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if isinstance(domain, UnitCube):
-        if z.shape[-1] != domain.dimension:
-            raise ArityMismatchError(
-                f"z has {z.shape[-1]} coordinates, cube dimension is "
-                f"{domain.dimension}"
-            )
-        return complex(_f_cube(z))
-    if isinstance(domain, IntervalUnion):
-        if z.shape[-1] != 1:
-            raise ArityMismatchError("interval unions are one-dimensional")
-        return _f_interval_union(domain, complex(z[0]))
-    raise TypeError(f"unsupported domain {type(domain).__name__}")
+    _check_arity(domain, z)
+    factors = np.stack(
+        [_factor_transform(f, z[..., j]) for j, f in enumerate(domain.factors)],
+        axis=-1,
+    )
+    out = np.prod(factors, axis=-1)
+    return complex(out) if z.ndim == 1 else out
 
 
 @lru_cache(maxsize=8)
@@ -108,36 +108,22 @@ def _gl_segment(f, a: float, b: float, quad_n: int) -> complex:
 
 
 def f_omega_quadrature(
-    domain: DomainSpec, z: Sequence[complex], quad_n: int = 2048
+    domain: Domain, z: Sequence[complex], quad_n: int = 2048
 ) -> complex:
     """Quadrature oracle for eval_F_omega (independent of the closed forms).
 
-    Product domains factor coordinate-wise, so Gauss-Legendre with quad_n
-    nodes is applied per axis.
+    The domain is a product, so Gauss-Legendre with quad_n nodes is applied
+    per interval of each factor, and the factor integrals are multiplied.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if isinstance(domain, UnitCube):
-        if z.shape[-1] != domain.dimension:
-            raise ArityMismatchError("arity mismatch")
-        acc = 1.0 + 0.0j
-        for zj in z:
-            acc *= _gl_segment(
-                lambda x, zj=zj: np.exp(2j * np.pi * zj * x), 0.0, 1.0, quad_n
-            )
-        return complex(acc)
-    if isinstance(domain, IntervalUnion):
-        if z.shape[-1] != 1:
-            raise ArityMismatchError("interval unions are one-dimensional")
-        z0 = complex(z[0])
-        return complex(
-            sum(
-                _gl_segment(
-                    lambda x: np.exp(2j * np.pi * z0 * x), a, b, quad_n
-                )
-                for a, b in domain.intervals
-            )
+    _check_arity(domain, z)
+    acc = 1.0 + 0.0j
+    for zj, factor in zip(z, domain.factors):
+        acc *= sum(
+            _gl_segment(lambda x: np.exp(2j * np.pi * zj * x), a, b, quad_n)
+            for a, b in factor.intervals
         )
-    raise TypeError(f"unsupported domain {type(domain).__name__}")
+    return complex(acc)
 
 
 def in_zero_set_cube_many(
@@ -176,7 +162,7 @@ class GramMatrix:
 
     entries: np.ndarray
     labels: np.ndarray
-    domain: DomainSpec
+    domain: Domain
 
     def max_offdiag(self) -> float:
         off = self.entries.copy()
@@ -187,26 +173,12 @@ class GramMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
-def gram_matrix(domain: DomainSpec, points: np.ndarray) -> GramMatrix:
+def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     """Gram matrix G[j,k] = F(point_k - point_j); diagonal is the measure."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("gram matrix of an empty point list")
-    dim = domain.dimension if isinstance(domain, UnitCube) else 1
-    if pts.shape[1] != dim:
-        raise ArityMismatchError(
-            f"points have {pts.shape[1]} coordinates, domain dimension {dim}"
-        )
-    diffs = pts[None, :, :] - pts[:, None, :]
-    if isinstance(domain, UnitCube):
-        entries = _f_cube(diffs)
-    else:
-        entries = np.array(
-            [
-                [_f_interval_union(domain, complex(d[0])) for d in row]
-                for row in diffs
-            ]
-        )
+    entries = eval_F_omega(domain, pts[None, :, :] - pts[:, None, :])
     return GramMatrix(entries=entries, labels=pts, domain=domain)
 
 
@@ -219,15 +191,11 @@ class OrthogonalityReport:
 
 
 def orthogonality_verdict(
-    domain: DomainSpec,
-    spec: SpectrumSpec,
-    window: LatticeWindow,
-    tol: float = 1e-10,
+    gram: GramMatrix, tol: float = 1e-10
 ) -> OrthogonalityReport:
-    """Pairwise-orthogonality check of the windowed exponential family."""
-    pts = enumerate_spectrum(spec, window)
-    gram = gram_matrix(domain, pts)
-    off = np.abs(gram.entries.copy())
+    """Pairwise-orthogonality check of the exponentials a Gram labels."""
+    pts = gram.labels
+    off = np.abs(gram.entries)
     np.fill_diagonal(off, 0.0)
     worst = float(off.max()) if off.size else 0.0
     if worst < tol or pts.shape[0] == 1:
@@ -249,7 +217,7 @@ class CompletenessReport:
 
 
 def completeness_probe(
-    domain: DomainSpec,
+    domain: Domain,
     spec: SpectrumSpec,
     window: LatticeWindow,
     test_functions: Sequence[GridState],
@@ -261,7 +229,7 @@ def completeness_probe(
     missing frequencies leave a plateau strictly below 1.  Only unit-cube
     domains carry the grid sampling this probe relies on.
     """
-    if not isinstance(domain, UnitCube):
+    if domain != UnitCube(domain.dimension):
         raise TypeError("completeness probe requires a unit-cube domain")
     pts = enumerate_spectrum(spec, window)
     ratios = []
@@ -285,6 +253,9 @@ def completeness_probe(
             captured += abs(mode.inner(f)) ** 2
         ratios.append(captured / (norm2 * domain.measure))
     return CompletenessReport(tuple(ratios), plateau_threshold)
+
+
+_SCAN_CHUNK = 2**16  # angles evaluated at once by the root scan
 
 
 @dataclass(frozen=True)
@@ -317,11 +288,20 @@ def unit_circle_root_scan(
         raise ValueError("empty coefficient list")
     if samples < 16:
         raise ValueError("samples must be >= 16")
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    mods = np.abs(_poly_on_circle(coeffs, theta))
-    i0 = int(np.argmin(mods))
+    # the scan runs in fixed chunks of angles, so its memory does not grow
+    # with `samples`; the first-occurrence argmin is kept across chunks
+    minima, angles = [], []
+    for start in range(0, samples, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, samples)
+        theta = 2.0 * np.pi * np.arange(start, stop) / samples
+        mods = np.abs(_poly_on_circle(coeffs, theta))
+        i = int(np.argmin(mods))
+        minima.append(mods[i])
+        angles.append(theta[i])
+    best = int(np.argmin(minima))
+    coarse, theta0 = minima[best], angles[best]
     delta = 2.0 * np.pi / samples
-    lo, hi = theta[i0] - delta, theta[i0] + delta
+    lo, hi = theta0 - delta, theta0 + delta
 
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -340,6 +320,6 @@ def unit_circle_root_scan(
             fd = abs(_poly_on_circle(coeffs, np.array([d]))[0])
     angle = c if fc < fd else d
     refined = min(fc, fd)
-    if refined <= mods[i0]:
+    if refined <= coarse:
         return RootScanReport(float(refined), float(angle % (2 * np.pi)), samples)
-    return RootScanReport(float(mods[i0]), float(theta[i0]), samples)
+    return RootScanReport(float(coarse), float(theta0), samples)

@@ -2,9 +2,11 @@
 
 Everything here is an immutable value object: domains carrying Lebesgue
 measure, windowed index sets, tolerance settings, and the parametrized
-families of frequency sets that the rest of the package analyzes.  All
-exponentials in the package use the normalization e(x) = exp(i*2*pi*lam.x),
-so spectra live on the same scale as the frequency parameters stored here.
+families of frequency sets that the rest of the package analyzes.  A
+domain is one type, the product of 1-D interval-union factors; UnitCube(d)
+builds the product of d unit intervals.  All exponentials in the package
+use the normalization e(x) = exp(i*2*pi*lam.x), so spectra live on the same
+scale as the frequency parameters stored here.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ __all__ = [
     "SpectralBoxError",
     "ArityMismatchError",
     "WindowCapError",
-    "UnitCube",
     "IntervalUnion",
-    "DomainSpec",
+    "Domain",
+    "UnitCube",
     "IntFunction",
     "LatticeWindow",
     "ToleranceConfig",
@@ -56,23 +58,8 @@ class WindowCapError(SpectralBoxError):
 
 
 @dataclass(frozen=True)
-class UnitCube:
-    """The half-open unit cube [0,1)^d with Lebesgue measure."""
-
-    dimension: int
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("cube dimension must be >= 1")
-
-    @property
-    def measure(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
 class IntervalUnion:
-    """A finite union of disjoint open intervals on the real line."""
+    """A finite union of disjoint open intervals with finite endpoints."""
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -81,6 +68,8 @@ class IntervalUnion:
         if not ivs:
             raise ValueError("interval union needs at least one interval")
         for a, b in ivs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"interval ({a}, {b}) has a non-finite endpoint")
             if not a < b:
                 raise ValueError(f"interval ({a}, {b}) has left >= right")
         ordered = sorted(ivs)
@@ -90,15 +79,35 @@ class IntervalUnion:
         object.__setattr__(self, "intervals", tuple(ordered))
 
     @property
-    def dimension(self) -> int:
-        return 1
-
-    @property
     def measure(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
 
-DomainSpec = Union[UnitCube, IntervalUnion]
+@dataclass(frozen=True)
+class Domain:
+    """The product of 1-D interval-union factors, factor j on axis j."""
+
+    factors: tuple[IntervalUnion, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", tuple(self.factors))
+        if not self.factors:
+            raise ValueError("domain needs at least one factor")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.factors)
+
+    @property
+    def measure(self) -> float:
+        return math.prod(f.measure for f in self.factors)
+
+
+def UnitCube(dimension: int) -> Domain:
+    """The unit cube (0,1)^d as the product of d unit intervals."""
+    if dimension < 1:
+        raise ValueError("cube dimension must be >= 1")
+    return Domain((IntervalUnion(((0.0, 1.0),)),) * dimension)
 
 
 # ---------------------------------------------------------------------------

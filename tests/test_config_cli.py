@@ -7,7 +7,7 @@ import pytest
 from spectralbox import cli
 from spectralbox.cli import main
 from spectralbox.config import ConfigError, load_config, parse_config
-from spectralbox.model import ClassA2D, IntervalUnion, IntFunction, UnitCube
+from spectralbox.model import ClassA2D, Domain, IntervalUnion, IntFunction, UnitCube
 
 MINIMAL = """
 command: root-scan
@@ -53,7 +53,7 @@ def test_beta_table_parses_to_class_a():
     assert beta(0) == 0.2
     assert beta(1) == 0.5
     assert beta(7) == 0.0
-    assert isinstance(cfg.domain, UnitCube)
+    assert cfg.domain == UnitCube(2)
     assert cfg.window.cardinality == 25
 
 
@@ -66,7 +66,7 @@ spectrum: {family: explicit, points: [[0.0], [1.0]]}
 window: {radius: 1}
 """
     )
-    assert isinstance(cfg.domain, IntervalUnion)
+    assert cfg.domain == Domain((IntervalUnion(((0.0, 1.0), (2.0, 4.0))),))
     assert cfg.domain.measure == pytest.approx(3.0)
 
 
@@ -609,3 +609,129 @@ tiling: {window: 4, resolution: 8}
     assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
     report = (out / "report.txt").read_text()
     assert "excluded_face_samples" in report and "FAIL" not in report
+
+
+CUBE_PAIR = """
+command: verify-pair
+spectrum:
+  family: class-a
+  alpha: 0.25
+  beta: {default: 0.0}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "verify-pair",
+            CUBE_PAIR + "domain: {kind: unit-cube, dimension: 3}\nwindow: {radius: 1}",
+            "differs from the spectrum's dimension 2",
+        ),
+        (
+            "verify-pair",
+            CUBE_PAIR
+            + "domain: {kind: interval-union, intervals: [[0, 1]]}\nwindow: {radius: 1}",
+            "differs from the spectrum's dimension 2",
+        ),
+        (
+            "verify-pair",
+            CUBE_PAIR
+            + "domain: {kind: unit-cube, intervals: [[0, 1]]}\nwindow: {radius: 1}",
+            "['intervals']",
+        ),
+        (
+            "verify-pair",
+            CUBE_PAIR
+            + "domain: {kind: interval-union, dimension: 2, intervals: [[0, 1]]}\n"
+            "window: {radius: 1}",
+            "['dimension']",
+        ),
+        (
+            "verify-pair",
+            "command: verify-pair\nspectrum: {family: explicit, points: [[0.0], [1.0]]}\n"
+            "domain: {kind: interval-union, intervals: [[0, .inf]]}\nwindow: {radius: 1}",
+            "non-finite endpoint",
+        ),
+        (
+            "verify-pair",
+            CUBE_PAIR + "domain: {kind: unit-cube, dimension: .inf}\nwindow: {radius: 1}",
+            "domain.dimension: inf is not an integer",
+        ),
+        (
+            "verify-pair",
+            CUBE_PAIR + "domain: {kind: unit-cube}\nwindow: {radius: 1.9}",
+            "window.radius: 1.9 is not an integer",
+        ),
+        ("root-scan", MINIMAL + "seed: .inf", "seed: inf is not an integer"),
+        (
+            "root-scan",
+            "command: root-scan\nrootscan: {coefficients: [1, 1], samples: .inf}",
+            "rootscan.samples: inf is not an integer",
+        ),
+        (
+            "root-scan",
+            "command: root-scan\nrootscan: {coefficients: [1, .nan], samples: 64}",
+            "not finite",
+        ),
+        (
+            "root-scan",
+            "command: root-scan\nrootscan: {coefficients: [1, [0, .inf]], samples: 64}",
+            "not finite",
+        ),
+        (
+            "root-scan",
+            "command: root-scan\nrootscan: {coefficients: [1, 1], samples: 8}",
+            "rootscan.samples: 8 is below 16",
+        ),
+    ],
+)
+def test_bad_domain_and_number_input_exits_two_without_output(
+    tmp_path, capsys, command, text, message
+):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    cfg = write(tmp_path, "cfg.yaml", text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+ONE_COSINE = (
+    "command: diffraction\n"
+    "diffraction: {components: [{period: 1.5, cosine_amplitude: 0.1}], "
+)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("command: root-scan\ntolerances: {grid_n: 64.5}", "tolerances.grid_n"),
+        ("command: check-cocycle\ncocycle: {window: {ranges: [[-2, 2.5], [0, 1]]}}",
+         "cocycle.window.ranges"),
+        ('command: check-cocycle\ncocycle: {a: {table: {1.5: 0.25}}}', "cocycle.a.table"),
+        ("command: simulate-groups\ngroups: {grid_n: .inf}", "groups.grid_n"),
+        ("command: simulate-groups\ngroups: {sub_radius: 1.5}", "groups.sub_radius"),
+        ("command: simulate-groups\ngroups: {n_random: .nan}", "groups.n_random"),
+        ("command: check-tiling\ntiling: {window: 2.5}", "tiling.window"),
+        ("command: check-tiling\ntiling: {resolution: .inf}", "tiling.resolution"),
+        (ONE_COSINE + "lambda_window: 20.5}", "diffraction.lambda_window"),
+        (ONE_COSINE + "k_radius: -.inf}", "diffraction.k_radius"),
+        ("command: diffraction\ndiffraction: {components: "
+         "[{period: 1.5, cosine_amplitude: 0.1, harmonic: 1.5}]}",
+         "diffraction.components[0].harmonic"),
+        ("command: diffraction\ndiffraction: {components: "
+         "[{period: 1.5, coeffs: {2.5: 0.1}}]}", "diffraction.components[0].coeffs"),
+    ],
+)
+def test_fractional_or_non_finite_integer_field_is_config_error(text, where):
+    with pytest.raises(ConfigError, match=re.escape(where) + ": .* is not an integer"):
+        parse_config(text)
+
+
+def test_integral_float_still_reads_as_an_integer():
+    cfg = parse_config(CLASS_A.replace("radius: 2", "radius: 2.0"))
+    assert cfg.window.cardinality == 25

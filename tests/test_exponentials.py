@@ -14,12 +14,14 @@ from spectralbox.grid import GridState
 from spectralbox.model import (
     ClassA2D,
     ClassB2D,
+    Domain,
     ExplicitSpectrum,
     IntervalUnion,
     IntFunction,
     LatticeWindow,
     TranslatedLattice,
     UnitCube,
+    enumerate_spectrum,
 )
 
 # refined two-stage scan value for coefficients (1, 0, 1, 1); computed by
@@ -66,7 +68,7 @@ def test_f_cube_matches_quadrature_randomly():
 
 
 def test_f_interval_union_matches_quadrature():
-    union = IntervalUnion(((0.0, 1.0), (2.0, 4.0)))
+    union = Domain((IntervalUnion(((0.0, 1.0), (2.0, 4.0))),))
     rng = np.random.default_rng(5)
     for _ in range(25):
         z = complex(rng.uniform(-3, 3), rng.uniform(-0.5, 0.5))
@@ -80,7 +82,7 @@ def test_f_interval_union_matches_quadrature():
 def test_f_interval_union_small_z_branch_is_smooth():
     # both sides of the series cutoff must agree with quadrature, so the
     # branch switch cannot introduce a jump beyond the true derivative
-    union = IntervalUnion(((0.0, 1.0), (2.0, 4.0)))
+    union = Domain((IntervalUnion(((0.0, 1.0), (2.0, 4.0))),))
     for z in (9.99e-7, 1.01e-6):
         closed = eval_F_omega(union, [z])
         quad = f_omega_quadrature(union, [z], 256)
@@ -108,9 +110,8 @@ def test_gram_translated_lattice_is_identity():
 def test_gram_class_a_random_table_is_identity():
     rng = np.random.default_rng(2)
     spec = ClassA2D(alpha=float(rng.random()), beta=random_beta(rng))
-    report = orthogonality_verdict(
-        UnitCube(2), spec, LatticeWindow.centered(1, 2), tol=1e-12
-    )
+    pts = enumerate_spectrum(spec, LatticeWindow.centered(1, 2))
+    report = orthogonality_verdict(gram_matrix(UnitCube(2), pts), tol=1e-12)
     assert report.is_orthogonal
     assert report.worst_offdiag < 1e-12
 
@@ -134,7 +135,7 @@ def test_f_omega_arity_mismatch():
     with pytest.raises(Exception):
         eval_F_omega(UnitCube(2), [0.5])
     with pytest.raises(Exception):
-        eval_F_omega(IntervalUnion(((0.0, 1.0),)), [0.5, 0.5])
+        eval_F_omega(Domain((IntervalUnion(((0.0, 1.0),)),)), [0.5, 0.5])
 
 
 def test_tower_difference_set_in_zero_set():
@@ -163,9 +164,8 @@ def test_gram_rejects_empty():
 
 def test_orthogonality_witness_for_bad_pair():
     spec = ExplicitSpectrum(np.array([[0.0, 0.0], [0.25, 0.0]]))
-    report = orthogonality_verdict(
-        UnitCube(2), spec, LatticeWindow.centered(0, 2), tol=1e-10
-    )
+    pts = enumerate_spectrum(spec, LatticeWindow.centered(0, 2))
+    report = orthogonality_verdict(gram_matrix(UnitCube(2), pts), tol=1e-10)
     assert not report.is_orthogonal
     assert report.witness is not None
     expected = abs(eval_F_omega(UnitCube(2), [0.25, 0.0]))
@@ -174,18 +174,16 @@ def test_orthogonality_witness_for_bad_pair():
 
 def test_orthogonality_singleton_is_trivially_true():
     spec = ExplicitSpectrum(np.array([[0.3, 0.7]]))
-    report = orthogonality_verdict(
-        UnitCube(2), spec, LatticeWindow.centered(0, 2)
-    )
+    pts = enumerate_spectrum(spec, LatticeWindow.centered(0, 2))
+    report = orthogonality_verdict(gram_matrix(UnitCube(2), pts))
     assert report.is_orthogonal
 
 
 def test_class_b_family_orthogonal():
     rng = np.random.default_rng(4)
     spec = ClassB2D(alpha=float(rng.random()), beta=random_beta(rng))
-    report = orthogonality_verdict(
-        UnitCube(2), spec, LatticeWindow.centered(2, 2), tol=1e-10
-    )
+    pts = enumerate_spectrum(spec, LatticeWindow.centered(2, 2))
+    report = orthogonality_verdict(gram_matrix(UnitCube(2), pts), tol=1e-10)
     assert report.is_orthogonal
 
 
@@ -304,7 +302,7 @@ def test_union_transform_factors_through_circle_polynomial():
     # transform times 1 + w^2 + w^3 at w = exp(i 2 pi z); on the real line
     # the second factor never vanishes, which is exactly what the circle
     # scan certifies
-    union = IntervalUnion(((0.0, 1.0), (2.0, 4.0)))
+    union = Domain((IntervalUnion(((0.0, 1.0), (2.0, 4.0))),))
     rng = np.random.default_rng(77)
     for z in rng.uniform(-5, 5, size=40):
         w = np.exp(2j * np.pi * z)
@@ -320,3 +318,102 @@ def test_union_transform_factors_through_circle_polynomial():
     z = 2.5
     floor = abs(eval_F_omega(UnitCube(1), [z])) * scan.min_modulus
     assert abs(eval_F_omega(union, [z])) >= floor * 0.999
+
+
+# Test-only copies of the transforms the product domain replaced: the
+# cube product over coordinates and the scalar interval-union loop.  The
+# per-factor transform must reproduce both bit for bit, because gram.txt
+# and report.txt are compared byte for byte across versions.
+
+
+def _sinc_pi_copy(z):
+    z = np.asarray(z, dtype=complex)
+    w = np.pi * z
+    small = np.abs(w) < 1e-6
+    safe = np.where(small, 1.0, w)
+    return np.where(small, 1.0 - w**2 / 6.0 + w**4 / 120.0, np.sin(safe) / safe)
+
+
+def _f_cube_copy(zs):
+    zs = np.asarray(zs, dtype=complex)
+    return np.prod(np.exp(1j * np.pi * zs) * _sinc_pi_copy(zs), axis=-1)
+
+
+def _f_interval_union_copy(intervals, z):
+    acc = 0.0 + 0.0j
+    for a, b in intervals:
+        length = b - a
+        acc += (
+            length
+            * np.exp(1j * np.pi * z * (a + b))
+            * complex(_sinc_pi_copy(np.array(z * length)))
+        )
+    return complex(acc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cube_transform_equals_the_coordinate_product(d):
+    rng = np.random.default_rng(100 + d)
+    pts = np.round(rng.uniform(-3, 3, size=(30, d)), 2)
+    pts[1] = np.round(pts[1])  # integer differences hit the zero set
+    diffs = pts[None, :, :] - pts[:, None, :]
+    assert np.array_equal(eval_F_omega(UnitCube(d), diffs), _f_cube_copy(diffs))
+    z = rng.normal(size=d) + 0.1j * rng.normal(size=d)
+    assert eval_F_omega(UnitCube(d), z) == complex(_f_cube_copy(z))
+
+
+def test_interval_union_gram_equals_the_scalar_loop():
+    intervals = ((0.0, 1.0), (2.0, 4.0))
+    pts = np.round(np.random.default_rng(9).uniform(-3, 3, size=(25, 1)), 3)
+    pts[:3, 0] = (0.0, 1.0, 0.25)
+    entries = gram_matrix(Domain((IntervalUnion(intervals),)), pts).entries
+    loop = np.array(
+        [
+            [_f_interval_union_copy(intervals, complex(d[0])) for d in row]
+            for row in pts[None, :, :] - pts[:, None, :]
+        ]
+    )
+    assert np.array_equal(entries, loop)
+
+
+def test_mixed_product_matches_quadrature():
+    domain = Domain(
+        (IntervalUnion(((0.0, 1.0), (2.0, 4.0))), IntervalUnion(((0.0, 1.0),)))
+    )
+    assert domain.dimension == 2 and domain.measure == 3.0
+    assert eval_F_omega(domain, [0.0, 0.0]) == pytest.approx(3.0)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        z = rng.uniform(-3, 3, size=2) + 1j * rng.uniform(-0.3, 0.3, size=2)
+        closed = eval_F_omega(domain, z)
+        quad = f_omega_quadrature(domain, z, 256)
+        assert abs(closed - quad) / max(1.0, abs(closed)) < 1e-12
+    stack = rng.uniform(-3, 3, size=(4, 5, 2))
+    values = eval_F_omega(domain, stack)
+    assert values.shape == (4, 5)
+    assert values[2, 3] == eval_F_omega(domain, stack[2, 3])
+
+
+def test_completeness_probe_needs_the_unit_cube():
+    f = GridState(np.ones((8, 8), dtype=complex))
+    half = Domain((IntervalUnion(((0.0, 0.5),)), IntervalUnion(((0.0, 1.0),))))
+    with pytest.raises(TypeError):
+        completeness_probe(
+            half, TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2), [f]
+        )
+
+
+@pytest.mark.parametrize("chunk, samples", [(7, 4099), (1000, 4099), (None, 200_017)])
+def test_root_scan_does_not_depend_on_its_chunk_size(monkeypatch, chunk, samples):
+    # chunk None keeps the module's own chunk size, so 200 017 angles span
+    # several chunks; one chunk of every angle is the unchunked scan
+    from spectralbox import exponentials
+
+    rng = np.random.default_rng(3)
+    polys = [[1.0], [1.0, 1.0], [1.0, 0.0, 1.0, 1.0], *rng.standard_normal((3, 5))]
+    chunk = chunk or exponentials._SCAN_CHUNK
+    for coeffs in polys:
+        monkeypatch.setattr(exponentials, "_SCAN_CHUNK", samples)
+        whole = unit_circle_root_scan(coeffs, samples)
+        monkeypatch.setattr(exponentials, "_SCAN_CHUNK", chunk)
+        assert unit_circle_root_scan(coeffs, samples) == whole

@@ -5,6 +5,7 @@ from spectralbox.model import (
     ArityMismatchError,
     ClassA2D,
     ClassB2D,
+    Domain,
     ExplicitSpectrum,
     IntervalUnion,
     IntFunction,
@@ -34,6 +35,24 @@ def test_interval_union_validation():
         IntervalUnion(((0.0, 1.0), (0.5, 2.0)))
     with pytest.raises(ValueError):
         IntervalUnion(((1.0, 1.0),))
+
+
+def test_interval_union_rejects_non_finite_endpoints():
+    for bad in (((0.0, np.inf),), ((-np.inf, 1.0),), ((0.0, np.nan),)):
+        with pytest.raises(ValueError, match="non-finite"):
+            IntervalUnion(bad)
+
+
+def test_domain_is_a_product_of_interval_unions():
+    unit = IntervalUnion(((0.0, 1.0),))
+    assert UnitCube(3) == Domain((unit, unit, unit))
+    assert UnitCube(3).dimension == 3
+    assert UnitCube(2) != UnitCube(3)
+    mixed = Domain((IntervalUnion(((0.0, 1.0), (2.0, 4.0))), unit))
+    assert mixed.dimension == 2 and mixed.measure == 3.0
+    assert mixed != UnitCube(2)
+    with pytest.raises(ValueError):
+        Domain(())
 
 
 def test_int_function_total_and_validated():
