@@ -1,0 +1,63 @@
+"""Byte gate: every sample config keeps its exit status and artifact bytes.
+
+Each `configs/*.yaml` runs through `cli.main` in process from the repo
+root, with the relative config path, so the report's "config:" line is
+stable.  The digests pin the sha256 of every artifact; a refactor that
+changes one byte of any of them fails here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from spectralbox.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXPECTED = {
+    "build_spectrum_tower3d": ("build-spectrum", 0, {
+        "report.txt": "ef492ef9ac0354e0f22b7c39b5222e74adce3808cef4b99ee30ad0ee82f5f6c4",
+        "spectrum.txt": "ffd66abccb6a2c9193d81d214a562bcb80e404a428444c4db3bb4505a20f3f30",
+    }),
+    "check_cocycle_failing": ("check-cocycle", 1, {
+        "report.txt": "16b8705a620e33cb94645878993d4652bdf265dac76126ae706f591ef80f9ba5",
+    }),
+    "check_tiling_class_b": ("check-tiling", 0, {
+        "multiplicity.txt": "ef70f9898f854644a38afcabd4877fb04e4d38d203755aad3d171abd1959a8a9",
+        "report.txt": "370c0cd2252b1291b1b81ba0e80de6c829f3c03627cbd5e905c4fbadef59e9bb",
+        "tiling.svg": "5c0fdf6c712088c1c32d5b81552ddc84829c6d01407dfb2fd6a8630572f2f054",
+    }),
+    "diffraction_one_harmonic": ("diffraction", 0, {
+        "density.txt": "e237b05a2cda71d7edfbfa53d1cf0d9973c359bafef7709915211eda1c813025",
+        "diffraction.svg": "4b079b97361c7b4fddcd1bf0c21fb6f70722368a1670a0fa568189570fbae9d5",
+        "report.txt": "dca81c42bb21d07894775cfcf326ddf59d6a81a8cb73664fb70abcc483e15abe",
+    }),
+    "root_scan_interval_union": ("root-scan", 0, {
+        "report.txt": "3445f47e96bf6775750ba34be005b7248d38ff246d3eedbad700d41aa054e64c",
+    }),
+    "simulate_groups_class_i": ("simulate-groups", 0, {
+        "commutator_sweep.csv": "53030b32a7ea2c207dfa2339827b9497ee10f2f9163bc39321714b8b0e916959",
+        "report.txt": "8f3877f7a0cbcadbc7cabefd570fe4136eefaec687eddc70afbb034bcbbb75e2",
+    }),
+    "verify_pair_class_a": ("verify-pair", 0, {
+        "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",
+        "report.txt": "aff7d65ee87ce25d2441c512c0ac4bf413233afa4c476a51e1d22b982d2b2a47",
+    }),
+}
+
+
+def test_every_sample_config_is_pinned():
+    assert sorted(p.stem for p in (ROOT / "configs").glob("*.yaml")) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_sample_config_artifacts_are_byte_identical(tmp_path, monkeypatch, name):
+    command, status, digests = EXPECTED[name]
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert main([command, "--config", f"configs/{name}.yaml", "--out", str(out)]) == status
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+    }
+    assert got == digests
