@@ -9,8 +9,11 @@ in the run passes, 1 when some verdict fails, 2 on config or input errors
 (reported as a single machine-parsable stderr line "error: <message>"),
 3 on an internal error (one stderr line "internal error: <message>").
 
-Config schema (YAML; unknown or duplicate keys are errors; an integer
-field given a fractional or non-finite number is an error):
+Config schema (YAML).  The whole config is checked when it loads, before
+the output directory exists.  Unknown or duplicate keys are errors; so are
+an integer field given a fractional or non-finite number, a non-finite
+real, a list of the wrong length, a value below its bound and a missing
+required key:
 
     command: verify-pair          # required, one of the seven commands
     seed: 0                       # optional; --seed overrides
@@ -52,34 +55,32 @@ field given a fractional or non-finite number is an error):
     groups:                       # simulate-groups
       a: {default: 0.0, table: {}}
       b: {default: 0.0, table: {"1": 0.3}}
-      phases: [0.0, 0.0]
+      phases: [0.0, 0.0]          # two reals
       window: {radius: 8}
       grid_n: 64
-      times: [0.125, 0.25, 0.375, 0.5, 0.625]
-      sub_radius: 2
-      n_random: 4
+      times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0
+      sub_radius: 2               # >= 0
+      n_random: 4                 # >= 0
       leakage_tol: 1.0e-6         # spectral-matrix truncation acknowledgment
 
-    tiling:                       # check-tiling (also read by verify-pair)
+    tiling:                       # check-tiling; verify-pair reads it too
+                                  #   and uses window 4, resolution 32
+                                  #   when the section is absent
       window: 4                   # >= 1 unit cubes per axis
       resolution: 64              # >= 8 samples per unit; at most 2^24
                                   #   samples, (window*resolution)^d
 
     diffraction:                  # diffraction
-      components:
+      components:                 # each needs a period
         - {period: 1.4142135623730951, cosine_amplitude: 0.1, harmonic: 1}
         - {period: 1.7320508075688772, coeffs: {"1": [0.025, 0.0], "-1": [0.025, 0.0]}}
-      test_function: {center: [0.2, -0.1], widths: [0.9, 1.1]}
-      lambda_window: 200
-      k_radius: 12
+      test_function: {center: [0.2, -0.1], widths: [0.9, 1.1]}   # two reals each
+      lambda_window: 200          # >= 0
+      k_radius: 12                # >= 0
 
     rootscan:                     # root-scan; entries are re or [re, im]
       coefficients: [1, 0, 1, 1]  # at least one, all finite
       samples: 100000             # >= 16
-
-Tolerance fields may also be overridden by environment variables
-SPECTRALBOX_EQ_TOL, SPECTRALBOX_NUM_TOL, SPECTRALBOX_GRID_N,
-SPECTRALBOX_QUAD_N (applied after the config file).
 
 Artifacts written to the output directory: report.txt always; gram.txt,
 spectrum.txt, multiplicity.txt, tiling.svg, diffraction.svg, density.txt,
@@ -90,9 +91,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,18 +139,6 @@ from .model import (
 )
 from .reporting import ReportBuilder, format_float
 from .tiling import emit_tiling_svg, multiplicity_map, tiling_verdict
-
-_ENV_PREFIX = "SPECTRALBOX_"
-
-
-def _tolerances_with_env(base: ToleranceConfig) -> ToleranceConfig:
-    updates = {}
-    for name in ("eq_tol", "num_tol", "grid_n", "quad_n"):
-        raw = os.environ.get(_ENV_PREFIX + name.upper())
-        if raw is not None:
-            updates[name] = int(raw) if name.endswith("_n") else float(raw)
-    return replace(base, **updates) if updates else base
-
 
 def _tolerance_line(tol: ToleranceConfig) -> str:
     return (
@@ -277,9 +264,10 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
             ],
         )
 
-        torus_n = int(cfg.tiling.get("window", 4)) if cfg.tiling else 4
-        res = int(cfg.tiling.get("resolution", 32)) if cfg.tiling else 32
-        verdict = tiling_verdict(multiplicity_map(cfg.spectrum, torus_n, res))
+        tiling = cfg.tiling or {"window": 4, "resolution": 32}
+        verdict = tiling_verdict(
+            multiplicity_map(cfg.spectrum, tiling["window"], tiling["resolution"])
+        )
         report.add(
             "tiling.tiling_verdict",
             "translate multiplicity is one off cube faces (finite-torus "
@@ -422,10 +410,9 @@ def _cmd_check_tiling(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     res = cfg.tiling["resolution"]
     mp = multiplicity_map(cfg.spectrum, torus_n, res)
     verdict = tiling_verdict(mp)
-    if mp.counts.ndim == 2:
+    if cfg.spectrum.dimension == 2:
         lines = [" ".join(map(str, row)) for row in mp.counts.tolist()]
         _write_text(outdir, "multiplicity.txt", "\n".join(lines) + "\n")
-    if getattr(cfg.spectrum, "dimension", 2) == 2:
         emit_tiling_svg(cfg.spectrum, torus_n, outdir / "tiling.svg")
     report.add(
         "tiling.tiling_verdict",
@@ -537,10 +524,9 @@ def main(argv=None) -> int:
                 f"{args.command!r}"
             )
         if args.seed is not None:
-            cfg.seed = int(args.seed)
-        cfg.tolerances = _tolerances_with_env(cfg.tolerances)
+            cfg.seed = args.seed
         return run(cfg, args.config, Path(args.out))
-    except (ConfigError, SpectralBoxError, OSError, ValueError) as exc:
+    except (SpectralBoxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, never a verdict: keep it off status 1

@@ -3,15 +3,18 @@
 Configs are YAML documents (key-value with nested tables).  Parsing is
 strict: duplicate keys are errors naming the key, unknown keys are errors,
 and integer-tuple table keys serialize as comma-joined integers
-("1,-2": 0.25).  The full schema is documented in the cli module.
+("1,-2": 0.25).  Every value goes through a typed reader (`_int`, `_real`,
+`_reals`, `_complex`) that names the offending field; a constructor's
+ValueError or TypeError becomes a ConfigError naming its section.  The
+full schema is documented in the cli module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
 import yaml
 
 from .cocycles import PhaseSequence
@@ -87,52 +90,96 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         )
 
 
-def _int(value, where: str) -> int:
+def _at_least(number, lo, where: str):
+    if lo is not None and number < lo:
+        raise ConfigError(f"{where}: {number!r} is below {lo}")
+    return number
+
+
+def _int(value, where: str, lo: int | None = None) -> int:
     """An integer config value; a non-finite or fractional number is an error."""
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where}: {value!r} is not an integer")
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {value!r} is not an integer") from exc
+    return _at_least(number, lo, where)
 
 
-def _parse_tuple_key(key, where: str) -> tuple[int, ...]:
+def _real(value, where: str, lo: float | None = None, finite: bool = True) -> float:
+    """A real config value; a non-finite one is an error unless `finite` is off."""
     try:
-        return tuple(_int(part, where) for part in str(key).split(","))
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {value!r} is not a real number") from exc
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{where}: {number!r} is not finite")
+    return _at_least(number, lo, where)
+
+
+def _list(value, where: str, count: int | None = None) -> list:
+    """A config list, of exactly `count` entries when a count is given."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: {value!r} is not a list")
+    if count is not None and len(value) != count:
+        raise ConfigError(f"{where}: expected {count} entries, got {value!r}")
+    return list(value)
+
+
+def _reals(value, where: str, count: int | None = None, **bounds) -> list[float]:
+    return [_real(v, where, **bounds) for v in _list(value, where, count)]
+
+
+def _complex(value, where: str) -> complex:
+    """A complex config value, written re or [re, im]."""
+    if isinstance(value, (list, tuple)):
+        return complex(*_reals(value, where, 2))
+    return complex(_real(value, where), 0.0)
+
+
+def _required(section: dict, key: str, where: str):
+    if key not in section:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return section[key]
+
+
+def _parse_tuple_key(key, arity: int, where: str) -> tuple[int, ...]:
+    parts = key.split(",") if isinstance(key, str) else [key]
+    try:
+        tup = tuple(_int(part, where) for part in parts)
     except ConfigError as exc:
         raise ConfigError(
-            f"{where}: table key {key!r} is not comma-joined integers"
+            f"{where}: key {key!r} is not an integer or comma-joined integers"
         ) from exc
+    if len(tup) != arity:
+        raise ConfigError(
+            f"{where}: key {key!r} has {len(tup)} indices, expected {arity}"
+        )
+    return tup
+
+
+def _parse_table(section, arity: int, where: str) -> tuple[float, dict]:
+    """Default and table of a {default, table} section, keyed by index tuples."""
+    section = _require_mapping(section, where)
+    _check_keys(section, {"default", "table"}, where)
+    table = {
+        _parse_tuple_key(key, arity, f"{where}.table"): _real(value, f"{where}.table")
+        for key, value in _require_mapping(
+            section.get("table", {}), f"{where}.table"
+        ).items()
+    }
+    return _real(section.get("default", 0.0), f"{where}.default"), table
 
 
 def _parse_int_function(section, arity: int, where: str) -> IntFunction:
-    section = _require_mapping(section, where)
-    _check_keys(section, {"default", "table"}, where)
-    table = {}
-    for key, value in _require_mapping(section.get("table", {}), f"{where}.table").items():
-        tup = _parse_tuple_key(key, where)
-        if len(tup) != arity:
-            raise ConfigError(
-                f"{where}: key {key!r} has {len(tup)} indices, expected {arity}"
-            )
-        table[tup] = float(value)
-    try:
-        return IntFunction(arity, float(section.get("default", 0.0)), table)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    default, table = _parse_table(section, arity, where)
+    return IntFunction(arity, default, table)
 
 
 def _parse_phase_sequence(section, where: str) -> PhaseSequence:
-    section = _require_mapping(section, where)
-    _check_keys(section, {"default", "table"}, where)
-    table = {}
-    for key, value in _require_mapping(section.get("table", {}), f"{where}.table").items():
-        table[_int(key, f"{where}.table")] = float(value)
-    try:
-        return PhaseSequence.from_phases(table, float(section.get("default", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    default, table = _parse_table(section, 1, where)
+    return PhaseSequence.from_phases({k: v for (k,), v in table.items()}, default)
 
 
 def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
@@ -143,17 +190,21 @@ def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
             _int(section["radius"], f"{where}.radius"), dimension
         )
     if "ranges" in section:
-        ranges = tuple(
-            (_int(lo, f"{where}.ranges"), _int(hi, f"{where}.ranges"))
-            for lo, hi in section["ranges"]
-        )
-        if len(ranges) != dimension:
-            raise ConfigError(
-                f"{where}: {len(ranges)} ranges given, expected {dimension}"
-            )
-        return LatticeWindow(ranges)
+        at = f"{where}.ranges"
+        return LatticeWindow(tuple(
+            tuple(_int(v, at) for v in _list(pair, at, 2))
+            for pair in _list(section["ranges"], at, dimension)
+        ))
     raise ConfigError(f"{where}: needs either 'radius' or 'ranges'")
 
+
+def _dimension(cfg: "RunConfig") -> int:
+    return cfg.spectrum.dimension if cfg.spectrum is not None else 2
+
+
+# Every section parser takes the section's table and the config parsed so
+# far; `parse_config` turns a constructor's ValueError or TypeError into a
+# ConfigError naming the section.
 
 _DOMAIN_KEYS = {
     "unit-cube": {"kind", "dimension"},
@@ -161,127 +212,170 @@ _DOMAIN_KEYS = {
 }
 
 
-def _parse_domain(section, where: str) -> Domain:
-    section = _require_mapping(section, where)
+def _parse_domain(section: dict, cfg: "RunConfig") -> Domain:
     kind = section.get("kind")
     _check_keys(
-        section, _DOMAIN_KEYS.get(kind, {"kind", "dimension", "intervals"}), where
+        section, _DOMAIN_KEYS.get(kind, {"kind", "dimension", "intervals"}), "domain"
     )
-    try:
-        if kind == "unit-cube":
-            return UnitCube(_int(section.get("dimension", 2), f"{where}.dimension"))
-        if kind == "interval-union":
-            intervals = tuple(
-                (float(a), float(b)) for a, b in section.get("intervals", ())
-            )
-            return Domain((IntervalUnion(intervals),))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    if kind == "unit-cube":
+        return UnitCube(_int(section.get("dimension", 2), "domain.dimension"))
+    if kind == "interval-union":
+        where = "domain.intervals"
+        return Domain((IntervalUnion(tuple(
+            tuple(_reals(pair, where, 2, finite=False))
+            for pair in _list(section.get("intervals", ()), where)
+        )),))
     raise ConfigError(
-        f"{where}.kind must be 'unit-cube' or 'interval-union', got {kind!r}"
+        f"domain.kind must be 'unit-cube' or 'interval-union', got {kind!r}"
     )
 
 
-def _parse_spectrum(section, where: str) -> SpectrumSpec:
-    section = _require_mapping(section, where)
+def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
     _check_keys(
         section,
         {"family", "alpha", "alpha_vector", "beta", "gamma", "levels", "points"},
-        where,
+        "spectrum",
     )
     family = section.get("family")
-    try:
-        if family == "translated-lattice":
-            vec = section.get("alpha_vector")
-            if vec is None:
-                vec = [float(section.get("alpha", 0.0))]
-            return TranslatedLattice(tuple(float(v) for v in vec))
-        if family == "class-a":
-            return ClassA2D(
-                float(section.get("alpha", 0.0)),
-                _parse_int_function(section.get("beta", {}), 1, f"{where}.beta"),
+
+    def alpha() -> float:
+        return _real(section.get("alpha", 0.0), "spectrum.alpha")
+
+    def level(key: str, arity: int) -> IntFunction:
+        return _parse_int_function(section.get(key, {}), arity, f"spectrum.{key}")
+
+    if family == "translated-lattice":
+        if "alpha_vector" in section:
+            return TranslatedLattice(
+                tuple(_reals(section["alpha_vector"], "spectrum.alpha_vector"))
             )
-        if family == "class-b":
-            return ClassB2D(
-                float(section.get("alpha", 0.0)),
-                _parse_int_function(section.get("beta", {}), 1, f"{where}.beta"),
-            )
-        if family == "tower3d":
-            return Tower3D(
-                _parse_int_function(section.get("beta", {}), 1, f"{where}.beta"),
-                _parse_int_function(section.get("gamma", {}), 2, f"{where}.gamma"),
-            )
-        if family == "tower":
-            levels = [
-                _parse_int_function(entry, k, f"{where}.levels[{k}]")
-                for k, entry in enumerate(section.get("levels", ()))
-            ]
-            return Tower(tuple(levels))
-        if family == "explicit":
-            pts = np.array(section.get("points", ()), dtype=float)
-            return ExplicitSpectrum(pts)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return TranslatedLattice((alpha(),))
+    if family == "class-a":
+        return ClassA2D(alpha(), level("beta", 1))
+    if family == "class-b":
+        return ClassB2D(alpha(), level("beta", 1))
+    if family == "tower3d":
+        return Tower3D(level("beta", 1), level("gamma", 2))
+    if family == "tower":
+        levels = _list(section.get("levels", ()), "spectrum.levels")
+        return Tower(tuple(
+            _parse_int_function(entry, k, f"spectrum.levels[{k}]")
+            for k, entry in enumerate(levels)
+        ))
+    if family == "explicit":
+        points = _list(section.get("points", ()), "spectrum.points")
+        return ExplicitSpectrum([_reals(p, "spectrum.points") for p in points])
     raise ConfigError(
-        f"{where}.family must be one of translated-lattice, class-a, "
+        "spectrum.family must be one of translated-lattice, class-a, "
         f"class-b, tower, tower3d, explicit; got {family!r}"
     )
 
 
-def _parse_tolerances(section, where: str) -> ToleranceConfig:
-    section = _require_mapping(section, where)
-    allowed = {"eq_tol", "num_tol", "grid_n", "quad_n"}
-    _check_keys(section, allowed, where)
-    kwargs: dict[str, Any] = {}
-    for key in allowed & set(section):
-        kwargs[key] = (
-            _int(section[key], f"{where}.{key}")
-            if key.endswith("_n")
-            else float(section[key])
-        )
-    try:
-        return ToleranceConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _parse_tolerances(section: dict, cfg: "RunConfig") -> ToleranceConfig:
+    _check_keys(section, {"eq_tol", "num_tol", "grid_n", "quad_n"}, "tolerances")
+    return ToleranceConfig(**{
+        key: (_int if key.endswith("_n") else _real)(value, f"tolerances.{key}")
+        for key, value in section.items()
+    })
 
 
-def _parse_components(entries, where: str) -> QuasiPeriodicModel:
-    comps = []
-    for i, entry in enumerate(entries):
-        entry = _require_mapping(entry, f"{where}[{i}]")
-        _check_keys(
-            entry, {"period", "coeffs", "cosine_amplitude", "harmonic"},
-            f"{where}[{i}]",
+def _parse_cocycle(section: dict, cfg: "RunConfig") -> dict:
+    _check_keys(section, {"a", "b", "window"}, "cocycle")
+    return {
+        "a": _parse_phase_sequence(section.get("a", {}), "cocycle.a"),
+        "b": _parse_phase_sequence(section.get("b", {}), "cocycle.b"),
+        "window": _parse_window(
+            section.get("window", {"radius": 8}), 2, "cocycle.window"
+        ),
+    }
+
+
+def _parse_groups(section: dict, cfg: "RunConfig") -> dict:
+    _check_keys(
+        section,
+        {"a", "b", "window", "phases", "grid_n", "times", "sub_radius",
+         "n_random", "leakage_tol"},
+        "groups",
+    )
+    times = section.get("times", [0.125, 0.25, 0.375, 0.5, 0.625])
+    if times == []:
+        raise ConfigError("groups.times: needs at least one entry")
+    return {
+        "a": _parse_phase_sequence(section.get("a", {}), "groups.a"),
+        "b": _parse_phase_sequence(section.get("b", {}), "groups.b"),
+        "window": _parse_window(section.get("window", {"radius": 8}), 2, "groups.window"),
+        "phases": tuple(_reals(section.get("phases", [0.0, 0.0]), "groups.phases", 2)),
+        "grid_n": _int(section.get("grid_n", 64), "groups.grid_n"),
+        "times": _reals(times, "groups.times", lo=0),
+        "sub_radius": _int(section.get("sub_radius", 2), "groups.sub_radius", lo=0),
+        "n_random": _int(section.get("n_random", 4), "groups.n_random", lo=0),
+        "leakage_tol": _real(section.get("leakage_tol", 1e-6), "groups.leakage_tol"),
+    }
+
+
+def _parse_tiling(section: dict, cfg: "RunConfig") -> dict:
+    _check_keys(section, {"window", "resolution"}, "tiling")
+    tiling = {
+        "window": _int(section.get("window", 4), "tiling.window"),
+        "resolution": _int(section.get("resolution", 64), "tiling.resolution"),
+    }
+    check_window(tiling["window"], tiling["resolution"], _dimension(cfg))
+    return tiling
+
+
+def _parse_component(entry, where: str) -> TrigComponent:
+    entry = _require_mapping(entry, where)
+    _check_keys(entry, {"period", "coeffs", "cosine_amplitude", "harmonic"}, where)
+    period = _real(_required(entry, "period", where), f"{where}.period")
+    if "cosine_amplitude" in entry:
+        return TrigComponent.cosine(
+            period,
+            _real(entry["cosine_amplitude"], f"{where}.cosine_amplitude"),
+            _int(entry.get("harmonic", 1), f"{where}.harmonic"),
         )
-        period = float(entry["period"])
-        if "cosine_amplitude" in entry:
-            comps.append(
-                TrigComponent.cosine(
-                    period,
-                    float(entry["cosine_amplitude"]),
-                    _int(entry.get("harmonic", 1), f"{where}[{i}].harmonic"),
-                )
-            )
-            continue
-        coeffs = {}
-        for key, value in _require_mapping(
-            entry.get("coeffs", {}), f"{where}[{i}].coeffs"
-        ).items():
-            index = _int(key, f"{where}[{i}].coeffs")
-            if isinstance(value, (list, tuple)):
-                coeffs[index] = complex(float(value[0]), float(value[1]))
-            else:
-                coeffs[index] = complex(float(value), 0.0)
-        try:
-            comps.append(TrigComponent(period, coeffs))
-        except ValueError as exc:
-            raise ConfigError(f"{where}[{i}]: {exc}") from exc
-    try:
-        return QuasiPeriodicModel(tuple(comps))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    coeffs = _require_mapping(entry.get("coeffs", {}), f"{where}.coeffs")
+    return TrigComponent(period, {
+        _int(key, f"{where}.coeffs"): _complex(value, f"{where}.coeffs")
+        for key, value in coeffs.items()
+    })
+
+
+def _parse_diffraction(section: dict, cfg: "RunConfig") -> dict:
+    _check_keys(
+        section, {"components", "test_function", "lambda_window", "k_radius"},
+        "diffraction",
+    )
+    where = "diffraction.components"
+    components = _list(section.get("components", ()), where)
+    at = "diffraction.test_function"
+    tf = _require_mapping(section.get("test_function", {}), at)
+    _check_keys(tf, {"center", "widths"}, at)
+    return {
+        "model": QuasiPeriodicModel(tuple(
+            _parse_component(entry, f"{where}[{i}]")
+            for i, entry in enumerate(components)
+        )),
+        "test_function": GaussianTestFunction(
+            tuple(_reals(tf.get("center", (0.0, 0.0)), f"{at}.center", 2)),
+            tuple(_reals(tf.get("widths", (1.0, 1.0)), f"{at}.widths", 2)),
+        ),
+        "lambda_window": _int(
+            section.get("lambda_window", 200), "diffraction.lambda_window", lo=0
+        ),
+        "k_radius": _int(section.get("k_radius", 12), "diffraction.k_radius", lo=0),
+    }
+
+
+def _parse_rootscan(section: dict, cfg: "RunConfig") -> dict:
+    _check_keys(section, {"coefficients", "samples"}, "rootscan")
+    where = "rootscan.coefficients"
+    coeffs = [_complex(v, where) for v in _list(section.get("coefficients", ()), where)]
+    if not coeffs:
+        raise ConfigError(f"{where}: needs at least one entry")
+    return {
+        "coefficients": coeffs,
+        "samples": _int(section.get("samples", 100_000), "rootscan.samples", lo=16),
+    }
 
 
 @dataclass
@@ -290,7 +384,7 @@ class RunConfig:
 
     command: str
     seed: int
-    tolerances: ToleranceConfig
+    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     domain: Any = None
     spectrum: Any = None
     window: Any = None
@@ -301,27 +395,27 @@ class RunConfig:
     rootscan: dict = field(default_factory=dict)
 
 
-_TOP_KEYS = {
-    "command",
-    "seed",
-    "tolerances",
-    "domain",
-    "spectrum",
-    "window",
-    "cocycle",
-    "groups",
-    "tiling",
-    "diffraction",
-    "rootscan",
+# Section parsers in parse order: the spectrum precedes the windows sized
+# by its dimension.
+_SECTIONS = {
+    "tolerances": _parse_tolerances,
+    "domain": _parse_domain,
+    "spectrum": _parse_spectrum,
+    "window": lambda section, cfg: _parse_window(section, _dimension(cfg), "window"),
+    "cocycle": _parse_cocycle,
+    "groups": _parse_groups,
+    "tiling": _parse_tiling,
+    "diffraction": _parse_diffraction,
+    "rootscan": _parse_rootscan,
 }
+
+_TOP_KEYS = {"command", "seed", *_SECTIONS}
 
 
 def parse_config(text: str) -> RunConfig:
     """Deterministic parse of a YAML config; unknown keys are errors."""
     try:
         raw = yaml.load(text, Loader=_StrictLoader)
-    except ConfigError:
-        raise
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -333,109 +427,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    cfg = RunConfig(
-        command=command,
-        seed=_int(raw.get("seed", 0), "seed"),
-        tolerances=_parse_tolerances(raw.get("tolerances", {}), "tolerances"),
-    )
-    if "domain" in raw:
-        cfg.domain = _parse_domain(raw["domain"], "domain")
-    if "spectrum" in raw:
-        cfg.spectrum = _parse_spectrum(raw["spectrum"], "spectrum")
+    cfg = RunConfig(command=command, seed=_int(raw.get("seed", 0), "seed"))
+    for name, parse in _SECTIONS.items():
+        if name in raw:
+            try:
+                setattr(cfg, name, parse(_require_mapping(raw[name], name), cfg))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
     if cfg.domain is not None and cfg.spectrum is not None:
         if cfg.domain.dimension != cfg.spectrum.dimension:
             raise ConfigError(
                 f"domain: dimension {cfg.domain.dimension} differs from the "
                 f"spectrum's dimension {cfg.spectrum.dimension}"
             )
-    if "window" in raw:
-        dim = cfg.spectrum.dimension if cfg.spectrum is not None else 2
-        cfg.window = _parse_window(raw["window"], dim, "window")
-
-    if "cocycle" in raw:
-        section = _require_mapping(raw["cocycle"], "cocycle")
-        _check_keys(section, {"a", "b", "window"}, "cocycle")
-        cfg.cocycle = {
-            "a": _parse_phase_sequence(section.get("a", {}), "cocycle.a"),
-            "b": _parse_phase_sequence(section.get("b", {}), "cocycle.b"),
-            "window": _parse_window(section.get("window", {"radius": 8}), 2, "cocycle.window"),
-        }
-    if "groups" in raw:
-        section = _require_mapping(raw["groups"], "groups")
-        _check_keys(
-            section,
-            {"a", "b", "window", "phases", "grid_n", "times", "sub_radius",
-             "n_random", "leakage_tol"},
-            "groups",
-        )
-        phases = section.get("phases", [0.0, 0.0])
-        cfg.groups = {
-            "a": _parse_phase_sequence(section.get("a", {}), "groups.a"),
-            "b": _parse_phase_sequence(section.get("b", {}), "groups.b"),
-            "window": _parse_window(section.get("window", {"radius": 8}), 2, "groups.window"),
-            "phases": (float(phases[0]), float(phases[1])),
-            "grid_n": _int(section.get("grid_n", 64), "groups.grid_n"),
-            "times": [float(t) for t in section.get("times", [0.125, 0.25, 0.375, 0.5, 0.625])],
-            "sub_radius": _int(section.get("sub_radius", 2), "groups.sub_radius"),
-            "n_random": _int(section.get("n_random", 4), "groups.n_random"),
-            "leakage_tol": float(section.get("leakage_tol", 1e-6)),
-        }
-        for key in ("phases", "times", "leakage_tol"):
-            if not np.all(np.isfinite(cfg.groups[key])):
-                raise ConfigError(f"groups.{key}: {cfg.groups[key]} is not finite")
-    if "tiling" in raw:
-        section = _require_mapping(raw["tiling"], "tiling")
-        _check_keys(section, {"window", "resolution"}, "tiling")
-        cfg.tiling = {
-            "window": _int(section.get("window", 4), "tiling.window"),
-            "resolution": _int(section.get("resolution", 64), "tiling.resolution"),
-        }
-        dim = cfg.spectrum.dimension if cfg.spectrum is not None else 2
-        try:
-            check_window(cfg.tiling["window"], cfg.tiling["resolution"], dim)
-        except ValueError as exc:
-            raise ConfigError(f"tiling: {exc}") from exc
-    if "diffraction" in raw:
-        section = _require_mapping(raw["diffraction"], "diffraction")
-        _check_keys(
-            section,
-            {"components", "test_function", "lambda_window", "k_radius"},
-            "diffraction",
-        )
-        model = _parse_components(
-            section.get("components", ()), "diffraction.components"
-        )
-        tf = _require_mapping(
-            section.get("test_function", {}), "diffraction.test_function"
-        )
-        _check_keys(tf, {"center", "widths"}, "diffraction.test_function")
-        center = tuple(float(v) for v in tf.get("center", (0.0, 0.0)))
-        widths = tuple(float(v) for v in tf.get("widths", (1.0, 1.0)))
-        cfg.diffraction = {
-            "model": model,
-            "test_function": GaussianTestFunction(center, widths),
-            "lambda_window": _int(
-                section.get("lambda_window", 200), "diffraction.lambda_window"
-            ),
-            "k_radius": _int(section.get("k_radius", 12), "diffraction.k_radius"),
-        }
-    if "rootscan" in raw:
-        section = _require_mapping(raw["rootscan"], "rootscan")
-        _check_keys(section, {"coefficients", "samples"}, "rootscan")
-        coeffs = []
-        for value in section.get("coefficients", ()):
-            if isinstance(value, (list, tuple)):
-                coeffs.append(complex(float(value[0]), float(value[1])))
-            else:
-                coeffs.append(complex(float(value), 0.0))
-        if not coeffs:
-            raise ConfigError("rootscan.coefficients: needs at least one entry")
-        if not np.all(np.isfinite(coeffs)):
-            raise ConfigError(f"rootscan.coefficients: {coeffs} is not finite")
-        samples = _int(section.get("samples", 100_000), "rootscan.samples")
-        if samples < 16:
-            raise ConfigError(f"rootscan.samples: {samples} is below 16")
-        cfg.rootscan = {"coefficients": coeffs, "samples": samples}
     _validate_required(cfg)
     return cfg
 

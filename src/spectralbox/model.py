@@ -22,6 +22,7 @@ __all__ = [
     "SpectralBoxError",
     "ArityMismatchError",
     "WindowCapError",
+    "MAX_WINDOW_CARDINALITY",
     "IntervalUnion",
     "Domain",
     "UnitCube",
@@ -49,7 +50,7 @@ class ArityMismatchError(SpectralBoxError):
 
 
 class WindowCapError(SpectralBoxError):
-    """A lattice window exceeds the configured cardinality cap."""
+    """A lattice window has more than MAX_WINDOW_CARDINALITY points."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +169,14 @@ class IntFunction:
         return cls(arity=0, default=value)
 
 
+MAX_WINDOW_CARDINALITY = 10**6
+
+
 @dataclass(frozen=True)
 class LatticeWindow:
     """Per-axis inclusive integer ranges; the finite stand-in for Z^d."""
 
     ranges: tuple[tuple[int, int], ...]
-    max_cardinality: int = 10**6
 
     def __post_init__(self) -> None:
         rng = tuple((int(lo), int(hi)) for lo, hi in self.ranges)
@@ -183,17 +186,17 @@ class LatticeWindow:
             if lo > hi:
                 raise ValueError(f"window range ({lo},{hi}) has low > high")
         object.__setattr__(self, "ranges", rng)
-        if self.cardinality > self.max_cardinality:
+        if self.cardinality > MAX_WINDOW_CARDINALITY:
             raise WindowCapError(
                 f"window cardinality {self.cardinality} exceeds cap "
-                f"{self.max_cardinality}"
+                f"{MAX_WINDOW_CARDINALITY}"
             )
 
     @classmethod
-    def centered(cls, radius: int, dimension: int, **kw) -> "LatticeWindow":
+    def centered(cls, radius: int, dimension: int) -> "LatticeWindow":
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        return cls(tuple((-radius, radius) for _ in range(dimension)), **kw)
+        return cls(tuple((-radius, radius) for _ in range(dimension)))
 
     @property
     def dimension(self) -> int:
@@ -239,8 +242,8 @@ class ToleranceConfig:
     quad_n: int = 2048
 
     def __post_init__(self) -> None:
-        if self.eq_tol <= 0 or self.num_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.eq_tol < math.inf and 0 < self.num_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.grid_n < 2 or self.quad_n < 2:
             raise ValueError("grid_n and quad_n must be >= 2")
 

@@ -1,4 +1,3 @@
-import os
 import re
 import warnings
 
@@ -251,17 +250,6 @@ def test_cli_seed_override_changes_header(tmp_path):
     out = tmp_path / "out"
     main(["verify-pair", "--config", cfg, "--out", str(out), "--seed", "99"])
     assert "seed: 99" in (out / "report.txt").read_text()
-
-
-def test_cli_env_tolerance_override(tmp_path):
-    cfg = write(tmp_path, "cfg.yaml", MINIMAL)
-    out = tmp_path / "out"
-    os.environ["SPECTRALBOX_NUM_TOL"] = "1e-5"
-    try:
-        main(["root-scan", "--config", cfg, "--out", str(out)])
-    finally:
-        del os.environ["SPECTRALBOX_NUM_TOL"]
-    assert "num_tol=1.000000000000e-05" in (out / "report.txt").read_text()
 
 
 def test_cli_build_spectrum_writes_points(tmp_path):
@@ -735,3 +723,103 @@ def test_fractional_or_non_finite_integer_field_is_config_error(text, where):
 def test_integral_float_still_reads_as_an_integer():
     cfg = parse_config(CLASS_A.replace("radius: 2", "radius: 2.0"))
     assert cfg.window.cardinality == 25
+
+
+def assert_load_error(tmp_path, capsys, text, message):
+    """`text` fails in parse_config and, through main, exits 2 with one
+    stderr line and no output directory."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    command = re.search(r"^command: (\S+)$", text, flags=re.M).group(1)
+    cfg = write(tmp_path, "cfg.yaml", text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+ONE_PERIOD = "command: diffraction\ndiffraction: {components: [{period: 1.5, "
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("command: build-spectrum\nspectrum: {family: translated-lattice, "
+         "alpha_vector: [0.1, 0.2]}\nwindow: {ranges: [1, 2]}",
+         "window.ranges: 1 is not a list"),
+        ("command: simulate-groups\ngroups: {phases: [0.1]}",
+         "groups.phases: expected 2 entries, got [0.1]"),
+        ("command: simulate-groups\ngroups: {times: 0.5}", "groups.times: 0.5 is not a list"),
+        ("command: simulate-groups\ngroups: {times: []}",
+         "groups.times: needs at least one entry"),
+        ("command: root-scan\nrootscan: {coefficients: [[1]]}",
+         "rootscan.coefficients: expected 2 entries, got [1]"),
+        ("command: root-scan\nrootscan: {coefficients: [{a: 1}]}",
+         "rootscan.coefficients: {'a': 1} is not a real number"),
+        ('command: check-cocycle\ncocycle: {a: {table: {"1": [0.5]}}}',
+         "cocycle.a.table: [0.5] is not a real number"),
+        ("command: diffraction\ndiffraction: {components: [{cosine_amplitude: 0.1}]}",
+         "diffraction.components[0]: missing required key 'period'"),
+        (ONE_PERIOD + 'coeffs: {"1": {x: 1}}}]}',
+         "diffraction.components[0].coeffs: {'x': 1} is not a real number"),
+        (ONE_PERIOD + "cosine_amplitude: 0.1}], test_function: {center: [0.2]}}",
+         "diffraction.test_function.center: expected 2 entries, got [0.2]"),
+    ],
+)
+def test_malformed_shape_exits_two_at_load(tmp_path, capsys, text, message):
+    assert_load_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("key", ["eq_tol", "num_tol"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_exits_two_at_load(tmp_path, capsys, key, value):
+    text = (
+        "command: check-cocycle\n"
+        f"tolerances: {{{key}: .{value}}}\n"
+        'cocycle: {a: {table: {"0": 0.25}}, b: {table: {"1": 0.4}}, window: {radius: 3}}'
+    )
+    assert_load_error(tmp_path, capsys, text, f"tolerances.{key}: {value} is not finite")
+
+
+GROUPS = "command: simulate-groups\ngroups: "
+DIFFRACTION = ONE_PERIOD + "cosine_amplitude: 0.1}], "
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GROUPS + "{times: [0.25, -0.5]}", "groups.times: -0.5 is below 0"),
+        (GROUPS + "{n_random: -1}", "groups.n_random: -1 is below 0"),
+        (GROUPS + "{sub_radius: -2}", "groups.sub_radius: -2 is below 0"),
+        (DIFFRACTION + "lambda_window: -20}", "diffraction.lambda_window: -20 is below 0"),
+        (DIFFRACTION + "k_radius: -1}", "diffraction.k_radius: -1 is below 0"),
+        (DIFFRACTION + "test_function: {widths: [.nan, 1.0]}}",
+         "diffraction.test_function.widths: nan is not finite"),
+        (DIFFRACTION + "test_function: {center: [0.0, .nan]}}",
+         "diffraction.test_function.center: nan is not finite"),
+    ],
+)
+def test_out_of_range_value_exits_two_at_load(tmp_path, capsys, text, message):
+    assert_load_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("resolution, same", [(32, True), (64, False)])
+def test_verify_pair_without_tiling_section_uses_window_4_resolution_32(
+    tmp_path, resolution, same
+):
+    # a 0.3 offset makes the overlap fraction depend on the resolution
+    text = (
+        "command: verify-pair\ndomain: {kind: unit-cube, dimension: 2}\n"
+        "spectrum: {family: explicit, points: [[0.0, 0.0], [0.3, 0.0]]}\n"
+        "window: {radius: 0}\n"
+    )
+    tiled = text + f"tiling: {{window: 4, resolution: {resolution}}}\n"
+    reports = []
+    for name, body in (("default", text), ("tiled", tiled)):
+        out = tmp_path / name
+        assert main(["verify-pair", "--config", write(tmp_path, "cfg.yaml", body),
+                     "--out", str(out)]) == 1
+        reports.append((out / "report.txt").read_text())
+    assert (reports[0] == reports[1]) == same

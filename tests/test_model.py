@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,13 @@ def test_tolerance_config_validation():
         ToleranceConfig(eq_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(grid_n=1)
+
+
+@pytest.mark.parametrize("key", ["eq_tol", "num_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_tolerance_config_rejects_non_finite(key, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ToleranceConfig(**{key: value})
 
 
 def test_translated_lattice_window_points():
