@@ -50,18 +50,18 @@ required key:
     cocycle:                      # check-cocycle; tables hold phase
       a: {default: 0.0, table: {"0": 0.25}}        # fractions in [0, 1)
       b: {default: 0.0, table: {}}
-      window: {radius: 8}
+      window: {radius: 8}         # at least two indices per axis
 
     groups:                       # simulate-groups
       a: {default: 0.0, table: {}}
       b: {default: 0.0, table: {"1": 0.3}}
       phases: [0.0, 0.0]          # two reals
-      window: {radius: 8}
-      grid_n: 64
-      times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0
+      window: {radius: 8}         # at least two indices per axis
+      grid_n: 64                  # at least the window width per axis
+      times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid
       sub_radius: 2               # >= 0
       n_random: 4                 # >= 0
-      leakage_tol: 1.0e-6         # spectral-matrix truncation acknowledgment
+      leakage_tol: 1.0e-6         # >= 0; spectral-matrix truncation acknowledgment
 
     tiling:                       # check-tiling; verify-pair reads it too
                                   #   and uses window 4, resolution 32
@@ -333,10 +333,10 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     coeff_probes = default_probe_coefficients(
         g["window"], g["sub_radius"], g["n_random"], rng
     )
-    probes = [
+    probes = (
         synthesize_window_state(v, phases, g["window"], grid_n)
         for v in coeff_probes
-    ]
+    )
     bx = DiagonalBoundary(g["a"], shift=phases[1])
     by = DiagonalBoundary(g["b"], shift=phases[0])
 

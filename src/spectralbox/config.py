@@ -19,6 +19,7 @@ import yaml
 
 from .cocycles import PhaseSequence
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
+from .groups import check_sweep_grid
 from .model import (
     ClassA2D,
     ClassB2D,
@@ -279,14 +280,22 @@ def _parse_tolerances(section: dict, cfg: "RunConfig") -> ToleranceConfig:
     })
 
 
+def _shift_window(section: dict, where: str) -> LatticeWindow:
+    """A 2-D window with room for a nonzero shift on each axis."""
+    window = _parse_window(section.get("window", {"radius": 8}), 2, where)
+    if any(hi == lo for lo, hi in window.ranges):
+        raise ConfigError(
+            f"{where}: need at least two indices per axis for a nonzero shift"
+        )
+    return window
+
+
 def _parse_cocycle(section: dict, cfg: "RunConfig") -> dict:
     _check_keys(section, {"a", "b", "window"}, "cocycle")
     return {
         "a": _parse_phase_sequence(section.get("a", {}), "cocycle.a"),
         "b": _parse_phase_sequence(section.get("b", {}), "cocycle.b"),
-        "window": _parse_window(
-            section.get("window", {"radius": 8}), 2, "cocycle.window"
-        ),
+        "window": _shift_window(section, "cocycle.window"),
     }
 
 
@@ -300,17 +309,19 @@ def _parse_groups(section: dict, cfg: "RunConfig") -> dict:
     times = section.get("times", [0.125, 0.25, 0.375, 0.5, 0.625])
     if times == []:
         raise ConfigError("groups.times: needs at least one entry")
-    return {
+    groups = {
         "a": _parse_phase_sequence(section.get("a", {}), "groups.a"),
         "b": _parse_phase_sequence(section.get("b", {}), "groups.b"),
-        "window": _parse_window(section.get("window", {"radius": 8}), 2, "groups.window"),
+        "window": _shift_window(section, "groups.window"),
         "phases": tuple(_reals(section.get("phases", [0.0, 0.0]), "groups.phases", 2)),
-        "grid_n": _int(section.get("grid_n", 64), "groups.grid_n"),
+        "grid_n": _int(section.get("grid_n", 64), "groups.grid_n", lo=1),
         "times": _reals(times, "groups.times", lo=0),
         "sub_radius": _int(section.get("sub_radius", 2), "groups.sub_radius", lo=0),
         "n_random": _int(section.get("n_random", 4), "groups.n_random", lo=0),
-        "leakage_tol": _real(section.get("leakage_tol", 1e-6), "groups.leakage_tol"),
+        "leakage_tol": _real(section.get("leakage_tol", 1e-6), "groups.leakage_tol", lo=0),
     }
+    check_sweep_grid(groups["window"], groups["grid_n"], groups["times"])
+    return groups
 
 
 def _parse_tiling(section: dict, cfg: "RunConfig") -> dict:

@@ -9,6 +9,7 @@ endpoints (trapezoid quadrature; used where boundary traces matter).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,26 +106,41 @@ def fft_mode_indices(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
 
+@lru_cache(maxsize=256)
+def _phase(n: int, shift: float, sign: int) -> np.ndarray:
+    """exp(sign*i*2*pi*shift*j/n) for j < n, computed once (read-only)."""
+    j = np.arange(n)
+    phase = np.exp(sign * 2j * np.pi * shift * j / n)
+    phase.flags.writeable = False
+    return phase
+
+
+def _along(vector: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """`vector` shaped to broadcast along `axis` of an ndim-array."""
+    shape = [1] * ndim
+    shape[axis] = vector.size
+    return vector.reshape(shape)
+
+
 def twisted_analysis(values: np.ndarray, axis: int, shift: float) -> np.ndarray:
     """Coefficients of `values` against exp(i*2*pi*(k+shift)*x) along `axis`.
 
     Samples are assumed at x = j/n (periodic convention).  The returned
     array holds coefficients in FFT mode order; for band-limited data the
     analysis is exact (shifted modes stay exactly orthogonal on the grid).
+    Any other axes are batch axes.  At shift 0 the phase is exactly one
+    and the multiply is skipped.
     """
     n = values.shape[axis]
-    j = np.arange(n)
-    phase = np.exp(-2j * np.pi * shift * j / n)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    return np.fft.fft(values * phase.reshape(shape), axis=axis) / n
+    if shift:
+        values = values * _along(_phase(n, shift, -1), values.ndim, axis)
+    return np.fft.fft(values, axis=axis) / n
 
 
 def twisted_synthesis(coeffs: np.ndarray, axis: int, shift: float) -> np.ndarray:
     """Inverse of twisted_analysis (same mode ordering)."""
     n = coeffs.shape[axis]
-    j = np.arange(n)
-    phase = np.exp(2j * np.pi * shift * j / n)
-    shape = [1] * coeffs.ndim
-    shape[axis] = n
-    return np.fft.ifft(coeffs, axis=axis) * n * phase.reshape(shape)
+    values = np.fft.ifft(coeffs, axis=axis) * n
+    if shift:
+        values *= _along(_phase(n, shift, 1), values.ndim, axis)
+    return values

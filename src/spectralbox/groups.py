@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "grid_group_action",
     "TruncatedOperator",
     "group_matrix_spectral",
+    "check_sweep_grid",
     "synthesize_window_state",
     "project_to_window",
     "commutator_norm",
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-class IncommensurateTimeError(SpectralBoxError):
+class IncommensurateTimeError(SpectralBoxError, ValueError):
     """Translation time is not an integer multiple of the grid step."""
 
 
@@ -236,23 +237,28 @@ def _check_axis_time(axis: int, t: float) -> None:
 def _translate(
     values: np.ndarray, ax: int, t: float, boundary: Boundary
 ) -> np.ndarray:
-    """U(t) along the 0-based axis `ax` on raw periodic samples of I^2."""
+    """U(t) along the 0-based axis `ax` on raw periodic samples of I^2.
+
+    `values` is one (n, n) grid or a stack (..., n, n) of them; the grid
+    axes are the last two and every leading axis is a batch axis.
+    """
     values = np.asarray(values, dtype=complex)
-    if values.ndim != 2:
+    if values.ndim < 2:
         raise ValueError("grid group actions are implemented on I^2")
+    ax, other = (-2, -1) if ax == 0 else (-1, -2)
     n = values.shape[ax]
     full, rem = divmod(_steps_for(t, n), n)
-    other = 1 - ax
     if rem == 0:
         return boundary.apply(values.copy(), other, full)
+
+    def rows(start: int, stop: int) -> tuple:
+        return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - ax)
+
     # output rows i >= n - rem are input rows i + rem - n, which crossed
     # the seam one extra time; rows i < n - rem are input rows i + rem
     out = np.empty_like(values)
-    src, dst = [slice(None), slice(None)], [slice(None), slice(None)]
-    src[ax], dst[ax] = slice(0, rem), slice(n - rem, n)
-    out[tuple(dst)] = boundary.apply(values[tuple(src)], other, full + 1)
-    src[ax], dst[ax] = slice(rem, n), slice(0, n - rem)
-    out[tuple(dst)] = boundary.apply(values[tuple(src)], other, full)
+    out[rows(n - rem, n)] = boundary.apply(values[rows(0, rem)], other, full + 1)
+    out[rows(0, n - rem)] = boundary.apply(values[rows(rem, n)], other, full)
     return out
 
 
@@ -274,11 +280,12 @@ def group_action_grid(
 def grid_group_action(
     axis: int, t: float, boundary: Boundary
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """U_axis(t) as a map on raw (n, n) sample arrays of periodic grids.
+    """U_axis(t) as a map on raw periodic samples: (n, n) or (..., n, n).
 
     The same action as group_action_grid, with axis and t checked here,
     once, and no GridState built per call: commutator_norm unwraps its
-    probes at entry and applies these maps to the bare values.
+    probes at entry and applies these maps to the bare values, a stack of
+    images at a time.
     """
     _check_axis_time(axis, t)
 
@@ -308,7 +315,10 @@ class TruncatedOperator:
         return [tuple(idx) for idx in self.window.indices()]
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        """The matrix applied to a vector or to each row of a stack."""
+        # a batched matrix-vector product, bit-equal to matrix @ row for
+        # each row (stack @ matrix.T is not)
+        return (self.matrix @ vec[..., None])[..., 0]
 
 
 def group_matrix_spectral(
@@ -389,6 +399,19 @@ def _check_window_fits(window: LatticeWindow, grid_n: int) -> None:
             )
 
 
+def check_sweep_grid(
+    window: LatticeWindow, grid_n: int, times: Sequence[float]
+) -> None:
+    """Raise ValueError unless a grid_n sweep can run over `window`.
+
+    The window must fit in grid_n modes without aliasing, and every time
+    must be a multiple of the grid step 1/grid_n.
+    """
+    _check_window_fits(window, grid_n)
+    for t in times:
+        _steps_for(t, grid_n)
+
+
 def synthesize_window_state(
     vec: np.ndarray,
     phases: tuple[float, float],
@@ -439,14 +462,14 @@ def _euclidean_norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _unwrap_probes(probes: Sequence) -> list:
-    """(raw values, norm of its space, own norm) for each probe, checked.
+def _unwrap_probes(probes: Iterable) -> Iterator[tuple]:
+    """Yield (raw values, norm of its space, own norm) per probe, checked.
 
-    GridState probes on the same grid share one weight tensor, so the
-    check costs no memory per probe.
+    Probes are taken one at a time, so a generator of probes is never held
+    in memory whole.  GridState probes on the same grid share one weight
+    tensor, so the check costs no memory per probe.
     """
     weights: dict = {}
-    out = []
     for p in probes:
         if isinstance(p, GridState):
             _check_periodic(p)
@@ -461,33 +484,40 @@ def _unwrap_probes(probes: Sequence) -> list:
         den = norm(values)
         if den == 0.0:
             raise ValueError("zero-norm probe")
-        out.append((values, norm, den))
-    return out
+        yield values, norm, den
 
 
 def commutator_norm(
-    xs: Sequence, ys: Sequence, probes: Sequence
+    xs: Sequence, ys: Sequence, probes: Iterable
 ) -> np.ndarray:
     """Table of max over probes of |X Y p - Y X p| / |p|, X in xs, Y in ys.
 
     Entry [i, j] belongs to the pair (xs[i], ys[j]).  Works uniformly for
     grid actions (grid_group_action) on GridState probes, which are checked
     and unwrapped once and measured with their own quadrature weights, and
-    for truncated matrices on coefficient-vector probes.  Each probe is
-    moved by every X and every Y once and the images are reused across the
-    table, so a probe costs len(xs) + len(ys) + 2 len(xs) len(ys) actions.
-    A NaN ratio propagates into its entry instead of reading as zero.
+    for truncated matrices on coefficient-vector probes.  Every operator
+    must also act on a stack of states along a leading axis.  Each probe
+    is moved by every X and every Y once; then every X moves the stack of
+    Y-images and every Y the stack of X-images, so a probe costs
+    2 (len(xs) + len(ys)) operator calls.  `probes` may be any iterable,
+    a generator included: probes are read one at a time, and only the
+    current probe's images are held.  A NaN ratio propagates into its
+    entry instead of reading as zero.
     """
-    if len(probes) == 0:
-        raise ValueError("empty probe list")
     table = np.zeros((len(xs), len(ys)))
+    empty = True
     for values, norm, den in _unwrap_probes(probes):
-        x_images = [x(values) for x in xs]
-        y_images = [y(values) for y in ys]
-        for i, (x, xp) in enumerate(zip(xs, x_images)):
-            for j, (y, yp) in enumerate(zip(ys, y_images)):
-                ratio = norm(x(yp) - y(xp)) / den
+        empty = False
+        x_images = np.stack([x(values) for x in xs])
+        y_images = np.stack([y(values) for y in ys])
+        yx = [y(x_images) for y in ys]  # yx[j][i] = Y_j X_i p
+        for i, x in enumerate(xs):
+            xy = x(y_images)  # xy[j] = X_i Y_j p
+            for j in range(len(ys)):
+                ratio = norm(xy[j] - yx[j][i]) / den
                 table[i, j] = np.maximum(table[i, j], ratio)
+    if empty:
+        raise ValueError("empty probe list")
     return table
 
 

@@ -805,6 +805,27 @@ def test_out_of_range_value_exits_two_at_load(tmp_path, capsys, text, message):
     assert_load_error(tmp_path, capsys, text, message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GROUPS + "{times: [0.1]}",
+         "groups: time 0.1 is not a multiple of the grid step 1/64"),
+        (GROUPS + "{grid_n: 4, window: {radius: 2}}",
+         "groups: window range (-2,2) does not fit in 4 grid modes"),
+        (GROUPS + "{grid_n: 0}", "groups.grid_n: 0 is below 1"),
+        (GROUPS + "{leakage_tol: -1.0}", "groups.leakage_tol: -1.0 is below 0"),
+        (GROUPS + "{window: {ranges: [[0, 0], [0, 2]]}}",
+         "groups.window: need at least two indices per axis"),
+        ("command: check-cocycle\ncocycle: {window: {ranges: [[0, 0], [0, 2]]}}",
+         "cocycle.window: need at least two indices per axis"),
+    ],
+)
+def test_sweep_input_the_run_would_reject_exits_two_at_load(
+    tmp_path, capsys, text, message
+):
+    assert_load_error(tmp_path, capsys, text, message)
+
+
 @pytest.mark.parametrize("resolution, same", [(32, True), (64, False)])
 def test_verify_pair_without_tiling_section_uses_window_4_resolution_32(
     tmp_path, resolution, same

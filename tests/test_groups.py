@@ -1,8 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spectralbox.cocycles import PhaseSequence, PhaseSequenceSet2D, check_cocycle_2d
-from spectralbox.grid import GridState, fft_mode_indices
+from spectralbox.grid import (
+    GridState,
+    _phase,
+    fft_mode_indices,
+    twisted_analysis,
+    twisted_synthesis,
+)
 from spectralbox.groups import (
     DiagonalBoundary,
     IncommensurateTimeError,
@@ -651,3 +659,159 @@ def test_spectral_column_for_single_flipped_eigenvalue():
             2j * np.pi * 0.0 * 0.5
         )
         assert op.matrix[row, col] == pytest.approx(expected, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# stacks of states, cached phases, streamed probes
+# ---------------------------------------------------------------------------
+
+
+# The twisted transforms as they were before their phases were cached and
+# the shift-0 multiply was skipped; kept as a test oracle only.
+
+
+def _old_twisted_analysis(values, axis, shift):
+    n = values.shape[axis]
+    j = np.arange(n)
+    phase = np.exp(-2j * np.pi * shift * j / n)
+    shape = [1] * values.ndim
+    shape[axis] = n
+    return np.fft.fft(values * phase.reshape(shape), axis=axis) / n
+
+
+def _old_twisted_synthesis(coeffs, axis, shift):
+    n = coeffs.shape[axis]
+    j = np.arange(n)
+    phase = np.exp(2j * np.pi * shift * j / n)
+    shape = [1] * coeffs.ndim
+    shape[axis] = n
+    return np.fft.ifft(coeffs, axis=axis) * n * phase.reshape(shape)
+
+
+def random_grid(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("axis", [0, 1, -1, -2])
+def test_twisted_transforms_equal_multiply_by_phase_versions(shift, axis):
+    rng = np.random.default_rng(30)
+    for values in (random_grid(rng, 40, 40), random_grid(rng, 3, 40, 40)):
+        got = twisted_analysis(values, axis, shift)
+        assert (got == _old_twisted_analysis(values, axis, shift)).all()
+        back = twisted_synthesis(got, axis, shift)
+        assert (back == _old_twisted_synthesis(got, axis, shift)).all()
+
+
+def test_twisted_phases_are_cached_read_only_and_shared():
+    phase = _phase(64, 0.3, 1)
+    assert _phase(64, 0.3, 1) is phase
+    assert _phase(64, 0.3, -1) is _phase(64, 0.3, -1)
+    assert _phase(32, 0.3, 1) is not phase
+    for sign in (1, -1):
+        cached = _phase(64, 0.3, sign)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    # the transforms never write through the cached phase
+    values = random_grid(np.random.default_rng(31), 64, 64)
+    twisted_synthesis(twisted_analysis(values, 1, 0.3), 1, 0.3)
+    j = np.arange(64)
+    assert (phase == np.exp(2j * np.pi * 0.3 * j / 64)).all()
+
+
+def boundary_of(kind, rng, n):
+    if kind == "matrix":
+        z = random_grid(rng, 17, 17)
+        return MatrixBoundary(np.linalg.qr(z)[0], (-8, 8), shift=0.2)
+    shift = 0.0 if kind == "diagonal-0" else 0.3
+    return DiagonalBoundary(random_sequence(rng, n // 2), shift=shift)
+
+
+@pytest.mark.parametrize("kind", ["diagonal-0", "diagonal-0.3", "matrix"])
+@pytest.mark.parametrize("t", [0.0, 1.0, 0.375, 1.25])  # rem == 0, rem != 0
+@pytest.mark.parametrize("axis", [1, 2])
+def test_grid_action_on_a_stack_equals_per_state_loop(kind, t, axis):
+    rng = np.random.default_rng(32)
+    n = 32
+    act = grid_group_action(axis, t, boundary_of(kind, rng, n))
+    for stack in (random_grid(rng, 4, n, n), random_grid(rng, 2, 3, n, n)):
+        want = np.array([act(s) for s in stack.reshape(-1, n, n)])
+        assert (act(stack) == want.reshape(stack.shape)).all()
+
+
+def test_truncated_operator_on_a_stack_equals_per_vector_loop():
+    rng = np.random.default_rng(33)
+    win = LatticeWindow.centered(6, 2)
+    seqs = PhaseSequenceSet2D(
+        PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
+    )
+    op = group_matrix_spectral(
+        2, 0.375, seqs, (0.1, 0.2), win, grid_n=64, leakage_tol=1.0
+    )
+    stack = random_grid(rng, 5, win.cardinality)
+    assert (op(stack) == np.array([op.matrix @ v for v in stack])).all()
+    assert (op(stack[0]) == op.matrix @ stack[0]).all()
+
+
+def sweep_inputs(rng, phases, radius=8, sub_radius=2, n_random=4):
+    win = LatticeWindow.centered(radius, 2)
+    one = PhaseSequence({1: unit(0.4)}, 1.0)
+    bx = DiagonalBoundary(one, shift=phases[1])
+    by = DiagonalBoundary(random_sequence(rng, radius), shift=phases[0])
+    times = (0.125, 0.25, 0.375, 0.5, 0.625)
+    xs = [grid_group_action(1, s, bx) for s in times]
+    ys = [grid_group_action(2, t, by) for t in times]
+    coeffs = default_probe_coefficients(win, sub_radius, n_random, rng)
+    return xs, ys, coeffs, win
+
+
+def test_commutator_norm_streams_a_generator_with_two_calls_per_operator():
+    rng = np.random.default_rng(34)
+    n, phases = 32, (0.3, 0.7)
+    xs, ys, coeffs, win = sweep_inputs(rng, phases)
+    calls = []
+
+    def counted(op):
+        def act(values):
+            calls.append(values.shape)
+            return op(values)
+        return act
+
+    def states():
+        for v in coeffs:
+            yield synthesize_window_state(v, phases, win, n)
+
+    table = commutator_norm(
+        [counted(x) for x in xs], [counted(y) for y in ys], states()
+    )
+    assert (table == commutator_norm(xs, ys, list(states()))).all()
+    assert len(calls) == len(coeffs) * 2 * (len(xs) + len(ys))
+    assert calls.count((n, n)) == len(coeffs) * (len(xs) + len(ys))
+    assert table.max() > 0.01
+
+
+def test_commutator_norm_rejects_an_empty_generator():
+    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    fx = grid_group_action(1, 0.25, b)
+    with pytest.raises(ValueError, match="empty probe list"):
+        commutator_norm([fx], [fx], (p for p in []))
+
+
+def test_streamed_sweep_of_benchmark_size_stays_under_6_mib():
+    # the sweep of one simulate-groups job in the groups-sweep workload:
+    # window radius 8, grid_n 64, 5 x 5 times, 81 + 10 = 91 probes
+    rng = np.random.default_rng(35)
+    n, phases = 64, (0.3, 0.7)
+    xs, ys, coeffs, win = sweep_inputs(rng, phases, sub_radius=4, n_random=10)
+    assert len(coeffs) == 91
+    tracemalloc.start()
+    try:
+        table = commutator_norm(
+            xs, ys, (synthesize_window_state(v, phases, win, n) for v in coeffs)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (5, 5)
+    assert peak < 6 * 2**20
