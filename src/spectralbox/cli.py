@@ -21,7 +21,8 @@ required key:
       eq_tol: 1.0e-10             # closed-form identity tolerance
       num_tol: 1.0e-8             # quadrature/grid tolerance
       grid_n: 256                 # samples per axis
-      quad_n: 2048                # quadrature nodes
+      quad_n: 2048                # >= 2; read by no command, only echoed
+                                  #   in the report's tolerances line
 
     domain:                       # verify-pair; its dimension must equal
       kind: unit-cube             #   the spectrum's; or interval-union
@@ -50,7 +51,9 @@ required key:
     cocycle:                      # check-cocycle; tables hold phase
       a: {default: 0.0, table: {"0": 0.25}}        # fractions in [0, 1)
       b: {default: 0.0, table: {}}
-      window: {radius: 8}         # at least two indices per axis
+      window: {radius: 8}         # at least two indices per axis, and
+                                  #   M^2 N^2 <= 10^8 for an M x N window
+                                  #   (the single-identity check's work)
 
     groups:                       # simulate-groups
       a: {default: 0.0, table: {}}
@@ -152,20 +155,35 @@ def _write_text(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
 
 
-def _points_table(points: np.ndarray) -> str:
-    lines = ["\t".join(format_float(v) for v in row) for row in points]
-    return "\n".join(lines) + "\n"
+# "%.12e" text of a float64 is at most 20 characters ("-1.234567890123e-308"),
+# so a field this wide always ends in at least one padding space
+_FIELD = 21
 
 
-def _gram_table(entries: np.ndarray) -> str:
-    lines = []
-    for row in entries:
-        lines.append(
-            "\t".join(
-                f"{format_float(v.real)},{format_float(v.imag)}" for v in row
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _float_table(values: np.ndarray, seps: str) -> bytes:
+    """Text of a float64 (rows, cols) table, each value as format_float writes it.
+
+    seps[c] is the one character written after column c, so a row ends
+    with seps[-1].  Values are grouped by bit pattern, which keeps -0.0
+    and NaN apart from their look-alikes, and each distinct value is
+    formatted once; numpy places the texts in one byte buffer.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    rows, cols = values.shape
+    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    distinct = bits.view(np.float64)
+    # one left-justified, space-padded field per distinct value
+    text = (f"%-{_FIELD}.12e" * distinct.size) % tuple(distinct.tolist())
+    fields = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _FIELD)
+    lengths = np.argmax(fields == ord(" "), axis=1)
+    cells = fields[inverse].reshape(rows, cols, _FIELD)
+    # the first padding space of each cell becomes its column's separator
+    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+    np.put_along_axis(
+        cells, lengths[inverse].reshape(rows, cols, 1), sep[None, :, None], axis=-1
+    )
+    flat = cells.ravel()
+    return flat[flat != ord(" ")].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +193,8 @@ def _gram_table(entries: np.ndarray) -> str:
 
 def _cmd_build_spectrum(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     points = enumerate_spectrum(cfg.spectrum, cfg.window)
-    _write_text(outdir, "spectrum.txt", _points_table(points))
+    seps = "\t" * (points.shape[1] - 1) + "\n"
+    (outdir / "spectrum.txt").write_bytes(_float_table(points, seps))
     report.add(
         "model.enumerate_spectrum",
         "one point per window index tuple, family formula applied",
@@ -188,7 +207,10 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     tol = cfg.tolerances
     points = enumerate_spectrum(cfg.spectrum, cfg.window)
     gram = gram_matrix(cfg.domain, points)
-    _write_text(outdir, "gram.txt", _gram_table(gram.entries))
+    # the Gram as interleaved re/im columns: "re,im" entries, tab-separated
+    seps = (",\t" * points.shape[0])[:-1] + "\n"
+    entries = np.ascontiguousarray(gram.entries).view(np.float64)
+    (outdir / "gram.txt").write_bytes(_float_table(entries, seps))
 
     orth = orthogonality_verdict(gram, tol.eq_tol)
     metrics = [

@@ -33,6 +33,8 @@ __all__ = [
     "CocycleReport",
     "check_cocycle_2d",
     "check_single_identity_2d",
+    "MAX_IDENTITY_TERMS",
+    "check_identity_window",
     "Classification",
     "classify_2d",
     "EigenvalueFunctionSet",
@@ -216,6 +218,22 @@ def check_cocycle_2d(
         for _, s, (m, n), shift, modulus in report.witnesses
     )
     return replace(report, witnesses=witnesses)
+
+
+# comparisons check_single_identity_2d may make, M^2 N^2 for an M x N
+# window: about a second at radius 48; radius 49 is the widest square window
+MAX_IDENTITY_TERMS = 10**8
+
+
+def check_identity_window(window: LatticeWindow) -> None:
+    """Raise ValueError unless check_single_identity_2d fits the work cap."""
+    m, n = (hi - lo + 1 for lo, hi in window.ranges)
+    terms = m * m * n * n
+    if terms > MAX_IDENTITY_TERMS:
+        raise ValueError(
+            f"window {m} x {n} needs {terms} single-identity comparisons, "
+            f"more than {MAX_IDENTITY_TERMS}"
+        )
 
 
 def check_single_identity_2d(

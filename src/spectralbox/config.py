@@ -17,7 +17,7 @@ from typing import Any
 
 import yaml
 
-from .cocycles import PhaseSequence
+from .cocycles import PhaseSequence, check_identity_window
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
 from .groups import check_sweep_grid
 from .model import (
@@ -292,10 +292,12 @@ def _shift_window(section: dict, where: str) -> LatticeWindow:
 
 def _parse_cocycle(section: dict, cfg: "RunConfig") -> dict:
     _check_keys(section, {"a", "b", "window"}, "cocycle")
+    window = _shift_window(section, "cocycle.window")
+    check_identity_window(window)
     return {
         "a": _parse_phase_sequence(section.get("a", {}), "cocycle.a"),
         "b": _parse_phase_sequence(section.get("b", {}), "cocycle.b"),
-        "window": _shift_window(section, "cocycle.window"),
+        "window": window,
     }
 
 

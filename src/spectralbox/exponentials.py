@@ -239,18 +239,21 @@ def completeness_probe(
         norm2 = f.norm() ** 2
         if norm2 <= 0.0:
             raise ValueError("zero-norm test function")
-        coords = [f.axis_coords(ax) for ax in range(f.dimension)]
-        captured = 0.0
-        for lam in pts:
-            phase = np.ones_like(f.values, dtype=complex)
-            for ax, lj in enumerate(lam):
-                shape = [1] * f.dimension
-                shape[ax] = coords[ax].size
-                phase = phase * np.exp(
-                    2j * np.pi * lj * coords[ax]
-                ).reshape(shape)
-            mode = GridState(phase, f.sampling)
-            captured += abs(mode.inner(f)) ** 2
+        # <e_lam, f> = sum_x w(x) f(x) prod_j conj(exp(i 2 pi lam_j x_j)):
+        # weight the samples once, then contract one axis at a time with
+        # that axis's (points, samples) phase matrix, axis 0 as one matmul
+        first, *rest = (
+            np.exp(2j * np.pi * pts[:, ax, None] * f.axis_coords(ax)).conj()
+            for ax in range(f.dimension)
+        )
+        weighted = f.weight_tensor() * f.values
+        coeffs = (first @ weighted.reshape(weighted.shape[0], -1)).reshape(
+            pts.shape[:1] + weighted.shape[1:]
+        )
+        for phases in rest:
+            coeffs = np.einsum("pi...,pi->p...", coeffs, phases)
+        # summed in point order, as a per-point accumulation would
+        captured = float(np.cumsum(np.abs(coeffs) ** 2)[-1])
         ratios.append(captured / (norm2 * domain.measure))
     return CompletenessReport(tuple(ratios), plateau_threshold)
 

@@ -233,7 +233,9 @@ class ToleranceConfig:
     """Numerical tolerances and default resolutions, used package-wide.
 
     eq_tol guards closed-form identities, num_tol quadrature/grid
-    comparisons; grid_n is samples per axis, quad_n quadrature nodes.
+    comparisons; grid_n is samples per axis.  quad_n, a quadrature node
+    count, is read by no command: the report header echoes it, and
+    f_omega_quadrature keeps its own default.
     """
 
     eq_tol: float = 1e-10

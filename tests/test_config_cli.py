@@ -818,12 +818,28 @@ def test_out_of_range_value_exits_two_at_load(tmp_path, capsys, text, message):
          "groups.window: need at least two indices per axis"),
         ("command: check-cocycle\ncocycle: {window: {ranges: [[0, 0], [0, 2]]}}",
          "cocycle.window: need at least two indices per axis"),
+        # inside the 10^6-point window cap, but 999^4 single-identity
+        # comparisons would take hours
+        ("command: check-cocycle\ncocycle: {window: {radius: 499}}",
+         "cocycle: window 999 x 999 needs 996005996001 single-identity "
+         "comparisons, more than 100000000"),
+        ("command: check-cocycle\ncocycle: {window: {ranges: [[0, 1], [-2500, 2500]]}}",
+         "comparisons, more than 100000000"),
     ],
 )
 def test_sweep_input_the_run_would_reject_exits_two_at_load(
     tmp_path, capsys, text, message
 ):
     assert_load_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize(
+    "window", ["{radius: 32}", "{radius: 49}", "{ranges: [[0, 1], [-2499, 2500]]}"]
+)
+def test_check_cocycle_windows_under_the_work_cap_load(window):
+    cfg = parse_config(f"command: check-cocycle\ncocycle: {{window: {window}}}\n")
+    m, n = (hi - lo + 1 for lo, hi in cfg.cocycle["window"].ranges)
+    assert m * m * n * n <= 10**8
 
 
 @pytest.mark.parametrize("resolution, same", [(32, True), (64, False)])

@@ -19,6 +19,7 @@ from spectralbox.model import (
     IntervalUnion,
     IntFunction,
     LatticeWindow,
+    Tower,
     TranslatedLattice,
     UnitCube,
     enumerate_spectrum,
@@ -392,6 +393,60 @@ def test_mixed_product_matches_quadrature():
     values = eval_F_omega(domain, stack)
     assert values.shape == (4, 5)
     assert values[2, 3] == eval_F_omega(domain, stack[2, 3])
+
+
+def completeness_reference(domain, spec, window, test_functions):
+    """The probe as a per-point loop over full-grid phases."""
+    pts = enumerate_spectrum(spec, window)
+    ratios = []
+    for f in test_functions:
+        coords = [f.axis_coords(ax) for ax in range(f.dimension)]
+        captured = 0.0
+        for lam in pts:
+            phase = np.ones_like(f.values, dtype=complex)
+            for ax, lj in enumerate(lam):
+                shape = [1] * f.dimension
+                shape[ax] = coords[ax].size
+                phase = phase * np.exp(2j * np.pi * lj * coords[ax]).reshape(shape)
+            captured += abs(GridState(phase, f.sampling).inner(f)) ** 2
+        ratios.append(captured / (f.norm() ** 2 * domain.measure))
+    return ratios
+
+
+def _staircase(d):
+    levels = [
+        IntFunction(0, 0.3),
+        IntFunction(1, 0.1, {0: 0.45, 1: 0.7, -2: 0.2}),
+        IntFunction(2, 0.05, {(0, 0): 0.5, (1, -1): 0.35}),
+    ]
+    return Tower(tuple(levels[:d]))
+
+
+def _explicit(d):
+    rng = np.random.default_rng(d)
+    return ExplicitSpectrum(rng.uniform(-3.5, 3.5, size=(12 + 5 * d, d)))
+
+
+@pytest.mark.parametrize("d, shape", [(1, (40,)), (2, (17, 12)), (3, (9, 7, 6))])
+@pytest.mark.parametrize("sampling", ["periodic", "closed", "mixed"])
+@pytest.mark.parametrize("family", [_staircase, _explicit])
+def test_completeness_probe_matches_the_per_point_loop(d, shape, sampling, family):
+    rng = np.random.default_rng(len(shape))
+    tags = {
+        "periodic": ("periodic",) * d,
+        "closed": ("closed",) * d,
+        "mixed": tuple(("closed", "periodic")[ax % 2] for ax in range(d)),
+    }[sampling]
+    states = [
+        GridState(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), tags),
+        GridState(np.ones(shape, dtype=complex), tags),
+    ]
+    spec, window = family(d), LatticeWindow.centered(2, d)
+    got = completeness_probe(UnitCube(d), spec, window, states).ratios
+    want = completeness_reference(UnitCube(d), spec, window, states)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * abs(w)
 
 
 def test_completeness_probe_needs_the_unit_cube():

@@ -44,6 +44,10 @@ EXPECTED = {
         "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",
         "report.txt": "aff7d65ee87ce25d2441c512c0ac4bf413233afa4c476a51e1d22b982d2b2a47",
     }),
+    "verify_pair_class_b_radius8": ("verify-pair", 0, {
+        "gram.txt": "7c57599d200189c9ea586e0d0f26c137cf2dfc45062df674572301c97ab3201c",
+        "report.txt": "700737966a6cdc6e7dfe1e3a4ca07cdd8c74a9b20b87b3ecd2fe22b5b20f4e6b",
+    }),
 }
 
 
