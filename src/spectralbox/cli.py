@@ -112,8 +112,10 @@ from .diffraction import (
     emit_diffraction_svg,
     eval_diffraction,
     eval_direct,
+    height_radius,
 )
 from .exponentials import (
+    PLATEAU_THRESHOLD,
     completeness_probe,
     eval_F_omega,
     gram_matrix,
@@ -276,12 +278,12 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
                 ("ratio_half_indicator", comp.ratios[1]),
                 (
                     "plateau_reached",
-                    all(r > comp.plateau_threshold for r in comp.ratios),
+                    all(r > PLATEAU_THRESHOLD for r in comp.ratios),
                 ),
             ],
             [
                 "plateau threshold "
-                f"{comp.plateau_threshold} is a heuristic; totality is a "
+                f"{PLATEAU_THRESHOLD} is a heuristic; totality is a "
                 "limit statement"
             ],
         )
@@ -454,9 +456,7 @@ def _cmd_diffraction(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     model, test_fn = d["model"], d["test_function"]
     for warning in model.rational_ratio_warnings():
         report.note(warning)
-    n_rad = int(
-        np.ceil(test_fn.freq_radius() + model.amplitude_bound() + 1)
-    )
+    n_rad = height_radius(model, test_fn)
     direct = eval_direct(model, test_fn, d["lambda_window"])
     density = build_density(model, range(-n_rad, n_rad + 1), d["k_radius"])
     diffr = eval_diffraction(density, test_fn)

@@ -42,7 +42,6 @@ __all__ = [
     "check_cocycle_highdim",
     "eigenfunctions_from_tower3d",
     "cyclic_mode_basis",
-    "boundary_matrices_from_eigenfunctions",
     "boundary_matrices_from_tower3d",
     "diagonal_boundary_matrix",
     "phase_grid",
@@ -316,19 +315,16 @@ class PhaseLift:
 
 @dataclass(frozen=True)
 class EigenvalueFunctionSet:
-    """Boundary eigenvalue functions v_j on Z^{d-1}, plus basis phases."""
+    """Boundary eigenvalue functions v_j on Z^{d-1}, one per coordinate."""
 
     dimension: int
     v: tuple[Callable[..., complex], ...]
-    phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.dimension < 2:
             raise ValueError("dimension must be >= 2")
         if len(self.v) != self.dimension:
             raise ValueError("need one eigenvalue function per coordinate")
-        if len(self.phases) != self.dimension:
-            raise ValueError("need one phase per coordinate")
 
 
 def check_cocycle_highdim(
@@ -392,14 +388,13 @@ def eigenfunctions_from_tower3d(spec: Tower) -> EigenvalueFunctionSet:
 
     The operator omitting the first slot is the identity; the one omitting
     the second slot multiplies fiber k by exp(i*2*pi*beta(k)); the one
-    omitting the third multiplies (k,l) by exp(i*2*pi*gamma(k,l)).  Basis
-    phases are all zero (the staircase has integer first coordinates).
+    omitting the third multiplies (k,l) by exp(i*2*pi*gamma(k,l)).
     """
     beta, gamma = _tower3d_levels(spec)
     v1 = PhaseLift(IntFunction.constant(0.0), ())
     v2 = PhaseLift(beta, (0,))
     v3 = PhaseLift(gamma, (0, 1))
-    return EigenvalueFunctionSet(dimension=3, v=(v1, v2, v3), phases=(0.0, 0.0, 0.0))
+    return EigenvalueFunctionSet(dimension=3, v=(v1, v2, v3))
 
 
 # ---------------------------------------------------------------------------
@@ -420,41 +415,6 @@ def diagonal_boundary_matrix(
     """Matrix diagonal in the shift-twisted cyclic basis."""
     u = cyclic_mode_basis(len(eigenvalues), shift)
     return u @ np.diag(np.asarray(eigenvalues, dtype=complex)) @ u.conj().T
-
-
-def boundary_matrices_from_eigenfunctions(
-    funcs: EigenvalueFunctionSet, window: LatticeWindow
-) -> list[np.ndarray]:
-    """Cyclic matrix models of operators diagonal at the declared phases.
-
-    Operator j is diagonal on the funcs.phases-shifted product basis of
-    the non-omitted slots with eigenvalues v_j evaluated at the window
-    indices; the returned matrices live in the integer-mode product basis
-    and feed quasi_commutativity_check directly.
-    """
-    d = funcs.dimension
-    if window.dimension != d:
-        raise ValueError("window arity must match the dimension")
-    out = []
-    for j in range(d):
-        slots = [s for s in range(d) if s != j]
-        transform = None
-        for s in slots:
-            u = cyclic_mode_basis(
-                len(window.axis_indices(s)), funcs.phases[s]
-            )
-            transform = u if transform is None else np.kron(transform, u)
-        eig = np.array(
-            [
-                complex(funcs.v[j](*idx))
-                for idx in itertools.product(
-                    *(window.axis_indices(s).tolist() for s in slots)
-                )
-            ],
-            dtype=complex,
-        )
-        out.append(transform @ np.diag(eig) @ transform.conj().T)
-    return out
 
 
 def boundary_matrices_from_tower3d(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -31,11 +31,21 @@ __all__ = [
     "density_coeffs",
     "DiffractionDensity",
     "build_density",
+    "height_radius",
     "eval_direct",
     "eval_diffraction",
     "lattice_sum",
     "emit_diffraction_svg",
 ]
+
+
+_OVERSAMPLE = 4096  # samples per period in the harmonic analysis
+_TAIL_TOL = 1e-4  # coefficient mass allowed outside the harmonic window
+# a period ratio within _RATIO_TOL of some p/q with q <= _MAX_DENOMINATOR
+# is flagged as likely rational
+_MAX_DENOMINATOR = 50
+_RATIO_TOL = 1e-9
+_EPS = 1e-14  # value cutoff of the Gaussian test function's radii
 
 
 class CoefficientTailError(SpectralBoxError):
@@ -123,21 +133,19 @@ class QuasiPeriodicModel:
             )
         )
 
-    def rational_ratio_warnings(
-        self, max_denominator: int = 50, tol: float = 1e-9
-    ) -> list[str]:
+    def rational_ratio_warnings(self) -> list[str]:
         warnings = []
         ps = self.periods
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 ratio = ps[i] / ps[j]
-                frac = Fraction(ratio).limit_denominator(max_denominator)
-                if frac.denominator <= max_denominator and abs(
+                frac = Fraction(ratio).limit_denominator(_MAX_DENOMINATOR)
+                if frac.denominator <= _MAX_DENOMINATOR and abs(
                     ratio - float(frac)
-                ) < tol:
+                ) < _RATIO_TOL:
                     warnings.append(
-                        f"period ratio {ps[i]}/{ps[j]} is within {tol} of "
-                        f"{frac.numerator}/{frac.denominator}; the "
+                        f"period ratio {ps[i]}/{ps[j]} is within {_RATIO_TOL} "
+                        f"of {frac.numerator}/{frac.denominator}; the "
                         "independence assertion looks violated"
                     )
         return warnings
@@ -178,17 +186,18 @@ class GaussianTestFunction:
             * np.exp(-np.pi * (sy * np.asarray(ly)) ** 2)
         )
 
-    def space_radius(self, eps: float = 1e-14) -> float:
-        """Half-width beyond which the value drops below eps."""
-        return max(self.widths) * math.sqrt(math.log(1.0 / eps) / math.pi)
+    def space_radius(self) -> float:
+        """Half-width beyond which the value drops below 1e-14."""
+        return max(self.widths) * math.sqrt(math.log(1.0 / _EPS) / math.pi)
 
-    def freq_radius(self, eps: float = 1e-14) -> float:
+    def freq_radius(self) -> float:
+        """Radius beyond which the transform drops below 1e-14."""
         s = min(self.widths)
-        return math.sqrt(math.log(1.0 / eps) / math.pi) / s
+        return math.sqrt(math.log(1.0 / _EPS) / math.pi) / s
 
 
 def _component_coeffs(
-    comp: TrigComponent, n: int, k_radius: int, oversample: int, tail_tol: float
+    comp: TrigComponent, n: int, k_radius: int
 ) -> dict[int, complex]:
     """Harmonic analysis of x -> exp(i*2*pi*xi(x)*n) over one period.
 
@@ -198,32 +207,27 @@ def _component_coeffs(
     modulus, so total coefficient mass is exactly one and the in-window
     deficit is the tail guard.
     """
-    x = np.arange(oversample) * comp.period / oversample
+    x = np.arange(_OVERSAMPLE) * comp.period / _OVERSAMPLE
     g = np.exp(2j * np.pi * comp.value(x) * n)
     # ifft gives (1/M) sum g_i exp(+i 2 pi k i / M): the +k convention
     c_all = np.fft.ifft(g)
     ks = np.arange(-k_radius, k_radius + 1)
-    coeffs = {int(k): complex(c_all[int(k) % oversample]) for k in ks}
+    coeffs = {int(k): complex(c_all[int(k) % _OVERSAMPLE]) for k in ks}
     in_mass = float(sum(abs(v) ** 2 for v in coeffs.values()))
-    if 1.0 - in_mass > tail_tol:
+    if 1.0 - in_mass > _TAIL_TOL:
         raise CoefficientTailError(
-            f"coefficient tail mass {1.0 - in_mass:.3e} above {tail_tol:.1e} "
+            f"coefficient tail mass {1.0 - in_mass:.3e} above {_TAIL_TOL:.1e} "
             f"for height {n}; enlarge the harmonic window"
         )
     return coeffs
 
 
 def density_coeffs(
-    model: QuasiPeriodicModel,
-    n: int,
-    k_radius: int,
-    oversample: int = 4096,
-    tail_tol: float = 1e-4,
+    model: QuasiPeriodicModel, n: int, k_radius: int
 ) -> dict[tuple[int, ...], complex]:
     """Weights c(k, n) over the harmonic window, products over components."""
     per_component = [
-        _component_coeffs(comp, n, k_radius, oversample, tail_tol)
-        for comp in model.components
+        _component_coeffs(comp, n, k_radius) for comp in model.components
     ]
     ks = range(-k_radius, k_radius + 1)
     out: dict[tuple[int, ...], complex] = {}
@@ -250,32 +254,34 @@ class DiffractionDensity:
 
 
 def build_density(
-    model: QuasiPeriodicModel,
-    n_values: Sequence[int],
-    k_radius: int,
-    oversample: int = 4096,
-    tail_tol: float = 1e-4,
+    model: QuasiPeriodicModel, n_values: Sequence[int], k_radius: int
 ) -> DiffractionDensity:
     weights: dict[tuple[tuple[int, ...], int], complex] = {}
     for n in n_values:
-        for k, c in density_coeffs(
-            model, int(n), k_radius, oversample, tail_tol
-        ).items():
+        for k, c in density_coeffs(model, int(n), k_radius).items():
             weights[(k, int(n))] = c
     return DiffractionDensity(weights, model.periods)
 
 
+def height_radius(
+    model: QuasiPeriodicModel, test_fn: GaussianTestFunction
+) -> int:
+    """Largest integer height |n| at which the pairing can see the set.
+
+    Points (m, beta(m)+n) with |n| beyond it sit where the test transform
+    is below 1e-14, because |beta| is at most the model's amplitude bound.
+    """
+    return math.ceil(test_fn.freq_radius() + model.amplitude_bound() + 1)
+
+
 def eval_direct(
-    model: QuasiPeriodicModel,
-    test_fn: GaussianTestFunction,
-    m_window: int,
-    n_window: Optional[int] = None,
+    model: QuasiPeriodicModel, test_fn: GaussianTestFunction, m_window: int
 ) -> complex:
-    """Direct pairing: sum of the test transform over (m, beta(m)+n)."""
-    if n_window is None:
-        n_window = int(
-            math.ceil(test_fn.freq_radius() + model.amplitude_bound() + 1)
-        )
+    """Direct pairing: sum of the test transform over (m, beta(m)+n).
+
+    m runs over [-m_window, m_window] and n over the height radius.
+    """
+    n_window = height_radius(model, test_fn)
     ms = np.arange(-m_window, m_window + 1)
     ns = np.arange(-n_window, n_window + 1)
     betas = model.beta(ms.astype(float))
@@ -285,26 +291,21 @@ def eval_direct(
 
 
 def eval_diffraction(
-    density: DiffractionDensity,
-    test_fn: GaussianTestFunction,
-    m_window: Optional[int] = None,
+    density: DiffractionDensity, test_fn: GaussianTestFunction
 ) -> complex:
     """Point-mass pairing: sum of c(k,n) * test(freq(k) + m, n).
 
-    Without an explicit m_window, each point-mass comb is summed over the
-    integers that land inside the test function's effective support.
+    Each point-mass comb is summed over the integers m that land inside
+    the test function's effective support.
     """
     cx = test_fn.center[0]
     r = test_fn.space_radius()
     acc = 0.0 + 0.0j
     for (k, n), c in density.weights.items():
         theta = density.frequency(k)
-        if m_window is None:
-            lo = math.floor(cx - theta - r)
-            hi = math.ceil(cx - theta + r)
-            ms = np.arange(lo, hi + 1)
-        else:
-            ms = np.arange(-m_window, m_window + 1)
+        lo = math.floor(cx - theta - r)
+        hi = math.ceil(cx - theta + r)
+        ms = np.arange(lo, hi + 1)
         acc += c * np.sum(test_fn.value(theta + ms, float(n)))
     return complex(acc)
 

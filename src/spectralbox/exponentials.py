@@ -32,12 +32,12 @@ from .model import (
 __all__ = [
     "eval_F_omega",
     "f_omega_quadrature",
-    "in_zero_set_cube",
     "in_zero_set_cube_many",
     "GramMatrix",
     "gram_matrix",
     "OrthogonalityReport",
     "orthogonality_verdict",
+    "PLATEAU_THRESHOLD",
     "CompletenessReport",
     "completeness_probe",
     "RootScanReport",
@@ -129,7 +129,13 @@ def f_omega_quadrature(
 def in_zero_set_cube_many(
     d: int, zs: np.ndarray, tol: float = 1e-9
 ) -> np.ndarray:
-    """Vectorized zero-set membership for a (P, d) array of points."""
+    """Membership of each row of a (P, d) array in the cube's zero set.
+
+    A point is in the zero set iff some coordinate sits within tol of a
+    nonzero integer (real part near the integer, imaginary part near
+    zero).  The tolerance accommodates floating-point spectra assembled
+    from tables.
+    """
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if zs.shape[-1] != d:
         raise ArityMismatchError(
@@ -143,17 +149,6 @@ def in_zero_set_cube_many(
         & (nearest != 0)
     )
     return np.any(hits, axis=-1)
-
-
-def in_zero_set_cube(d: int, z: Sequence[complex], tol: float = 1e-9) -> bool:
-    """Membership in the cube transform's zero set.
-
-    True iff z is nonzero and some coordinate sits within tol of a nonzero
-    integer (real part near the integer, imaginary part near zero).  The
-    tolerance accommodates floating-point spectra assembled from tables.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return bool(in_zero_set_cube_many(d, z.reshape(1, -1), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -204,16 +199,19 @@ def orthogonality_verdict(
     return OrthogonalityReport(False, worst, (pts[j], pts[k]), pts.shape[0])
 
 
+# the ratio above which rendered reports say a probe looks complete; a
+# documented heuristic, not a theorem
+PLATEAU_THRESHOLD = 0.95
+
+
 @dataclass(frozen=True)
 class CompletenessReport:
     """Captured-energy ratios; totality is a limit, never a boolean.
 
-    The plateau threshold separating 'looks complete' from 'incomplete'
-    in rendered reports is a documented heuristic, not a theorem.
+    Reports compare the ratios with PLATEAU_THRESHOLD, a heuristic.
     """
 
     ratios: tuple[float, ...]
-    plateau_threshold: float = 0.95
 
 
 def completeness_probe(
@@ -221,7 +219,6 @@ def completeness_probe(
     spec: SpectrumSpec,
     window: LatticeWindow,
     test_functions: Sequence[GridState],
-    plateau_threshold: float = 0.95,
 ) -> CompletenessReport:
     """Parseval ratio sum |<e_lam, f>|^2 / (|f|^2 * measure) per test state.
 
@@ -255,7 +252,7 @@ def completeness_probe(
         # summed in point order, as a per-point accumulation would
         captured = float(np.cumsum(np.abs(coeffs) ** 2)[-1])
         ratios.append(captured / (norm2 * domain.measure))
-    return CompletenessReport(tuple(ratios), plateau_threshold)
+    return CompletenessReport(tuple(ratios))
 
 
 _SCAN_CHUNK = 2**16  # angles evaluated at once by the root scan

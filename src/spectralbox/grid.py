@@ -1,9 +1,8 @@
-"""Sampled complex states on uniform grids over the unit box.
+"""Sampled complex states on uniform periodic grids over the unit box.
 
-Two sampling conventions coexist: "periodic" places samples at i/n (no
-right endpoint; rectangle-rule quadrature, exact discrete orthogonality of
-shifted exponential modes), "closed" places them at i/(n-1) including both
-endpoints (trapezoid quadrature; used where boundary traces matter).
+Samples sit at i/n on each axis, with no right endpoint: the quadrature is
+the rectangle rule, and shifted exponential modes stay exactly orthogonal
+on the grid, which is what the group actions and probes rely on.
 """
 
 from __future__ import annotations
@@ -24,24 +23,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridState:
-    """A complex-valued function sampled on a uniform grid over I^d."""
+    """A complex-valued function sampled at i/n on each axis of I^d."""
 
     values: np.ndarray
-    sampling: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        sampling = self.sampling or tuple("periodic" for _ in range(vals.ndim))
-        if len(sampling) != vals.ndim:
-            raise ValueError("one sampling tag per axis required")
-        for tag in sampling:
-            if tag not in ("periodic", "closed"):
-                raise ValueError(f"unknown sampling tag {tag!r}")
-        object.__setattr__(self, "sampling", tuple(sampling))
-        for axis, tag in enumerate(sampling):
-            if tag == "closed" and vals.shape[axis] < 2:
-                raise ValueError("closed axes need at least two samples")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
 
@@ -51,18 +39,11 @@ class GridState:
 
     def axis_coords(self, axis: int) -> np.ndarray:
         n = self.values.shape[axis]
-        if self.sampling[axis] == "periodic":
-            return np.arange(n) / n
-        return np.arange(n) / (n - 1)
+        return np.arange(n) / n
 
     def axis_weights(self, axis: int) -> np.ndarray:
         n = self.values.shape[axis]
-        if self.sampling[axis] == "periodic":
-            return np.full(n, 1.0 / n)
-        w = np.full(n, 1.0 / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return np.full(n, 1.0 / n)
 
     def weight_tensor(self) -> np.ndarray:
         """Product quadrature weights, one entry per sample."""
@@ -71,10 +52,13 @@ class GridState:
             w = np.multiply.outer(w, self.axis_weights(axis))
         return w
 
-    def inner(self, other: "GridState") -> complex:
-        """Quadrature of conj(self) * other with this grid's weights."""
+    def _check_same_grid(self, other: "GridState") -> None:
         if other.values.shape != self.values.shape:
             raise ValueError("grid shapes differ")
+
+    def inner(self, other: "GridState") -> complex:
+        """Quadrature of conj(self) * other with this grid's weights."""
+        self._check_same_grid(other)
         return complex(
             np.sum(self.weight_tensor() * np.conj(self.values) * other.values)
         )
@@ -83,17 +67,15 @@ class GridState:
         return grid_norm(self.weight_tensor(), self.values)
 
     def scaled(self, factor: complex) -> "GridState":
-        return GridState(self.values * factor, self.sampling)
+        return GridState(self.values * factor)
 
     def __add__(self, other: "GridState") -> "GridState":
-        if other.sampling != self.sampling:
-            raise ValueError("sampling conventions differ")
-        return GridState(self.values + other.values, self.sampling)
+        self._check_same_grid(other)
+        return GridState(self.values + other.values)
 
     def __sub__(self, other: "GridState") -> "GridState":
-        if other.sampling != self.sampling:
-            raise ValueError("sampling conventions differ")
-        return GridState(self.values - other.values, self.sampling)
+        self._check_same_grid(other)
+        return GridState(self.values - other.values)
 
 
 def grid_norm(weights: np.ndarray, values: np.ndarray) -> float:
@@ -125,7 +107,7 @@ def _along(vector: np.ndarray, ndim: int, axis: int) -> np.ndarray:
 def twisted_analysis(values: np.ndarray, axis: int, shift: float) -> np.ndarray:
     """Coefficients of `values` against exp(i*2*pi*(k+shift)*x) along `axis`.
 
-    Samples are assumed at x = j/n (periodic convention).  The returned
+    Samples are assumed at x = j/n, as on a GridState.  The returned
     array holds coefficients in FFT mode order; for band-limited data the
     analysis is exact (shifted modes stay exactly orthogonal on the grid).
     Any other axes are batch axes.  At shift 0 the phase is exactly one

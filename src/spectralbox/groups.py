@@ -222,11 +222,6 @@ class MatrixBoundary:
 Boundary = Union[DiagonalBoundary, MatrixBoundary]
 
 
-def _check_periodic(f: GridState) -> None:
-    if any(tag != "periodic" for tag in f.sampling):
-        raise ValueError("group actions require periodic sampling")
-
-
 def _check_axis_time(axis: int, t: float) -> None:
     if axis not in (1, 2):
         raise ValueError(f"axis {axis} out of range for I^2")
@@ -272,9 +267,8 @@ def group_action_grid(
     that cross the seam are transported through the boundary operator,
     once per full crossing.
     """
-    _check_periodic(f)
     _check_axis_time(axis, t)
-    return GridState(_translate(f.values, axis - 1, t, boundary), f.sampling)
+    return GridState(_translate(f.values, axis - 1, t, boundary))
 
 
 def grid_group_action(
@@ -429,7 +423,7 @@ def synthesize_window_state(
     values = twisted_synthesis(
         twisted_synthesis(coeffs, 0, alpha), 1, beta
     )
-    return GridState(values, ("periodic", "periodic"))
+    return GridState(values)
 
 
 def project_to_window(
@@ -472,11 +466,10 @@ def _unwrap_probes(probes: Iterable) -> Iterator[tuple]:
     weights: dict = {}
     for p in probes:
         if isinstance(p, GridState):
-            _check_periodic(p)
-            key = (p.values.shape, p.sampling)
-            if key not in weights:
-                weights[key] = p.weight_tensor()
-            values, norm = p.values, partial(grid_norm, weights[key])
+            shape = p.values.shape
+            if shape not in weights:
+                weights[shape] = p.weight_tensor()
+            values, norm = p.values, partial(grid_norm, weights[shape])
         else:
             values, norm = np.asarray(p), _euclidean_norm
             if not np.all(np.isfinite(values)):
@@ -579,7 +572,7 @@ def eigenrelation_check(
         values = np.exp(2j * np.pi * freq_x * x)[:, None] * np.exp(
             2j * np.pi * freq_y * x
         )[None, :]
-        state = GridState(values, ("periodic", "periodic"))
+        state = GridState(values)
         moved = group_action_grid(state, 1, s, boundary)
         expected = state.scaled(np.exp(2j * np.pi * freq_x * s))
         worst = max(worst, (moved - expected).norm() / state.norm())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -221,11 +221,6 @@ class LatticeWindow:
         return np.array(list(self.indices()), dtype=int).reshape(
             self.cardinality, self.dimension
         )
-
-    def contains(self, tup: Sequence[int]) -> bool:
-        return all(
-            lo <= int(t) <= hi for t, (lo, hi) in zip(tup, self.ranges)
-        ) and len(tup) == self.dimension
 
 
 @dataclass(frozen=True)

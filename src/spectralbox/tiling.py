@@ -19,6 +19,7 @@ from .model import ExplicitSpectrum, SpectrumSpec, Tower, TranslatedLattice
 from .reporting import write_svg
 
 MAX_SAMPLES = 2**24  # multiplicity map samples, 128 MiB of int64 counts
+_FACE_EPS = 1e-9  # samples this close to a cube face are excluded
 
 __all__ = [
     "torus_translates",
@@ -85,9 +86,7 @@ def check_window(torus_n: int, resolution: int, dimension: int) -> None:
         )
 
 
-def _axis_spans(
-    axis: np.ndarray, coords: np.ndarray, resolution: int, face_eps: float
-):
+def _axis_spans(axis: np.ndarray, coords: np.ndarray, resolution: int):
     """Sample range [lo, hi) and face hits of every translate on one axis.
 
     The expressions are those of the full-grid mask, evaluated on the
@@ -105,7 +104,7 @@ def _axis_spans(
     idx = start[:, None] + np.arange(width)
     u = axis[np.clip(idx, 0, n - 1)] - coords[:, None]
     inside = (u >= 0.0) & (u < 1.0) & (idx >= 0) & (idx < n)
-    face = (np.abs(u) < face_eps) | (np.abs(u - 1.0) < face_eps)
+    face = (np.abs(u) < _FACE_EPS) | (np.abs(u - 1.0) < _FACE_EPS)
     first = np.argmax(inside, axis=1)
     lo = start + first
     hi = lo + np.count_nonzero(inside, axis=1)
@@ -116,7 +115,6 @@ def multiplicity_map(
     spec: Union[SpectrumSpec, np.ndarray],
     torus_n: int,
     resolution: int,
-    face_eps: float = 1e-9,
 ) -> MultiplicityMap:
     """Count covering translates at half-cell sample points.
 
@@ -125,7 +123,7 @@ def multiplicity_map(
     Resolution is samples per unit length; the limits of `check_window`
     apply.  Sample i on each axis sits at (i + 0.5) / resolution.  A
     translate p covers the samples with 0 <= x_j - p_j < 1 on every axis
-    j, and the covered ones within face_eps of a face are flagged.  Each
+    j, and the covered ones within 1e-9 of a face are flagged.  Each
     translate touches only its own block of at most resolution^d samples,
     so the cost is P * resolution^d plus one pass over the map.
     """
@@ -145,7 +143,7 @@ def multiplicity_map(
     counts = np.zeros((n_samples,) * d, dtype=int)
     on_face = np.zeros((n_samples,) * d, dtype=bool)
     spans = [
-        _axis_spans(axis, points[:, j], resolution, face_eps) for j in range(d)
+        _axis_spans(axis, points[:, j], resolution) for j in range(d)
     ]
     los = np.stack([s[0] for s in spans], axis=1)
     his = np.stack([s[1] for s in spans], axis=1)

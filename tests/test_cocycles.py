@@ -8,7 +8,6 @@ from spectralbox.cocycles import (
     Classification,
     CocycleReport,
     EigenvalueFunctionSet,
-    boundary_matrices_from_eigenfunctions,
     PhaseSequence,
     PhaseSequenceSet2D,
     ToleranceInconsistencyError,
@@ -415,7 +414,7 @@ def test_highdim_dimension_two_matches_2d_check():
     for trial in range(12):
         a, b = random_pair(rng, trial)
         window = LatticeWindow(((-2, 1), (-1, 2)))
-        funcs = EigenvalueFunctionSet(2, (a.value, b.value), (0.0, 0.0))
+        funcs = EigenvalueFunctionSet(2, (a.value, b.value))
         got = check_cocycle_highdim(funcs, window)
         want = check_cocycle_2d(PhaseSequenceSet2D(a, b, window))
         assert (got.holds, got.max_violation) == (want.holds, want.max_violation)
@@ -434,7 +433,6 @@ def test_highdim_relabeling_symmetry():
     swapped = EigenvalueFunctionSet(
         3,
         (lambda x, y: v0(y, x), lambda x, y: v2(x, y), lambda x, y: v1(x, y)),
-        (0.0, 0.0, 0.0),
     )
     w = LatticeWindow.centered(2, 3)
     a = check_cocycle_highdim(funcs, w)
@@ -453,7 +451,7 @@ def random_function_set(rng, d, radius, nontrivial):
             for t in itertools.product(range(-radius, radius + 1), repeat=d - 1):
                 table[t] = unit(rng.random()) if rng.random() < 0.7 else 1.0
         funcs.append(lambda *t, table=table: table.get(t, 1.0))
-    return EigenvalueFunctionSet(d, tuple(funcs), (0.0,) * d)
+    return EigenvalueFunctionSet(d, tuple(funcs))
 
 
 def highdim_cases():
@@ -475,7 +473,7 @@ def highdim_cases():
             lambda *t, j=j: unit(0.25 * j) if j in (1, d - 1) and not any(t) else 1.0
             for j in range(d)
         ]
-        yield EigenvalueFunctionSet(d, tuple(sparse), (0.0,) * d), window
+        yield EigenvalueFunctionSet(d, tuple(sparse)), window
 
 
 def test_highdim_matches_reference():
@@ -504,7 +502,7 @@ def test_highdim_matches_reference():
 
 def test_highdim_rejects_non_unit_values():
     funcs = EigenvalueFunctionSet(
-        3, (lambda *t: 1.0, lambda *t: float("nan"), lambda *t: 1.0), (0.0,) * 3
+        3, (lambda *t: 1.0, lambda *t: float("nan"), lambda *t: 1.0)
     )
     with pytest.raises(UnitModulusError, match=r"v\[1\]\(-1, -1\)"):
         check_cocycle_highdim(funcs, LatticeWindow.centered(1, 3))
@@ -573,34 +571,3 @@ def test_tower3d_boundary_matrices_are_unitary():
         np.testing.assert_allclose(
             op.conj().T @ op, np.eye(op.shape[0]), atol=1e-12
         )
-
-
-def test_eigenfunction_matrices_are_diagonal_at_declared_phases():
-    # the adapter represents quasi-commuting data as given: every operator
-    # must pass the joint-diagonality check at the declared phase vector
-    spec = Tower3D(
-        IntFunction(1, default=0.0, table={0: 0.5}),
-        IntFunction(2, default=0.0, table={(0, 0): 0.25}),
-    )
-    funcs = eigenfunctions_from_tower3d(spec)
-    w = LatticeWindow.centered(1, 3)
-    ops = boundary_matrices_from_eigenfunctions(funcs, w)
-    report = quasi_commutativity_check(ops, [funcs.phases], w)
-    assert report.quasi_commuting
-    assert report.phases_found == funcs.phases
-
-
-def test_eigenfunction_matrices_2d_case():
-    rng = np.random.default_rng(33)
-    a_vals = {n: unit(rng.random()) for n in range(-2, 3)}
-    b_vals = {m: unit(rng.random()) for m in range(-2, 3)}
-    funcs = EigenvalueFunctionSet(
-        2,
-        (lambda n: a_vals[n], lambda m: b_vals[m]),
-        (0.25, 0.5),
-    )
-    w = LatticeWindow.centered(2, 2)
-    ops = boundary_matrices_from_eigenfunctions(funcs, w)
-    report = quasi_commutativity_check(ops, phase_grid(1 / 4, 2), w)
-    assert report.quasi_commuting
-    assert report.phases_found == (0.25, 0.5)

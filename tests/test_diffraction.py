@@ -13,6 +13,7 @@ from spectralbox.diffraction import (
     emit_diffraction_svg,
     eval_diffraction,
     eval_direct,
+    height_radius,
     lattice_sum,
 )
 
@@ -148,11 +149,27 @@ def test_narrow_offcenter_gaussian_sums_near_zero():
     assert abs(val) < 1e-6
 
 
+def test_height_radius_clears_the_test_transform():
+    # past the radius every height n + beta(m) has |ly| >= freq_radius, so
+    # the transform there is below its 1e-14 cutoff
+    for phi, model in [
+        (GaussianTestFunction(widths=(0.9, 1.1)), one_harmonic_model(0.1)),
+        (GaussianTestFunction(widths=(1.2, 0.8)), two_period_model()),
+        (GaussianTestFunction(widths=(0.3, 0.3)), constant_model(0.0)),
+    ]:
+        n_rad = height_radius(model, phi)
+        assert type(n_rad) is int
+        assert n_rad - 1 >= phi.freq_radius() + model.amplitude_bound()
+        assert n_rad - 2 < phi.freq_radius() + model.amplitude_bound()
+        edge = np.abs(phi.transform(0.0, n_rad - model.amplitude_bound()))
+        assert edge < 1e-14 * phi.widths[0] * phi.widths[1]
+
+
 def test_direct_vs_diffraction_one_harmonic():
     phi = GaussianTestFunction(center=(0.2, -0.1), widths=(0.9, 1.1))
     model = one_harmonic_model(0.1)
     direct = eval_direct(model, phi, 200)
-    n_rad = int(np.ceil(phi.freq_radius() + model.amplitude_bound() + 1))
+    n_rad = height_radius(model, phi)
     density = build_density(model, range(-n_rad, n_rad + 1), 12)
     diffr = eval_diffraction(density, phi)
     assert abs(direct - diffr) / abs(direct) < 1e-3
@@ -162,7 +179,7 @@ def test_direct_vs_diffraction_two_periods():
     phi = GaussianTestFunction(center=(-0.3, 0.4), widths=(1.2, 0.8))
     model = two_period_model()
     direct = eval_direct(model, phi, 200)
-    n_rad = int(np.ceil(phi.freq_radius() + model.amplitude_bound() + 1))
+    n_rad = height_radius(model, phi)
     density = build_density(model, range(-n_rad, n_rad + 1), 12)
     diffr = eval_diffraction(density, phi)
     assert abs(direct - diffr) / abs(direct) < 1e-3

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from spectralbox import extensions
 from spectralbox.extensions import (
     BoundaryUnitary,
     BumpProfile,
     DomainVector,
     IllConditionedError,
     NotUnitaryError,
-    apply_extension,
     boundary_condition_residual,
     boundary_unitary_from_phases,
     cayley_forward,
     cayley_inverse,
     extension_inner,
-    load_boundary_unitary,
     make_domain_vector,
-    plain_inner,
     random_unitary,
     symmetry_defect,
 )
@@ -85,8 +83,8 @@ def test_bump_support_validation():
 def test_make_domain_vector_zero_state():
     V = BoundaryUnitary(np.eye(3, dtype=complex))
     psi = make_domain_vector(None, np.zeros(3, dtype=complex), V)
-    grid = psi.to_grid(17, 8)
-    assert grid.norm() == pytest.approx(0.0)
+    assert not psi.boundary_trace(0).any() and not psi.boundary_trace(1).any()
+    assert extension_inner(psi, psi) == 0.0
 
 
 def test_domain_vector_boundary_values_identity_unitary():
@@ -95,14 +93,6 @@ def test_domain_vector_boundary_values_identity_unitary():
     psi = make_domain_vector(None, e0, V)
     np.testing.assert_allclose(psi.boundary_trace(1), (E + 1) * e0)
     np.testing.assert_allclose(psi.boundary_trace(0), (1 + E) * e0)
-    # the grid materialization matches (e^x + e^{1-x}) basis0(y)
-    grid = psi.to_grid(9, 8)
-    x = np.arange(9) / 8
-    y = np.arange(8) / 8
-    expected = (np.exp(x) + np.exp(1 - x))[:, None] * np.exp(
-        2j * np.pi * (-1) * y
-    )[None, :]
-    np.testing.assert_allclose(grid.values, expected, atol=1e-12)
 
 
 def test_boundary_condition_residual_valid_vectors():
@@ -129,28 +119,6 @@ def test_boundary_condition_residual_h_zero():
     assert boundary_condition_residual(psi, V) == pytest.approx(0.0)
 
 
-def test_apply_extension_closed_form():
-    V = BoundaryUnitary(np.eye(2, dtype=complex))
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    psi = make_domain_vector(None, e0, V, modes=np.array([0, 1]))
-    out = apply_extension(psi, 33, 16)
-    x = np.arange(33) / 32
-    expected = ((np.exp(x) - np.exp(1 - x)) / 1j)[:, None] * np.ones(16)[None, :]
-    np.testing.assert_allclose(out.values, expected, atol=1e-12)
-
-
-def test_apply_extension_fd_converges_quadratically():
-    rng = np.random.default_rng(4)
-    psi, _ = random_domain_vector(rng)
-    errs = []
-    for nx in (129, 257, 513):
-        a = apply_extension(psi, nx, 8, "analytic")
-        f = apply_extension(psi, nx, 8, "fd")
-        errs.append((a - f).norm())
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
-
-
 def test_symmetry_defect_vanishes_on_domain_vectors():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -173,22 +141,57 @@ def test_symmetry_defect_nonzero_when_boundary_broken():
     assert abs(symmetry_defect(broken, broken)) > 1e-3
 
 
+def reference_symmetry_defect(psi1, psi2, n_nodes):
+    """<H psi1, psi2> - <psi1, H psi2> by its own quadrature of both sides."""
+    p, _, _, s = extensions._defect_dots(psi1, psi2)
+    acc = 2j * extensions._A * (p - s)
+    x, w = extensions._midpoint(n_nodes)
+    f1, df1 = extensions._phi_coeffs(psi1, x), extensions._dphi_coeffs(psi1, x)
+    f2, df2 = extensions._phi_coeffs(psi2, x), extensions._dphi_coeffs(psi2, x)
+    g1 = extensions._defect_coeffs(psi1, x)
+    dg1 = extensions._defect_deriv_coeffs(psi1, x)
+    g2 = extensions._defect_coeffs(psi2, x)
+    dg2 = extensions._defect_deriv_coeffs(psi2, x)
+    left = 1j * w * (
+        np.sum(np.conj(df1) * (f2 + g2)) + np.sum(np.conj(dg1) * f2)
+    )
+    right = -1j * w * (
+        np.sum(np.conj(f1) * (df2 + dg2)) + np.sum(np.conj(g1) * df2)
+    )
+    return complex(acc + left - right)
+
+
+@pytest.mark.parametrize("n_nodes, pairs", [(256, 200), (4096, 30)])
+def test_symmetry_defect_matches_its_two_sided_quadrature(n_nodes, pairs):
+    # pairs share one boundary unitary; every third has broken boundary
+    # data, where the defect is far from zero.  The scale is the size of
+    # the two inner products the defect is the difference of.
+    rng = np.random.default_rng(10)
+    for trial in range(pairs):
+        psi1, V = random_domain_vector(rng, with_phi=trial % 2 == 0)
+        h2 = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        phi2 = BumpProfile(0.5, 0.3, rng.standard_normal(9))
+        psi2 = make_domain_vector(phi2, h2, V, psi1.modes)
+        if trial % 3 == 0:
+            kick = rng.standard_normal(9)
+            psi1 = DomainVector(
+                psi1.phi, psi1.h_plus + kick, psi1.h_minus, psi1.modes
+            )
+        scale = abs(extension_inner(psi1, psi2, n_nodes)) + abs(
+            extension_inner(psi2, psi1, n_nodes)
+        )
+        got = symmetry_defect(psi1, psi2, n_nodes)
+        want = reference_symmetry_defect(psi1, psi2, n_nodes)
+        assert abs(got - want) <= 1e-13 * scale
+        assert (abs(got) > 1e-3 * scale) == (trial % 3 == 0)
+
+
 def test_quadratic_form_is_real():
     rng = np.random.default_rng(7)
     for _ in range(6):
         psi, _ = random_domain_vector(rng)
         val = extension_inner(psi, psi, 4096)
         assert abs(val.imag) < 1e-10
-
-
-def test_plain_inner_is_positive_on_nonzero():
-    rng = np.random.default_rng(8)
-    psi, _ = random_domain_vector(rng)
-    val = plain_inner(psi, psi)
-    assert val.real > 0 and abs(val.imag) < 1e-12
-    grid = psi.to_grid(4097, 64)
-    oracle = grid.inner(grid)
-    assert plain_inner(psi, psi, 2048) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_make_domain_vector_dimension_mismatch():
@@ -198,31 +201,8 @@ def test_make_domain_vector_dimension_mismatch():
         make_domain_vector(None, np.zeros(5, dtype=complex), V)
 
 
-def test_load_boundary_unitary_from_text():
-    text = """
-# a 2x2 rotation-like unitary
-0.6,0.0 0.8,0.0
--0.8,0.0 0.6,0.0
-"""
-    V = load_boundary_unitary(text)
-    assert V.dim == 2
-    assert V.matrix[0, 1] == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        load_boundary_unitary("1.0,0.0 0.0,0.0\n0.0,0.0\n")
-    with pytest.raises(ValueError):
-        load_boundary_unitary("1.0 0.0\n0.0 1.0\n")
-    with pytest.raises(NotUnitaryError):
-        load_boundary_unitary("2.0,0.0\n")
-
-
 def test_boundary_unitary_from_phase_table():
     V = boundary_unitary_from_phases([0.0, 0.25, 0.5])
     np.testing.assert_allclose(
         np.diag(V.matrix), [1.0, 1j, -1.0], atol=1e-12
     )
-    # round trip through the text form
-    rows = "\n".join(
-        " ".join(f"{v.real},{v.imag}" for v in row) for row in V.matrix
-    )
-    again = load_boundary_unitary(rows)
-    np.testing.assert_allclose(again.matrix, V.matrix, atol=1e-12)

@@ -46,7 +46,7 @@ def mode_state(freq_x, freq_y, n):
     vals = np.exp(2j * np.pi * freq_x * x)[:, None] * np.exp(
         2j * np.pi * freq_y * x
     )[None, :]
-    return GridState(vals, ("periodic", "periodic"))
+    return GridState(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,15 @@ def test_isometry_both_axes():
     for axis, b in ((1, bx), (2, by)):
         g = group_action_grid(f, axis, 13 / n, b)
         assert abs(g.norm() - f.norm()) < 1e-12
+
+
+def test_grid_state_arithmetic_needs_one_grid():
+    f = GridState(np.ones((8, 8), dtype=complex))
+    for other in (GridState(np.ones(8)), GridState(np.ones((1, 8)))):
+        for op in (f.__add__, f.__sub__, f.inner):
+            with pytest.raises(ValueError, match="grid shapes differ"):
+                op(other)
+    assert (f - f).norm() == 0.0 and (f + f).norm() == 2.0
 
 
 def test_incommensurate_time_rejected():
@@ -377,7 +386,7 @@ def _rolled_action(f, axis, t, boundary):
         out[tuple(index)] = boundary.apply(rolled[tuple(index)], other, full)
     else:
         out = boundary.apply(rolled, other, full)
-    return GridState(out, f.sampling)
+    return GridState(out)
 
 
 def _norm_of(obj):
@@ -499,11 +508,6 @@ def test_commutator_validates_probes_and_actions_at_entry():
         grid_group_action(3, 0.25, b)
     with pytest.raises(ValueError):
         grid_group_action(1, -0.25, b)
-    fx = grid_group_action(1, 0.25, b)
-    fy = grid_group_action(2, 0.25, b)
-    closed = GridState(np.ones((8, 8), dtype=complex), ("closed", "periodic"))
-    with pytest.raises(ValueError, match="periodic"):
-        commutator_norm([fx], [fy], [closed])
     with pytest.raises(ValueError, match="finite"):
         commutator_norm([np.eye(2)], [np.eye(2)], [np.array([1.0, np.nan])])
     # a NaN image reads as NaN in the table, never as a commuting zero

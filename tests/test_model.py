@@ -76,7 +76,7 @@ def test_lattice_window_basics():
     w = LatticeWindow(((-1, 1), (0, 2)))
     assert w.cardinality == 9
     assert list(w.indices())[0] == (-1, 0)
-    assert w.contains((1, 2)) and not w.contains((2, 0))
+    assert (1, 2) in set(w.indices()) and (2, 0) not in set(w.indices())
     with pytest.raises(WindowCapError):
         LatticeWindow(((0, 2000), (0, 2000)))
     with pytest.raises(ValueError):

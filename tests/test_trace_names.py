@@ -1,0 +1,50 @@
+"""Every name the benchmark tracer patches must exist on the package.
+
+perfbench/spans.py wraps functions by (module, attribute) and only looks
+them up when a traced run starts, so a rename or a deletion there would
+surface as a failed `--trace 1` run and nowhere else.  The tracer module
+is loaded from its file, as the benchmark loads it, and is not edited.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import spectralbox
+import spectralbox.cli  # noqa: F401  (binds the submodules on the package)
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = sorted(
+    {(module, attr) for module, attr, _, _ in _load_spans().WRAPS}
+    | {("cli", "grid_group_action")}
+)
+
+
+@pytest.mark.parametrize("module, attr", TRACED)
+def test_traced_name_resolves_on_the_package(module, attr):
+    assert callable(getattr(getattr(spectralbox, module, None), attr, None))
+
+
+def test_tracer_installs_and_restores_every_name():
+    spans = _load_spans()
+    before = {
+        (module, attr): getattr(getattr(spectralbox, module), attr)
+        for module, attr, _, _ in spans.WRAPS
+    }
+    tracer = spans.Tracer()
+    try:
+        tracer.install(spectralbox)
+    finally:
+        tracer.uninstall()
+    for (module, attr), fn in before.items():
+        assert getattr(getattr(spectralbox, module), attr) is fn
