@@ -12,9 +12,12 @@ Submodules:
   exponentials  box transforms, Gram matrices, completeness, root scans
   cocycles      cocycle identities, classification, quasi-commutativity
   extensions    boundary unitaries and the fractional linear transform
+  grid          periodic grid geometry and twisted Fourier transforms
   groups        induced one-parameter groups, grid and spectral realizations
   tiling        torus tiling multiplicity checks and figures
   diffraction   quasi-periodic shift models and point-mass expansions
+  config        strict YAML config parsing
+  reporting     deterministic plain-text reports
   cli           config-driven batch runner
 """
 

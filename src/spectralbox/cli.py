@@ -123,7 +123,6 @@ from .exponentials import (
     orthogonality_verdict,
     unit_circle_root_scan,
 )
-from .grid import GridState
 from .groups import (
     DiagonalBoundary,
     commutator_norm,
@@ -260,10 +259,8 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     if cfg.domain == UnitCube(2):
         n = min(cfg.tolerances.grid_n, 128)
         x = (np.arange(n) + 0.5) / n
-        half = GridState(
-            ((x[:, None] < 0.5) * np.ones((n, n))).astype(complex)
-        )
-        const = GridState(np.ones((n, n), dtype=complex))
+        half = ((x[:, None] < 0.5) * np.ones((n, n))).astype(complex)
+        const = np.ones((n, n), dtype=complex)
         comp = completeness_probe(
             cfg.domain, cfg.spectrum, cfg.window, [const, half]
         )

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridState
+from .grid import grid_coords, grid_norm, grid_weight
 from .model import (
     ArityMismatchError,
     Domain,
@@ -218,32 +218,36 @@ def completeness_probe(
     domain: Domain,
     spec: SpectrumSpec,
     window: LatticeWindow,
-    test_functions: Sequence[GridState],
+    test_functions: Sequence[np.ndarray],
 ) -> CompletenessReport:
     """Parseval ratio sum |<e_lam, f>|^2 / (|f|^2 * measure) per test state.
 
-    Ratios increase toward 1 with the window when the family is total;
-    missing frequencies leave a plateau strictly below 1.  Only unit-cube
-    domains carry the grid sampling this probe relies on.
+    Each test state is a grid state: samples at i/n on each axis, which
+    must be finite.  Ratios increase toward 1 with the window when the
+    family is total; missing frequencies leave a plateau strictly below 1.
+    Only unit-cube domains carry the grid sampling this probe relies on.
     """
     if domain != UnitCube(domain.dimension):
         raise TypeError("completeness probe requires a unit-cube domain")
     pts = enumerate_spectrum(spec, window)
     ratios = []
     for f in test_functions:
-        if f.dimension != domain.dimension:
+        f = np.asarray(f, dtype=complex)
+        if f.ndim != domain.dimension:
             raise ArityMismatchError("test function dimension mismatch")
-        norm2 = f.norm() ** 2
+        if not np.all(np.isfinite(f)):
+            raise ValueError("test function values must be finite")
+        norm2 = grid_norm(f) ** 2
         if norm2 <= 0.0:
             raise ValueError("zero-norm test function")
         # <e_lam, f> = sum_x w(x) f(x) prod_j conj(exp(i 2 pi lam_j x_j)):
         # weight the samples once, then contract one axis at a time with
         # that axis's (points, samples) phase matrix, axis 0 as one matmul
         first, *rest = (
-            np.exp(2j * np.pi * pts[:, ax, None] * f.axis_coords(ax)).conj()
-            for ax in range(f.dimension)
+            np.exp(2j * np.pi * pts[:, ax, None] * grid_coords(n)).conj()
+            for ax, n in enumerate(f.shape)
         )
-        weighted = f.weight_tensor() * f.values
+        weighted = grid_weight(f.shape) * f
         coeffs = (first @ weighted.reshape(weighted.shape[0], -1)).reshape(
             pts.shape[:1] + weighted.shape[1:]
         )

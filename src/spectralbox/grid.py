@@ -1,86 +1,46 @@
-"""Sampled complex states on uniform periodic grids over the unit box.
+"""Geometry of uniform periodic grids over the unit box.
 
-Samples sit at i/n on each axis, with no right endpoint: the quadrature is
-the rectangle rule, and shifted exponential modes stay exactly orthogonal
-on the grid, which is what the group actions and probes rely on.
+A grid state is a complex ndarray of samples at i/n on each axis, with no
+right endpoint.  The quadrature is the rectangle rule, with one constant
+weight per grid, and shifted exponential modes stay exactly orthogonal on
+the grid, which is what the group actions and probes rely on.  The
+sample positions, the weight and the norm are grid_coords, grid_weight
+and grid_norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GridState",
     "fft_mode_indices",
+    "grid_coords",
     "grid_norm",
+    "grid_weight",
     "twisted_analysis",
     "twisted_synthesis",
 ]
 
 
-@dataclass(frozen=True)
-class GridState:
-    """A complex-valued function sampled at i/n on each axis of I^d."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def dimension(self) -> int:
-        return self.values.ndim
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        n = self.values.shape[axis]
-        return np.arange(n) / n
-
-    def axis_weights(self, axis: int) -> np.ndarray:
-        n = self.values.shape[axis]
-        return np.full(n, 1.0 / n)
-
-    def weight_tensor(self) -> np.ndarray:
-        """Product quadrature weights, one entry per sample."""
-        w = self.axis_weights(0)
-        for axis in range(1, self.dimension):
-            w = np.multiply.outer(w, self.axis_weights(axis))
-        return w
-
-    def _check_same_grid(self, other: "GridState") -> None:
-        if other.values.shape != self.values.shape:
-            raise ValueError("grid shapes differ")
-
-    def inner(self, other: "GridState") -> complex:
-        """Quadrature of conj(self) * other with this grid's weights."""
-        self._check_same_grid(other)
-        return complex(
-            np.sum(self.weight_tensor() * np.conj(self.values) * other.values)
-        )
-
-    def norm(self) -> float:
-        return grid_norm(self.weight_tensor(), self.values)
-
-    def scaled(self, factor: complex) -> "GridState":
-        return GridState(self.values * factor)
-
-    def __add__(self, other: "GridState") -> "GridState":
-        self._check_same_grid(other)
-        return GridState(self.values + other.values)
-
-    def __sub__(self, other: "GridState") -> "GridState":
-        self._check_same_grid(other)
-        return GridState(self.values - other.values)
+def grid_coords(n: int) -> np.ndarray:
+    """Sample positions i/n, i < n, of one grid axis."""
+    return np.arange(n) / n
 
 
-def grid_norm(weights: np.ndarray, values: np.ndarray) -> float:
-    """Quadrature L2 norm of raw samples under the given weight tensor."""
-    return float(np.sqrt(np.sum(weights * np.abs(values) ** 2).real))
+def grid_weight(shape: tuple) -> float:
+    """Rectangle-rule weight of every sample of a grid of this shape."""
+    w = 1.0
+    for n in shape:
+        w *= 1.0 / n
+    return w
+
+
+def grid_norm(values: np.ndarray) -> float:
+    """Quadrature L2 norm of the samples of a grid state."""
+    w = grid_weight(values.shape)
+    return float(np.sqrt(np.sum(w * np.abs(values) ** 2)))
 
 
 def fft_mode_indices(n: int) -> np.ndarray:
@@ -107,7 +67,7 @@ def _along(vector: np.ndarray, ndim: int, axis: int) -> np.ndarray:
 def twisted_analysis(values: np.ndarray, axis: int, shift: float) -> np.ndarray:
     """Coefficients of `values` against exp(i*2*pi*(k+shift)*x) along `axis`.
 
-    Samples are assumed at x = j/n, as on a GridState.  The returned
+    Samples are assumed at x = j/n, as on every grid state.  The returned
     array holds coefficients in FFT mode order; for band-limited data the
     analysis is exact (shifted modes stay exactly orthogonal on the grid).
     Any other axes are batch axes.  At shift 0 the phase is exactly one

@@ -18,15 +18,14 @@ the sequences by the seam factors exp(-i*2*pi*alpha), exp(-i*2*pi*beta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .cocycles import PhaseSequence, PhaseSequenceSet2D
 from .grid import (
-    GridState,
     fft_mode_indices,
+    grid_coords,
     grid_norm,
     twisted_analysis,
     twisted_synthesis,
@@ -83,15 +82,13 @@ class IndicatorCoefficients:
     coeff[k] = integral_0^s exp(+i*2*pi*k*x) dx; the k-sign convention is
     the one under which the spectral matrix assembly reproduces the grid
     action.  complement[k] is delta_{k0} - coeff[k], the coefficients of
-    the complementary indicator.  When grid_n is set the coefficients are
-    the grid's own (left-endpoint discrete) analysis at that resolution,
-    which converges to the continuum values as grid_n grows.
+    the complementary indicator.  indicator_fourier_coeffs with grid_n set
+    gives the grid's own (left-endpoint discrete) analysis at that
+    resolution, which converges to the continuum values as grid_n grows.
     """
 
-    s: float
     coeff: dict[int, complex]
     complement: dict[int, complex]
-    grid_n: Optional[int] = None
 
 
 def _indicator_coeff_closed(s: float, k: np.ndarray) -> np.ndarray:
@@ -134,7 +131,7 @@ def indicator_fourier_coeffs(
     complement = {
         k: (1.0 - v if k == 0 else -v) for k, v in coeff.items()
     }
-    return IndicatorCoefficients(float(s), coeff, complement, grid_n)
+    return IndicatorCoefficients(coeff, complement)
 
 
 def _steps_for(t: float, grid_n: int) -> int:
@@ -257,29 +254,16 @@ def _translate(
     return out
 
 
-def group_action_grid(
-    f: GridState, axis: int, t: float, boundary: Boundary
-) -> GridState:
-    """Exact induced action on the grid: translate, twist the wrap.
+def grid_group_action(
+    axis: int, t: float, boundary: Boundary
+) -> Callable[[np.ndarray], np.ndarray]:
+    """U_axis(t) on grid states, exactly: translate, twist the wrap.
 
     `axis` is 1-based.  t must be a nonnegative multiple of the grid step
     (exactness is the point of this realization; no interpolation).  Rows
     that cross the seam are transported through the boundary operator,
-    once per full crossing.
-    """
-    _check_axis_time(axis, t)
-    return GridState(_translate(f.values, axis - 1, t, boundary))
-
-
-def grid_group_action(
-    axis: int, t: float, boundary: Boundary
-) -> Callable[[np.ndarray], np.ndarray]:
-    """U_axis(t) as a map on raw periodic samples: (n, n) or (..., n, n).
-
-    The same action as group_action_grid, with axis and t checked here,
-    once, and no GridState built per call: commutator_norm unwraps its
-    probes at entry and applies these maps to the bare values, a stack of
-    images at a time.
+    once per full crossing.  axis and t are checked here, once; the map
+    takes one (n, n) state or a stack (..., n, n) of them.
     """
     _check_axis_time(axis, t)
 
@@ -287,6 +271,13 @@ def grid_group_action(
         return _translate(values, axis - 1, t, boundary)
 
     return act
+
+
+def group_action_grid(
+    f: np.ndarray, axis: int, t: float, boundary: Boundary
+) -> np.ndarray:
+    """grid_group_action(axis, t, boundary) applied to the one state f."""
+    return grid_group_action(axis, t, boundary)(f)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +291,6 @@ class TruncatedOperator:
 
     matrix: np.ndarray
     window: LatticeWindow
-    phases: tuple[float, float]
-    axis: int
-    t: float
     max_leakage: float
 
     def labels(self) -> list[tuple[int, int]]:
@@ -379,9 +367,7 @@ def group_matrix_spectral(
         matrix[np.ix_(rows, rows)] = block
     if max_leakage > leakage_tol:
         raise TruncationLeakageError(max_leakage, leakage_tol)
-    return TruncatedOperator(
-        matrix, window, (alpha, beta), axis, float(t), max_leakage
-    )
+    return TruncatedOperator(matrix, window, max_leakage)
 
 
 def _check_window_fits(window: LatticeWindow, grid_n: int) -> None:
@@ -411,7 +397,7 @@ def synthesize_window_state(
     phases: tuple[float, float],
     window: LatticeWindow,
     grid_n: int,
-) -> GridState:
+) -> np.ndarray:
     """Grid samples of sum_{(m,n)} vec[m,n] e_{m+alpha} x e_{n+beta}."""
     alpha, beta = phases
     _check_window_fits(window, grid_n)
@@ -420,14 +406,11 @@ def synthesize_window_state(
     coeffs = np.zeros((grid_n, grid_n), dtype=complex)
     vec = np.asarray(vec, dtype=complex).reshape(m_idx.size, n_idx.size)
     coeffs[np.ix_(m_idx % grid_n, n_idx % grid_n)] = vec
-    values = twisted_synthesis(
-        twisted_synthesis(coeffs, 0, alpha), 1, beta
-    )
-    return GridState(values)
+    return twisted_synthesis(twisted_synthesis(coeffs, 0, alpha), 1, beta)
 
 
 def project_to_window(
-    state: GridState,
+    state: np.ndarray,
     phases: tuple[float, float],
     window: LatticeWindow,
 ) -> np.ndarray:
@@ -437,11 +420,9 @@ def project_to_window(
     exactly orthogonal under the discrete inner product.
     """
     alpha, beta = phases
-    _check_window_fits(window, state.values.shape[0])
-    coeffs = twisted_analysis(
-        twisted_analysis(state.values, 0, alpha), 1, beta
-    )
-    n = state.values.shape[0]
+    n = state.shape[0]
+    _check_window_fits(window, n)
+    coeffs = twisted_analysis(twisted_analysis(state, 0, alpha), 1, beta)
     m_idx = window.axis_indices(0)
     n_idx = window.axis_indices(1)
     return coeffs[np.ix_(m_idx % n, n_idx % n)].reshape(-1)
@@ -452,32 +433,20 @@ def project_to_window(
 # ---------------------------------------------------------------------------
 
 
-def _euclidean_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
-def _unwrap_probes(probes: Iterable) -> Iterator[tuple]:
-    """Yield (raw values, norm of its space, own norm) per probe, checked.
+def _checked_probes(probes: Iterable) -> Iterator[tuple]:
+    """Yield (values, grid_norm of values) per probe, checked.
 
     Probes are taken one at a time, so a generator of probes is never held
-    in memory whole.  GridState probes on the same grid share one weight
-    tensor, so the check costs no memory per probe.
+    in memory whole.
     """
-    weights: dict = {}
     for p in probes:
-        if isinstance(p, GridState):
-            shape = p.values.shape
-            if shape not in weights:
-                weights[shape] = p.weight_tensor()
-            values, norm = p.values, partial(grid_norm, weights[shape])
-        else:
-            values, norm = np.asarray(p), _euclidean_norm
-            if not np.all(np.isfinite(values)):
-                raise ValueError("probe values must be finite")
-        den = norm(values)
+        values = np.asarray(p)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("probe values must be finite")
+        den = grid_norm(values)
         if den == 0.0:
             raise ValueError("zero-norm probe")
-        yield values, norm, den
+        yield values, den
 
 
 def commutator_norm(
@@ -486,20 +455,21 @@ def commutator_norm(
     """Table of max over probes of |X Y p - Y X p| / |p|, X in xs, Y in ys.
 
     Entry [i, j] belongs to the pair (xs[i], ys[j]).  Works uniformly for
-    grid actions (grid_group_action) on GridState probes, which are checked
-    and unwrapped once and measured with their own quadrature weights, and
-    for truncated matrices on coefficient-vector probes.  Every operator
-    must also act on a stack of states along a leading axis.  Each probe
-    is moved by every X and every Y once; then every X moves the stack of
-    Y-images and every Y the stack of X-images, so a probe costs
-    2 (len(xs) + len(ys)) operator calls.  `probes` may be any iterable,
-    a generator included: probes are read one at a time, and only the
-    current probe's images are held.  A NaN ratio propagates into its
-    entry instead of reading as zero.
+    grid actions (grid_group_action) on grid-state probes and for
+    truncated matrices on coefficient-vector probes: every probe is
+    checked for finite values once and measured by grid_norm, which on a
+    coefficient vector is the RMS norm, a scale the ratio does not see.
+    Every operator must also act on a stack of states along a leading
+    axis.  Each probe is moved by every X and every Y once; then every X
+    moves the stack of Y-images and every Y the stack of X-images, so a
+    probe costs 2 (len(xs) + len(ys)) operator calls.  `probes` may be
+    any iterable, a generator included: probes are read one at a time,
+    and only the current probe's images are held.  A NaN ratio propagates
+    into its entry instead of reading as zero.
     """
     table = np.zeros((len(xs), len(ys)))
     empty = True
-    for values, norm, den in _unwrap_probes(probes):
+    for values, den in _checked_probes(probes):
         empty = False
         x_images = np.stack([x(values) for x in xs])
         y_images = np.stack([y(values) for y in ys])
@@ -507,7 +477,7 @@ def commutator_norm(
         for i, x in enumerate(xs):
             xy = x(y_images)  # xy[j] = X_i Y_j p
             for j in range(len(ys)):
-                ratio = norm(xy[j] - yx[j][i]) / den
+                ratio = grid_norm(xy[j] - yx[j][i]) / den
                 table[i, j] = np.maximum(table[i, j], ratio)
     if empty:
         raise ValueError("empty probe list")
@@ -541,7 +511,6 @@ def default_probe_coefficients(
 @dataclass(frozen=True)
 class EigenRelationReport:
     max_residual: float
-    samples: tuple
 
 
 def eigenrelation_check(
@@ -565,15 +534,14 @@ def eigenrelation_check(
         shift=beta,
     )
     worst = 0.0
-    x = np.arange(grid_n) / grid_n
+    x = grid_coords(grid_n)
     for s, m, n in samples:
         freq_x = m + phi(int(n))
         freq_y = n + beta
-        values = np.exp(2j * np.pi * freq_x * x)[:, None] * np.exp(
+        state = np.exp(2j * np.pi * freq_x * x)[:, None] * np.exp(
             2j * np.pi * freq_y * x
         )[None, :]
-        state = GridState(values)
         moved = group_action_grid(state, 1, s, boundary)
-        expected = state.scaled(np.exp(2j * np.pi * freq_x * s))
-        worst = max(worst, (moved - expected).norm() / state.norm())
-    return EigenRelationReport(float(worst), tuple(samples))
+        expected = state * np.exp(2j * np.pi * freq_x * s)
+        worst = max(worst, grid_norm(moved - expected) / grid_norm(state))
+    return EigenRelationReport(float(worst))

@@ -61,8 +61,6 @@ class MultiplicityMap:
 
     counts: np.ndarray
     face_mask: np.ndarray
-    torus_n: int
-    resolution: int
 
     def off_face_counts(self) -> np.ndarray:
         return self.counts[~self.face_mask]
@@ -157,7 +155,7 @@ def multiplicity_map(
             shape = [1] * d
             shape[j] = row.size
             on_face[block] |= row.reshape(shape)
-    return MultiplicityMap(counts, on_face, torus_n, resolution)
+    return MultiplicityMap(counts, on_face)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from spectralbox.diffraction import (
     build_density,
     eval_diffraction,
     eval_direct,
+    height_radius,
 )
 from spectralbox.exponentials import (
     gram_matrix,
@@ -380,7 +381,7 @@ def test_acceptance_09_diffraction_agreement():
     # one-harmonic quasi-periodic shift at the prescribed windows
     model = QuasiPeriodicModel((TrigComponent.cosine(np.sqrt(2.0), 0.1),))
     direct = eval_direct(model, phi, 200)
-    n_rad = int(np.ceil(phi.freq_radius() + model.amplitude_bound() + 1))
+    n_rad = height_radius(model, phi)
     density = build_density(model, range(-n_rad, n_rad + 1), 12)
     diffr = eval_diffraction(density, phi)
     rel = abs(direct - diffr) / abs(direct)

@@ -10,7 +10,6 @@ from spectralbox.exponentials import (
     orthogonality_verdict,
     unit_circle_root_scan,
 )
-from spectralbox.grid import GridState
 from spectralbox.model import (
     ClassA2D,
     ClassB2D,
@@ -191,12 +190,12 @@ def test_class_b_family_orthogonal():
 def _grid_indicator_x(n, frac):
     x = (np.arange(n) + 0.5) / n
     vals = (x[:, None] < frac) * np.ones((n, n))
-    return GridState(vals.astype(complex))
+    return vals.astype(complex)
 
 
 def test_completeness_constant_function():
     n = 64
-    f = GridState(np.ones((n, n), dtype=complex))
+    f = np.ones((n, n), dtype=complex)
     spec = TranslatedLattice((0.0, 0.0))
     report = completeness_probe(
         UnitCube(2), spec, LatticeWindow.centered(2, 2), [f]
@@ -232,7 +231,7 @@ def test_completeness_missing_rows_plateau():
     n = 128
     x = (np.arange(n) + 0.5) / n
     vals = np.ones((n, n)) * (x[None, :] < 0.5)
-    f = GridState(vals.astype(complex))
+    f = vals.astype(complex)
     ratios = []
     for r in (4, 8, 16):
         pts = [
@@ -252,13 +251,26 @@ def test_completeness_missing_rows_plateau():
 
 
 def test_completeness_rejects_zero_norm():
-    f = GridState(np.zeros((8, 8), dtype=complex))
+    f = np.zeros((8, 8), dtype=complex)
     with pytest.raises(ValueError):
         completeness_probe(
             UnitCube(2),
             TranslatedLattice((0.0, 0.0)),
             LatticeWindow.centered(1, 2),
             [f],
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_completeness_rejects_non_finite_test_functions(bad):
+    f = np.ones((8, 8), dtype=complex)
+    f[2, 6] = bad
+    with pytest.raises(ValueError, match="finite"):
+        completeness_probe(
+            UnitCube(2),
+            TranslatedLattice((0.0, 0.0)),
+            LatticeWindow.centered(1, 2),
+            [np.ones((8, 8)), f],
         )
 
 
@@ -396,20 +408,28 @@ def test_mixed_product_matches_quadrature():
 
 
 def completeness_reference(domain, spec, window, test_functions):
-    """The probe as a per-point loop over full-grid phases."""
+    """The probe as a per-point loop over full-grid phases.
+
+    The quadrature weights are the per-axis product tensor grid states used
+    to carry, and the inner product is summed over the whole grid at once.
+    """
     pts = enumerate_spectrum(spec, window)
     ratios = []
     for f in test_functions:
-        coords = [f.axis_coords(ax) for ax in range(f.dimension)]
+        coords = [np.arange(n) / n for n in f.shape]
+        weights = np.full(f.shape[0], 1.0 / f.shape[0])
+        for n in f.shape[1:]:
+            weights = np.multiply.outer(weights, np.full(n, 1.0 / n))
         captured = 0.0
         for lam in pts:
-            phase = np.ones_like(f.values, dtype=complex)
+            phase = np.ones_like(f, dtype=complex)
             for ax, lj in enumerate(lam):
-                shape = [1] * f.dimension
+                shape = [1] * f.ndim
                 shape[ax] = coords[ax].size
                 phase = phase * np.exp(2j * np.pi * lj * coords[ax]).reshape(shape)
-            captured += abs(GridState(phase).inner(f)) ** 2
-        ratios.append(captured / (f.norm() ** 2 * domain.measure))
+            captured += abs(np.sum(weights * np.conj(phase) * f)) ** 2
+        norm2 = np.sum(weights * np.abs(f) ** 2).real
+        ratios.append(captured / (norm2 * domain.measure))
     return ratios
 
 
@@ -432,7 +452,7 @@ def _explicit(d):
 def test_completeness_probe_matches_the_per_point_loop(d, shape, family):
     rng = np.random.default_rng(len(shape))
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    states = [GridState(noise), GridState(np.ones(shape, dtype=complex))]
+    states = [noise, np.ones(shape, dtype=complex)]
     spec, window = family(d), LatticeWindow.centered(2, d)
     got = completeness_probe(UnitCube(d), spec, window, states).ratios
     want = completeness_reference(UnitCube(d), spec, window, states)
@@ -442,7 +462,7 @@ def test_completeness_probe_matches_the_per_point_loop(d, shape, family):
 
 
 def test_completeness_probe_needs_the_unit_cube():
-    f = GridState(np.ones((8, 8), dtype=complex))
+    f = np.ones((8, 8), dtype=complex)
     half = Domain((IntervalUnion(((0.0, 0.5),)), IntervalUnion(((0.0, 1.0),))))
     with pytest.raises(TypeError):
         completeness_probe(
