@@ -2,9 +2,9 @@
 
 Spectrum families are TranslatedLattice (alpha + Z^d), ExplicitSpectrum
 (a listed point set) and Tower, the one staircase type: coordinate j is
-levels[j](k_0, ..., k_{j-1}) + k_j on output axis axis_order[j].
-ClassA2D, ClassB2D and Tower3D are constructor functions returning the
-planar column- and row-shifted towers and the 3-D tower with a zero
+levels[j](k_0, ..., k_{j-1}) + k_j on output axis axis_order[j].  The
+config families class-a, class-b and tower3d are spellings of one Tower:
+the planar column- and row-shifted towers and the 3-D tower with a zero
 level 0.
 
 Submodules:
@@ -22,8 +22,6 @@ Submodules:
 """
 
 from .model import (
-    ClassA2D,
-    ClassB2D,
     Domain,
     ExplicitSpectrum,
     IntervalUnion,
@@ -32,7 +30,6 @@ from .model import (
     SpectralBoxError,
     ToleranceConfig,
     Tower,
-    Tower3D,
     TranslatedLattice,
     UnitCube,
     enumerate_spectrum,
@@ -42,8 +39,6 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassA2D",
-    "ClassB2D",
     "Domain",
     "ExplicitSpectrum",
     "IntervalUnion",
@@ -52,7 +47,6 @@ __all__ = [
     "SpectralBoxError",
     "ToleranceConfig",
     "Tower",
-    "Tower3D",
     "TranslatedLattice",
     "UnitCube",
     "enumerate_spectrum",

@@ -42,8 +42,8 @@ required key:
       points: [[0.0, 0.0]]        # explicit only; finite coordinates
     window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]
 
-    The staircase families are aliases of one tower, level k holding a
-    table of k indices with values in [0, 1):
+    class-a, class-b and tower3d are config spellings of one Tower,
+    level k holding a table of k indices with values in [0, 1):
       class-a   levels [alpha, beta]: points (alpha+m, beta(m)+n)
       class-b   levels [alpha, beta] on swapped axes: (beta(n)+m, alpha+n)
       tower3d   levels [0, beta, gamma]: (k, beta(k)+l, gamma(k,l)+m)
@@ -59,7 +59,7 @@ required key:
       a: {default: 0.0, table: {}}
       b: {default: 0.0, table: {"1": 0.3}}
       phases: [0.0, 0.0]          # two reals
-      window: {radius: 8}         # at least two indices per axis
+      window: {radius: 8}         # two indices per axis, 4096 modes at most
       grid_n: 64                  # at least the window width per axis
       times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid
       sub_radius: 2               # >= 0
@@ -78,8 +78,8 @@ required key:
         - {period: 1.4142135623730951, cosine_amplitude: 0.1, harmonic: 1}
         - {period: 1.7320508075688772, coeffs: {"1": [0.025, 0.0], "-1": [0.025, 0.0]}}
       test_function: {center: [0.2, -0.1], widths: [0.9, 1.1]}   # two reals each
-      lambda_window: 200          # >= 0
-      k_radius: 12                # >= 0
+      lambda_window: 200          # >= 0; the direct sum has <= 2^22 terms
+      k_radius: 12                # 0..2047; the density has <= 2^20 terms
 
     rootscan:                     # root-scan; entries are re or [re, im]
       coefficients: [1, 0, 1, 1]  # at least one, all finite

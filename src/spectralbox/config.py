@@ -19,10 +19,9 @@ import yaml
 
 from .cocycles import PhaseSequence, check_identity_window
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
+from .diffraction import check_diffraction_size
 from .groups import check_sweep_grid
 from .model import (
-    ClassA2D,
-    ClassB2D,
     Domain,
     ExplicitSpectrum,
     IntervalUnion,
@@ -32,7 +31,6 @@ from .model import (
     SpectrumSpec,
     ToleranceConfig,
     Tower,
-    Tower3D,
     TranslatedLattice,
     UnitCube,
 )
@@ -242,6 +240,12 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
     def alpha() -> float:
         return _real(section.get("alpha", 0.0), "spectrum.alpha")
 
+    def offset() -> IntFunction:
+        value = alpha()
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"alpha {value} outside [0,1)")
+        return IntFunction.constant(value)
+
     def level(key: str, arity: int) -> IntFunction:
         return _parse_int_function(section.get(key, {}), arity, f"spectrum.{key}")
 
@@ -252,11 +256,12 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
             )
         return TranslatedLattice((alpha(),))
     if family == "class-a":
-        return ClassA2D(alpha(), level("beta", 1))
+        return Tower((offset(), level("beta", 1)))
     if family == "class-b":
-        return ClassB2D(alpha(), level("beta", 1))
+        return Tower((offset(), level("beta", 1)), (1, 0))
     if family == "tower3d":
-        return Tower3D(level("beta", 1), level("gamma", 2))
+        zero = IntFunction.constant(0.0)
+        return Tower((zero, level("beta", 1), level("gamma", 2)))
     if family == "tower":
         levels = _list(section.get("levels", ()), "spectrum.levels")
         return Tower(tuple(
@@ -363,7 +368,7 @@ def _parse_diffraction(section: dict, cfg: "RunConfig") -> dict:
     at = "diffraction.test_function"
     tf = _require_mapping(section.get("test_function", {}), at)
     _check_keys(tf, {"center", "widths"}, at)
-    return {
+    diffraction = {
         "model": QuasiPeriodicModel(tuple(
             _parse_component(entry, f"{where}[{i}]")
             for i, entry in enumerate(components)
@@ -377,6 +382,8 @@ def _parse_diffraction(section: dict, cfg: "RunConfig") -> dict:
         ),
         "k_radius": _int(section.get("k_radius", 12), "diffraction.k_radius", lo=0),
     }
+    check_diffraction_size(**diffraction)
+    return diffraction
 
 
 def _parse_rootscan(section: dict, cfg: "RunConfig") -> dict:

@@ -32,6 +32,7 @@ __all__ = [
     "DiffractionDensity",
     "build_density",
     "height_radius",
+    "check_diffraction_size",
     "eval_direct",
     "eval_diffraction",
     "lattice_sum",
@@ -46,6 +47,8 @@ _TAIL_TOL = 1e-4  # coefficient mass allowed outside the harmonic window
 _MAX_DENOMINATOR = 50
 _RATIO_TOL = 1e-9
 _EPS = 1e-14  # value cutoff of the Gaussian test function's radii
+MAX_DIRECT_TERMS = 2**22  # eval_direct's frequency points, about 50 B each
+MAX_DENSITY_TERMS = 2**20  # build_density's point masses, about 250 B each
 
 
 class CoefficientTailError(SpectralBoxError):
@@ -272,6 +275,33 @@ def height_radius(
     is below 1e-14, because |beta| is at most the model's amplitude bound.
     """
     return math.ceil(test_fn.freq_radius() + model.amplitude_bound() + 1)
+
+
+def check_diffraction_size(
+    model: QuasiPeriodicModel,
+    test_function: GaussianTestFunction,
+    lambda_window: int,
+    k_radius: int,
+) -> None:
+    """Raise ValueError unless a diffraction run of this size is sensible.
+
+    The 2 k_radius + 1 harmonics must stay below the _OVERSAMPLE samples
+    per period, past which two harmonics read one coefficient, and the
+    direct sum and the density must stay within their term caps.
+    """
+    harmonics = 2 * k_radius + 1
+    if harmonics > _OVERSAMPLE:
+        raise ValueError(
+            f"k_radius {k_radius} aliases: {harmonics} harmonics exceed "
+            f"the {_OVERSAMPLE} samples per period"
+        )
+    heights = 2 * height_radius(model, test_function) + 1
+    for what, terms, cap in (
+        ("direct sum", (2 * lambda_window + 1) * heights, MAX_DIRECT_TERMS),
+        ("density", harmonics ** len(model.components) * heights, MAX_DENSITY_TERMS),
+    ):
+        if terms > cap:
+            raise ValueError(f"the {what} has {terms} terms, more than {cap}")
 
 
 def eval_direct(

@@ -32,6 +32,8 @@ from .grid import (
 )
 from .model import LatticeWindow, SpectralBoxError
 
+MAX_SPECTRAL_BYTES = 2**28  # the dense spectral matrix, 256 MiB of complex128
+
 __all__ = [
     "IncommensurateTimeError",
     "TruncationLeakageError",
@@ -384,12 +386,19 @@ def check_sweep_grid(
 ) -> None:
     """Raise ValueError unless a grid_n sweep can run over `window`.
 
-    The window must fit in grid_n modes without aliasing, and every time
-    must be a multiple of the grid step 1/grid_n.
+    The window must fit in grid_n modes without aliasing, every time must
+    be a multiple of the grid step 1/grid_n, and the window's dense
+    spectral matrix, cardinality^2 complex entries, must fit in
+    MAX_SPECTRAL_BYTES.
     """
     _check_window_fits(window, grid_n)
     for t in times:
         _steps_for(t, grid_n)
+    if 16 * window.cardinality**2 > MAX_SPECTRAL_BYTES:
+        raise ValueError(
+            f"the spectral matrix of a {window.cardinality}-mode window "
+            f"needs more than {MAX_SPECTRAL_BYTES} bytes"
+        )
 
 
 def synthesize_window_state(

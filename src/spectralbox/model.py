@@ -30,12 +30,10 @@ __all__ = [
     "LatticeWindow",
     "ToleranceConfig",
     "TranslatedLattice",
-    "ClassA2D",
-    "ClassB2D",
     "Tower",
-    "Tower3D",
     "ExplicitSpectrum",
     "SpectrumSpec",
+    "spectrum_points",
     "enumerate_spectrum",
     "spectrum_difference_set",
 ]
@@ -216,12 +214,6 @@ class LatticeWindow:
             *(range(lo, hi + 1) for lo, hi in self.ranges)
         )
 
-    def index_array(self) -> np.ndarray:
-        """All window tuples as an (cardinality, d) integer array."""
-        return np.array(list(self.indices()), dtype=int).reshape(
-            self.cardinality, self.dimension
-        )
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -305,9 +297,7 @@ class Tower:
     def dimension(self) -> int:
         return len(self.levels)
 
-    def points_at(
-        self, indices: np.ndarray, period: Optional[int] = None
-    ) -> np.ndarray:
+    def points_at(self, indices: np.ndarray, period: Optional[int]) -> np.ndarray:
         """Points at integer window tuples, an (n, d) array in row order.
 
         Row i of `indices` holds the window index on each output axis.
@@ -328,30 +318,6 @@ class Tower:
         return out
 
 
-def _planar(
-    alpha: float, beta: IntFunction, axis_order: tuple[int, int]
-) -> Tower:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside [0,1)")
-    return Tower((IntFunction.constant(alpha), beta), axis_order)
-
-
-def ClassA2D(alpha: float, beta: IntFunction) -> Tower:
-    """Planar staircase (alpha+m, beta(m)+n): columns shifted by beta."""
-    return _planar(alpha, beta, (0, 1))
-
-
-def ClassB2D(alpha: float, beta: IntFunction) -> Tower:
-    """Planar staircase (beta(n)+m, alpha+n): rows shifted by beta."""
-    return _planar(alpha, beta, (1, 0))
-
-
-def Tower3D(beta: IntFunction, gamma: IntFunction) -> Tower:
-    """Three-dimensional staircase (k, beta(k)+l, gamma(k,l)+m)."""
-    return Tower((IntFunction.constant(0.0), beta, gamma))
-
-
 @dataclass(frozen=True)
 class ExplicitSpectrum:
     """A finite, explicitly listed frequency set."""
@@ -362,6 +328,8 @@ class ExplicitSpectrum:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ValueError("explicit spectrum needs at least one point")
+        if pts.ndim != 2:
+            raise ValueError("explicit spectrum points must be a (P, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("explicit spectrum points must be finite")
         object.__setattr__(self, "points", pts)
@@ -374,25 +342,35 @@ class ExplicitSpectrum:
 SpectrumSpec = Union[TranslatedLattice, Tower, ExplicitSpectrum]
 
 
-def enumerate_spectrum(spec: SpectrumSpec, window: LatticeWindow) -> np.ndarray:
-    """Materialize the family over the window, one point per index tuple.
+def spectrum_points(
+    spec: SpectrumSpec, ranges: tuple[tuple[int, int], ...], period: Optional[int]
+) -> np.ndarray:
+    """The family's points at the index tuples of a box, in row order.
 
-    Returns an (cardinality, d) float array in lexicographic window order.
-    ExplicitSpectrum ignores the window: the caller already chose the
-    finite set.  Raises ArityMismatchError when the window arity differs
-    from the family dimension.
+    `ranges` holds an inclusive integer range per output axis.  With
+    `period` N the family is read on the N-torus: tower tables take their
+    arguments modulo N, and a lattice offset is reduced modulo 1, which
+    leaves alpha + Z^d unchanged.  ExplicitSpectrum ignores the box: it is
+    already a finite set.
     """
     if isinstance(spec, ExplicitSpectrum):
         return np.array(spec.points, copy=True)
-    if window.dimension != spec.dimension:
+    if len(ranges) != spec.dimension:
         raise ArityMismatchError(
-            f"window has {window.dimension} axes, spectrum family needs "
+            f"window has {len(ranges)} axes, spectrum family needs "
             f"{spec.dimension}"
         )
-    idx = window.index_array()
+    grids = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in ranges), indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=1)
     if isinstance(spec, TranslatedLattice):
-        return idx + np.asarray(spec.alpha, dtype=float)
-    return spec.points_at(idx)
+        alpha = spec.alpha if period is None else np.mod(spec.alpha, 1.0)
+        return idx + np.asarray(alpha, dtype=float)
+    return spec.points_at(idx, period)
+
+
+def enumerate_spectrum(spec: SpectrumSpec, window: LatticeWindow) -> np.ndarray:
+    """The family's points over the window, an (cardinality, d) array."""
+    return spectrum_points(spec, window.ranges, None)
 
 
 def spectrum_difference_set(points: np.ndarray) -> np.ndarray:

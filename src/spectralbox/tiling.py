@@ -15,7 +15,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .model import ExplicitSpectrum, SpectrumSpec, Tower, TranslatedLattice
+from .model import SpectrumSpec, Tower, spectrum_points
 from .reporting import write_svg
 
 MAX_SAMPLES = 2**24  # multiplicity map samples, 128 MiB of int64 counts
@@ -33,26 +33,15 @@ __all__ = [
 ]
 
 
-def torus_translates(
-    spec: SpectrumSpec, torus_n: int, pad: int = 1
-) -> np.ndarray:
-    """Translation points covering [0,N)^d, padded one cube beyond.
+def torus_translates(spec: SpectrumSpec, torus_n: int, pad: int = 1) -> np.ndarray:
+    """Translation points covering [0,N)^d, padded `pad` cubes beyond.
 
-    Family tables are reduced modulo N so the point set is N-periodic on
-    the window; a lattice offset is reduced modulo 1, which leaves the set
-    alpha + Z^d unchanged and keeps it inside the padding.
+    The family is read N-periodically, see `model.spectrum_points`.
     """
     if torus_n < 1:
         raise ValueError("torus window must be >= 1")
-    if isinstance(spec, ExplicitSpectrum):
-        return np.array(spec.points, copy=True)
-    d = spec.dimension
-    axis = np.arange(-pad, torus_n + pad)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
-    if isinstance(spec, TranslatedLattice):
-        return idx + np.mod(spec.alpha, 1.0)
-    return spec.points_at(idx, period=torus_n)
+    box = ((-pad, torus_n + pad - 1),) * spec.dimension
+    return spectrum_points(spec, box, torus_n)
 
 
 @dataclass(frozen=True)
@@ -110,31 +99,21 @@ def _axis_spans(axis: np.ndarray, coords: np.ndarray, resolution: int):
 
 
 def multiplicity_map(
-    spec: Union[SpectrumSpec, np.ndarray],
-    torus_n: int,
-    resolution: int,
+    spec: SpectrumSpec, torus_n: int, resolution: int
 ) -> MultiplicityMap:
     """Count covering translates at half-cell sample points.
 
-    `spec` may be a spectrum family (periodized over the window) or an
-    explicit (P, d) array of finite translation points, in any dimension.
-    Resolution is samples per unit length; the limits of `check_window`
-    apply.  Sample i on each axis sits at (i + 0.5) / resolution.  A
-    translate p covers the samples with 0 <= x_j - p_j < 1 on every axis
-    j, and the covered ones within 1e-9 of a face are flagged.  Each
-    translate touches only its own block of at most resolution^d samples,
-    so the cost is P * resolution^d plus one pass over the map.
+    `spec` is a spectrum family, periodized over the window, or an
+    ExplicitSpectrum of translation points, in any dimension.  Resolution
+    is samples per unit length; the limits of `check_window` apply.
+    Sample i on each axis sits at (i + 0.5) / resolution.  A translate p
+    covers the samples with 0 <= x_j - p_j < 1 on every axis j, and the
+    covered ones within 1e-9 of a face are flagged.  Each translate
+    touches only its own block of at most resolution^d samples, so the
+    cost is P * resolution^d plus one pass over the map.
     """
-    if isinstance(spec, np.ndarray):
-        points = np.atleast_2d(np.asarray(spec, dtype=float))
-        if points.ndim != 2 or points.shape[1] < 1:
-            raise ValueError("translation points must be a (P, d) array")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("translation points must be finite")
-        check_window(torus_n, resolution, points.shape[1])
-    else:
-        check_window(torus_n, resolution, spec.dimension)
-        points = torus_translates(spec, torus_n)
+    check_window(torus_n, resolution, spec.dimension)
+    points = torus_translates(spec, torus_n)
     d = points.shape[1]
     n_samples = torus_n * resolution
     axis = (np.arange(n_samples) + 0.5) / resolution

@@ -54,11 +54,10 @@ from spectralbox.groups import (
     synthesize_window_state,
 )
 from spectralbox.model import (
-    ClassA2D,
-    ClassB2D,
+    ExplicitSpectrum,
     IntFunction,
     LatticeWindow,
-    Tower3D,
+    Tower,
     UnitCube,
     enumerate_spectrum,
     spectrum_difference_set,
@@ -90,8 +89,9 @@ def _planar_specs(rng, count=20):
     for _ in range(count):
         beta = random_beta(rng)
         alpha = float(rng.random())
-        specs.append(ClassA2D(alpha, beta))
-        specs.append(ClassB2D(alpha, beta))
+        levels = (IntFunction.constant(alpha), beta)
+        specs.append(Tower(levels))
+        specs.append(Tower(levels, (1, 0)))
     return specs
 
 
@@ -328,14 +328,14 @@ def test_acceptance_07_tiling_multiplicity():
             table={k: float(rng.random()) for k in range(torus_n)},
         )
         alpha = float(rng.random())
-        for spec in (ClassA2D(alpha, beta), ClassB2D(alpha, beta)):
+        levels = (IntFunction.constant(alpha), beta)
+        for spec in (Tower(levels), Tower(levels, (1, 0))):
             verdict = tiling_verdict(
                 multiplicity_map(spec, torus_n, resolution)
             )
             assert verdict.tiles
-    sparse = np.array(
-        [[2 * m, 2 * n] for m in range(-1, 3) for n in range(-1, 3)],
-        dtype=float,
+    sparse = ExplicitSpectrum(
+        [[2 * m, 2 * n] for m in range(-1, 3) for n in range(-1, 3)]
     )
     control = tiling_verdict(multiplicity_map(sparse, torus_n, resolution))
     assert not control.tiles
@@ -402,7 +402,8 @@ def _aligned_tower3d():
     for l in range(-4, 5):
         table[(1, l)] = 0.6
         table[(2, l)] = 0.9
-    return Tower3D(beta=beta, gamma=IntFunction(2, default=0.0, table=table))
+    gamma = IntFunction(2, default=0.0, table=table)
+    return Tower((IntFunction.constant(0.0), beta, gamma))
 
 
 def _generic_tower3d():
@@ -410,7 +411,7 @@ def _generic_tower3d():
     gamma = IntFunction(
         2, default=0.0, table={(0, 0): 0.3, (1, 1): 0.8, (0, 1): 0.05}
     )
-    return Tower3D(beta=beta, gamma=gamma)
+    return Tower((IntFunction.constant(0.0), beta, gamma))
 
 
 def test_acceptance_10_staircase_cocycles_and_quasi_commutativity():
@@ -428,7 +429,11 @@ def test_acceptance_10_staircase_cocycles_and_quasi_commutativity():
     report = quasi_commutativity_check(ops, grid, window)
     assert not report.quasi_commuting
     # constant tables are, with the zero phase vector
-    const = Tower3D(IntFunction(1, default=0.25), IntFunction(2, default=0.5))
+    const = Tower((
+        IntFunction.constant(0.0),
+        IntFunction(1, default=0.25),
+        IntFunction(2, default=0.5),
+    ))
     ops_const = boundary_matrices_from_tower3d(const, window)
     report_const = quasi_commutativity_check(ops_const, grid, window)
     assert report_const.quasi_commuting

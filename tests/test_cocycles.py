@@ -24,7 +24,7 @@ from spectralbox.cocycles import (
     phase_grid,
     quasi_commutativity_check,
 )
-from spectralbox.model import ClassA2D, IntFunction, LatticeWindow, Tower, Tower3D
+from spectralbox.model import IntFunction, LatticeWindow, Tower
 
 
 def unit(x):
@@ -347,7 +347,8 @@ def aligned_tower3d():
     for l in range(-4, 5):
         table[(1, l)] = 0.6
         table[(2, l)] = 0.9
-    return Tower3D(beta=beta, gamma=IntFunction(2, default=0.0, table=table))
+    gamma = IntFunction(2, default=0.0, table=table)
+    return Tower((IntFunction.constant(0.0), beta, gamma))
 
 
 def generic_tower3d():
@@ -356,7 +357,7 @@ def generic_tower3d():
     gamma = IntFunction(
         2, default=0.0, table={(0, 0): 0.3, (1, 1): 0.8, (0, 1): 0.05}
     )
-    return Tower3D(beta=beta, gamma=gamma)
+    return Tower((IntFunction.constant(0.0), beta, gamma))
 
 
 def test_tower3d_eigenfunction_formulas():
@@ -365,13 +366,15 @@ def test_tower3d_eigenfunction_formulas():
     assert funcs.v[0](3, -2) == pytest.approx(1.0)
     assert funcs.v[1](1, 7) == pytest.approx(-1.0)  # beta(1) = 0.5
     assert funcs.v[2](2, 0) == pytest.approx(unit(0.9))
-    zero = Tower3D(IntFunction(1), IntFunction(2))
+    zero = Tower((IntFunction.constant(0.0), IntFunction(1), IntFunction(2)))
     fz = eigenfunctions_from_tower3d(zero)
     assert all(fz.v[j](0, 0) == pytest.approx(1.0) for j in range(3))
     # gamma(1, 2) = 0.25 -> value i
-    spec2 = Tower3D(
-        IntFunction(1), IntFunction(2, default=0.0, table={(1, 2): 0.25})
-    )
+    spec2 = Tower((
+        IntFunction.constant(0.0),
+        IntFunction(1),
+        IntFunction(2, default=0.0, table={(1, 2): 0.25}),
+    ))
     f2 = eigenfunctions_from_tower3d(spec2)
     assert f2.v[2](1, 2) == pytest.approx(1j)
 
@@ -380,7 +383,7 @@ def test_tower3d_functions_reject_other_towers():
     beta, gamma = IntFunction(1), IntFunction(2)
     window = LatticeWindow.centered(1, 3)
     others = [
-        ClassA2D(0.0, beta),
+        Tower((IntFunction.constant(0.0), beta)),
         Tower((IntFunction.constant(0.5), beta, gamma)),
         Tower((IntFunction.constant(0.0), beta, gamma), (0, 2, 1)),
     ]
@@ -398,7 +401,8 @@ def test_highdim_cocycle_on_aligned_instance():
 
 
 def test_highdim_cocycle_all_ones():
-    funcs = eigenfunctions_from_tower3d(Tower3D(IntFunction(1), IntFunction(2)))
+    zero = Tower((IntFunction.constant(0.0), IntFunction(1), IntFunction(2)))
+    funcs = eigenfunctions_from_tower3d(zero)
     assert check_cocycle_highdim(funcs, LatticeWindow.centered(2, 3)).holds
 
 
@@ -519,9 +523,11 @@ def test_cyclic_mode_basis_unitary():
 
 
 def test_quasi_commutativity_constant_tables_true():
-    spec = Tower3D(
-        IntFunction(1, default=0.25), IntFunction(2, default=0.5)
-    )
+    spec = Tower((
+        IntFunction.constant(0.0),
+        IntFunction(1, default=0.25),
+        IntFunction(2, default=0.5),
+    ))
     w = LatticeWindow.centered(2, 3)
     ops = boundary_matrices_from_tower3d(spec, w)
     report = quasi_commutativity_check(ops, phase_grid(1 / 8, 3), w)

@@ -6,7 +6,7 @@ import pytest
 from spectralbox import cli
 from spectralbox.cli import main
 from spectralbox.config import ConfigError, load_config, parse_config
-from spectralbox.model import ClassA2D, Domain, IntervalUnion, IntFunction, UnitCube
+from spectralbox.model import Domain, IntervalUnion, IntFunction, Tower, UnitCube
 
 MINIMAL = """
 command: root-scan
@@ -44,9 +44,10 @@ def test_minimal_config_defaults():
 
 def test_beta_table_parses_to_class_a():
     cfg = parse_config(CLASS_A)
-    assert cfg.spectrum == ClassA2D(
-        alpha=0.25, beta=IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5})
-    )
+    assert cfg.spectrum == Tower((
+        IntFunction.constant(0.25),
+        IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5}),
+    ))
     alpha, beta = cfg.spectrum.levels
     assert alpha() == 0.25
     assert beta(0) == 0.2
@@ -342,7 +343,7 @@ cocycle:
 
 
 # ---------------------------------------------------------------------------
-# staircase aliases: the same tower under two spellings
+# class-a and tower3d: config spellings of one tower
 # ---------------------------------------------------------------------------
 
 CLASS_A_TILED = CLASS_A + "tiling: {window: 4, resolution: 32}\n"
@@ -784,6 +785,10 @@ def test_non_finite_tolerance_exits_two_at_load(tmp_path, capsys, key, value):
 
 
 GROUPS = "command: simulate-groups\ngroups: "
+STAIRCASE = (
+    "command: check-tiling\n"
+    "spectrum: {{family: {family}, alpha: {alpha}, beta: {{default: 0.0}}}}"
+)
 DIFFRACTION = ONE_PERIOD + "cosine_amplitude: 0.1}], "
 
 
@@ -799,6 +804,10 @@ DIFFRACTION = ONE_PERIOD + "cosine_amplitude: 0.1}], "
          "diffraction.test_function.widths: nan is not finite"),
         (DIFFRACTION + "test_function: {center: [0.0, .nan]}}",
          "diffraction.test_function.center: nan is not finite"),
+        (STAIRCASE.format(family="class-a", alpha=1.0),
+         "spectrum: alpha 1.0 outside [0,1)"),
+        (STAIRCASE.format(family="class-b", alpha=-0.1),
+         "spectrum: alpha -0.1 outside [0,1)"),
     ],
 )
 def test_out_of_range_value_exits_two_at_load(tmp_path, capsys, text, message):
@@ -831,6 +840,52 @@ def test_sweep_input_the_run_would_reject_exits_two_at_load(
     tmp_path, capsys, text, message
 ):
     assert_load_error(tmp_path, capsys, text, message)
+
+
+TWO_COMPONENTS = (
+    "command: diffraction\ndiffraction: {components: ["
+    "{period: 1.5556349186104046, cosine_amplitude: 0.15}, "
+    '{period: 1.9052558883257650, coeffs: {"1": [0.03, 0.0], "-1": [0.03, 0.0]}}], '
+)
+
+
+# the parse refuses first, so no oversize config ever runs
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # harmonics k and k + 4096 would read one coefficient
+        (DIFFRACTION + "k_radius: 2048}",
+         "diffraction: k_radius 2048 aliases: 4097 harmonics exceed the 4096 "
+         "samples per period"),
+        (DIFFRACTION + "lambda_window: 100000000}",
+         "diffraction: the direct sum has 2200000011 terms, more than 4194304"),
+        (TWO_COMPONENTS + "k_radius: 200}",
+         "diffraction: the density has 1768811 terms, more than 1048576"),
+        # 10.75 GB of complex entries
+        (GROUPS + "{window: {radius: 80}, grid_n: 192}",
+         "groups: the spectral matrix of a 25921-mode window needs more than "
+         "268435456 bytes"),
+        (GROUPS + "{window: {radius: 32}, grid_n: 72}",
+         "groups: the spectral matrix of a 4225-mode window"),
+    ],
+)
+def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
+    assert_load_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DIFFRACTION + "k_radius: 2047}",
+        DIFFRACTION + "lambda_window: 190000}",
+        # the benchmark's diffraction job at its widest test function
+        TWO_COMPONENTS
+        + "test_function: {widths: [0.9, 0.9]}, lambda_window: 400, k_radius: 16}",
+        GROUPS + "{window: {radius: 31}, grid_n: 64}",
+    ],
+)
+def test_sizes_under_the_caps_load(text):
+    parse_config(text)
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,6 @@ from spectralbox.exponentials import (
     unit_circle_root_scan,
 )
 from spectralbox.model import (
-    ClassA2D,
-    ClassB2D,
     Domain,
     ExplicitSpectrum,
     IntervalUnion,
@@ -109,7 +107,7 @@ def test_gram_translated_lattice_is_identity():
 
 def test_gram_class_a_random_table_is_identity():
     rng = np.random.default_rng(2)
-    spec = ClassA2D(alpha=float(rng.random()), beta=random_beta(rng))
+    spec = Tower((IntFunction.constant(float(rng.random())), random_beta(rng)))
     pts = enumerate_spectrum(spec, LatticeWindow.centered(1, 2))
     report = orthogonality_verdict(gram_matrix(UnitCube(2), pts), tol=1e-12)
     assert report.is_orthogonal
@@ -142,7 +140,7 @@ def test_tower_difference_set_in_zero_set():
     # staircase families keep all distinct-index differences in the zero
     # set: the first differing index contributes a nonzero integer gap
     from spectralbox.exponentials import in_zero_set_cube_many
-    from spectralbox.model import IntFunction, Tower3D, enumerate_spectrum
+    from spectralbox.model import IntFunction, Tower, enumerate_spectrum
     from spectralbox.model import LatticeWindow as LW
     from spectralbox.model import spectrum_difference_set
 
@@ -152,7 +150,8 @@ def test_tower_difference_set_in_zero_set():
     gamma = IntFunction(2, default=0.6, table={
         (k, l): float(rng.random()) for k in range(-2, 3) for l in range(-2, 3)
     })
-    pts = enumerate_spectrum(Tower3D(beta, gamma), LW.centered(1, 3))
+    spec = Tower((IntFunction.constant(0.0), beta, gamma))
+    pts = enumerate_spectrum(spec, LW.centered(1, 3))
     diffs = spectrum_difference_set(pts)
     assert bool(np.all(in_zero_set_cube_many(3, diffs, 1e-9)))
 
@@ -181,7 +180,8 @@ def test_orthogonality_singleton_is_trivially_true():
 
 def test_class_b_family_orthogonal():
     rng = np.random.default_rng(4)
-    spec = ClassB2D(alpha=float(rng.random()), beta=random_beta(rng))
+    alpha = IntFunction.constant(float(rng.random()))
+    spec = Tower((alpha, random_beta(rng)), (1, 0))
     pts = enumerate_spectrum(spec, LatticeWindow.centered(2, 2))
     report = orthogonality_verdict(gram_matrix(UnitCube(2), pts), tol=1e-10)
     assert report.is_orthogonal

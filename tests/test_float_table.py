@@ -11,9 +11,9 @@ import pytest
 from spectralbox.cli import _float_table
 from spectralbox.exponentials import gram_matrix
 from spectralbox.model import (
-    ClassB2D,
     IntFunction,
     LatticeWindow,
+    Tower,
     UnitCube,
     enumerate_spectrum,
 )
@@ -47,7 +47,8 @@ def gram_table(entries: np.ndarray) -> bytes:
 
 def staircase_gram() -> np.ndarray:
     beta = IntFunction(1, 0.15, {-8: 0.6, -3: 0.25, 0: 0.5, 2: 0.05, 5: 0.9, 8: 0.7})
-    points = enumerate_spectrum(ClassB2D(0.375, beta), LatticeWindow.centered(8, 2))
+    spec = Tower((IntFunction.constant(0.375), beta), (1, 0))
+    points = enumerate_spectrum(spec, LatticeWindow.centered(8, 2))
     return gram_matrix(UnitCube(2), points).entries
 
 

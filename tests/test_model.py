@@ -5,8 +5,6 @@ import pytest
 
 from spectralbox.model import (
     ArityMismatchError,
-    ClassA2D,
-    ClassB2D,
     Domain,
     ExplicitSpectrum,
     IntervalUnion,
@@ -14,7 +12,6 @@ from spectralbox.model import (
     LatticeWindow,
     ToleranceConfig,
     Tower,
-    Tower3D,
     TranslatedLattice,
     UnitCube,
     WindowCapError,
@@ -108,7 +105,7 @@ def test_translated_lattice_window_points():
 
 
 def test_class_a_reduces_to_integer_lattice():
-    spec = ClassA2D(alpha=0.0, beta=IntFunction(1, default=0.0))
+    spec = Tower((IntFunction.constant(0.0), IntFunction(1, default=0.0)))
     pts = enumerate_spectrum(spec, LatticeWindow(((0, 1), (0, 1))))
     expected = {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
     assert {tuple(p) for p in pts} == expected
@@ -116,7 +113,7 @@ def test_class_a_reduces_to_integer_lattice():
 
 def test_class_b_swaps_roles():
     beta = IntFunction(1, default=0.0, table={1: 0.5})
-    spec = ClassB2D(alpha=0.25, beta=beta)
+    spec = Tower((IntFunction.constant(0.25), beta), (1, 0))
     pts = enumerate_spectrum(spec, LatticeWindow(((0, 0), (0, 1))))
     assert {tuple(p) for p in pts} == {(0.0, 0.25), (0.5, 1.25)}
 
@@ -124,7 +121,7 @@ def test_class_b_swaps_roles():
 def test_tower3d_point_formula():
     beta = IntFunction(1, default=0.0, table={1: 0.4})
     gamma = IntFunction(2, default=0.0, table={(1, 0): 0.7})
-    spec = Tower3D(beta=beta, gamma=gamma)
+    spec = Tower((IntFunction.constant(0.0), beta, gamma))
     w = LatticeWindow(((1, 1), (0, 0), (2, 2)))
     pts = enumerate_spectrum(spec, w)
     np.testing.assert_allclose(pts, [[1.0, 0.4, 2.7]])
@@ -135,19 +132,9 @@ def test_tower_level_arity_enforced():
         Tower((IntFunction.constant(0.0), IntFunction(2)))
 
 
-def test_staircase_constructors_are_towers():
-    beta = IntFunction(1, default=0.0, table={1: 0.5})
-    gamma = IntFunction(2, default=0.0, table={(1, 0): 0.7})
-    zero = IntFunction.constant(0.0)
-    offset = IntFunction.constant(0.25)
-    assert ClassA2D(alpha=0.25, beta=beta) == Tower((offset, beta))
-    assert ClassB2D(alpha=0.25, beta=beta) == Tower((offset, beta), (1, 0))
-    assert Tower3D(beta=beta, gamma=gamma) == Tower((zero, beta, gamma))
-    assert Tower((offset, beta)).axis_order == (0, 1)
-
-
 def test_tower_axis_order_must_be_a_permutation():
     levels = (IntFunction.constant(0.0), IntFunction(1))
+    assert Tower(levels).axis_order == (0, 1)
     for order in [(0, 0), (0,), (1, 2)]:
         with pytest.raises(ValueError, match="permutation"):
             Tower(levels, order)
@@ -176,7 +163,7 @@ def test_points_at_matches_loop_formula(period):
     )
     order = (1, 2, 0)
     spec = Tower(levels, order)
-    idx = LatticeWindow.centered(3, 3).index_array()
+    idx = np.array(list(LatticeWindow.centered(3, 3).indices()))
     expected = np.empty(idx.shape)
     for row, tup in enumerate(idx.tolist()):
         k = [tup[axis] for axis in order]
@@ -189,14 +176,6 @@ def test_points_at_matches_loop_formula(period):
         assert np.array_equal(enumerate_spectrum(spec, window), expected)
 
 
-@pytest.mark.parametrize("alpha", [1.3, -0.1, 1.0, float("nan")])
-def test_planar_alpha_must_lie_in_unit_interval(alpha):
-    beta = IntFunction(1)
-    for make in (ClassA2D, ClassB2D):
-        with pytest.raises(ValueError, match="alpha"):
-            make(alpha, beta)
-
-
 def test_tower_fraction_invariant():
     rng = np.random.default_rng(7)
     beta = IntFunction(1, default=0.3, table={k: rng.random() for k in range(-3, 4)})
@@ -205,16 +184,16 @@ def test_tower_fraction_invariant():
         default=0.6,
         table={(k, l): rng.random() for k in range(-2, 3) for l in range(-2, 3)},
     )
-    spec = Tower3D(beta=beta, gamma=gamma)
+    spec = Tower((IntFunction.constant(0.0), beta, gamma))
     w = LatticeWindow.centered(2, 3)
     pts = enumerate_spectrum(spec, w)
-    idx = w.index_array()
+    idx = np.array(list(w.indices()))
     frac = pts - idx
     assert np.all((frac >= 0.0) & (frac < 1.0))
 
 
 def test_enumeration_cardinality_matches_window():
-    spec = ClassA2D(alpha=0.1, beta=IntFunction(1, default=0.2))
+    spec = Tower((IntFunction.constant(0.1), IntFunction(1, default=0.2)))
     w = LatticeWindow.centered(3, 2)
     assert enumerate_spectrum(spec, w).shape == (w.cardinality, 2)
 
@@ -234,7 +213,7 @@ def test_difference_set_examples():
     diffs = spectrum_difference_set(np.array([[0.25], [1.25]]))
     assert sorted(diffs.ravel().tolist()) == [-1.0, 1.0]
     assert spectrum_difference_set(np.array([[0.0, 0.0]])).shape == (0, 2)
-    spec = ClassA2D(alpha=0.0, beta=IntFunction(1, default=0.0))
+    spec = Tower((IntFunction.constant(0.0), IntFunction(1, default=0.0)))
     pts = enumerate_spectrum(spec, LatticeWindow(((0, 1), (0, 1))))
     assert spectrum_difference_set(pts).shape == (12, 2)
     with pytest.raises(ValueError):

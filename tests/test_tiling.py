@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from spectralbox.model import (
-    ClassA2D,
-    ClassB2D,
+    MAX_WINDOW_CARDINALITY,
+    ExplicitSpectrum,
     IntFunction,
     Tower,
-    Tower3D,
     TranslatedLattice,
 )
 from spectralbox.tiling import (
@@ -45,8 +44,8 @@ def test_lattice_offset_outside_unit_interval_tiles(alpha):
 
 
 def test_sparse_lattice_leaves_gaps():
-    pts = np.array(
-        [[2 * m, 2 * n] for m in range(-1, 3) for n in range(-1, 3)], dtype=float
+    pts = ExplicitSpectrum(
+        [[2 * m, 2 * n] for m in range(-1, 3) for n in range(-1, 3)]
     )
     rep = tiling_verdict(multiplicity_map(pts, 4, 64))
     assert not rep.tiles
@@ -59,7 +58,8 @@ def test_class_a_and_b_tile_for_random_tables():
     for _ in range(5):
         beta = random_beta(rng, 4)
         alpha = float(rng.random())
-        for spec in (ClassA2D(alpha, beta), ClassB2D(alpha, beta)):
+        levels = (IntFunction.constant(alpha), beta)
+        for spec in (Tower(levels), Tower(levels, (1, 0))):
             rep = tiling_verdict(multiplicity_map(spec, 4, 32))
             assert rep.tiles, spec
 
@@ -67,7 +67,7 @@ def test_class_a_and_b_tile_for_random_tables():
 def test_mass_conservation():
     # every in-window cube contributes its unit area to the counts
     rng = np.random.default_rng(1)
-    spec = ClassA2D(float(rng.random()), random_beta(rng, 4))
+    spec = Tower((IntFunction.constant(float(rng.random())), random_beta(rng, 4)))
     res = 32
     mp = multiplicity_map(spec, 4, res)
     pts = torus_translates(spec, 4)
@@ -85,10 +85,10 @@ def test_mass_conservation():
 
 def test_verdict_invariant_under_translation():
     rng = np.random.default_rng(2)
-    spec = ClassA2D(float(rng.random()), random_beta(rng, 4))
+    spec = Tower((IntFunction.constant(float(rng.random())), random_beta(rng, 4)))
     shift = np.array([0.31, 0.77])
     pts = torus_translates(spec, 4, pad=2) + shift
-    rep = tiling_verdict(multiplicity_map(pts, 4, 32))
+    rep = tiling_verdict(multiplicity_map(ExplicitSpectrum(pts), 4, 32))
     assert rep.tiles
 
 
@@ -111,12 +111,63 @@ def random_tower(rng, d, n, offset=0.0, axis_order=None):
     return Tower(tuple(levels), axis_order)
 
 
+def reference_translates(spec, torus_n, pad=1):
+    """torus_translates as a meshgrid with one branch per family type."""
+    if isinstance(spec, ExplicitSpectrum):
+        return np.array(spec.points, copy=True)
+    axis = np.arange(-pad, torus_n + pad)
+    grids = np.meshgrid(*([axis] * spec.dimension), indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=1)
+    if isinstance(spec, TranslatedLattice):
+        return idx + np.mod(spec.alpha, 1.0)
+    return spec.points_at(idx, period=torus_n)
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_torus_translates_match_meshgrid_reference(pad):
+    rng = np.random.default_rng(6)
+    specs = [
+        TranslatedLattice(alpha)
+        for alpha in [(0.25,), (1.3, -2.0), (-0.5, 0.4, 7.75), (0.0,) * 4]
+    ]
+    specs += [
+        random_tower(rng, d, 3, offset, order)
+        for d, offset, order in [
+            (1, 0.5, None),
+            (2, 0.3, None),
+            (2, 0.3, (1, 0)),
+            (3, 0.0, (2, 0, 1)),
+            (3, 0.7, (1, 2, 0)),
+        ]
+    ]
+    specs.append(ExplicitSpectrum(rng.uniform(-2.0, 5.0, size=(7, 2))))
+    for spec, n in itertools.product(specs, (1, 3)):
+        got = torus_translates(spec, n, pad)
+        want = reference_translates(spec, n, pad)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all(), (spec, n)
+
+
+def test_one_dimensional_torus_wider_than_the_window_cap():
+    # the padded torus block is no LatticeWindow, so check_window's 1-D
+    # limit of 2^21 units applies, not the window cap of 10^6 points
+    n = MAX_WINDOW_CARDINALITY + 1
+    pts = torus_translates(TranslatedLattice((2.5,)), n)
+    assert pts.shape == (n + 2, 1)
+    assert pts[0, 0] == -0.5 and pts[-1, 0] == n + 0.5
+    spec = ExplicitSpectrum([[0.0], [0.5], [n - 1.0]])
+    mp = multiplicity_map(spec, n, 8)
+    assert mp.counts.shape == (8 * n,)
+    assert mp.counts.sum() == 24
+    assert np.count_nonzero(mp.counts == 2) == 4
+    assert not mp.face_mask.any()
+    rep = tiling_verdict(mp)
+    assert not rep.tiles and rep.overlap_fraction == 4 / (8 * n)
+
+
 def reference_map(spec, torus_n, resolution, face_eps=1e-9):
     """The full-grid mask loop: every translate masks the whole window."""
-    if isinstance(spec, np.ndarray):
-        points = np.atleast_2d(np.asarray(spec, dtype=float))
-    else:
-        points = torus_translates(spec, torus_n)
+    points = reference_translates(spec, torus_n)
     d = points.shape[1]
     n_samples = torus_n * resolution
     axis = (np.arange(n_samples) + 0.5) / resolution
@@ -180,22 +231,29 @@ def test_block_kernel_matches_reference_on_random_points(d, res, n):
     rng = np.random.default_rng(100 * d + res + n)
     pts = rng.uniform(-1.5, n + 0.5, size=(12, d))
     pts[:4] = np.round(pts[:4] * 2 * res) / (2 * res)
-    assert_matches_reference(pts, n, res)
+    assert_matches_reference(ExplicitSpectrum(pts), n, res)
 
 
 def test_block_kernel_ignores_far_away_points():
     pts = np.array([[1e300, 0.2], [-1e300, 0.1], [0.5, 1.7e308], [0.25, 0.25]])
     with np.errstate(all="raise"):
-        mp = multiplicity_map(pts, 2, 8)
+        mp = multiplicity_map(ExplicitSpectrum(pts), 2, 8)
     assert mp.counts.sum() == 64
-    assert np.array_equal(mp.counts, reference_map(pts[3:], 2, 8)[0])
+    near = reference_map(ExplicitSpectrum(pts[3:]), 2, 8)[0]
+    assert np.array_equal(mp.counts, near)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_raw_points_must_be_finite(bad):
     pts = np.array([[0.0, 0.0], [bad, 1.0]])
     with pytest.raises(ValueError, match="finite"):
-        multiplicity_map(pts, 2, 8)
+        multiplicity_map(ExplicitSpectrum(pts), 2, 8)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 0)])
+def test_raw_points_must_form_a_point_table(shape):
+    with pytest.raises(ValueError, match="point"):
+        multiplicity_map(ExplicitSpectrum(np.zeros(shape)), 2, 8)
 
 
 def test_window_limits():
@@ -222,7 +280,7 @@ def test_four_level_tower_tiles_and_a_moved_copy_does_not():
     assert rep.gap_fraction == 0.0 and rep.overlap_fraction == 0.0
     pts = torus_translates(tower, 4)
     pts[len(pts) // 2] += np.array([0.3, 0.0, 0.55, 0.0])
-    moved = tiling_verdict(multiplicity_map(pts, 4, 8))
+    moved = tiling_verdict(multiplicity_map(ExplicitSpectrum(pts), 4, 8))
     assert not moved.tiles
     assert moved.gap_fraction > 0.0 and moved.overlap_fraction > 0.0
 
@@ -235,13 +293,14 @@ def test_tower3d_tiles_in_three_dimensions():
         default=0.0,
         table={(k, l): float(rng.random()) for k in range(2) for l in range(2)},
     )
-    rep = tiling_verdict(multiplicity_map(Tower3D(beta, gamma), 2, 8))
+    spec = Tower((IntFunction.constant(0.0), beta, gamma))
+    rep = tiling_verdict(multiplicity_map(spec, 2, 8))
     assert rep.tiles
 
 
 def test_torus_translates_periodize_tables():
     beta = IntFunction(1, default=0.0, table={0: 0.25, 1: 0.5, 2: 0.75, 3: 0.1})
-    spec = ClassA2D(0.0, beta)
+    spec = Tower((IntFunction.constant(0.0), beta))
     pts = torus_translates(spec, 4)
     # column m = -1 must reuse the table value at 3
     col = pts[np.isclose(pts[:, 0], -1.0)]
@@ -250,7 +309,7 @@ def test_torus_translates_periodize_tables():
 
 def test_svg_deterministic_and_annotated():
     beta = IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5, 2: 0.8, 3: 0.3})
-    spec = ClassA2D(0.0, beta)
+    spec = Tower((IntFunction.constant(0.0), beta))
     payload1 = emit_tiling_svg(spec, 4)
     payload2 = emit_tiling_svg(spec, 4)
     assert payload1 == payload2
@@ -264,16 +323,11 @@ def test_svg_deterministic_and_annotated():
 
 def test_svg_row_shifted_labels_on_the_right():
     beta = IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5, 2: 0.8, 3: 0.3})
-    text = emit_tiling_svg(ClassB2D(0.25, beta), 4).decode()
+    spec = Tower((IntFunction.constant(0.25), beta), (1, 0))
+    text = emit_tiling_svg(spec, 4).decode()
     # labels sit right of the window (x = (4 + 0.1 + 1) * 54), one per row
     assert text.count('<text x="275.4"') == 3
     assert "d0 = 0.3" in text and "d2 = -0.5" in text
-
-
-def test_svg_annotates_two_level_tower_like_class_a():
-    beta = IntFunction(1, default=0.0, table={0: 0.2, 1: 0.5, 2: 0.8, 3: 0.3})
-    tower = Tower((IntFunction.constant(0.25), beta))
-    assert emit_tiling_svg(tower, 4) == emit_tiling_svg(ClassA2D(0.25, beta), 4)
 
 
 def test_svg_plain_grid_has_no_annotations():
@@ -283,6 +337,6 @@ def test_svg_plain_grid_has_no_annotations():
 
 def test_svg_rejects_3d():
     rng = np.random.default_rng(4)
-    spec = Tower3D(random_beta(rng, 2), IntFunction(2))
+    spec = Tower((IntFunction.constant(0.0), random_beta(rng, 2), IntFunction(2)))
     with pytest.raises(ValueError):
         emit_tiling_svg(spec, 2)
