@@ -60,7 +60,7 @@ required key:
       b: {default: 0.0, table: {"1": 0.3}}
       phases: [0.0, 0.0]          # two reals
       window: {radius: 8}         # two indices per axis, 4096 modes at most
-      grid_n: 64                  # at least the window width per axis
+      grid_n: 64                  # >= the window width per axis; <= 819 with 5 times
       times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid
       sub_radius: 2               # >= 0
       n_random: 4                 # >= 0
@@ -458,11 +458,13 @@ def _cmd_diffraction(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     density = build_density(model, range(-n_rad, n_rad + 1), d["k_radius"])
     diffr = eval_diffraction(density, test_fn)
     rel = abs(direct - diffr) / max(abs(direct), 1e-300)
-    rows = ["k,n,re,im"]
-    for (k, n), c in sorted(density.weights.items()):
-        key = ";".join(str(int(v)) for v in k)
-        rows.append(f"{key},{n},{format_float(c.real)},{format_float(c.imag)}")
-    _write_text(outdir, "density.txt", "\n".join(rows) + "\n")
+    order = density.sorted_order()
+    c = density.weights[order]
+    # a row per mass in (k, n) order; %.12e writes what format_float does
+    row = ";".join(["%d"] * len(density.periods)) + ",%d,%.12e,%.12e"
+    columns = (*density.harmonics[order].T.tolist(), density.heights[order].tolist())
+    rows = [row % v for v in zip(*columns, c.real.tolist(), c.imag.tolist())]
+    _write_text(outdir, "density.txt", "\n".join(["k,n,re,im", *rows]) + "\n")
     emit_diffraction_svg(density, outdir / "diffraction.svg")
     report.add(
         "diffraction.eval_direct/eval_diffraction",

@@ -53,7 +53,8 @@ class ConfigError(SpectralBoxError):
     """Schema violation or unparsable config text."""
 
 
-class _StrictLoader(yaml.SafeLoader):
+# libyaml's parser where PyYAML has it: the same values, several times faster
+class _StrictLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     pass
 
 

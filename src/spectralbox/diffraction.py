@@ -49,6 +49,7 @@ _RATIO_TOL = 1e-9
 _EPS = 1e-14  # value cutoff of the Gaussian test function's radii
 MAX_DIRECT_TERMS = 2**22  # eval_direct's frequency points, about 50 B each
 MAX_DENSITY_TERMS = 2**20  # build_density's point masses, about 250 B each
+_EVAL_BLOCK = 2**18  # comb samples eval_diffraction holds at once
 
 
 class CoefficientTailError(SpectralBoxError):
@@ -199,24 +200,21 @@ class GaussianTestFunction:
         return math.sqrt(math.log(1.0 / _EPS) / math.pi) / s
 
 
-def _component_coeffs(
-    comp: TrigComponent, n: int, k_radius: int
-) -> dict[int, complex]:
+def _component_coeffs(comp: TrigComponent, n: int, k_radius: int) -> np.ndarray:
     """Harmonic analysis of x -> exp(i*2*pi*xi(x)*n) over one period.
 
     Returns (1/period) * integral of the signal against exp(+i*2*pi*k*x/
-    period): the k-sign convention under which the point-mass pairing
-    formula reproduces the direct sum.  The sampled signal has unit
-    modulus, so total coefficient mass is exactly one and the in-window
-    deficit is the tail guard.
+    period) for k = -k_radius..k_radius, in that order: the k-sign
+    convention under which the point-mass pairing formula reproduces the
+    direct sum.  The sampled signal has unit modulus, so total coefficient
+    mass is exactly one and the in-window deficit is the tail guard.
     """
     x = np.arange(_OVERSAMPLE) * comp.period / _OVERSAMPLE
     g = np.exp(2j * np.pi * comp.value(x) * n)
     # ifft gives (1/M) sum g_i exp(+i 2 pi k i / M): the +k convention
     c_all = np.fft.ifft(g)
-    ks = np.arange(-k_radius, k_radius + 1)
-    coeffs = {int(k): complex(c_all[int(k) % _OVERSAMPLE]) for k in ks}
-    in_mass = float(sum(abs(v) ** 2 for v in coeffs.values()))
+    coeffs = c_all[np.arange(-k_radius, k_radius + 1) % _OVERSAMPLE]
+    in_mass = float(np.sum(np.abs(coeffs) ** 2))
     if 1.0 - in_mass > _TAIL_TOL:
         raise CoefficientTailError(
             f"coefficient tail mass {1.0 - in_mass:.3e} above {_TAIL_TOL:.1e} "
@@ -225,45 +223,52 @@ def _component_coeffs(
     return coeffs
 
 
-def density_coeffs(
-    model: QuasiPeriodicModel, n: int, k_radius: int
-) -> dict[tuple[int, ...], complex]:
-    """Weights c(k, n) over the harmonic window, products over components."""
-    per_component = [
-        _component_coeffs(comp, n, k_radius) for comp in model.components
-    ]
-    ks = range(-k_radius, k_radius + 1)
-    out: dict[tuple[int, ...], complex] = {}
-    def build(prefix: tuple[int, ...], acc: complex) -> None:
-        j = len(prefix)
-        if j == len(per_component):
-            out[prefix] = acc
-            return
-        for k in ks:
-            build(prefix + (k,), acc * per_component[j][k])
-    build((), 1.0 + 0.0j)
-    return out
+def density_coeffs(model: QuasiPeriodicModel, n: int, k_radius: int) -> np.ndarray:
+    """Weights c(k, n) over the harmonic window, products over components.
+
+    Entry [k_1 + k_radius, ...] is ((1+0j) * c_1[k_1]) * ... * c_C[k_C],
+    in real arithmetic spelled out as Python's complex product does it.
+    """
+    re, im = np.ones(()), np.zeros(())
+    for comp in model.components:
+        c = _component_coeffs(comp, n, k_radius)
+        re, im = (np.multiply.outer(re, c.real) - np.multiply.outer(im, c.imag),
+                  np.multiply.outer(re, c.imag) + np.multiply.outer(im, c.real))
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
 class DiffractionDensity:
-    """Point-mass weights keyed by (harmonic tuple, integer height)."""
+    """Point masses c(k, n) at (freq(k) + m, n) as columns: `harmonics` (T, C)
+    ints, `heights` (T,) ints and complex `weights` (T,), in build order:
+    height-major as the heights were given, then harmonic tuples lexicographic."""
 
-    weights: Mapping[tuple[tuple[int, ...], int], complex]
+    harmonics: np.ndarray
+    heights: np.ndarray
+    weights: np.ndarray
     periods: tuple[float, ...]
 
-    def frequency(self, k: tuple[int, ...]) -> float:
-        return float(sum(ki / wi for ki, wi in zip(k, self.periods)))
+    def frequencies(self) -> np.ndarray:
+        """freq(k) = k_1/period_1 + ... + k_C/period_C per row, left to right."""
+        return sum(k / period for k, period in zip(self.harmonics.T, self.periods))
+
+    def sorted_order(self) -> np.ndarray:
+        """Row permutation that sorts by (harmonic tuple, height)."""
+        return np.lexsort((self.heights, *self.harmonics.T[::-1]))
 
 
 def build_density(
     model: QuasiPeriodicModel, n_values: Sequence[int], k_radius: int
 ) -> DiffractionDensity:
-    weights: dict[tuple[tuple[int, ...], int], complex] = {}
-    for n in n_values:
-        for k, c in density_coeffs(model, int(n), k_radius).items():
-            weights[(k, int(n))] = c
-    return DiffractionDensity(weights, model.periods)
+    """Density over the distinct heights `n_values` and the harmonic window."""
+    heights = np.array([int(n) for n in n_values], dtype=np.int64)
+    window = (2 * k_radius + 1,) * len(model.components)
+    tuples = np.indices(window).reshape(len(window), -1).T - k_radius
+    weights = [density_coeffs(model, n, k_radius).ravel() for n in heights.tolist()]
+    return DiffractionDensity(
+        np.tile(tuples, (heights.size, 1)), np.repeat(heights, len(tuples)),
+        np.array(weights, dtype=complex).reshape(-1), model.periods,
+    )
 
 
 def height_radius(
@@ -326,18 +331,22 @@ def eval_diffraction(
     """Point-mass pairing: sum of c(k,n) * test(freq(k) + m, n).
 
     Each point-mass comb is summed over the integers m that land inside
-    the test function's effective support.
+    the test function's effective support, a block of combs of one length
+    at a time; the weighted comb sums then accumulate in row order.
     """
     cx = test_fn.center[0]
     r = test_fn.space_radius()
-    acc = 0.0 + 0.0j
-    for (k, n), c in density.weights.items():
-        theta = density.frequency(k)
-        lo = math.floor(cx - theta - r)
-        hi = math.ceil(cx - theta + r)
-        ms = np.arange(lo, hi + 1)
-        acc += c * np.sum(test_fn.value(theta + ms, float(n)))
-    return complex(acc)
+    theta = density.frequencies()
+    lo = np.floor(cx - theta - r).astype(np.int64)
+    lengths = np.ceil(cx - theta + r).astype(np.int64) - lo + 1
+    sums = np.empty(theta.shape)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        for block in np.array_split(rows, -(-rows.size * length // _EVAL_BLOCK)):
+            x = theta[block, None] + (lo[block, None] + np.arange(length))
+            sums[block] = test_fn.value(x, density.heights[block, None]).sum(axis=1)
+    terms = np.concatenate(([0j], density.weights * sums))
+    return complex(np.cumsum(terms)[-1])
 
 
 def lattice_sum(test_fn: GaussianTestFunction, window: int) -> complex:
@@ -345,6 +354,20 @@ def lattice_sum(test_fn: GaussianTestFunction, window: int) -> complex:
     ms = np.arange(-window, window + 1)
     x, y = np.meshgrid(ms, ms, indexing="ij")
     return complex(np.sum(test_fn.value(x.astype(float), y.astype(float))))
+
+
+def _stem_masses(density: DiffractionDensity) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positions freq(k) mod 1, rounded to 9 decimals, and the
+    mass |c|^2 on each, added up in (harmonic tuple, height) order."""
+    pos, pos_of = np.unique(density.frequencies() % 1.0, return_inverse=True)
+    keys, key_of = np.unique([round(p, 9) for p in pos.tolist()], return_inverse=True)
+    order = density.sorted_order()
+    c = density.weights[order]
+    # abs(c) ** 2 bit for bit: Python squares the hypot with libm pow, not h * h
+    mass_of_row = np.power(np.hypot(c.real, c.imag).astype(object), 2).astype(float)
+    mass = np.zeros(keys.size)
+    np.add.at(mass, key_of[pos_of[order]], mass_of_row)
+    return keys, mass
 
 
 def _fmt(value: float) -> str:
@@ -355,13 +378,11 @@ def emit_diffraction_svg(
     density: DiffractionDensity, sink: Union[str, IO[bytes], None] = None
 ) -> bytes:
     """Stem plot of aggregate weight mass per fractional frequency."""
-    mass: dict[float, float] = {}
-    for (k, n), c in sorted(density.weights.items()):
-        pos = density.frequency(k) % 1.0
-        key = round(pos, 9)
-        mass[key] = mass.get(key, 0.0) + abs(c) ** 2
+    keys, mass = _stem_masses(density)
     width, height, margin = 480, 240, 20
-    top = max(mass.values()) if mass else 1.0
+    top = mass.max() if mass.size else 1.0
+    xs = margin + keys * (width - 2 * margin)
+    hs = (height - 2 * margin) * (mass / top)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -370,9 +391,7 @@ def emit_diffraction_svg(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black" stroke-width="1"/>',
     ]
-    for pos in sorted(mass):
-        x = margin + pos * (width - 2 * margin)
-        h = (height - 2 * margin) * (mass[pos] / top)
+    for x, h in zip(xs.tolist(), hs.tolist()):
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(height - margin)}" '
             f'x2="{_fmt(x)}" y2="{_fmt(height - margin - h)}" '

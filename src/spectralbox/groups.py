@@ -33,6 +33,7 @@ from .grid import (
 from .model import LatticeWindow, SpectralBoxError
 
 MAX_SPECTRAL_BYTES = 2**28  # the dense spectral matrix, 256 MiB of complex128
+MAX_SWEEP_BYTES = 2**28  # commutator_norm's Y X images of one probe, complex128
 
 __all__ = [
     "IncommensurateTimeError",
@@ -389,7 +390,8 @@ def check_sweep_grid(
     The window must fit in grid_n modes without aliasing, every time must
     be a multiple of the grid step 1/grid_n, and the window's dense
     spectral matrix, cardinality^2 complex entries, must fit in
-    MAX_SPECTRAL_BYTES.
+    MAX_SPECTRAL_BYTES, and the sweep's len(times)^2 images of a probe in
+    MAX_SWEEP_BYTES.
     """
     _check_window_fits(window, grid_n)
     for t in times:
@@ -398,6 +400,11 @@ def check_sweep_grid(
         raise ValueError(
             f"the spectral matrix of a {window.cardinality}-mode window "
             f"needs more than {MAX_SPECTRAL_BYTES} bytes"
+        )
+    if 16 * len(times) ** 2 * grid_n**2 > MAX_SWEEP_BYTES:
+        raise ValueError(
+            f"the sweep's {len(times)} x {len(times)} images of a {grid_n}^2 "
+            f"grid need more than {MAX_SWEEP_BYTES} bytes"
         )
 
 

@@ -1,12 +1,16 @@
 import re
 import warnings
+from pathlib import Path
 
 import pytest
+import yaml
 
-from spectralbox import cli
+from spectralbox import cli, config
 from spectralbox.cli import main
 from spectralbox.config import ConfigError, load_config, parse_config
 from spectralbox.model import Domain, IntervalUnion, IntFunction, Tower, UnitCube
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 command: root-scan
@@ -70,7 +74,29 @@ window: {radius: 1}
     assert cfg.domain.measure == pytest.approx(3.0)
 
 
-def test_duplicate_key_is_error_naming_the_key():
+class _PureStrictLoader(yaml.SafeLoader):
+    pass
+
+
+_PureStrictLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, config._no_duplicates
+)
+# the loader parse_config uses (libyaml's where PyYAML has it) and PyYAML's
+# pure-Python one
+LOADERS = [config._StrictLoader, _PureStrictLoader]
+LOADER_IDS = ["parse_config", "pure_python"]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_loaders_give_equal_values_on_sample_configs(path):
+    text = path.read_text(encoding="utf-8")
+    values = [yaml.load(text, Loader=loader) for loader in LOADERS]
+    assert repr(values[0]) == repr(values[1])
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+def test_duplicate_key_is_error_naming_the_key(monkeypatch, loader):
+    monkeypatch.setattr(config, "_StrictLoader", loader)
     bad = """
 command: root-scan
 rootscan:
@@ -78,7 +104,7 @@ rootscan:
   samples: 128
   coefficients: [1]
 """
-    with pytest.raises(ConfigError, match="duplicate key 'samples'"):
+    with pytest.raises(ConfigError, match="duplicate key 'samples' at line 5"):
         parse_config(bad)
 
 
@@ -97,8 +123,10 @@ rootscan: {coefficients: [1], samples: 64, extra: 2}
         parse_config(bad)
 
 
-def test_parse_error_reports_position():
-    with pytest.raises(ConfigError, match="line"):
+@pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+def test_parse_error_reports_position(monkeypatch, loader):
+    monkeypatch.setattr(config, "_StrictLoader", loader)
+    with pytest.raises(ConfigError, match=r"parse error at line \d+, column \d+"):
         parse_config("command: [unclosed")
 
 
@@ -867,6 +895,12 @@ TWO_COMPONENTS = (
          "268435456 bytes"),
         (GROUPS + "{window: {radius: 32}, grid_n: 72}",
          "groups: the spectral matrix of a 4225-mode window"),
+        # a 65536^2 probe grid alone is 68.7 GB
+        (GROUPS + "{grid_n: 65536}",
+         "groups: the sweep's 5 x 5 images of a 65536^2 grid need more "
+         "than 268435456 bytes"),
+        (GROUPS + "{grid_n: 1024}",
+         "groups: the sweep's 5 x 5 images of a 1024^2 grid"),
     ],
 )
 def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
@@ -882,6 +916,10 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
         TWO_COMPONENTS
         + "test_function: {widths: [0.9, 0.9]}, lambda_window: 400, k_radius: 16}",
         GROUPS + "{window: {radius: 31}, grid_n: 64}",
+        # the benchmark's groups-sweep size
+        GROUPS + "{window: {radius: 8}, grid_n: 64, times: [0.125, 0.25, 0.375, 0.5, 0.625]}",
+        # exactly at the sweep cap
+        GROUPS + "{grid_n: 1024, times: [0.25, 0.5, 0.75, 1.0]}",
     ],
 )
 def test_sizes_under_the_caps_load(text):

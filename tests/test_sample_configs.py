@@ -33,6 +33,11 @@ EXPECTED = {
         "diffraction.svg": "4b079b97361c7b4fddcd1bf0c21fb6f70722368a1670a0fa568189570fbae9d5",
         "report.txt": "dca81c42bb21d07894775cfcf326ddf59d6a81a8cb73664fb70abcc483e15abe",
     }),
+    "diffraction_two_component": ("diffraction", 0, {
+        "density.txt": "46c611af973e8ee32dc999c13362c8e2485d9d1575cf17e199dbfd09f5f9ac84",
+        "diffraction.svg": "df25b50c35363c1cf86370f85e54687e4c31a109a9428308121ef39ccfd41af8",
+        "report.txt": "99045c8bbd633a87e3707ed5696509a7ff74c1a2ff4e8549b04ac162400089be",
+    }),
     "root_scan_interval_union": ("root-scan", 0, {
         "report.txt": "3445f47e96bf6775750ba34be005b7248d38ff246d3eedbad700d41aa054e64c",
     }),
