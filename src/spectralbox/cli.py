@@ -40,7 +40,8 @@ required key:
         - {default: 0.0, table: {"1": 0.5}}
         - {default: 0.0, table: {"1,2": 0.3}}
       points: [[0.0, 0.0]]        # explicit only; finite coordinates
-    window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]
+    window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]; verify-pair
+                                  #   on P points needs P^2 (176 + 16 d) <= 2^30 B
 
     class-a, class-b and tower3d are config spellings of one Tower,
     level k holding a table of k indices with values in [0, 1):
@@ -79,7 +80,8 @@ required key:
         - {period: 1.7320508075688772, coeffs: {"1": [0.025, 0.0], "-1": [0.025, 0.0]}}
       test_function: {center: [0.2, -0.1], widths: [0.9, 1.1]}   # two reals each
       lambda_window: 200          # >= 0; the direct sum has <= 2^22 terms
-      k_radius: 12                # 0..2047; the density has <= 2^20 terms
+      k_radius: 12                # 0..2047; the density has <= 2^20 masses and
+                                  #   <= 2^27 comb samples, 2 space_radius + 1 a mass
 
     rootscan:                     # root-scan; entries are re or [re, im]
       coefficients: [1, 0, 1, 1]  # at least one, all finite
@@ -390,8 +392,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
 
     s0 = g["times"][0]
     op = group_matrix_spectral(
-        1, s0, seqs, phases, g["window"], grid_n=grid_n,
-        leakage_tol=g["leakage_tol"],
+        1, s0, seqs, phases, grid_n=grid_n, leakage_tol=g["leakage_tol"]
     )
     mismatch = 0.0
     for vec in coeff_probes[: min(8, len(coeff_probes))]:

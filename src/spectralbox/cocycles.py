@@ -115,32 +115,35 @@ class PhaseSequence:
     def values(self, indices: Sequence[int]) -> np.ndarray:
         return np.array([self.value(int(n)) for n in indices], dtype=complex)
 
-    def is_constant_one(self, indices: Sequence[int], tol: float) -> bool:
-        return bool(np.all(np.abs(self.values(indices) - 1.0) < tol))
-
 
 @dataclass(frozen=True)
 class PhaseSequenceSet2D:
-    """Eigenvalue sequences of the two boundary unitaries.
+    """Eigenvalue sequences of the two boundary unitaries on a 2-D window.
 
     `a` is indexed by the second-coordinate mode n, `b` by the first-
     coordinate mode m; the window's axis 0 is the m-range, axis 1 the
-    n-range.
+    n-range.  Construction evaluates each sequence once on its range:
+    `a_values[j]` is a at the window's j-th n index and `b_values[i]` is b
+    at its i-th m index, read-only complex arrays that every check reads.
+    Each axis must hold at least two indices, room for a nonzero shift;
+    a narrower window raises WindowTooSmallError.
     """
 
     a: PhaseSequence
     b: PhaseSequence
     window: LatticeWindow
+    a_values: np.ndarray = field(init=False, repr=False, compare=False)
+    b_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.window.dimension != 2:
             raise ValueError("phase-sequence window needs exactly two axes")
-
-    def m_indices(self) -> np.ndarray:
-        return self.window.axis_indices(0)
-
-    def n_indices(self) -> np.ndarray:
-        return self.window.axis_indices(1)
+        if any(hi == lo for lo, hi in self.window.ranges):
+            raise WindowTooSmallError("need two indices per axis for a nonzero shift")
+        for name, seq, axis in (("a_values", self.a, 1), ("b_values", self.b, 0)):
+            values = seq.values(self.window.axis_indices(axis))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -164,30 +167,32 @@ def _shift_identity(
       |(v_f(n) - v_f(n with n_s -> n_s')) (1 - v_s(n))|
     must stay below eq_tol.  Witnesses are (f, s, n, n_s' - n_s, modulus),
     shifted slot s outermost, then f, then (n_s, n_s', the other axes) in
-    row-major order; at most _MAX_WITNESSES of them.
+    row-major order; at most _MAX_WITNESSES of them.  One n_s is held at a
+    time, so memory is the window's size, not M_s times it.
     """
     maxima = []
     witnesses = []
     for s in range(window.dimension):
-        size = window.axis_indices(s).size
-        # slot s to the front, then a second axis for n_s'
-        one_minus_vs = (1.0 - np.moveaxis(values[s], s, 0))[None]
+        # v_s does not see slot s: one row of 1 - v_s serves every n_s
+        one_minus_vs = (1.0 - np.moveaxis(values[s], s, 0))[0]
         for f in range(window.dimension):
             if f == s:
                 continue
             vf = np.moveaxis(values[f], s, 0)
-            viol = np.abs((vf[:, None] - vf[None, :]) * one_minus_vs)
-            viol[np.arange(size), np.arange(size)] = 0.0
-            maxima.append(viol.max())
-            room = _MAX_WITNESSES - len(witnesses)
-            if room <= 0 or not maxima[-1] >= eq_tol:
-                continue
-            for i, i2, *rest in np.argwhere(viol >= eq_tol)[:room]:
-                pos = [*rest[:s], i, *rest[s:]]
-                n = tuple(int(lo + p) for (lo, _), p in zip(window.ranges, pos))
-                witnesses.append(
-                    (f, s, n, int(i2 - i), float(viol[(i, i2, *rest)]))
-                )
+            # one n_s at a time, every n_s' along the first axis
+            for i, row in enumerate(vf):
+                viol = np.abs((row - vf) * one_minus_vs)
+                viol[i] = 0.0
+                maxima.append(viol.max())
+                room = _MAX_WITNESSES - len(witnesses)
+                if room <= 0 or not maxima[-1] >= eq_tol:
+                    continue
+                for i2, *rest in np.argwhere(viol >= eq_tol)[:room]:
+                    pos = [*rest[:s], i, *rest[s:]]
+                    n = tuple(int(lo + p) for (lo, _), p in zip(window.ranges, pos))
+                    witnesses.append(
+                        (f, s, n, int(i2 - i), float(viol[(i2, *rest)]))
+                    )
     max_violation = float(np.max(maxima))
     return CocycleReport(max_violation < eq_tol, max_violation, tuple(witnesses))
 
@@ -202,16 +207,10 @@ def check_cocycle_2d(
     below eq_tol.  Up to ten witness tuples (identity, m, n, shift,
     modulus) are returned otherwise, the "b-shift" ones first.
     """
-    m_idx = seqs.m_indices()
-    n_idx = seqs.n_indices()
-    if m_idx.size < 2 or n_idx.size < 2:
-        raise WindowTooSmallError(
-            "need at least two indices per axis for a nonzero shift"
-        )
-    a = seqs.a.values(n_idx)
-    b = seqs.b.values(m_idx)
     # a is v_0 (blind to slot 0, the m axis), b is v_1 (blind to slot 1)
-    report = _shift_identity((a[None, :], b[:, None]), seqs.window, eq_tol)
+    report = _shift_identity(
+        (seqs.a_values[None, :], seqs.b_values[:, None]), seqs.window, eq_tol
+    )
     witnesses = tuple(
         ("b-shift" if s == 0 else "a-shift", m, n, shift, modulus)
         for _, s, (m, n), shift, modulus in report.witnesses
@@ -222,6 +221,8 @@ def check_cocycle_2d(
 # comparisons check_single_identity_2d may make, M^2 N^2 for an M x N
 # window: about a second at radius 48; radius 49 is the widest square window
 MAX_IDENTITY_TERMS = 10**8
+# entries of one single-identity block: a radius-32 m1 row (65^3) fits whole
+_IDENTITY_BLOCK = 2**19
 
 
 def check_identity_window(window: LatticeWindow) -> None:
@@ -240,24 +241,20 @@ def check_single_identity_2d(
 ) -> bool:
     """(1 - b_{m+k})(1 - a_n) = (1 - b_m)(1 - a_{n+l}) over the window.
 
-    The M^2 N^2 comparisons run in blocks of one m row, M N^2 at a time.
+    The M^2 N^2 comparisons run in blocks of one m1 row, and of at most
+    _IDENTITY_BLOCK entries within a row.
     """
-    m_idx = seqs.m_indices()
-    n_idx = seqs.n_indices()
-    if m_idx.size < 2 or n_idx.size < 2:
-        raise WindowTooSmallError(
-            "need at least two indices per axis for a nonzero shift"
-        )
-    a = seqs.a.values(n_idx)
-    b = seqs.b.values(m_idx)
-    p = np.outer(1.0 - b, 1.0 - a)  # p[m, n]
-    n_shift = ~np.eye(n_idx.size, dtype=bool)
+    p = np.outer(1.0 - seqs.b_values, 1.0 - seqs.a_values)  # p[m, n]
+    cols = np.arange(p.shape[1])
+    step = max(1, _IDENTITY_BLOCK // p.size)
     for m1, row in enumerate(p):
-        # p[m2, n1] against p[m1, n2] for all m2 != m1, n1 != n2
-        diff = np.abs(p[:, :, None] - row[None, None, :]) * n_shift
-        diff[m1] = 0.0
-        if not diff.max() < eq_tol:
-            return False
+        for lo in range(0, cols.size, step):
+            # p[m2, n1] against p[m1, n2] for all m2 != m1, n1 != n2
+            n_shift = cols[lo : lo + step, None] != cols[None, :]
+            diff = np.abs(p[:, lo : lo + step, None] - row[None, None, :]) * n_shift
+            diff[m1] = 0.0
+            if not diff.max() < eq_tol:
+                return False
     return True
 
 
@@ -279,13 +276,11 @@ def classify_2d(
     report = check_cocycle_2d(seqs, eq_tol)
     if not report.holds:
         return Classification.NON_COMMUTING
-    m_idx = seqs.m_indices()
-    n_idx = seqs.n_indices()
-    a_one = seqs.a.is_constant_one(n_idx, eq_tol)
-    b_one = seqs.b.is_constant_one(m_idx, eq_tol)
-    product = np.abs(
-        np.outer(1.0 - seqs.b.values(m_idx), 1.0 - seqs.a.values(n_idx))
-    )
+    one_minus_a = 1.0 - seqs.a_values
+    one_minus_b = 1.0 - seqs.b_values
+    a_one = bool(np.all(np.abs(one_minus_a) < eq_tol))
+    b_one = bool(np.all(np.abs(one_minus_b) < eq_tol))
+    product = np.abs(np.outer(one_minus_b, one_minus_a))
     if product.max() >= eq_tol or not (a_one or b_one):
         raise ToleranceInconsistencyError(
             "cocycle holds on the window but neither sequence is "

@@ -20,6 +20,7 @@ import yaml
 from .cocycles import PhaseSequence, check_identity_window
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
 from .diffraction import check_diffraction_size
+from .exponentials import check_pair_size
 from .groups import check_sweep_grid
 from .model import (
     Domain,
@@ -200,6 +201,17 @@ def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
 
 def _dimension(cfg: "RunConfig") -> int:
     return cfg.spectrum.dimension if cfg.spectrum is not None else 2
+
+
+def _parse_spectrum_window(section: dict, cfg: "RunConfig") -> LatticeWindow:
+    """The spectrum's window; for verify-pair its Gram must fit in memory."""
+    window = _parse_window(section, _dimension(cfg), "window")
+    spec = cfg.spectrum
+    if cfg.command == "verify-pair" and spec is not None:
+        # an explicit spectrum is its own finite set, whatever the window
+        points = len(spec.points) if isinstance(spec, ExplicitSpectrum) else None
+        check_pair_size(points or window.cardinality, spec.dimension)
+    return window
 
 
 # Every section parser takes the section's table and the config parsed so
@@ -422,7 +434,7 @@ _SECTIONS = {
     "tolerances": _parse_tolerances,
     "domain": _parse_domain,
     "spectrum": _parse_spectrum,
-    "window": lambda section, cfg: _parse_window(section, _dimension(cfg), "window"),
+    "window": _parse_spectrum_window,
     "cocycle": _parse_cocycle,
     "groups": _parse_groups,
     "tiling": _parse_tiling,

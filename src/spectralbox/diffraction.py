@@ -49,6 +49,7 @@ _RATIO_TOL = 1e-9
 _EPS = 1e-14  # value cutoff of the Gaussian test function's radii
 MAX_DIRECT_TERMS = 2**22  # eval_direct's frequency points, about 50 B each
 MAX_DENSITY_TERMS = 2**20  # build_density's point masses, about 250 B each
+MAX_PAIRING_TERMS = 2**27  # eval_diffraction's comb samples, about 1 s
 _EVAL_BLOCK = 2**18  # comb samples eval_diffraction holds at once
 
 
@@ -292,7 +293,8 @@ def check_diffraction_size(
 
     The 2 k_radius + 1 harmonics must stay below the _OVERSAMPLE samples
     per period, past which two harmonics read one coefficient, and the
-    direct sum and the density must stay within their term caps.
+    direct sum, the density and the pairing, each mass's comb of about
+    2 space_radius + 1 samples, must stay within their term caps.
     """
     harmonics = 2 * k_radius + 1
     if harmonics > _OVERSAMPLE:
@@ -301,9 +303,12 @@ def check_diffraction_size(
             f"the {_OVERSAMPLE} samples per period"
         )
     heights = 2 * height_radius(model, test_function) + 1
+    masses = harmonics ** len(model.components) * heights
+    comb = math.ceil(2 * test_function.space_radius() + 1)
     for what, terms, cap in (
         ("direct sum", (2 * lambda_window + 1) * heights, MAX_DIRECT_TERMS),
-        ("density", harmonics ** len(model.components) * heights, MAX_DENSITY_TERMS),
+        ("density", masses, MAX_DENSITY_TERMS),
+        ("pairing", masses * comb, MAX_PAIRING_TERMS),
     ):
         if terms > cap:
             raise ValueError(f"the {what} has {terms} terms, more than {cap}")

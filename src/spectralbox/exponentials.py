@@ -35,6 +35,7 @@ __all__ = [
     "in_zero_set_cube_many",
     "GramMatrix",
     "gram_matrix",
+    "check_pair_size",
     "OrthogonalityReport",
     "orthogonality_verdict",
     "PLATEAU_THRESHOLD",
@@ -157,7 +158,6 @@ class GramMatrix:
 
     entries: np.ndarray
     labels: np.ndarray
-    domain: Domain
 
     def max_offdiag(self) -> float:
         off = self.entries.copy()
@@ -174,7 +174,23 @@ def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     if pts.shape[0] == 0:
         raise ValueError("gram matrix of an empty point list")
     entries = eval_F_omega(domain, pts[None, :, :] - pts[:, None, :])
-    return GramMatrix(entries=entries, labels=pts, domain=domain)
+    return GramMatrix(entries=entries, labels=pts)
+
+
+# verify-pair's Gram, difference set and temporaries take about 176 + 16 d
+# bytes per entry of the P x P table: peak RSS over the import baseline was
+# 181-202 B for d = 1, 2, 3 and P = 289 to 1 331
+MAX_PAIR_BYTES = 2**30
+
+
+def check_pair_size(points: int, dimension: int) -> None:
+    """Raise ValueError unless a verify-pair run fits MAX_PAIR_BYTES."""
+    need = points * points * (176 + 16 * dimension)
+    if need > MAX_PAIR_BYTES:
+        raise ValueError(
+            f"{points} points in dimension {dimension} need about {need} bytes "
+            f"for the Gram matrix and difference set, more than {MAX_PAIR_BYTES}"
+        )
 
 
 @dataclass(frozen=True)

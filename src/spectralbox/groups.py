@@ -38,7 +38,6 @@ MAX_SWEEP_BYTES = 2**28  # commutator_norm's Y X images of one probe, complex128
 __all__ = [
     "IncommensurateTimeError",
     "TruncationLeakageError",
-    "IndicatorCoefficients",
     "indicator_fourier_coeffs",
     "DiagonalBoundary",
     "MatrixBoundary",
@@ -78,22 +77,6 @@ class TruncationLeakageError(SpectralBoxError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndicatorCoefficients:
-    """Fourier data of the sub-interval indicator chi_(0,s) on I.
-
-    coeff[k] = integral_0^s exp(+i*2*pi*k*x) dx; the k-sign convention is
-    the one under which the spectral matrix assembly reproduces the grid
-    action.  complement[k] is delta_{k0} - coeff[k], the coefficients of
-    the complementary indicator.  indicator_fourier_coeffs with grid_n set
-    gives the grid's own (left-endpoint discrete) analysis at that
-    resolution, which converges to the continuum values as grid_n grows.
-    """
-
-    coeff: dict[int, complex]
-    complement: dict[int, complex]
-
-
 def _indicator_coeff_closed(s: float, k: np.ndarray) -> np.ndarray:
     out = np.empty(k.shape, dtype=complex)
     zero = k == 0
@@ -109,32 +92,29 @@ def _indicator_coeff_grid(steps: int, grid_n: int, k: np.ndarray) -> np.ndarray:
     # right-endpoint samples {1/n, ..., s} of (0, s], and this is the
     # discretization under which the matrix equals the projected grid action
     j = np.arange(1, steps + 1)
-    out = np.array(
+    return np.array(
         [np.sum(np.exp(2j * np.pi * kk * j / grid_n)) / grid_n for kk in k],
         dtype=complex,
     )
-    return out
 
 
 def indicator_fourier_coeffs(
-    s: float,
-    k_range: Sequence[int],
-    grid_n: Optional[int] = None,
-) -> IndicatorCoefficients:
-    """Coefficients of chi_(0,s) plus the complementary-indicator set."""
+    s: float, k_range: Sequence[int], grid_n: Optional[int] = None
+) -> np.ndarray:
+    """Fourier coefficients of the sub-interval indicator chi_(0,s) on I.
+
+    Entry j belongs to the j-th distinct k of k_range in ascending order:
+    integral_0^s exp(+i*2*pi*k*x) dx, the k-sign convention under which
+    the spectral matrix assembly reproduces the grid action.  With grid_n
+    set they are the grid's own (right-endpoint discrete) analysis at that
+    resolution, which converges to the continuum values as grid_n grows.
+    """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s} outside [0, 1]")
     ks = np.array(sorted({int(k) for k in k_range}), dtype=int)
     if grid_n is None:
-        vals = _indicator_coeff_closed(float(s), ks)
-    else:
-        steps = _steps_for(s, grid_n)
-        vals = _indicator_coeff_grid(steps, grid_n, ks)
-    coeff = {int(k): complex(v) for k, v in zip(ks, vals)}
-    complement = {
-        k: (1.0 - v if k == 0 else -v) for k, v in coeff.items()
-    }
-    return IndicatorCoefficients(coeff, complement)
+        return _indicator_coeff_closed(float(s), ks)
+    return _indicator_coeff_grid(_steps_for(s, grid_n), grid_n, ks)
 
 
 def _steps_for(t: float, grid_n: int) -> int:
@@ -311,11 +291,11 @@ def group_matrix_spectral(
     t: float,
     seqs: PhaseSequenceSet2D,
     phases: tuple[float, float],
-    window: LatticeWindow,
     grid_n: Optional[int] = None,
     leakage_tol: float = 1e-6,
 ) -> TruncatedOperator:
-    """Assemble the axis group in the basis E(m,n) = e_{m+alpha} x e_{n+beta}.
+    """Assemble the axis group in the basis E(m,n) = e_{m+alpha} x e_{n+beta}
+    over the window of `seqs`.
 
     For axis 1 the column of E(m,n) is
       exp(i*2*pi*(m+alpha)*t) * (q_k + exp(-i*2*pi*alpha) a_n p_k)
@@ -328,49 +308,38 @@ def group_matrix_spectral(
     silently.  With grid_n set the coefficients are the grid's own, which
     makes the matrix exactly the window-projection of the grid action.
     """
-    if window.dimension != 2:
-        raise ValueError("window must have two axes")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    alpha, beta = float(phases[0]), float(phases[1])
-    m_idx = window.axis_indices(0)
-    n_idx = window.axis_indices(1)
-    n_m, n_n = m_idx.size, n_idx.size
-    size = n_m * n_n
-
-    if axis == 1:
-        move_idx, keep_idx = m_idx, n_idx
-        seam = np.exp(-2j * np.pi * alpha)
-        eig = seqs.a.values(keep_idx) * seam
-        base_phase = np.exp(2j * np.pi * (m_idx + alpha) * t)
-    else:
-        move_idx, keep_idx = n_idx, m_idx
-        seam = np.exp(-2j * np.pi * beta)
-        eig = seqs.b.values(keep_idx) * seam
-        base_phase = np.exp(2j * np.pi * (n_idx + beta) * t)
+    # axis 1 moves along m with phase alpha and reads a on n; axis 2 mirrors it
+    shift = float(phases[axis - 1])
+    move_idx = seqs.window.axis_indices(axis - 1)
+    eig = (seqs.a_values if axis == 1 else seqs.b_values) * np.exp(-2j * np.pi * shift)
+    base_phase = np.exp(2j * np.pi * (move_idx + shift) * t)
+    # basis position of E(m, n), row-major over the window
+    index = np.arange(seqs.window.cardinality).reshape(
+        [hi - lo + 1 for lo, hi in seqs.window.ranges]
+    )
 
     diffs = move_idx[:, None] - move_idx[None, :]  # row mode minus col mode
     k_all = np.arange(diffs.min(), diffs.max() + 1)
-    ind = indicator_fourier_coeffs(t, k_all, grid_n)
-    p = np.array([ind.coeff[int(k)] for k in k_all])
-    q = np.array([ind.complement[int(k)] for k in k_all])
+    p = indicator_fourier_coeffs(t, k_all, grid_n)
+    # the complementary indicator's coefficients, delta_{k0} - p_k
+    q = -p
+    q[k_all == 0] = 1.0 - p[k_all == 0]
     p_tab = p[diffs - k_all[0]]  # [row_move, col_move]
     q_tab = q[diffs - k_all[0]]
 
-    matrix = np.zeros((size, size), dtype=complex)
+    matrix = np.zeros((index.size, index.size), dtype=complex)
     max_leakage = 0.0
     for j, ev in enumerate(eig):
         block = (q_tab + ev * p_tab) * base_phase[None, :]
         mass = np.sum(np.abs(block) ** 2, axis=0)
         max_leakage = max(max_leakage, float((1.0 - mass).max()))
-        if axis == 1:
-            rows = np.arange(n_m) * n_n + j
-        else:
-            rows = j * n_n + np.arange(n_n)
+        rows = index[:, j] if axis == 1 else index[j]
         matrix[np.ix_(rows, rows)] = block
     if max_leakage > leakage_tol:
         raise TruncationLeakageError(max_leakage, leakage_tol)
-    return TruncatedOperator(matrix, window, max_leakage)
+    return TruncatedOperator(matrix, seqs.window, max_leakage)
 
 
 def _check_window_fits(window: LatticeWindow, grid_n: int) -> None:

@@ -236,7 +236,7 @@ def test_acceptance_04_spectral_vs_grid_oracle_match():
         phases = (float(rng.random()), float(rng.random()))
         t = int(rng.integers(1, grid_n)) / grid_n
         op = group_matrix_spectral(
-            axis, t, seqs, phases, window, grid_n=grid_n, leakage_tol=1.0
+            axis, t, seqs, phases, grid_n=grid_n, leakage_tol=1.0
         )
         boundary = (
             DiagonalBoundary(seqs.a, shift=phases[1])

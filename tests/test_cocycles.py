@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,8 +69,8 @@ MAX_WITNESSES = 10
 
 def reference_cocycle_2d(seqs, eq_tol=1e-10):
     """Both 2-D identities as two M x M x N / N x N x M arrays."""
-    m_idx = seqs.m_indices()
-    n_idx = seqs.n_indices()
+    m_idx = seqs.window.axis_indices(0)
+    n_idx = seqs.window.axis_indices(1)
     a = seqs.a.values(n_idx)
     b = seqs.b.values(m_idx)
     witnesses = []
@@ -98,8 +99,8 @@ def reference_cocycle_2d(seqs, eq_tol=1e-10):
 
 def reference_single_identity_2d(seqs, eq_tol=1e-10):
     """The single identity as one dense M x M x N x N array."""
-    m_idx = seqs.m_indices()
-    n_idx = seqs.n_indices()
+    m_idx = seqs.window.axis_indices(0)
+    n_idx = seqs.window.axis_indices(1)
     p = np.outer(1.0 - seqs.b.values(m_idx), 1.0 - seqs.a.values(n_idx))
     diff = np.abs(p[None, :, :, None] - p[:, None, None, :])  # [m1, m2, n1, n2]
     mask = (
@@ -257,15 +258,44 @@ def test_cocycle_failing_pair_with_witness():
 
 
 def test_cocycle_window_too_small():
-    seqs = PhaseSequenceSet2D(
-        PhaseSequence({}, 1.0),
-        PhaseSequence({}, 1.0),
-        LatticeWindow(((0, 0), (0, 2))),
-    )
-    with pytest.raises(WindowTooSmallError):
-        check_cocycle_2d(seqs)
-    with pytest.raises(WindowTooSmallError):
-        check_single_identity_2d(seqs)
+    # the pair refuses a one-index axis when it is built, before any check
+    for ranges in (((0, 0), (0, 2)), ((0, 2), (0, 0))):
+        with pytest.raises(WindowTooSmallError):
+            PhaseSequenceSet2D(
+                PhaseSequence({}, 1.0), PhaseSequence({}, 1.0), LatticeWindow(ranges)
+            )
+
+
+def test_pair_arrays_are_read_only_window_evaluations():
+    a = PhaseSequence({1: 1j, 4: -1.0}, unit(0.3))
+    b = PhaseSequence({-1: -1j})
+    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(((-2, 1), (0, 4))))
+    assert np.array_equal(seqs.a_values, a.values(range(0, 5)))
+    assert np.array_equal(seqs.b_values, b.values(range(-2, 2)))
+    for values in (seqs.a_values, seqs.b_values):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
+@pytest.mark.parametrize("ranges", [((0, 1), (0, 1999)), ((0, 1999), (0, 1))])
+def test_cocycle_checks_hold_window_sized_memory(ranges):
+    # a commuting pair, so the single identity runs every block; a dense
+    # shift kernel or single-identity row needs over 180 MiB here
+    rng = np.random.default_rng(29)
+    moving = PhaseSequence({k: unit(rng.random()) for k in range(2000)})
+    one = PhaseSequence({}, 1.0)
+    a, b = (moving, one) if ranges[0] == (0, 1) else (one, moving)
+    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(ranges))
+    for check in (check_cocycle_2d, check_single_identity_2d):
+        tracemalloc.start()
+        try:
+            result = check(seqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert getattr(result, "holds", result) is True
+        assert peak < 32 * 2**20, (check.__name__, peak)
 
 
 def test_cocycle_implies_single_identity():

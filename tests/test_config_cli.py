@@ -818,6 +818,14 @@ STAIRCASE = (
     "spectrum: {{family: {family}, alpha: {alpha}, beta: {{default: 0.0}}}}"
 )
 DIFFRACTION = ONE_PERIOD + "cosine_amplitude: 0.1}], "
+PAIR = (
+    "command: verify-pair\ndomain: {kind: unit-cube, dimension: 2}\n"
+    "spectrum: {family: class-a, alpha: 0.25}\n"
+)
+EXPLICIT_PAIR = (
+    "command: verify-pair\ndomain: {kind: unit-cube, dimension: 2}\n"
+    "spectrum: {family: explicit, points: %s}\nwindow: {radius: 1}"
+)
 
 
 @pytest.mark.parametrize(
@@ -901,6 +909,17 @@ TWO_COMPONENTS = (
          "than 268435456 bytes"),
         (GROUPS + "{grid_n: 1024}",
          "groups: the sweep's 5 x 5 images of a 1024^2 grid"),
+        # 20 475 masses of 6.4e6 comb samples each, about 15 minutes
+        (DIFFRACTION + "test_function: {widths: [1.0e6, 1.0e6]}, k_radius: 2047}",
+         "diffraction: the pairing has 131174950725 terms, more than 134217728"),
+        # a 26 GB Gram and a 26 GB difference set
+        (PAIR + "window: {radius: 100}",
+         "window: 40401 points in dimension 2 need about 339506086608 bytes for "
+         "the Gram matrix and difference set, more than 1073741824"),
+        (PAIR + "window: {radius: 24}", "window: 2401 points in dimension 2"),
+        # an explicit spectrum is sized by its points, not by the window
+        (EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2300)],
+         "window: 2300 points in dimension 2"),
     ],
 )
 def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
@@ -920,6 +939,10 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
         GROUPS + "{window: {radius: 8}, grid_n: 64, times: [0.125, 0.25, 0.375, 0.5, 0.625]}",
         # exactly at the sweep cap
         GROUPS + "{grid_n: 1024, times: [0.25, 0.5, 0.75, 1.0]}",
+        # 1 089 points, about 250 MB
+        PAIR + "window: {radius: 16}",
+        PAIR + "window: {radius: 23}",
+        EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2000)],
     ],
 )
 def test_sizes_under_the_caps_load(text):

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectralbox.cocycles import PhaseSequence, PhaseSequenceSet2D, check_cocycle_2d
+from spectralbox.cocycles import (
+    PhaseSequence,
+    PhaseSequenceSet2D,
+    check_cocycle_2d,
+    check_single_identity_2d,
+    classify_2d,
+)
 from spectralbox.grid import (
     _phase,
     fft_mode_indices,
@@ -84,27 +90,30 @@ def test_grid_weight_equals_the_product_weight_tensor(shape):
 
 
 def test_indicator_full_interval():
-    ind = indicator_fourier_coeffs(1.0, range(-3, 4))
-    assert ind.coeff[0] == pytest.approx(1.0)
-    assert all(abs(ind.coeff[k]) < 1e-14 for k in ind.coeff if k != 0)
+    coeff = indicator_fourier_coeffs(1.0, range(-3, 4))  # k = -3..3
+    assert coeff[3] == pytest.approx(1.0)
+    assert all(abs(c) < 1e-14 for c in np.delete(coeff, 3))
 
 
 def test_indicator_empty_interval():
-    ind = indicator_fourier_coeffs(0.0, range(-3, 4))
-    assert all(abs(v) < 1e-15 for v in ind.coeff.values())
+    coeff = indicator_fourier_coeffs(0.0, range(-3, 4))
+    assert all(abs(v) < 1e-15 for v in coeff)
 
 
 def test_indicator_half_interval_first_mode():
-    ind = indicator_fourier_coeffs(0.5, [1])
-    assert abs(ind.coeff[1]) == pytest.approx(1 / np.pi)
+    coeff = indicator_fourier_coeffs(0.5, [1])
+    assert abs(coeff[0]) == pytest.approx(1 / np.pi)
 
 
 def test_indicator_complement_relations():
-    ind = indicator_fourier_coeffs(0.3, range(-5, 6))
-    assert ind.complement[0] == pytest.approx(1.0 - ind.coeff[0])
-    for k in range(1, 6):
-        assert ind.complement[k] == pytest.approx(-ind.coeff[k])
-        assert ind.complement[-k] == pytest.approx(-ind.coeff[-k])
+    # with a identically one the axis-1 column of E(m, n) has entries
+    # q_k + p_k: the complement is delta_{k0} - p_k, so only k = 0 is left
+    win = LatticeWindow.centered(5, 2)
+    one = PhaseSequence({}, 1.0)
+    seqs = PhaseSequenceSet2D(one, one, win)
+    op = group_matrix_spectral(1, 0.3, seqs, (0.0, 0.0), leakage_tol=1e-12)
+    diag = np.array([unit(m * 0.3) for (m, n) in op.labels()])
+    np.testing.assert_allclose(op.matrix, np.diag(diag), atol=1e-15)
 
 
 def test_indicator_grid_coeffs_converge_to_continuum():
@@ -113,9 +122,7 @@ def test_indicator_grid_coeffs_converge_to_continuum():
     gaps = []
     for n in (64, 256, 1024):
         disc = indicator_fourier_coeffs(0.25, ks, grid_n=n)
-        gaps.append(
-            max(abs(cont.coeff[k] - disc.coeff[k]) for k in cont.coeff)
-        )
+        gaps.append(max(abs(cont - disc)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 5e-3
 
@@ -213,13 +220,40 @@ def test_matrix_boundary_matches_diagonal():
 # ---------------------------------------------------------------------------
 
 
+class CountingSequence(PhaseSequence):
+    """A phase sequence that counts its lookups, over all instances."""
+
+    lookups = 0
+
+    def value(self, n: int) -> complex:
+        CountingSequence.lookups += 1
+        return super().value(n)
+
+
+def test_pair_is_evaluated_once_for_every_check():
+    # M = 3 m indices for b, N = 5 n indices for a
+    rng = np.random.default_rng(41)
+    CountingSequence.lookups = 0
+    seqs = PhaseSequenceSet2D(
+        CountingSequence({}, 1.0),
+        CountingSequence({m: unit(rng.random()) for m in range(-1, 2)}),
+        LatticeWindow(((-1, 1), (0, 4))),
+    )
+    assert check_cocycle_2d(seqs).holds
+    assert check_single_identity_2d(seqs)
+    assert classify_2d(seqs).value == "class-i"
+    for axis in (1, 2):
+        group_matrix_spectral(axis, 0.25, seqs, (0.0, 0.0), leakage_tol=1.0)
+    assert CountingSequence.lookups == 3 + 5
+
+
 def test_spectral_identity_at_time_zero():
     rng = np.random.default_rng(5)
     win = LatticeWindow.centered(4, 2)
     seqs = PhaseSequenceSet2D(
         random_sequence(rng, 4), random_sequence(rng, 4), win
     )
-    op = group_matrix_spectral(1, 0.0, seqs, (0.3, 0.7), win)
+    op = group_matrix_spectral(1, 0.0, seqs, (0.3, 0.7))
     np.testing.assert_allclose(op.matrix, np.eye(win.cardinality), atol=1e-14)
     assert op.max_leakage == pytest.approx(0.0, abs=1e-14)
 
@@ -230,7 +264,7 @@ def test_spectral_telescopes_for_constant_one_boundary():
     seqs = PhaseSequenceSet2D(
         PhaseSequence({}, 1.0), random_sequence(rng, 6), win
     )
-    op = group_matrix_spectral(1, 0.375, seqs, (0.0, 0.0), win, leakage_tol=1e-6)
+    op = group_matrix_spectral(1, 0.375, seqs, (0.0, 0.0), leakage_tol=1e-6)
     off = op.matrix - np.diag(np.diag(op.matrix))
     assert np.abs(off).max() < 1e-14
     diag = np.array([unit(m * 0.375) for (m, n) in op.labels()])
@@ -245,7 +279,7 @@ def test_spectral_telescopes_for_matched_scalar_boundary():
         PhaseSequence({}, unit(alpha)), random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(
-        1, 0.375, seqs, (alpha, 0.0), win, leakage_tol=1e-6
+        1, 0.375, seqs, (alpha, 0.0), leakage_tol=1e-6
     )
     diag = np.array([unit((m + alpha) * 0.375) for (m, n) in op.labels()])
     np.testing.assert_allclose(op.matrix, np.diag(diag), atol=1e-13)
@@ -258,8 +292,8 @@ def test_spectral_leakage_guard_fires_for_generic_sequences():
         random_sequence(rng, 6), random_sequence(rng, 6), win
     )
     with pytest.raises(TruncationLeakageError):
-        group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), win)
-    op = group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), win, leakage_tol=0.8)
+        group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0))
+    op = group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), leakage_tol=0.8)
     assert 0.0 < op.max_leakage < 0.8
 
 
@@ -274,7 +308,7 @@ def test_spectral_matches_projected_grid_action():
         phases = (float(rng.random()), float(rng.random()))
         t = int(rng.integers(1, n)) / n
         op = group_matrix_spectral(
-            axis, t, seqs, phases, win, grid_n=n, leakage_tol=1.0
+            axis, t, seqs, phases, grid_n=n, leakage_tol=1.0
         )
         boundary = (
             DiagonalBoundary(seqs.a, shift=phases[1])
@@ -370,8 +404,8 @@ def test_commutator_matrix_route_agrees_with_grid_verdict():
     b = random_sequence(rng, 8)
     seqs = PhaseSequenceSet2D(a, b, win)
     s, t = 0.25, 0.375
-    mx = group_matrix_spectral(1, s, seqs, (0.0, 0.0), win, grid_n=n, leakage_tol=1.0)
-    my = group_matrix_spectral(2, t, seqs, (0.0, 0.0), win, grid_n=n, leakage_tol=1.0)
+    mx = group_matrix_spectral(1, s, seqs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
+    my = group_matrix_spectral(2, t, seqs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
     vec_probes = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     val = commutator_norm([mx], [my], vec_probes)[0, 0]
     assert val > 0.01  # same verdict as the exact grid route
@@ -502,11 +536,11 @@ def test_commutator_table_equals_reference_for_truncated_operators():
         PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
     )
     mxs = [
-        group_matrix_spectral(1, s, seqs, (0.0, 0.0), win, grid_n=64, leakage_tol=1.0)
+        group_matrix_spectral(1, s, seqs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
         for s in (0.25, 0.5)
     ]
     mys = [
-        group_matrix_spectral(2, t, seqs, (0.0, 0.0), win, grid_n=64, leakage_tol=1.0)
+        group_matrix_spectral(2, t, seqs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
         for t in (0.125, 0.375, 0.625)
     ]
     vec_probes = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
@@ -613,7 +647,7 @@ def test_spectral_matrix_columns_isometric_without_leakage():
     seqs = PhaseSequenceSet2D(
         PhaseSequence({}, 1.0), random_sequence(rng, 5), win
     )
-    op = group_matrix_spectral(1, 0.25, seqs, (0.0, 0.0), win, leakage_tol=1e-12)
+    op = group_matrix_spectral(1, 0.25, seqs, (0.0, 0.0), leakage_tol=1e-12)
     for _ in range(5):
         vec = rng.standard_normal(win.cardinality) + 1j * rng.standard_normal(
             win.cardinality
@@ -679,13 +713,14 @@ def test_spectral_column_for_single_flipped_eigenvalue():
     seqs = PhaseSequenceSet2D(
         PhaseSequence({n0: -1.0}, 1.0), PhaseSequence({}, 1.0), win
     )
-    op = group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), win, leakage_tol=0.6)
+    op = group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), leakage_tol=0.6)
     labels = op.labels()
     col = labels.index((0, n0))
-    ind = indicator_fourier_coeffs(0.5, range(-4, 5))
+    coeff = indicator_fourier_coeffs(0.5, range(-4, 5))  # k = -4..4
     for k in range(-4, 5):
         row = labels.index((k, n0))
-        expected = (ind.complement[k] - ind.coeff[k]) * np.exp(
+        complement = (1.0 if k == 0 else 0.0) - coeff[k + 4]
+        expected = (complement - coeff[k + 4]) * np.exp(
             2j * np.pi * 0.0 * 0.5
         )
         assert op.matrix[row, col] == pytest.approx(expected, abs=1e-14)
@@ -777,7 +812,7 @@ def test_truncated_operator_on_a_stack_equals_per_vector_loop():
         PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(
-        2, 0.375, seqs, (0.1, 0.2), win, grid_n=64, leakage_tol=1.0
+        2, 0.375, seqs, (0.1, 0.2), grid_n=64, leakage_tol=1.0
     )
     stack = random_grid(rng, 5, win.cardinality)
     assert (op(stack) == np.array([op.matrix @ v for v in stack])).all()

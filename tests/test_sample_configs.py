@@ -20,6 +20,9 @@ EXPECTED = {
         "report.txt": "ef492ef9ac0354e0f22b7c39b5222e74adce3808cef4b99ee30ad0ee82f5f6c4",
         "spectrum.txt": "ffd66abccb6a2c9193d81d214a562bcb80e404a428444c4db3bb4505a20f3f30",
     }),
+    "check_cocycle_commuting": ("check-cocycle", 0, {
+        "report.txt": "b65904975180aed77bce109690c3c3b394f3affbd0e6fa4e333cde829fe4b3ee",
+    }),
     "check_cocycle_failing": ("check-cocycle", 1, {
         "report.txt": "16b8705a620e33cb94645878993d4652bdf265dac76126ae706f591ef80f9ba5",
     }),
