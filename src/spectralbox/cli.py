@@ -39,7 +39,7 @@ required key:
         - {default: 0.25}
         - {default: 0.0, table: {"1": 0.5}}
         - {default: 0.0, table: {"1,2": 0.3}}
-      points: [[0.0, 0.0]]        # explicit only; finite coordinates
+      points: [[0.0, 0.0]]        # explicit only; finite; needs no window
     window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]; verify-pair
                                   #   on P points needs P^2 (176 + 16 d) <= 2^30 B
 
@@ -103,7 +103,7 @@ import numpy as np
 
 from . import __version__
 from .cocycles import (
-    PhaseSequenceSet2D,
+    BoundaryEigenvalues,
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
@@ -305,10 +305,10 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
 
 def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     tol = cfg.tolerances
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         cfg.cocycle["a"], cfg.cocycle["b"], cfg.cocycle["window"]
     )
-    rep = check_cocycle_2d(seqs, tol.eq_tol)
+    rep = check_cocycle_2d(eigs, tol.eq_tol)
     notes = [
         f"witness ({kind}) m={m} n={n} shift={k} modulus={format_float(v)}"
         for kind, m, n, k, v in rep.witnesses
@@ -320,7 +320,7 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         [("max_violation", rep.max_violation)],
         notes,
     )
-    single = check_single_identity_2d(seqs, tol.eq_tol)
+    single = check_single_identity_2d(eigs, tol.eq_tol)
     report.add(
         "cocycles.check_single_identity_2d",
         "(1-b_{m+k})(1-a_n) = (1-b_m)(1-a_{n+l}) on the window",
@@ -328,7 +328,7 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         [("holds", single)],
     )
     try:
-        label = classify_2d(seqs, tol.eq_tol).value
+        label = classify_2d(eigs, tol.eq_tol).value
     except SpectralBoxError as exc:
         report.add(
             "cocycles.classify_2d",
@@ -349,7 +349,7 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
 def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     tol = cfg.tolerances
     g = cfg.groups
-    seqs = PhaseSequenceSet2D(g["a"], g["b"], g["window"])
+    eigs = BoundaryEigenvalues.from_pair(g["a"], g["b"], g["window"])
     phases = g["phases"]
     grid_n = g["grid_n"]
     rng = np.random.default_rng(cfg.seed)
@@ -376,7 +376,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     _write_text(outdir, "commutator_sweep.csv", "\n".join(rows) + "\n")
     worst = float(table.max(initial=0.0))
 
-    cocycle_holds = check_cocycle_2d(seqs, tol.eq_tol).holds
+    cocycle_holds = check_cocycle_2d(eigs, tol.eq_tol).holds
     commuting = worst < 1e-6
     report.add(
         "groups.commutator_norm",
@@ -392,7 +392,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
 
     s0 = g["times"][0]
     op = group_matrix_spectral(
-        1, s0, seqs, phases, grid_n=grid_n, leakage_tol=g["leakage_tol"]
+        1, s0, eigs, phases, grid_n=grid_n, leakage_tol=g["leakage_tol"]
     )
     mismatch = 0.0
     for vec in coeff_probes[: min(8, len(coeff_probes))]:

@@ -1,16 +1,16 @@
 """Cocycle identities for boundary eigenvalue data, in any dimension d >= 2.
 
 Commutativity of the induced translation groups is equivalent to product
-identities on the unit-modulus eigenvalue sequences of the boundary
-unitaries; this module checks those identities over finite index windows,
-classifies the 2-D outcomes, and decides quasi-commutativity (joint
-diagonalizability in a fixed shifted product basis) for small matrix
-models.  All verdicts are relative to the supplied window.
-
-One vectorised kernel checks the pairwise shift identity for every ordered
-slot pair; check_cocycle_2d (witnesses ("b-shift" | "a-shift", m, n,
-shift, modulus)) and check_cocycle_highdim (witnesses (f, s, n, shift,
-modulus)) are adapters over it and both return a CocycleReport.
+identities on the unit-modulus eigenvalues v_j of the d boundary
+unitaries.  One type holds those eigenvalues over a finite index window,
+BoundaryEigenvalues, built from a 2-D sequence pair (a, b) or from a
+staircase Tower of any d and axis order.  One vectorised kernel,
+check_cocycle, checks the pairwise shift identity for every ordered slot
+pair (witnesses (f, s, n, shift, modulus)); check_cocycle_2d relabels its
+witnesses ("b-shift" | "a-shift", m, n, shift, modulus) for a pair.  The
+module also classifies the 2-D outcomes and decides quasi-commutativity
+(joint diagonalizability in a fixed shifted product basis) for small
+matrix models.  All verdicts are relative to the supplied window.
 """
 
 from __future__ import annotations
@@ -18,29 +18,26 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import IntFunction, LatticeWindow, SpectralBoxError, Tower
+from .model import ArityMismatchError, LatticeWindow, SpectralBoxError, Tower
 
 __all__ = [
     "UnitModulusError",
     "WindowTooSmallError",
     "ToleranceInconsistencyError",
     "PhaseSequence",
-    "PhaseSequenceSet2D",
+    "BoundaryEigenvalues",
     "CocycleReport",
+    "check_cocycle",
     "check_cocycle_2d",
     "check_single_identity_2d",
     "MAX_IDENTITY_TERMS",
     "check_identity_window",
     "Classification",
     "classify_2d",
-    "EigenvalueFunctionSet",
-    "PhaseLift",
-    "check_cocycle_highdim",
-    "eigenfunctions_from_tower3d",
     "cyclic_mode_basis",
     "boundary_matrices_from_tower3d",
     "diagonal_boundary_matrix",
@@ -116,34 +113,110 @@ class PhaseSequence:
         return np.array([self.value(int(n)) for n in indices], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PhaseSequenceSet2D:
-    """Eigenvalue sequences of the two boundary unitaries on a 2-D window.
+def _lift(phase: float) -> complex:
+    """exp(i*2*pi*phase), the value PhaseSequence.from_phases stores."""
+    return _renormalize_unit(complex(np.exp(2j * np.pi * float(phase))), "phase")
 
-    `a` is indexed by the second-coordinate mode n, `b` by the first-
-    coordinate mode m; the window's axis 0 is the m-range, axis 1 the
-    n-range.  Construction evaluates each sequence once on its range:
-    `a_values[j]` is a at the window's j-th n index and `b_values[i]` is b
-    at its i-th m index, read-only complex arrays that every check reads.
-    Each axis must hold at least two indices, room for a nonzero shift;
-    a narrower window raises WindowTooSmallError.
+
+@dataclass(frozen=True, eq=False)
+class BoundaryEigenvalues:
+    """Eigenvalues v_j of the d boundary unitaries over a window, d >= 2.
+
+    values[j] holds v_j at every window tuple: a read-only complex array of
+    the window's shape with axis j set to 1, since the unitary omitting
+    slot j does not see that slot.  Each axis must hold at least two
+    indices, room for a nonzero shift (WindowTooSmallError), and every
+    value must lie within 1e-6 of the unit circle (UnitModulusError).
     """
 
-    a: PhaseSequence
-    b: PhaseSequence
     window: LatticeWindow
-    a_values: np.ndarray = field(init=False, repr=False, compare=False)
-    b_values: np.ndarray = field(init=False, repr=False, compare=False)
+    values: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.window.dimension != 2:
-            raise ValueError("phase-sequence window needs exactly two axes")
+        d = self.window.dimension
+        if d < 2:
+            raise ValueError("boundary eigenvalues need a window of d >= 2 axes")
+        if len(self.values) != d:
+            raise ValueError(f"need one eigenvalue array per axis, {d} in all")
         if any(hi == lo for lo, hi in self.window.ranges):
             raise WindowTooSmallError("need two indices per axis for a nonzero shift")
-        for name, seq, axis in (("a_values", self.a, 1), ("b_values", self.b, 0)):
-            values = seq.values(self.window.axis_indices(axis))
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        sizes = [hi - lo + 1 for lo, hi in self.window.ranges]
+        frozen = []
+        for j, v in enumerate(self.values):
+            v = np.asarray(v, dtype=complex).view()
+            want = tuple(sizes[:j] + [1] + sizes[j + 1 :])
+            if v.shape != want:
+                raise ValueError(f"v[{j}] has shape {v.shape}, expected {want}")
+            unit = np.abs(np.abs(v) - 1.0) <= 1e-6  # NaN fails too
+            if not unit.all():
+                pos = np.unravel_index(np.argmin(unit), v.shape)
+                n = tuple(int(lo + p) for (lo, _), p in zip(self.window.ranges, pos))
+                raise UnitModulusError(
+                    f"v[{j}]{n[:j] + n[j + 1 :]} has modulus {abs(v[pos])}"
+                )
+            v.flags.writeable = False
+            frozen.append(v)
+        object.__setattr__(self, "values", tuple(frozen))
+
+    @classmethod
+    def from_pair(
+        cls, a: PhaseSequence, b: PhaseSequence, window: LatticeWindow
+    ) -> "BoundaryEigenvalues":
+        """The 2-D pair: a, indexed by the mode n on axis 1, is v_0; b,
+        indexed by the mode m on axis 0, is v_1."""
+        return cls(
+            window,
+            (
+                a.values(window.axis_indices(1))[None, :],
+                b.values(window.axis_indices(0))[:, None],
+            ),
+        )
+
+    @classmethod
+    def from_tower(cls, tower: Tower, window: LatticeWindow) -> "BoundaryEigenvalues":
+        """The staircase's unitaries: the one omitting axis axis_order[j]
+        multiplies the fiber over (k_0, ..., k_{j-1}) by
+        exp(i*2*pi*levels[j](k_0, ..., k_{j-1})), k_i the window index on
+        axis axis_order[i].
+
+        Each array is broadcast, as a view, over every window axis but its
+        own, also where the level ignores that axis: the kernel reads
+        witness positions from the shapes.  A nonzero level 0 raises
+        ValueError, because how that offset enters the boundary data is
+        not settled.
+        """
+        if tower.dimension != window.dimension:
+            raise ArityMismatchError(
+                f"a tower of {tower.dimension} levels on {window.dimension} axes"
+            )
+        if tower.levels[0]() != 0.0:
+            raise ValueError("no boundary eigenvalues for a nonzero level 0")
+        sizes = [hi - lo + 1 for lo, hi in window.ranges]
+        values = [None] * tower.dimension
+        for j, level in enumerate(tower.levels):
+            read = tower.axis_order[:j]  # the axes of k_0, ..., k_{j-1}
+            lift = np.full([sizes[a] for a in read], _lift(level.default))
+            if level.table:
+                keys = np.array(list(level.table)) - [window.ranges[a][0] for a in read]
+                inside = np.all((keys >= 0) & (keys < lift.shape), axis=1)
+                lift[tuple(keys[inside].T)] = [
+                    _lift(p) for p, ok in zip(level.table.values(), inside) if ok
+                ]
+            lift = np.transpose(lift, np.argsort(read)).reshape(
+                [n if a in read else 1 for a, n in enumerate(sizes)]
+            )
+            axis = tower.axis_order[j]
+            values[axis] = np.broadcast_to(
+                lift, [1 if a == axis else n for a, n in enumerate(sizes)]
+            )
+        return cls(window, tuple(values))
+
+
+def _pair(eigs: BoundaryEigenvalues) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of a 2-D pair, as 1-D arrays over the n and the m range."""
+    if eigs.window.dimension != 2:
+        raise ValueError("the 2-D checks need a window of two axes")
+    return eigs.values[0][0], eigs.values[1][:, 0]
 
 
 @dataclass(frozen=True)
@@ -156,20 +229,20 @@ class CocycleReport:
 _MAX_WITNESSES = 10  # report readability
 
 
-def _shift_identity(
-    values: Sequence[np.ndarray], window: LatticeWindow, eq_tol: float
-) -> CocycleReport:
-    """Pairwise shift identities of d eigenvalue arrays over a window.
+def check_cocycle(eigs: BoundaryEigenvalues, eq_tol: float) -> CocycleReport:
+    """Pairwise shift identities of the d eigenvalue arrays over the window.
 
-    values[f] holds v_f at every window tuple, with size 1 on axis f: the
-    operator omitting slot f does not see that slot.  For every ordered
-    slot pair (f, s), window tuple n and in-window n_s' != n_s the product
+    For every ordered slot pair (f, s), window tuple n and in-window
+    n_s' != n_s the product
       |(v_f(n) - v_f(n with n_s -> n_s')) (1 - v_s(n))|
-    must stay below eq_tol.  Witnesses are (f, s, n, n_s' - n_s, modulus),
-    shifted slot s outermost, then f, then (n_s, n_s', the other axes) in
-    row-major order; at most _MAX_WITNESSES of them.  One n_s is held at a
-    time, so memory is the window's size, not M_s times it.
+    must stay below eq_tol.  For d = 3 these are the six leg identities of
+    the three boundary operators; for d = 2 the two of check_cocycle_2d.
+    Witnesses are (f, s, n, n_s' - n_s, modulus), shifted slot s
+    outermost, then f, then (n_s, n_s', the other axes) in row-major
+    order; at most _MAX_WITNESSES of them.  One n_s is held at a time, so
+    memory is the window's size, not M_s times it.
     """
+    values, window = eigs.values, eigs.window
     maxima = []
     witnesses = []
     for s in range(window.dimension):
@@ -198,7 +271,7 @@ def _shift_identity(
 
 
 def check_cocycle_2d(
-    seqs: PhaseSequenceSet2D, eq_tol: float = 1e-10
+    eigs: BoundaryEigenvalues, eq_tol: float = 1e-10
 ) -> CocycleReport:
     """Window check of (b_m - b_{m+k})(1 - a_n) = 0 and its mirror.
 
@@ -207,10 +280,8 @@ def check_cocycle_2d(
     below eq_tol.  Up to ten witness tuples (identity, m, n, shift,
     modulus) are returned otherwise, the "b-shift" ones first.
     """
-    # a is v_0 (blind to slot 0, the m axis), b is v_1 (blind to slot 1)
-    report = _shift_identity(
-        (seqs.a_values[None, :], seqs.b_values[:, None]), seqs.window, eq_tol
-    )
+    _pair(eigs)  # a pair only: a is v_0 (blind to the m axis), b is v_1
+    report = check_cocycle(eigs, eq_tol)
     witnesses = tuple(
         ("b-shift" if s == 0 else "a-shift", m, n, shift, modulus)
         for _, s, (m, n), shift, modulus in report.witnesses
@@ -237,14 +308,15 @@ def check_identity_window(window: LatticeWindow) -> None:
 
 
 def check_single_identity_2d(
-    seqs: PhaseSequenceSet2D, eq_tol: float = 1e-10
+    eigs: BoundaryEigenvalues, eq_tol: float = 1e-10
 ) -> bool:
     """(1 - b_{m+k})(1 - a_n) = (1 - b_m)(1 - a_{n+l}) over the window.
 
     The M^2 N^2 comparisons run in blocks of one m1 row, and of at most
     _IDENTITY_BLOCK entries within a row.
     """
-    p = np.outer(1.0 - seqs.b_values, 1.0 - seqs.a_values)  # p[m, n]
+    a, b = _pair(eigs)
+    p = np.outer(1.0 - b, 1.0 - a)  # p[m, n]
     cols = np.arange(p.shape[1])
     step = max(1, _IDENTITY_BLOCK // p.size)
     for m1, row in enumerate(p):
@@ -266,18 +338,19 @@ class Classification(enum.Enum):
 
 
 def classify_2d(
-    seqs: PhaseSequenceSet2D, eq_tol: float = 1e-10
+    eigs: BoundaryEigenvalues, eq_tol: float = 1e-10
 ) -> Classification:
     """Sort a sequence pair into the two commuting classes, the lattice
     case, or non-commuting; the complementarity product (1-a_n)(1-b_m) is
     verified explicitly and a hold-but-neither-constant window raises
     ToleranceInconsistencyError.
     """
-    report = check_cocycle_2d(seqs, eq_tol)
+    report = check_cocycle_2d(eigs, eq_tol)
     if not report.holds:
         return Classification.NON_COMMUTING
-    one_minus_a = 1.0 - seqs.a_values
-    one_minus_b = 1.0 - seqs.b_values
+    a, b = _pair(eigs)
+    one_minus_a = 1.0 - a
+    one_minus_b = 1.0 - b
     a_one = bool(np.all(np.abs(one_minus_a) < eq_tol))
     b_one = bool(np.all(np.abs(one_minus_b) < eq_tol))
     product = np.abs(np.outer(one_minus_b, one_minus_a))
@@ -289,107 +362,6 @@ def classify_2d(
     if a_one and b_one:
         return Classification.LATTICE
     return Classification.CLASS_I if a_one else Classification.CLASS_II
-
-
-# ---------------------------------------------------------------------------
-# Higher dimensions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseLift:
-    """exp(i*2*pi*f(selected args)): a unit-circle lift of a table function."""
-
-    fn: IntFunction
-    argmap: tuple[int, ...]
-
-    def __call__(self, *args: int) -> complex:
-        picked = tuple(args[i] for i in self.argmap)
-        return complex(np.exp(2j * np.pi * self.fn(*picked)))
-
-
-@dataclass(frozen=True)
-class EigenvalueFunctionSet:
-    """Boundary eigenvalue functions v_j on Z^{d-1}, one per coordinate."""
-
-    dimension: int
-    v: tuple[Callable[..., complex], ...]
-
-    def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError("dimension must be >= 2")
-        if len(self.v) != self.dimension:
-            raise ValueError("need one eigenvalue function per coordinate")
-
-
-def check_cocycle_highdim(
-    funcs: EigenvalueFunctionSet,
-    window: LatticeWindow,
-    eq_tol: float = 1e-10,
-) -> CocycleReport:
-    """Pairwise shift identities for any d >= 2 over all in-window tuples.
-
-    For every ordered slot pair (f, s), every window tuple n and every
-    nonzero in-window shift k in slot s the product
-      (v_f(n with n_s -> n_s + k) - v_f(n)) (1 - v_s(n))
-    must vanish; each v_j is evaluated once per tuple of the other slots.
-    For d = 3 these are the six leg identities of the three boundary
-    operators; for d = 2, with v = (a, b), the two of check_cocycle_2d.
-    Up to ten witnesses (f, s, n, k, modulus) are returned, n the window
-    tuple, in the order of the shifted slot s, then f, then (n_s, n_s + k,
-    the other slots) row-major.
-    """
-    d = funcs.dimension
-    if window.dimension != d:
-        raise ValueError("window arity must match the dimension")
-    sizes = [window.axis_indices(s).size for s in range(d)]
-    values = []
-    for j in range(d):
-        args = list(
-            itertools.product(
-                *(window.axis_indices(s).tolist() for s in range(d) if s != j)
-            )
-        )
-        vals = np.array([complex(funcs.v[j](*t)) for t in args], dtype=complex)
-        bad = np.flatnonzero(~(np.abs(np.abs(vals) - 1.0) <= 1e-6))
-        if bad.size:
-            raise UnitModulusError(
-                f"v[{j}]{args[bad[0]]} has modulus {abs(vals[bad[0]])}"
-            )
-        values.append(vals.reshape(sizes[:j] + [1] + sizes[j + 1 :]))
-    return _shift_identity(values, window, eq_tol)
-
-
-def _tower3d_levels(spec: Tower) -> tuple[IntFunction, IntFunction]:
-    """beta = levels[1] and gamma = levels[2] of (k, beta(k)+l, gamma(k,l)+m).
-
-    Raises ValueError for any other tower: another dimension, a permuted
-    axis order or a nonzero level 0.
-    """
-    if (
-        spec.dimension != 3
-        or spec.axis_order != (0, 1, 2)
-        or spec.levels[0]() != 0.0
-    ):
-        raise ValueError(
-            "expected the 3-D staircase (k, beta(k)+l, gamma(k,l)+m): three "
-            "levels, identity axis order and a zero level 0"
-        )
-    return spec.levels[1], spec.levels[2]
-
-
-def eigenfunctions_from_tower3d(spec: Tower) -> EigenvalueFunctionSet:
-    """Boundary eigenvalue functions of the 3-D staircase family.
-
-    The operator omitting the first slot is the identity; the one omitting
-    the second slot multiplies fiber k by exp(i*2*pi*beta(k)); the one
-    omitting the third multiplies (k,l) by exp(i*2*pi*gamma(k,l)).
-    """
-    beta, gamma = _tower3d_levels(spec)
-    v1 = PhaseLift(IntFunction.constant(0.0), ())
-    v2 = PhaseLift(beta, (0,))
-    v3 = PhaseLift(gamma, (0, 1))
-    return EigenvalueFunctionSet(dimension=3, v=(v1, v2, v3))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +394,16 @@ def boundary_matrices_from_tower3d(
     third operator is beta(k)-shifted per fiber, which is exactly what
     makes generic staircases fail quasi-commutativity.
     """
-    beta, gamma = _tower3d_levels(spec)
+    if (
+        spec.dimension != 3
+        or spec.axis_order != (0, 1, 2)
+        or spec.levels[0]() != 0.0
+    ):
+        raise ValueError(
+            "expected the 3-D staircase (k, beta(k)+l, gamma(k,l)+m): three "
+            "levels, identity axis order and a zero level 0"
+        )
+    _, beta, gamma = spec.levels
     if window.dimension != 3:
         raise ValueError("window must have three axes")
     k_idx = window.axis_indices(0)

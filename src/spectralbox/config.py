@@ -207,10 +207,11 @@ def _parse_spectrum_window(section: dict, cfg: "RunConfig") -> LatticeWindow:
     """The spectrum's window; for verify-pair its Gram must fit in memory."""
     window = _parse_window(section, _dimension(cfg), "window")
     spec = cfg.spectrum
-    if cfg.command == "verify-pair" and spec is not None:
-        # an explicit spectrum is its own finite set, whatever the window
-        points = len(spec.points) if isinstance(spec, ExplicitSpectrum) else None
-        check_pair_size(points or window.cardinality, spec.dimension)
+    # an explicit spectrum is its own finite set, sized where it is parsed
+    if cfg.command == "verify-pair" and spec is not None and not isinstance(
+        spec, ExplicitSpectrum
+    ):
+        check_pair_size(window.cardinality, spec.dimension)
     return window
 
 
@@ -283,7 +284,10 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
         ))
     if family == "explicit":
         points = _list(section.get("points", ()), "spectrum.points")
-        return ExplicitSpectrum([_reals(p, "spectrum.points") for p in points])
+        spec = ExplicitSpectrum([_reals(p, "spectrum.points") for p in points])
+        if cfg.command == "verify-pair":
+            check_pair_size(len(spec.points), spec.dimension)
+        return spec
     raise ConfigError(
         "spectrum.family must be one of translated-lattice, class-a, "
         f"class-b, tower, tower3d, explicit; got {family!r}"
@@ -490,6 +494,8 @@ _REQUIRED = {
 
 def _validate_required(cfg: RunConfig) -> None:
     for name in _REQUIRED[cfg.command]:
+        if name == "window" and isinstance(cfg.spectrum, ExplicitSpectrum):
+            continue  # no step reads a window for an explicit set
         value = getattr(cfg, name.replace("-", "_"))
         if value is None or value == {}:
             raise ConfigError(

@@ -233,7 +233,7 @@ class CompletenessReport:
 def completeness_probe(
     domain: Domain,
     spec: SpectrumSpec,
-    window: LatticeWindow,
+    window: Optional[LatticeWindow],
     test_functions: Sequence[np.ndarray],
 ) -> CompletenessReport:
     """Parseval ratio sum |<e_lam, f>|^2 / (|f|^2 * measure) per test state.
@@ -242,6 +242,7 @@ def completeness_probe(
     must be finite.  Ratios increase toward 1 with the window when the
     family is total; missing frequencies leave a plateau strictly below 1.
     Only unit-cube domains carry the grid sampling this probe relies on.
+    An ExplicitSpectrum needs no window.
     """
     if domain != UnitCube(domain.dimension):
         raise TypeError("completeness probe requires a unit-cube domain")

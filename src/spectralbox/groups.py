@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .cocycles import PhaseSequence, PhaseSequenceSet2D
+from .cocycles import BoundaryEigenvalues, PhaseSequence
 from .grid import (
     fft_mode_indices,
     grid_coords,
@@ -289,13 +289,13 @@ class TruncatedOperator:
 def group_matrix_spectral(
     axis: int,
     t: float,
-    seqs: PhaseSequenceSet2D,
+    eigs: BoundaryEigenvalues,
     phases: tuple[float, float],
     grid_n: Optional[int] = None,
     leakage_tol: float = 1e-6,
 ) -> TruncatedOperator:
     """Assemble the axis group in the basis E(m,n) = e_{m+alpha} x e_{n+beta}
-    over the window of `seqs`.
+    over the window of `eigs`.
 
     For axis 1 the column of E(m,n) is
       exp(i*2*pi*(m+alpha)*t) * (q_k + exp(-i*2*pi*alpha) a_n p_k)
@@ -312,12 +312,12 @@ def group_matrix_spectral(
         raise ValueError("axis must be 1 or 2")
     # axis 1 moves along m with phase alpha and reads a on n; axis 2 mirrors it
     shift = float(phases[axis - 1])
-    move_idx = seqs.window.axis_indices(axis - 1)
-    eig = (seqs.a_values if axis == 1 else seqs.b_values) * np.exp(-2j * np.pi * shift)
+    move_idx = eigs.window.axis_indices(axis - 1)
+    eig = eigs.values[axis - 1].ravel() * np.exp(-2j * np.pi * shift)
     base_phase = np.exp(2j * np.pi * (move_idx + shift) * t)
     # basis position of E(m, n), row-major over the window
-    index = np.arange(seqs.window.cardinality).reshape(
-        [hi - lo + 1 for lo, hi in seqs.window.ranges]
+    index = np.arange(eigs.window.cardinality).reshape(
+        [hi - lo + 1 for lo, hi in eigs.window.ranges]
     )
 
     diffs = move_idx[:, None] - move_idx[None, :]  # row mode minus col mode
@@ -339,7 +339,7 @@ def group_matrix_spectral(
         matrix[np.ix_(rows, rows)] = block
     if max_leakage > leakage_tol:
         raise TruncationLeakageError(max_leakage, leakage_tol)
-    return TruncatedOperator(matrix, seqs.window, max_leakage)
+    return TruncatedOperator(matrix, eigs.window, max_leakage)
 
 
 def _check_window_fits(window: LatticeWindow, grid_n: int) -> None:

@@ -368,9 +368,12 @@ def spectrum_points(
     return spec.points_at(idx, period)
 
 
-def enumerate_spectrum(spec: SpectrumSpec, window: LatticeWindow) -> np.ndarray:
-    """The family's points over the window, an (cardinality, d) array."""
-    return spectrum_points(spec, window.ranges, None)
+def enumerate_spectrum(
+    spec: SpectrumSpec, window: Optional[LatticeWindow]
+) -> np.ndarray:
+    """The family's points over the window, an (cardinality, d) array; an
+    ExplicitSpectrum needs no window."""
+    return spectrum_points(spec, () if window is None else window.ranges, None)
 
 
 def spectrum_difference_set(points: np.ndarray) -> np.ndarray:

@@ -11,12 +11,11 @@ import numpy as np
 
 from spectralbox.cli import main as cli_main
 from spectralbox.cocycles import (
+    BoundaryEigenvalues,
     PhaseSequence,
-    PhaseSequenceSet2D,
     boundary_matrices_from_tower3d,
+    check_cocycle,
     check_cocycle_2d,
-    check_cocycle_highdim,
-    eigenfunctions_from_tower3d,
     phase_grid,
     quasi_commutativity_check,
 )
@@ -135,7 +134,8 @@ def test_acceptance_02_difference_set_containment():
     )
 
 
-def _commuting_instance(rng, window, radius):
+def _commuting_instance(rng, radius):
+    """A commuting sequence pair (a, b)."""
     kind = int(rng.integers(3))
     rand = lambda: PhaseSequence(
         {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
@@ -143,29 +143,29 @@ def _commuting_instance(rng, window, radius):
     )
     one = PhaseSequence({}, 1.0)
     if kind == 0:
-        return PhaseSequenceSet2D(one, rand(), window)
+        return one, rand()
     if kind == 1:
-        return PhaseSequenceSet2D(rand(), one, window)
-    return PhaseSequenceSet2D(one, one, window)
+        return rand(), one
+    return one, one
 
 
-def _perturbed_instance(rng, window, radius):
-    seqs = _commuting_instance(rng, window, radius)
+def _perturbed_instance(rng, radius):
+    a, b = _commuting_instance(rng, radius)
     n0 = int(rng.integers(-3, 4))
     value = unit(0.15 + 0.6 * rng.random())
     a_is_one = all(
-        abs(seqs.a.value(n) - 1.0) < 1e-12 for n in range(-radius, radius + 1)
+        abs(a.value(n) - 1.0) < 1e-12 for n in range(-radius, radius + 1)
     )
     b_is_one = all(
-        abs(seqs.b.value(m) - 1.0) < 1e-12 for m in range(-radius, radius + 1)
+        abs(b.value(m) - 1.0) < 1e-12 for m in range(-radius, radius + 1)
     )
     if a_is_one and b_is_one:
         a = PhaseSequence({n0: value}, 1.0)
         b = PhaseSequence({2: unit(0.3)}, 1.0)
-        return PhaseSequenceSet2D(a, b, window)
+        return a, b
     if a_is_one:
-        return PhaseSequenceSet2D(PhaseSequence({n0: value}, 1.0), seqs.b, window)
-    return PhaseSequenceSet2D(seqs.a, PhaseSequence({n0: value}, 1.0), window)
+        return PhaseSequence({n0: value}, 1.0), b
+    return a, PhaseSequence({n0: value}, 1.0)
 
 
 def test_acceptance_03_cocycle_commutator_cross_oracle():
@@ -183,12 +183,13 @@ def test_acceptance_03_cocycle_commutator_cross_oracle():
     disagreements = 0
     for trial in range(50):
         if trial % 2 == 0:
-            seqs = _commuting_instance(rng, window, radius)
+            a, b = _commuting_instance(rng, radius)
         else:
-            seqs = _perturbed_instance(rng, window, radius)
-        cocycle_holds = check_cocycle_2d(seqs, 1e-10).holds
-        bx = DiagonalBoundary(seqs.a)
-        by = DiagonalBoundary(seqs.b)
+            a, b = _perturbed_instance(rng, radius)
+        eigs = BoundaryEigenvalues.from_pair(a, b, window)
+        cocycle_holds = check_cocycle_2d(eigs, 1e-10).holds
+        bx = DiagonalBoundary(a)
+        by = DiagonalBoundary(b)
         worst = 0.0
         for s, t in st_grid:
             worst = max(
@@ -222,26 +223,24 @@ def test_acceptance_04_spectral_vs_grid_oracle_match():
     for trial in range(20):
         axis = 1 + trial % 2
         radius = 20
-        seqs = PhaseSequenceSet2D(
-            PhaseSequence(
-                {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
-                unit(rng.random()),
-            ),
-            PhaseSequence(
-                {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
-                unit(rng.random()),
-            ),
-            window,
+        a = PhaseSequence(
+            {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
+            unit(rng.random()),
         )
+        b = PhaseSequence(
+            {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
+            unit(rng.random()),
+        )
+        eigs = BoundaryEigenvalues.from_pair(a, b, window)
         phases = (float(rng.random()), float(rng.random()))
         t = int(rng.integers(1, grid_n)) / grid_n
         op = group_matrix_spectral(
-            axis, t, seqs, phases, grid_n=grid_n, leakage_tol=1.0
+            axis, t, eigs, phases, grid_n=grid_n, leakage_tol=1.0
         )
         boundary = (
-            DiagonalBoundary(seqs.a, shift=phases[1])
+            DiagonalBoundary(a, shift=phases[1])
             if axis == 1
-            else DiagonalBoundary(seqs.b, shift=phases[0])
+            else DiagonalBoundary(b, shift=phases[0])
         )
         for _ in range(3):
             vec = rng.standard_normal(window.cardinality) + 1j * rng.standard_normal(
@@ -420,8 +419,8 @@ def test_acceptance_10_staircase_cocycles_and_quasi_commutativity():
     # commuting staircase with both tables nonconstant passes the shift
     # identities
     aligned = _aligned_tower3d()
-    funcs = eigenfunctions_from_tower3d(aligned)
-    assert check_cocycle_highdim(funcs, window).holds
+    eigs = BoundaryEigenvalues.from_tower(aligned, window)
+    assert check_cocycle(eigs, 1e-10).holds
     # generic both-nonconstant tables are not jointly diagonalizable over
     # the phase grid
     generic = _generic_tower3d()

@@ -6,22 +6,20 @@ import numpy as np
 import pytest
 
 from spectralbox.cocycles import (
+    BoundaryEigenvalues,
     Classification,
     CocycleReport,
-    EigenvalueFunctionSet,
     PhaseSequence,
-    PhaseSequenceSet2D,
     ToleranceInconsistencyError,
     UnitModulusError,
     WindowTooSmallError,
     boundary_matrices_from_tower3d,
+    check_cocycle,
     check_cocycle_2d,
-    check_cocycle_highdim,
     check_single_identity_2d,
     classify_2d,
     cyclic_mode_basis,
     diagonal_boundary_matrix,
-    eigenfunctions_from_tower3d,
     phase_grid,
     quasi_commutativity_check,
 )
@@ -34,6 +32,10 @@ def unit(x):
 
 def window2(radius=2):
     return LatticeWindow.centered(radius, 2)
+
+
+def pair(a, b, window):
+    return BoundaryEigenvalues.from_pair(a, b, window)
 
 
 def random_unit_sequence(rng, radius=2):
@@ -67,12 +69,12 @@ def random_pair(rng, trial, radius=2):
 MAX_WITNESSES = 10
 
 
-def reference_cocycle_2d(seqs, eq_tol=1e-10):
+def reference_cocycle_2d(a_seq, b_seq, window, eq_tol=1e-10):
     """Both 2-D identities as two M x M x N / N x N x M arrays."""
-    m_idx = seqs.window.axis_indices(0)
-    n_idx = seqs.window.axis_indices(1)
-    a = seqs.a.values(n_idx)
-    b = seqs.b.values(m_idx)
+    m_idx = window.axis_indices(0)
+    n_idx = window.axis_indices(1)
+    a = a_seq.values(n_idx)
+    b = b_seq.values(m_idx)
     witnesses = []
     b_diff = b[:, None] - b[None, :]
     prod1 = np.abs(b_diff[:, :, None] * (1.0 - a)[None, None, :])
@@ -97,11 +99,11 @@ def reference_cocycle_2d(seqs, eq_tol=1e-10):
     return CocycleReport(holds, max_violation, tuple(witnesses))
 
 
-def reference_single_identity_2d(seqs, eq_tol=1e-10):
+def reference_single_identity_2d(a, b, window, eq_tol=1e-10):
     """The single identity as one dense M x M x N x N array."""
-    m_idx = seqs.window.axis_indices(0)
-    n_idx = seqs.window.axis_indices(1)
-    p = np.outer(1.0 - seqs.b.values(m_idx), 1.0 - seqs.a.values(n_idx))
+    m_idx = window.axis_indices(0)
+    n_idx = window.axis_indices(1)
+    p = np.outer(1.0 - b.values(m_idx), 1.0 - a.values(n_idx))
     diff = np.abs(p[None, :, :, None] - p[:, None, None, :])  # [m1, m2, n1, n2]
     mask = (
         (~np.eye(m_idx.size, dtype=bool))[:, :, None, None]
@@ -114,19 +116,20 @@ def _omit(tup, slot):
     return tup[:slot] + tup[slot + 1 :]
 
 
-def reference_highdim(funcs, window, eq_tol=1e-10):
+def reference_highdim(v, window, eq_tol=1e-10):
     """Slot pairs j < k, window tuples and shifts as plain Python loops.
 
-    Witnesses are (f, s, n, shift, modulus): v_f moved along slot s.
+    v[j] is a callable on the d - 1 indices other than slot j.  Witnesses
+    are (f, s, n, shift, modulus): v_f moved along slot s.
     """
-    d = funcs.dimension
+    d = len(v)
     witnesses = []
     max_violation = 0.0
     for j in range(d):
         for k in range(j + 1, d):
             for n in window.indices():
-                vj = complex(funcs.v[j](*_omit(n, j)))
-                vk = complex(funcs.v[k](*_omit(n, k)))
+                vj = complex(v[j](*_omit(n, j)))
+                vk = complex(v[k](*_omit(n, k)))
                 for f, s, one_minus in ((j, k, 1.0 - vk), (k, j, 1.0 - vj)):
                     lo, hi = window.ranges[s]
                     for ns2 in range(lo, hi + 1):
@@ -134,13 +137,41 @@ def reference_highdim(funcs, window, eq_tol=1e-10):
                             continue
                         shifted = n[:s] + (ns2,) + n[s + 1 :]
                         val = abs(
-                            (complex(funcs.v[f](*_omit(shifted, f)))
-                             - complex(funcs.v[f](*_omit(n, f)))) * one_minus
+                            (complex(v[f](*_omit(shifted, f)))
+                             - complex(v[f](*_omit(n, f)))) * one_minus
                         )
                         max_violation = max(max_violation, val)
                         if val >= eq_tol:
                             witnesses.append((f, s, n, ns2 - n[s], val))
     return max_violation < eq_tol, max_violation, witnesses
+
+
+def tower_callables(tower):
+    """The tower's v by output axis, as callables on the other slots that
+    read the levels one tuple at a time."""
+    v = [None] * tower.dimension
+    for j, level in enumerate(tower.levels):
+        axis = tower.axis_order[j]
+
+        def vj(*other, level=level, axis=axis, read=tower.axis_order[:j]):
+            n = other[:axis] + (None,) + other[axis:]
+            return unit(level(*(n[i] for i in read)))
+
+        v[axis] = vj
+    return tuple(v)
+
+
+def eigs_from_callables(v, window):
+    """BoundaryEigenvalues holding v[j] at every window tuple."""
+    sizes = [hi - lo + 1 for lo, hi in window.ranges]
+    values = []
+    for j, vj in enumerate(v):
+        others = itertools.product(
+            *(window.axis_indices(s).tolist() for s in range(len(v)) if s != j)
+        )
+        vals = np.array([complex(vj(*t)) for t in others], dtype=complex)
+        values.append(vals.reshape(sizes[:j] + [1] + sizes[j + 1 :]))
+    return BoundaryEigenvalues(window, tuple(values))
 
 
 def test_phase_sequence_renormalizes_and_rejects():
@@ -175,9 +206,9 @@ def test_cocycle_2d_matches_reference_exactly():
     kinds = set()
     for trial in range(40):
         a, b = random_pair(rng, trial)
-        seqs = PhaseSequenceSet2D(a, b, windows[trial // 5 % len(windows)])
-        got = check_cocycle_2d(seqs)
-        assert got == reference_cocycle_2d(seqs)
+        window = windows[trial // 5 % len(windows)]
+        got = check_cocycle_2d(pair(a, b, window))
+        assert got == reference_cocycle_2d(a, b, window)
         kinds.add(frozenset(w[0] for w in got.witnesses))
     assert {frozenset(), frozenset({"b-shift"}), frozenset({"b-shift", "a-shift"})} <= kinds
 
@@ -186,54 +217,49 @@ def test_cocycle_2d_lists_both_witness_kinds_like_reference():
     # 3 x 4 window: four b-shift and six a-shift violations
     a = PhaseSequence({1: 1j})
     b = PhaseSequence({1: -1.0})
-    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(((0, 2), (0, 3))))
-    got = check_cocycle_2d(seqs)
-    assert got == reference_cocycle_2d(seqs)
+    window = LatticeWindow(((0, 2), (0, 3)))
+    got = check_cocycle_2d(pair(a, b, window))
+    assert got == reference_cocycle_2d(a, b, window)
     assert [w[0] for w in got.witnesses] == ["b-shift"] * 4 + ["a-shift"] * 6
 
 
 def test_single_identity_matches_dense_reference():
     rng = np.random.default_rng(23)
-    failing = PhaseSequenceSet2D(
+    failing = (
         PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0),
         PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0),
         LatticeWindow(((0, 2), (0, 2))),
     )
     cases = [failing] + [
-        PhaseSequenceSet2D(*random_pair(rng, trial), LatticeWindow(((-2, 1), (-1, 3))))
+        (*random_pair(rng, trial), LatticeWindow(((-2, 1), (-1, 3))))
         for trial in range(24)
     ]
     verdicts = set()
-    for seqs in cases:
-        got = check_single_identity_2d(seqs)
-        assert got == reference_single_identity_2d(seqs)
+    for a, b, window in cases:
+        got = check_single_identity_2d(pair(a, b, window))
+        assert got == reference_single_identity_2d(a, b, window)
         verdicts.add(got)
     assert verdicts == {True, False}
 
 
 def test_cocycle_holds_when_a_is_one():
     rng = np.random.default_rng(0)
-    seqs = PhaseSequenceSet2D(
-        PhaseSequence({}, 1.0), random_unit_sequence(rng), window2()
-    )
-    report = check_cocycle_2d(seqs)
+    eigs = pair(PhaseSequence({}, 1.0), random_unit_sequence(rng), window2())
+    report = check_cocycle_2d(eigs)
     assert report.holds and report.max_violation < 1e-12
 
 
 def test_cocycle_holds_when_b_is_one():
     rng = np.random.default_rng(1)
-    seqs = PhaseSequenceSet2D(
-        random_unit_sequence(rng), PhaseSequence({}, 1.0), window2()
-    )
-    assert check_cocycle_2d(seqs).holds
+    eigs = pair(random_unit_sequence(rng), PhaseSequence({}, 1.0), window2())
+    assert check_cocycle_2d(eigs).holds
 
 
 def test_cocycle_failing_pair_with_witness():
     # a = (1, i, 1), b = (1, -1, 1) on the window [0,2]^2
     a = PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0)
     b = PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0)
-    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(((0, 2), (0, 2))))
-    report = check_cocycle_2d(seqs)
+    report = check_cocycle_2d(pair(a, b, LatticeWindow(((0, 2), (0, 2)))))
     assert not report.holds
     assert 0 < len(report.witnesses) <= 10
     # brute force over all in-window tuples agrees with the reported max
@@ -261,21 +287,21 @@ def test_cocycle_window_too_small():
     # the pair refuses a one-index axis when it is built, before any check
     for ranges in (((0, 0), (0, 2)), ((0, 2), (0, 0))):
         with pytest.raises(WindowTooSmallError):
-            PhaseSequenceSet2D(
-                PhaseSequence({}, 1.0), PhaseSequence({}, 1.0), LatticeWindow(ranges)
-            )
+            pair(PhaseSequence({}, 1.0), PhaseSequence({}, 1.0), LatticeWindow(ranges))
 
 
 def test_pair_arrays_are_read_only_window_evaluations():
     a = PhaseSequence({1: 1j, 4: -1.0}, unit(0.3))
     b = PhaseSequence({-1: -1j})
-    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(((-2, 1), (0, 4))))
-    assert np.array_equal(seqs.a_values, a.values(range(0, 5)))
-    assert np.array_equal(seqs.b_values, b.values(range(-2, 2)))
-    for values in (seqs.a_values, seqs.b_values):
+    eigs = pair(a, b, LatticeWindow(((-2, 1), (0, 4))))
+    v0, v1 = eigs.values
+    assert v0.shape == (1, 5) and v1.shape == (4, 1)
+    assert np.array_equal(v0[0], a.values(range(0, 5)))
+    assert np.array_equal(v1[:, 0], b.values(range(-2, 2)))
+    for values in eigs.values:
         assert not values.flags.writeable
         with pytest.raises(ValueError):
-            values[0] = 1.0
+            values[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("ranges", [((0, 1), (0, 1999)), ((0, 1999), (0, 1))])
@@ -286,11 +312,11 @@ def test_cocycle_checks_hold_window_sized_memory(ranges):
     moving = PhaseSequence({k: unit(rng.random()) for k in range(2000)})
     one = PhaseSequence({}, 1.0)
     a, b = (moving, one) if ranges[0] == (0, 1) else (one, moving)
-    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(ranges))
+    eigs = pair(a, b, LatticeWindow(ranges))
     for check in (check_cocycle_2d, check_single_identity_2d):
         tracemalloc.start()
         try:
-            result = check(seqs)
+            result = check(eigs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -309,18 +335,17 @@ def test_cocycle_implies_single_identity():
             a, b = random_unit_sequence(rng), PhaseSequence({}, 1.0)
         else:
             a, b = random_unit_sequence(rng), random_unit_sequence(rng)
-        seqs = PhaseSequenceSet2D(a, b, window2())
-        if check_cocycle_2d(seqs).holds:
+        eigs = pair(a, b, window2())
+        if check_cocycle_2d(eigs).holds:
             checked += 1
-            assert check_single_identity_2d(seqs)
+            assert check_single_identity_2d(eigs)
     assert checked >= 130  # the constructed commuting cases all landed
 
 
 def test_single_identity_fails_for_failing_pair():
     a = PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0)
     b = PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0)
-    seqs = PhaseSequenceSet2D(a, b, LatticeWindow(((0, 2), (0, 2))))
-    assert not check_single_identity_2d(seqs)
+    assert not check_single_identity_2d(pair(a, b, LatticeWindow(((0, 2), (0, 2)))))
 
 
 def test_classification_cases():
@@ -331,21 +356,18 @@ def test_classification_cases():
     ):  # pragma: no cover
         b = random_unit_sequence(rng)
     one = PhaseSequence({}, 1.0)
-    assert classify_2d(PhaseSequenceSet2D(one, b, window2())) is Classification.CLASS_I
-    assert classify_2d(PhaseSequenceSet2D(b, one, window2())) is Classification.CLASS_II
-    assert classify_2d(PhaseSequenceSet2D(one, one, window2())) is Classification.LATTICE
+    assert classify_2d(pair(one, b, window2())) is Classification.CLASS_I
+    assert classify_2d(pair(b, one, window2())) is Classification.CLASS_II
+    assert classify_2d(pair(one, one, window2())) is Classification.LATTICE
     bad_a = PhaseSequence({0: 1j}, 1.0)
-    assert (
-        classify_2d(PhaseSequenceSet2D(bad_a, b, window2()))
-        is Classification.NON_COMMUTING
-    )
+    assert classify_2d(pair(bad_a, b, window2())) is Classification.NON_COMMUTING
 
 
 def test_classification_tolerance_pathology():
     a = PhaseSequence({}, unit(1e-7))
     b = PhaseSequence({}, unit(1e-7))
     with pytest.raises(ToleranceInconsistencyError):
-        classify_2d(PhaseSequenceSet2D(a, b, window2()))
+        classify_2d(pair(a, b, window2()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +412,64 @@ def generic_tower3d():
     return Tower((IntFunction.constant(0.0), beta, gamma))
 
 
-def test_tower3d_eigenfunction_formulas():
-    spec = aligned_tower3d()
-    funcs = eigenfunctions_from_tower3d(spec)
-    assert funcs.v[0](3, -2) == pytest.approx(1.0)
-    assert funcs.v[1](1, 7) == pytest.approx(-1.0)  # beta(1) = 0.5
-    assert funcs.v[2](2, 0) == pytest.approx(unit(0.9))
+def random_tower(rng, d, radius=2, axis_order=None):
+    """Level 0 zero; each higher level a random table on part of the
+    radius cube, with phases that are often 0 so that some towers pass."""
+    levels = [IntFunction.constant(0.0)]
+    for j in range(1, d):
+        table = {}
+        if rng.random() < 0.7:
+            for key in itertools.product(range(-radius, radius + 1), repeat=j):
+                if rng.random() < 0.4:
+                    table[key] = float(rng.choice([0.25, 0.5, rng.random()]))
+        default = float(rng.choice([0.0, 0.0, rng.random()]))
+        levels.append(IntFunction(j, default=default, table=table))
+    return Tower(tuple(levels), axis_order)
+
+
+def test_tower_eigenvalue_formulas():
+    window = LatticeWindow.centered(2, 3)
+    at = lambda k: k + 2  # array position of window index k
+    v = BoundaryEigenvalues.from_tower(aligned_tower3d(), window).values
+    assert [x.shape for x in v] == [(1, 5, 5), (5, 1, 5), (5, 5, 1)]
+    assert np.all(v[0] == 1.0)
+    assert v[1][at(1), 0, at(-2)] == pytest.approx(-1.0)  # beta(1) = 0.5
+    assert v[2][at(2), at(0), 0] == pytest.approx(unit(0.9))
     zero = Tower((IntFunction.constant(0.0), IntFunction(1), IntFunction(2)))
-    fz = eigenfunctions_from_tower3d(zero)
-    assert all(fz.v[j](0, 0) == pytest.approx(1.0) for j in range(3))
+    assert all(np.all(x == 1.0) for x in BoundaryEigenvalues.from_tower(zero, window).values)
     # gamma(1, 2) = 0.25 -> value i
     spec2 = Tower((
         IntFunction.constant(0.0),
         IntFunction(1),
         IntFunction(2, default=0.0, table={(1, 2): 0.25}),
     ))
-    f2 = eigenfunctions_from_tower3d(spec2)
-    assert f2.v[2](1, 2) == pytest.approx(1j)
+    v2 = BoundaryEigenvalues.from_tower(spec2, window).values[2]
+    assert v2[at(1), at(2), 0] == pytest.approx(1j)
+    assert not any(x.flags.writeable for x in v)
 
 
-def test_tower3d_functions_reject_other_towers():
+def test_planar_tower_is_the_pair_with_a_one():
+    rng = np.random.default_rng(31)
+    window = LatticeWindow(((-3, 2), (-1, 3)))
+    for _ in range(5):
+        beta = IntFunction(
+            1,
+            default=float(rng.random()),
+            table={k: float(rng.random()) for k in range(-4, 4) if rng.random() < 0.7},
+        )
+        tower = BoundaryEigenvalues.from_tower(
+            Tower((IntFunction.constant(0.0), beta)), window
+        )
+        b = PhaseSequence.from_phases(
+            {k: v for (k,), v in beta.table.items()}, beta.default
+        )
+        eigs = pair(PhaseSequence({}), b, window)
+        for got, want in zip(tower.values, eigs.values):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert check_cocycle_2d(tower) == check_cocycle_2d(eigs)
+
+
+def test_boundary_matrices_reject_other_towers():
     beta, gamma = IntFunction(1), IntFunction(2)
     window = LatticeWindow.centered(1, 3)
     others = [
@@ -419,26 +479,57 @@ def test_tower3d_functions_reject_other_towers():
     ]
     for spec in others:
         with pytest.raises(ValueError, match="3-D staircase"):
-            eigenfunctions_from_tower3d(spec)
-        with pytest.raises(ValueError, match="3-D staircase"):
             boundary_matrices_from_tower3d(spec, window)
 
 
+def test_from_tower_rejects_only_a_nonzero_level_zero_and_one_axis():
+    beta, gamma = IntFunction(1), IntFunction(2)
+    BoundaryEigenvalues.from_tower(
+        Tower((IntFunction.constant(0.0), beta)), LatticeWindow.centered(1, 2)
+    )
+    BoundaryEigenvalues.from_tower(
+        Tower((IntFunction.constant(0.0), beta, gamma), (0, 2, 1)),
+        LatticeWindow.centered(1, 3),
+    )
+    with pytest.raises(ValueError, match="nonzero level 0"):
+        BoundaryEigenvalues.from_tower(
+            Tower((IntFunction.constant(0.5), beta, gamma)),
+            LatticeWindow.centered(1, 3),
+        )
+    with pytest.raises(ValueError, match="d >= 2"):
+        BoundaryEigenvalues.from_tower(
+            Tower((IntFunction.constant(0.0),)), LatticeWindow.centered(1, 1)
+        )
+
+
+def test_highdim_one_index_axis_is_too_small():
+    # every shift along a one-index axis would pass vacuously
+    window = LatticeWindow(((-1, 1), (0, 0), (-1, 1)))
+    with pytest.raises(WindowTooSmallError):
+        BoundaryEigenvalues.from_tower(generic_tower3d(), window)
+
+
+def test_two_dimensional_checks_refuse_other_d():
+    eigs = BoundaryEigenvalues.from_tower(aligned_tower3d(), LatticeWindow.centered(1, 3))
+    for check in (check_cocycle_2d, check_single_identity_2d, classify_2d):
+        with pytest.raises(ValueError, match="two axes"):
+            check(eigs)
+
+
 def test_highdim_cocycle_on_aligned_instance():
-    funcs = eigenfunctions_from_tower3d(aligned_tower3d())
-    report = check_cocycle_highdim(funcs, LatticeWindow.centered(2, 3))
-    assert report.holds
+    eigs = BoundaryEigenvalues.from_tower(aligned_tower3d(), LatticeWindow.centered(2, 3))
+    assert check_cocycle(eigs, 1e-10).holds
 
 
 def test_highdim_cocycle_all_ones():
     zero = Tower((IntFunction.constant(0.0), IntFunction(1), IntFunction(2)))
-    funcs = eigenfunctions_from_tower3d(zero)
-    assert check_cocycle_highdim(funcs, LatticeWindow.centered(2, 3)).holds
+    eigs = BoundaryEigenvalues.from_tower(zero, LatticeWindow.centered(2, 3))
+    assert check_cocycle(eigs, 1e-10).holds
 
 
 def test_highdim_cocycle_generic_fails():
-    funcs = eigenfunctions_from_tower3d(generic_tower3d())
-    report = check_cocycle_highdim(funcs, LatticeWindow.centered(2, 3))
+    eigs = BoundaryEigenvalues.from_tower(generic_tower3d(), LatticeWindow.centered(2, 3))
+    report = check_cocycle(eigs, 1e-10)
     assert not report.holds
     assert report.witnesses
 
@@ -447,10 +538,9 @@ def test_highdim_dimension_two_matches_2d_check():
     rng = np.random.default_rng(21)
     for trial in range(12):
         a, b = random_pair(rng, trial)
-        window = LatticeWindow(((-2, 1), (-1, 2)))
-        funcs = EigenvalueFunctionSet(2, (a.value, b.value))
-        got = check_cocycle_highdim(funcs, window)
-        want = check_cocycle_2d(PhaseSequenceSet2D(a, b, window))
+        eigs = pair(a, b, LatticeWindow(((-2, 1), (-1, 2))))
+        got = check_cocycle(eigs, 1e-10)
+        want = check_cocycle_2d(eigs)
         assert (got.holds, got.max_violation) == (want.holds, want.max_violation)
         kinds = {0: "b-shift", 1: "a-shift"}
         assert [
@@ -458,21 +548,28 @@ def test_highdim_dimension_two_matches_2d_check():
         ] == list(want.witnesses)
 
 
-def test_highdim_relabeling_symmetry():
-    # swapping the last two coordinates (and transposing the eigenvalue
-    # arguments accordingly) must not change the verdict or the violation
-    spec = generic_tower3d()
-    funcs = eigenfunctions_from_tower3d(spec)
-    v0, v1, v2 = funcs.v
-    swapped = EigenvalueFunctionSet(
-        3,
-        (lambda x, y: v0(y, x), lambda x, y: v2(x, y), lambda x, y: v1(x, y)),
-    )
-    w = LatticeWindow.centered(2, 3)
-    a = check_cocycle_highdim(funcs, w)
-    b = check_cocycle_highdim(swapped, w)
-    assert a.holds == b.holds
-    assert a.max_violation == pytest.approx(b.max_violation)
+def test_permuted_axis_order_is_the_identity_order_relabeled():
+    # the tower on a window equals the identity-order tower on the window
+    # whose axis j is the old axis axis_order[j]
+    rng = np.random.default_rng(37)
+    verdicts = set()
+    for trial in range(16):
+        d = 3 + trial % 2
+        order = tuple(int(a) for a in rng.permutation(d))
+        tower = random_tower(rng, d, radius=1, axis_order=order)
+        ranges = tuple((-1, int(rng.integers(0, 3 if d == 3 else 2))) for _ in range(d))
+        got = check_cocycle(
+            BoundaryEigenvalues.from_tower(tower, LatticeWindow(ranges)), 1e-10
+        )
+        want = check_cocycle(
+            BoundaryEigenvalues.from_tower(
+                Tower(tower.levels), LatticeWindow(tuple(ranges[a] for a in order))
+            ),
+            1e-10,
+        )
+        assert (got.holds, got.max_violation) == (want.holds, want.max_violation)
+        verdicts.add(got.holds)
+    assert verdicts == {True, False}
 
 
 def random_function_set(rng, d, radius, nontrivial):
@@ -485,14 +582,26 @@ def random_function_set(rng, d, radius, nontrivial):
             for t in itertools.product(range(-radius, radius + 1), repeat=d - 1):
                 table[t] = unit(rng.random()) if rng.random() < 0.7 else 1.0
         funcs.append(lambda *t, table=table: table.get(t, 1.0))
-    return EigenvalueFunctionSet(d, tuple(funcs))
+    return tuple(funcs)
 
 
 def highdim_cases():
+    """(v, window, eigs): v callables for the reference, eigs the arrays."""
     rng = np.random.default_rng(29)
-    yield eigenfunctions_from_tower3d(aligned_tower3d()), LatticeWindow.centered(2, 3)
-    yield eigenfunctions_from_tower3d(generic_tower3d()), LatticeWindow.centered(2, 3)
-    yield eigenfunctions_from_tower3d(generic_tower3d()), LatticeWindow(((0, 1), (-1, 1), (0, 3)))
+    for tower, window in [
+        (aligned_tower3d(), LatticeWindow.centered(2, 3)),
+        (generic_tower3d(), LatticeWindow.centered(2, 3)),
+        (generic_tower3d(), LatticeWindow(((0, 1), (-1, 1), (0, 3)))),
+        (Tower(generic_tower3d().levels, (2, 0, 1)), LatticeWindow(((0, 1), (-1, 1), (0, 3)))),
+        *((random_tower(rng, 3), LatticeWindow(((-2, 1), (-1, 2), (-2, 2)))) for _ in range(4)),
+        *((random_tower(rng, 4, 1), LatticeWindow.centered(1, 4)) for _ in range(4)),
+        *(
+            (random_tower(rng, 4, 1, tuple(rng.permutation(4).tolist())),
+             LatticeWindow(((-1, 1), (0, 1), (-1, 0), (0, 1))))
+            for _ in range(3)
+        ),
+    ]:
+        yield tower_callables(tower), window, BoundaryEigenvalues.from_tower(tower, window)
     for d, window in [
         (3, LatticeWindow.centered(2, 3)),
         (3, LatticeWindow(((-1, 1), (0, 2), (-2, 1)))),
@@ -501,21 +610,22 @@ def highdim_cases():
     ]:
         for count in range(d + 1):
             nontrivial = set(rng.permutation(d)[:count].tolist())
-            yield random_function_set(rng, d, 2, nontrivial), window
+            v = random_function_set(rng, d, 2, nontrivial)
+            yield v, window, eigs_from_callables(v, window)
         # v_1 and v_{d-1} move at the origin only: a few witnesses of each
-        sparse = [
+        sparse = tuple(
             lambda *t, j=j: unit(0.25 * j) if j in (1, d - 1) and not any(t) else 1.0
             for j in range(d)
-        ]
-        yield EigenvalueFunctionSet(d, tuple(sparse)), window
+        )
+        yield sparse, window, eigs_from_callables(sparse, window)
 
 
 def test_highdim_matches_reference():
-    verdicts = set()
+    verdicts = {3: set(), 4: set()}
     fully_listed = 0
-    for funcs, window in highdim_cases():
-        holds, worst, ref_witnesses = reference_highdim(funcs, window)
-        got = check_cocycle_highdim(funcs, window)
+    for v, window, eigs in highdim_cases():
+        holds, worst, ref_witnesses = reference_highdim(v, window)
+        got = check_cocycle(eigs, 1e-10)
         assert got.holds == holds
         assert got.max_violation == pytest.approx(worst, rel=1e-12, abs=0.0)
         assert len(got.witnesses) == min(len(ref_witnesses), 10)
@@ -525,21 +635,25 @@ def test_highdim_matches_reference():
         for f, s, n, k, modulus in got.witnesses:
             shifted = n[:s] + (n[s] + k,) + n[s + 1 :]
             direct = abs(
-                (funcs.v[f](*_omit(shifted, f)) - funcs.v[f](*_omit(n, f)))
-                * (1.0 - funcs.v[s](*_omit(n, s)))
+                (v[f](*_omit(shifted, f)) - v[f](*_omit(n, f)))
+                * (1.0 - v[s](*_omit(n, s)))
             )
             assert modulus == pytest.approx(direct, rel=1e-12) and modulus >= 1e-10
-        verdicts.add(holds)
-    assert verdicts == {True, False}
+        verdicts[len(v)].add(holds)
+    assert verdicts == {3: {True, False}, 4: {True, False}}
     assert fully_listed == 3
 
 
-def test_highdim_rejects_non_unit_values():
-    funcs = EigenvalueFunctionSet(
-        3, (lambda *t: 1.0, lambda *t: float("nan"), lambda *t: 1.0)
-    )
+def test_constructor_rejects_non_unit_values():
+    window = LatticeWindow.centered(1, 3)
+    ones = np.ones((3, 3, 3), dtype=complex)
+    values = (ones[:1], np.full((3, 1, 3), np.nan), ones[:, :, :1])
     with pytest.raises(UnitModulusError, match=r"v\[1\]\(-1, -1\)"):
-        check_cocycle_highdim(funcs, LatticeWindow.centered(1, 3))
+        BoundaryEigenvalues(window, values)
+    with pytest.raises(ValueError, match="one eigenvalue array per axis"):
+        BoundaryEigenvalues(window, values[:2])
+    with pytest.raises(ValueError, match=r"v\[0\] has shape"):
+        BoundaryEigenvalues(window, (ones, *values[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -826,6 +826,7 @@ EXPLICIT_PAIR = (
     "command: verify-pair\ndomain: {kind: unit-cube, dimension: 2}\n"
     "spectrum: {family: explicit, points: %s}\nwindow: {radius: 1}"
 )
+EXPLICIT_BARE = EXPLICIT_PAIR.replace("\nwindow: {radius: 1}", "")
 
 
 @pytest.mark.parametrize(
@@ -919,7 +920,9 @@ TWO_COMPONENTS = (
         (PAIR + "window: {radius: 24}", "window: 2401 points in dimension 2"),
         # an explicit spectrum is sized by its points, not by the window
         (EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2300)],
-         "window: 2300 points in dimension 2"),
+         "spectrum: 2300 points in dimension 2"),
+        (EXPLICIT_BARE % [[float(i), 0.5] for i in range(2300)],
+         "spectrum: 2300 points in dimension 2"),
     ],
 )
 def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
@@ -956,6 +959,22 @@ def test_check_cocycle_windows_under_the_work_cap_load(window):
     cfg = parse_config(f"command: check-cocycle\ncocycle: {{window: {window}}}\n")
     m, n = (hi - lo + 1 for lo, hi in cfg.cocycle["window"].ranges)
     assert m * m * n * n <= 10**8
+
+
+@pytest.mark.parametrize("command", ["verify-pair", "build-spectrum"])
+def test_explicit_spectrum_needs_no_window(tmp_path, command):
+    # no step reads the window of an explicit set
+    body = EXPLICIT_BARE.replace("verify-pair", command) % [
+        [0.0, 0.0], [1.0, 0.25], [0.5, 1.0]
+    ]
+    runs = []
+    for name, text in (("windowed", body + "\nwindow: {radius: 1}\n"), ("bare", body)):
+        out = tmp_path / name
+        code = main([command, "--config", write(tmp_path, "cfg.yaml", text),
+                     "--out", str(out)])
+        runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert "report.txt" in runs[1][1]
 
 
 @pytest.mark.parametrize("resolution, same", [(32, True), (64, False)])

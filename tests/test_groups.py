@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spectralbox.cocycles import (
+    BoundaryEigenvalues,
     PhaseSequence,
-    PhaseSequenceSet2D,
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
@@ -110,8 +110,8 @@ def test_indicator_complement_relations():
     # q_k + p_k: the complement is delta_{k0} - p_k, so only k = 0 is left
     win = LatticeWindow.centered(5, 2)
     one = PhaseSequence({}, 1.0)
-    seqs = PhaseSequenceSet2D(one, one, win)
-    op = group_matrix_spectral(1, 0.3, seqs, (0.0, 0.0), leakage_tol=1e-12)
+    eigs = BoundaryEigenvalues.from_pair(one, one, win)
+    op = group_matrix_spectral(1, 0.3, eigs, (0.0, 0.0), leakage_tol=1e-12)
     diag = np.array([unit(m * 0.3) for (m, n) in op.labels()])
     np.testing.assert_allclose(op.matrix, np.diag(diag), atol=1e-15)
 
@@ -234,26 +234,26 @@ def test_pair_is_evaluated_once_for_every_check():
     # M = 3 m indices for b, N = 5 n indices for a
     rng = np.random.default_rng(41)
     CountingSequence.lookups = 0
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         CountingSequence({}, 1.0),
         CountingSequence({m: unit(rng.random()) for m in range(-1, 2)}),
         LatticeWindow(((-1, 1), (0, 4))),
     )
-    assert check_cocycle_2d(seqs).holds
-    assert check_single_identity_2d(seqs)
-    assert classify_2d(seqs).value == "class-i"
+    assert check_cocycle_2d(eigs).holds
+    assert check_single_identity_2d(eigs)
+    assert classify_2d(eigs).value == "class-i"
     for axis in (1, 2):
-        group_matrix_spectral(axis, 0.25, seqs, (0.0, 0.0), leakage_tol=1.0)
+        group_matrix_spectral(axis, 0.25, eigs, (0.0, 0.0), leakage_tol=1.0)
     assert CountingSequence.lookups == 3 + 5
 
 
 def test_spectral_identity_at_time_zero():
     rng = np.random.default_rng(5)
     win = LatticeWindow.centered(4, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         random_sequence(rng, 4), random_sequence(rng, 4), win
     )
-    op = group_matrix_spectral(1, 0.0, seqs, (0.3, 0.7))
+    op = group_matrix_spectral(1, 0.0, eigs, (0.3, 0.7))
     np.testing.assert_allclose(op.matrix, np.eye(win.cardinality), atol=1e-14)
     assert op.max_leakage == pytest.approx(0.0, abs=1e-14)
 
@@ -261,10 +261,10 @@ def test_spectral_identity_at_time_zero():
 def test_spectral_telescopes_for_constant_one_boundary():
     rng = np.random.default_rng(6)
     win = LatticeWindow.centered(6, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         PhaseSequence({}, 1.0), random_sequence(rng, 6), win
     )
-    op = group_matrix_spectral(1, 0.375, seqs, (0.0, 0.0), leakage_tol=1e-6)
+    op = group_matrix_spectral(1, 0.375, eigs, (0.0, 0.0), leakage_tol=1e-6)
     off = op.matrix - np.diag(np.diag(op.matrix))
     assert np.abs(off).max() < 1e-14
     diag = np.array([unit(m * 0.375) for (m, n) in op.labels()])
@@ -275,11 +275,11 @@ def test_spectral_telescopes_for_matched_scalar_boundary():
     rng = np.random.default_rng(7)
     alpha = 0.25
     win = LatticeWindow.centered(6, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         PhaseSequence({}, unit(alpha)), random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(
-        1, 0.375, seqs, (alpha, 0.0), leakage_tol=1e-6
+        1, 0.375, eigs, (alpha, 0.0), leakage_tol=1e-6
     )
     diag = np.array([unit((m + alpha) * 0.375) for (m, n) in op.labels()])
     np.testing.assert_allclose(op.matrix, np.diag(diag), atol=1e-13)
@@ -288,12 +288,12 @@ def test_spectral_telescopes_for_matched_scalar_boundary():
 def test_spectral_leakage_guard_fires_for_generic_sequences():
     rng = np.random.default_rng(8)
     win = LatticeWindow.centered(6, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         random_sequence(rng, 6), random_sequence(rng, 6), win
     )
     with pytest.raises(TruncationLeakageError):
-        group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0))
-    op = group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), leakage_tol=0.8)
+        group_matrix_spectral(1, 0.5, eigs, (0.0, 0.0))
+    op = group_matrix_spectral(1, 0.5, eigs, (0.0, 0.0), leakage_tol=0.8)
     assert 0.0 < op.max_leakage < 0.8
 
 
@@ -302,18 +302,17 @@ def test_spectral_matches_projected_grid_action():
     n = 128
     win = LatticeWindow.centered(8, 2)
     for axis in (1, 2):
-        seqs = PhaseSequenceSet2D(
-            random_sequence(rng, 12), random_sequence(rng, 12), win
-        )
+        a, b = random_sequence(rng, 12), random_sequence(rng, 12)
+        eigs = BoundaryEigenvalues.from_pair(a, b, win)
         phases = (float(rng.random()), float(rng.random()))
         t = int(rng.integers(1, n)) / n
         op = group_matrix_spectral(
-            axis, t, seqs, phases, grid_n=n, leakage_tol=1.0
+            axis, t, eigs, phases, grid_n=n, leakage_tol=1.0
         )
         boundary = (
-            DiagonalBoundary(seqs.a, shift=phases[1])
+            DiagonalBoundary(a, shift=phases[1])
             if axis == 1
-            else DiagonalBoundary(seqs.b, shift=phases[0])
+            else DiagonalBoundary(b, shift=phases[0])
         )
         for _ in range(4):
             vec = rng.standard_normal(win.cardinality) + 1j * rng.standard_normal(
@@ -362,12 +361,10 @@ def test_commutator_class_one_is_zero():
     rng = np.random.default_rng(12)
     n = 64
     win = LatticeWindow.centered(8, 2)
-    seqs = PhaseSequenceSet2D(
-        PhaseSequence({}, 1.0), random_sequence(rng, 8), win
-    )
-    assert check_cocycle_2d(seqs).holds
-    bx = DiagonalBoundary(seqs.a)
-    by = DiagonalBoundary(seqs.b)
+    a, b = PhaseSequence({}, 1.0), random_sequence(rng, 8)
+    assert check_cocycle_2d(BoundaryEigenvalues.from_pair(a, b, win)).holds
+    bx = DiagonalBoundary(a)
+    by = DiagonalBoundary(b)
     coeffs = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     probes = [synthesize_window_state(v, (0.0, 0.0), win, n) for v in coeffs]
     worst = commutator_norm(
@@ -384,8 +381,8 @@ def test_commutator_detects_failing_pair():
     win = LatticeWindow.centered(8, 2)
     a = PhaseSequence({0: unit(0.3)}, 1.0)
     b = random_sequence(rng, 8)
-    seqs = PhaseSequenceSet2D(a, b, win)
-    assert not check_cocycle_2d(seqs).holds
+    eigs = BoundaryEigenvalues.from_pair(a, b, win)
+    assert not check_cocycle_2d(eigs).holds
     coeffs = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     probes = [synthesize_window_state(v, (0.0, 0.0), win, n) for v in coeffs]
     worst = commutator_norm(
@@ -402,10 +399,10 @@ def test_commutator_matrix_route_agrees_with_grid_verdict():
     win = LatticeWindow.centered(8, 2)
     a = PhaseSequence({1: unit(0.4)}, 1.0)
     b = random_sequence(rng, 8)
-    seqs = PhaseSequenceSet2D(a, b, win)
+    eigs = BoundaryEigenvalues.from_pair(a, b, win)
     s, t = 0.25, 0.375
-    mx = group_matrix_spectral(1, s, seqs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
-    my = group_matrix_spectral(2, t, seqs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
+    mx = group_matrix_spectral(1, s, eigs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
+    my = group_matrix_spectral(2, t, eigs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
     vec_probes = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     val = commutator_norm([mx], [my], vec_probes)[0, 0]
     assert val > 0.01  # same verdict as the exact grid route
@@ -532,15 +529,15 @@ def test_commutator_table_equals_reference_for_matrix_boundaries():
 def test_commutator_table_equals_reference_for_truncated_operators():
     rng = np.random.default_rng(18)
     win = LatticeWindow.centered(6, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
     )
     mxs = [
-        group_matrix_spectral(1, s, seqs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
+        group_matrix_spectral(1, s, eigs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
         for s in (0.25, 0.5)
     ]
     mys = [
-        group_matrix_spectral(2, t, seqs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
+        group_matrix_spectral(2, t, eigs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
         for t in (0.125, 0.375, 0.625)
     ]
     vec_probes = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
@@ -644,10 +641,10 @@ def test_spectral_matrix_columns_isometric_without_leakage():
     # acts isometrically on every coefficient vector
     rng = np.random.default_rng(17)
     win = LatticeWindow.centered(5, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         PhaseSequence({}, 1.0), random_sequence(rng, 5), win
     )
-    op = group_matrix_spectral(1, 0.25, seqs, (0.0, 0.0), leakage_tol=1e-12)
+    op = group_matrix_spectral(1, 0.25, eigs, (0.0, 0.0), leakage_tol=1e-12)
     for _ in range(5):
         vec = rng.standard_normal(win.cardinality) + 1j * rng.standard_normal(
             win.cardinality
@@ -710,10 +707,10 @@ def test_spectral_column_for_single_flipped_eigenvalue():
     # of E(0, n0) carries entries q_k - p_k: complement minus coefficient
     win = LatticeWindow.centered(4, 2)
     n0 = 1
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         PhaseSequence({n0: -1.0}, 1.0), PhaseSequence({}, 1.0), win
     )
-    op = group_matrix_spectral(1, 0.5, seqs, (0.0, 0.0), leakage_tol=0.6)
+    op = group_matrix_spectral(1, 0.5, eigs, (0.0, 0.0), leakage_tol=0.6)
     labels = op.labels()
     col = labels.index((0, n0))
     coeff = indicator_fourier_coeffs(0.5, range(-4, 5))  # k = -4..4
@@ -808,11 +805,11 @@ def test_grid_action_on_a_stack_equals_per_state_loop(kind, t, axis):
 def test_truncated_operator_on_a_stack_equals_per_vector_loop():
     rng = np.random.default_rng(33)
     win = LatticeWindow.centered(6, 2)
-    seqs = PhaseSequenceSet2D(
+    eigs = BoundaryEigenvalues.from_pair(
         PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(
-        2, 0.375, seqs, (0.1, 0.2), grid_n=64, leakage_tol=1.0
+        2, 0.375, eigs, (0.1, 0.2), grid_n=64, leakage_tol=1.0
     )
     stack = random_grid(rng, 5, win.cardinality)
     assert (op(stack) == np.array([op.matrix @ v for v in stack])).all()
