@@ -364,8 +364,8 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     by = DiagonalBoundary(g["b"], shift=phases[0])
 
     table = commutator_norm(
-        [grid_group_action(1, s, bx) for s in g["times"]],
-        [grid_group_action(2, t, by) for t in g["times"]],
+        grid_group_action(1, g["times"], bx),
+        grid_group_action(2, g["times"], by),
         probes,
     )
     rows = ["s,t,commutator_norm"]

@@ -164,6 +164,8 @@ class BoundaryEigenvalues:
     ) -> "BoundaryEigenvalues":
         """The 2-D pair: a, indexed by the mode n on axis 1, is v_0; b,
         indexed by the mode m on axis 0, is v_1."""
+        if window.dimension != 2:
+            raise ValueError("a 2-D pair needs a window of two axes")
         return cls(
             window,
             (

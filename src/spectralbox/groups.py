@@ -27,6 +27,7 @@ from .grid import (
     fft_mode_indices,
     grid_coords,
     grid_norm,
+    grid_weight,
     twisted_analysis,
     twisted_synthesis,
 )
@@ -186,72 +187,121 @@ class MatrixBoundary:
         if power == 0:
             return lines
         n = lines.shape[axis]
-        coeffs = twisted_analysis(lines, axis, self.shift)
+        coeffs = np.moveaxis(twisted_analysis(lines, axis, self.shift), axis, -1)
         modes = fft_mode_indices(n)
         lo, hi = self.mode_window
         sel = np.nonzero((modes >= lo) & (modes <= hi))[0]
         order = np.argsort(modes[sel])
         sel = sel[order]
         mat = np.linalg.matrix_power(self.matrix, power)
-        moved = np.moveaxis(coeffs, axis, 0)
-        moved[sel] = np.tensordot(mat, moved[sel], axes=(1, 0))
-        coeffs = np.moveaxis(moved, 0, axis)
-        return twisted_synthesis(coeffs, axis, self.shift)
+        # one matrix-vector product per line, so a line's bits do not
+        # depend on how many lines share the call (a tensordot's do)
+        coeffs[..., sel] = (mat @ coeffs[..., sel, None])[..., 0]
+        return twisted_synthesis(np.moveaxis(coeffs, -1, axis), axis, self.shift)
 
 
 Boundary = Union[DiagonalBoundary, MatrixBoundary]
 
 
-def _check_axis_time(axis: int, t: float) -> None:
-    if axis not in (1, 2):
-        raise ValueError(f"axis {axis} out of range for I^2")
-    if t < 0:
-        raise ValueError("t must be nonnegative (compose inverses externally)")
+def _rows(ax: int, start: int, stop: int) -> tuple:
+    """Index of the rows [start, stop) along the grid axis ax, -2 or -1."""
+    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - ax)
 
 
-def _translate(
-    values: np.ndarray, ax: int, t: float, boundary: Boundary
-) -> np.ndarray:
-    """U(t) along the 0-based axis `ax` on raw periodic samples of I^2.
+def _plan(times: tuple, n: int, ax: int) -> tuple[list, list]:
+    """How the images of `times` on n rows along the grid axis ax are made.
 
-    `values` is one (n, n) grid or a stack (..., n, n) of them; the grid
-    axes are the last two and every leading axis is a batch axis.
+    Per time, (full, rem) = divmod(steps, n): output rows i >= n - rem are
+    input rows i + rem - n, which crossed the seam full + 1 times, and
+    rows i < n - rem are input rows i + rem, which crossed it full times.
+    The input rows a nonzero boundary power moves for any time are
+    merged into disjoint runs [lo, hi).  Returns the runs as (key, power,
+    index), and per time its pieces (output index, key, index into that
+    run's block), where the key (0, 0) is the input itself.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim < 2:
-        raise ValueError("grid group actions are implemented on I^2")
-    ax, other = (-2, -1) if ax == 0 else (-1, -2)
-    n = values.shape[ax]
-    full, rem = divmod(_steps_for(t, n), n)
-    if rem == 0:
-        return boundary.apply(values.copy(), other, full)
+    pieces_of = []  # per time: (power, first input row, stop, first output row)
+    for t in times:
+        full, rem = divmod(_steps_for(t, n), n)
+        pieces = [(full, rem, n, 0)]
+        if rem:
+            pieces.append((full + 1, 0, rem, n - rem))
+        pieces_of.append(pieces)
+    runs: dict[int, list] = {0: [[0, n]]}
+    for power, start, stop, _ in sorted(p for ps in pieces_of for p in ps):
+        if power not in runs:
+            runs[power] = [[start, stop]]
+        elif start <= runs[power][-1][1]:
+            runs[power][-1][1] = max(runs[power][-1][1], stop)
+        else:
+            runs[power].append([start, stop])
+    sources = [
+        ((power, lo), power, _rows(ax, lo, hi))
+        for power, spans in runs.items()
+        if power
+        for lo, hi in spans
+    ]
 
-    def rows(start: int, stop: int) -> tuple:
-        return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - ax)
+    def piece(power: int, start: int, stop: int, out: int) -> tuple:
+        lo = next(lo for lo, hi in runs[power] if lo <= start < hi)
+        return (
+            _rows(ax, out, out + stop - start),
+            (power, lo),
+            _rows(ax, start - lo, stop - lo),
+        )
 
-    # output rows i >= n - rem are input rows i + rem - n, which crossed
-    # the seam one extra time; rows i < n - rem are input rows i + rem
-    out = np.empty_like(values)
-    out[rows(n - rem, n)] = boundary.apply(values[rows(0, rem)], other, full + 1)
-    out[rows(0, n - rem)] = boundary.apply(values[rows(rem, n)], other, full)
-    return out
+    assembly = [[piece(*p) for p in pieces] for pieces in pieces_of]
+    return sources, assembly
 
 
 def grid_group_action(
-    axis: int, t: float, boundary: Boundary
-) -> Callable[[np.ndarray], np.ndarray]:
-    """U_axis(t) on grid states, exactly: translate, twist the wrap.
+    axis: int, times: Sequence[float], boundary: Boundary
+) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """U_axis(t) on grid states for every t in `times`, exactly: translate,
+    twist the wrap.
 
-    `axis` is 1-based.  t must be a nonnegative multiple of the grid step
-    (exactness is the point of this realization; no interpolation).  Rows
-    that cross the seam are transported through the boundary operator,
-    once per full crossing.  axis and t are checked here, once; the map
-    takes one (n, n) state or a stack (..., n, n) of them.
+    `axis` is 1-based.  Every t must be a nonnegative multiple of the grid
+    step (exactness is the point of this realization; no interpolation).
+    Rows that cross the seam are transported through the boundary
+    operator, once per full crossing.  axis and times are checked here,
+    once; the map takes one (n, n) state or a stack (..., n, n) of them,
+    whose grid axes are the last two, and returns a list with one new
+    image per time.
+
+    The boundary transforms the lines along the other axis, each on its
+    own, so the rows that one boundary power moves for any of the times
+    are transformed once, as disjoint runs of rows, and every time takes
+    its rows from those results: the images are bit-equal to one call per
+    time, and no row is transformed that one call per time would not.
     """
-    _check_axis_time(axis, t)
+    if axis not in (1, 2):
+        raise ValueError(f"axis {axis} out of range for I^2")
+    times = tuple(times)
+    if not times:
+        raise ValueError("need at least one time")
+    if any(t < 0 for t in times):
+        raise ValueError("t must be nonnegative (compose inverses externally)")
+    # the translated axis and the one the boundary transforms along
+    ax, other = (-2, -1) if axis == 1 else (-1, -2)
+    plans: dict = {}  # the _plan of the times per grid size n
 
-    def act(values: np.ndarray) -> np.ndarray:
-        return _translate(values, axis - 1, t, boundary)
+    def act(values: np.ndarray) -> list[np.ndarray]:
+        values = np.asarray(values, dtype=complex)
+        if values.ndim < 2:
+            raise ValueError("grid group actions are implemented on I^2")
+        n = values.shape[ax]
+        if n not in plans:
+            plans[n] = _plan(times, n, ax)
+        sources, pieces_of = plans[n]
+        blocks = {(0, 0): values}
+        for key, power, index in sources:
+            blocks[key] = boundary.apply(values[index], other, power)
+        images = []
+        for pieces in pieces_of:
+            out = np.empty_like(values)
+            for out_index, key, index in pieces:
+                out[out_index] = blocks[key][index]
+            images.append(out)
+        return images
 
     return act
 
@@ -259,8 +309,8 @@ def grid_group_action(
 def group_action_grid(
     f: np.ndarray, axis: int, t: float, boundary: Boundary
 ) -> np.ndarray:
-    """grid_group_action(axis, t, boundary) applied to the one state f."""
-    return grid_group_action(axis, t, boundary)(f)
+    """U_axis(t) applied to the one state f: the family of the one time t."""
+    return grid_group_action(axis, (t,), boundary)(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +411,13 @@ def check_sweep_grid(
     spectral matrix, cardinality^2 complex entries, must fit in
     MAX_SPECTRAL_BYTES, and the sweep's len(times)^2 images of a probe in
     MAX_SWEEP_BYTES.
+
+    Per probe, the sweep (commutator_norm over two grid_group_action
+    families) makes 3 + len(times) family calls.  Each transforms, per
+    boundary power its times need, the union of the rows that power
+    moves, once: at most grid_n rows of the probe, of one of its images
+    or of the stack of its len(times) images.  The sweep holds the
+    len(times)^2 Y X images the cap counts, and len(times) X Y images.
     """
     _check_window_fits(window, grid_n)
     for t in times:
@@ -435,36 +492,45 @@ def _checked_probes(probes: Iterable) -> Iterator[tuple]:
 
 
 def commutator_norm(
-    xs: Sequence, ys: Sequence, probes: Iterable
+    xs: Callable, ys: Callable, probes: Iterable
 ) -> np.ndarray:
-    """Table of max over probes of |X Y p - Y X p| / |p|, X in xs, Y in ys.
+    """Table of max over probes of |X_i Y_j p - Y_j X_i p| / |p|.
 
-    Entry [i, j] belongs to the pair (xs[i], ys[j]).  Works uniformly for
-    grid actions (grid_group_action) on grid-state probes and for
-    truncated matrices on coefficient-vector probes: every probe is
-    checked for finite values once and measured by grid_norm, which on a
-    coefficient vector is the RMS norm, a scale the ratio does not see.
-    Every operator must also act on a stack of states along a leading
-    axis.  Each probe is moved by every X and every Y once; then every X
-    moves the stack of Y-images and every Y the stack of X-images, so a
-    probe costs 2 (len(xs) + len(ys)) operator calls.  `probes` may be
-    any iterable, a generator included: probes are read one at a time,
-    and only the current probe's images are held.  A NaN ratio propagates
-    into its entry instead of reading as zero.
+    xs and ys are operator families: each maps a state, or a stack of
+    states along leading axes, to a list with one image per member, as
+    grid_group_action(axis, times, boundary) does for its times on grid
+    states; truncated matrices `ops` on coefficient vectors make one as
+    `lambda v: [op(v) for op in ops]`.  Entry [i, j] belongs to the pair
+    (member i of xs, member j of ys).  Every probe is checked for finite
+    values once and measured by grid_norm, which on a coefficient vector
+    is the RMS norm, a scale the ratio does not see.
+
+    A probe costs 3 + len(ys) family calls: xs and ys move the probe, ys
+    moves the stack of X-images, and xs moves each Y-image.  On grid
+    actions each call transforms, per boundary power, the rows that power
+    moves for any of the family's times, once.  The len(xs) ratios of
+    each Y member come from one batched sum, in grid_norm's summation
+    order per grid, so the table is bit-equal to one grid_norm per pair.
+    `probes` may be any iterable, a generator included: probes are read
+    one at a time.  A probe's images are held until the next probe's
+    replace them, which keeps their pages with the allocator: the Y X
+    images of every pair and the X Y images of one Y member.  A NaN ratio
+    propagates into its entry instead of reading as zero.
     """
-    table = np.zeros((len(xs), len(ys)))
-    empty = True
+    table = None
     for values, den in _checked_probes(probes):
-        empty = False
-        x_images = np.stack([x(values) for x in xs])
-        y_images = np.stack([y(values) for y in ys])
-        yx = [y(x_images) for y in ys]  # yx[j][i] = Y_j X_i p
-        for i, x in enumerate(xs):
-            xy = x(y_images)  # xy[j] = X_i Y_j p
-            for j in range(len(ys)):
-                ratio = grid_norm(xy[j] - yx[j][i]) / den
-                table[i, j] = np.maximum(table[i, j], ratio)
-    if empty:
+        axes = tuple(range(-values.ndim, 0))
+        w = grid_weight(values.shape)
+        yx = ys(np.stack(xs(values)))  # yx[j][i] = Y_j X_i p
+        if table is None:
+            table = np.zeros((len(yx[0]), len(yx)))
+        for j, y_image in enumerate(ys(values)):
+            diff = np.stack(xs(y_image))  # diff[i] = X_i Y_j p
+            diff -= yx[j]
+            # grid_norm of each difference, summed in the same order
+            norms = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=axes))
+            table[:, j] = np.maximum(table[:, j], norms / den)
+    if table is None:
         raise ValueError("empty probe list")
     return table
 

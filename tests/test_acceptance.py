@@ -195,8 +195,8 @@ def test_acceptance_03_cocycle_commutator_cross_oracle():
             worst = max(
                 worst,
                 commutator_norm(
-                    [grid_group_action(1, s, bx)],
-                    [grid_group_action(2, t, by)],
+                    grid_group_action(1, [s], bx),
+                    grid_group_action(2, [t], by),
                     probes,
                 )[0, 0],
             )

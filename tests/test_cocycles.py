@@ -516,6 +516,14 @@ def test_two_dimensional_checks_refuse_other_d():
             check(eigs)
 
 
+def test_pair_refuses_a_window_of_other_d():
+    # a one-axis window used to fail with an IndexError on its axis 1
+    one = PhaseSequence({}, 1.0)
+    for window in (LatticeWindow(((0, 2),)), LatticeWindow.centered(1, 3)):
+        with pytest.raises(ValueError, match="two axes"):
+            BoundaryEigenvalues.from_pair(one, one, window)
+
+
 def test_highdim_cocycle_on_aligned_instance():
     eigs = BoundaryEigenvalues.from_tower(aligned_tower3d(), LatticeWindow.centered(2, 3))
     assert check_cocycle(eigs, 1e-10).holds

@@ -48,6 +48,11 @@ def random_sequence(rng, radius):
     )
 
 
+def family(ops):
+    """The operator family of a list of operators, one image each."""
+    return lambda v: [op(v) for op in ops]
+
+
 def mode_state(freq_x, freq_y, n):
     x = np.arange(n) / n
     return np.exp(2j * np.pi * freq_x * x)[:, None] * np.exp(
@@ -352,7 +357,7 @@ def test_commutator_scalar_boundaries_is_zero():
         for _ in range(3)
     ]
     val = commutator_norm(
-        [grid_group_action(1, 5 / n, bx)], [grid_group_action(2, 9 / n, by)], probes
+        grid_group_action(1, [5 / n], bx), grid_group_action(2, [9 / n], by), probes
     )[0, 0]
     assert val < 1e-13
 
@@ -368,8 +373,8 @@ def test_commutator_class_one_is_zero():
     coeffs = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     probes = [synthesize_window_state(v, (0.0, 0.0), win, n) for v in coeffs]
     worst = commutator_norm(
-        [grid_group_action(1, s, bx) for s in (0.25, 0.5)],
-        [grid_group_action(2, t, by) for t in (0.125, 0.75)],
+        grid_group_action(1, (0.25, 0.5), bx),
+        grid_group_action(2, (0.125, 0.75), by),
         probes,
     ).max()
     assert worst < 1e-12
@@ -386,8 +391,8 @@ def test_commutator_detects_failing_pair():
     coeffs = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
     probes = [synthesize_window_state(v, (0.0, 0.0), win, n) for v in coeffs]
     worst = commutator_norm(
-        [grid_group_action(1, s, DiagonalBoundary(a)) for s in (0.25, 0.5, 0.75)],
-        [grid_group_action(2, t, DiagonalBoundary(b)) for t in (0.125, 0.375, 0.625)],
+        grid_group_action(1, (0.25, 0.5, 0.75), DiagonalBoundary(a)),
+        grid_group_action(2, (0.125, 0.375, 0.625), DiagonalBoundary(b)),
         probes,
     ).max()
     assert worst > 0.01
@@ -404,18 +409,18 @@ def test_commutator_matrix_route_agrees_with_grid_verdict():
     mx = group_matrix_spectral(1, s, eigs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
     my = group_matrix_spectral(2, t, eigs, (0.0, 0.0), grid_n=n, leakage_tol=1.0)
     vec_probes = default_probe_coefficients(win, sub_radius=2, n_random=4, rng=rng)
-    val = commutator_norm([mx], [my], vec_probes)[0, 0]
+    val = commutator_norm(family([mx]), family([my]), vec_probes)[0, 0]
     assert val > 0.01  # same verdict as the exact grid route
 
 
 def test_commutator_rejects_empty_and_zero_probes():
     b = DiagonalBoundary(PhaseSequence({}, 1.0))
-    fx = grid_group_action(1, 0.25, b)
-    fy = grid_group_action(2, 0.25, b)
+    fx = grid_group_action(1, [0.25], b)
+    fy = grid_group_action(2, [0.25], b)
     with pytest.raises(ValueError):
-        commutator_norm([fx], [fy], [])
+        commutator_norm(fx, fy, [])
     with pytest.raises(ValueError):
-        commutator_norm([fx], [fy], [np.zeros((8, 8), dtype=complex)])
+        commutator_norm(fx, fy, [np.zeros((8, 8), dtype=complex)])
 
 
 # The per-pair, per-probe loop that the table replaced, over the roll-based
@@ -486,9 +491,7 @@ def test_commutator_table_equals_per_pair_reference(n, phases, commuting):
     bx = DiagonalBoundary(a, shift=phases[1])
     by = DiagonalBoundary(b, shift=phases[0])
     table = commutator_norm(
-        [grid_group_action(1, s, bx) for s in S_TIMES],
-        [grid_group_action(2, t, by) for t in T_TIMES],
-        probes,
+        grid_group_action(1, S_TIMES, bx), grid_group_action(2, T_TIMES, by), probes
     )
     want = reference_grid_table(
         DiagonalBoundary(a, shift=phases[1]),
@@ -517,9 +520,7 @@ def test_commutator_table_equals_reference_for_matrix_boundaries():
     coeffs = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
     probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
     table = commutator_norm(
-        [grid_group_action(1, s, bx) for s in S_TIMES],
-        [grid_group_action(2, t, by) for t in T_TIMES],
-        probes,
+        grid_group_action(1, S_TIMES, bx), grid_group_action(2, T_TIMES, by), probes
     )
     want = reference_grid_table(bx, by, S_TIMES, T_TIMES, probes)
     assert (table == want).all()
@@ -541,7 +542,7 @@ def test_commutator_table_equals_reference_for_truncated_operators():
         for t in (0.125, 0.375, 0.625)
     ]
     vec_probes = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
-    table = commutator_norm(mxs, mys, vec_probes)
+    table = commutator_norm(family(mxs), family(mys), vec_probes)
     # probes are measured by grid_norm, the RMS norm on a coefficient
     # vector; the ratio matches the Euclidean one up to roundoff
     euclidean = np.linalg.norm
@@ -556,19 +557,24 @@ def test_commutator_table_equals_reference_for_truncated_operators():
 def test_commutator_validates_probes_and_actions_at_entry():
     b = DiagonalBoundary(PhaseSequence({}, 1.0))
     with pytest.raises(ValueError):
-        grid_group_action(3, 0.25, b)
+        grid_group_action(3, [0.25], b)
     with pytest.raises(ValueError):
-        grid_group_action(1, -0.25, b)
+        grid_group_action(1, [0.25, -0.25], b)
+    with pytest.raises(ValueError):
+        grid_group_action(1, [], b)
+    ident = family([lambda v: v])
     with pytest.raises(ValueError, match="finite"):
-        commutator_norm([np.eye(2)], [np.eye(2)], [np.array([1.0, np.nan])])
-    fx, fy = grid_group_action(1, 0.25, b), grid_group_action(2, 0.25, b)
+        commutator_norm(ident, ident, [np.array([1.0, np.nan])])
+    fx, fy = grid_group_action(1, [0.25], b), grid_group_action(2, [0.25], b)
     for bad in (np.nan, np.inf, -np.inf):
         state = np.ones((8, 8), dtype=complex)
         state[3, 5] = bad
         with pytest.raises(ValueError, match="finite"):
-            commutator_norm([fx], [fy], [np.ones((8, 8)), state])
+            commutator_norm(fx, fy, [np.ones((8, 8)), state])
     # a NaN image reads as NaN in the table, never as a commuting zero
-    table = commutator_norm([lambda v: v * np.nan], [lambda v: v], [np.ones(2)])
+    table = commutator_norm(
+        lambda v: [v * np.nan], lambda v: [v], [np.ones(2)]
+    )
     assert np.isnan(table[0, 0])
 
 
@@ -796,10 +802,112 @@ def boundary_of(kind, rng, n):
 def test_grid_action_on_a_stack_equals_per_state_loop(kind, t, axis):
     rng = np.random.default_rng(32)
     n = 32
-    act = grid_group_action(axis, t, boundary_of(kind, rng, n))
+    act = grid_group_action(axis, [t], boundary_of(kind, rng, n))
     for stack in (random_grid(rng, 4, n, n), random_grid(rng, 2, 3, n, n)):
-        want = np.array([act(s) for s in stack.reshape(-1, n, n)])
-        assert (act(stack) == want.reshape(stack.shape)).all()
+        want = np.array([act(s)[0] for s in stack.reshape(-1, n, n)])
+        (got,) = act(stack)
+        assert (got == want.reshape(stack.shape)).all()
+
+
+FAMILY_TIMES = (0.0, "1/n", 0.625, 1.0, 1.375, 2.5)  # rem 0, full >= 1
+
+
+@pytest.mark.parametrize("kind", ["diagonal-0", "diagonal-0.3", "matrix"])
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_family_images_equal_one_action_per_time(kind, n, axis):
+    rng = np.random.default_rng(36)
+    boundary = boundary_of(kind, rng, n)
+    times = [1 / n if t == "1/n" else t for t in FAMILY_TIMES]
+    act = grid_group_action(axis, times, boundary)
+    state = random_grid(rng, n, n)
+    images = act(state)
+    assert len(images) == len(times)
+    for t, image in zip(times, images):
+        (single,) = grid_group_action(axis, [t], boundary)(state)
+        assert (image == single).all()
+        assert (image == _rolled_action(state, axis, t, boundary)).all()
+    for stack in (random_grid(rng, 3, n, n), random_grid(rng, 2, 2, n, n)):
+        flat = stack.reshape(-1, n, n)
+        for t, image in zip(times, act(stack)):
+            assert image.shape == stack.shape
+            want = [_rolled_action(s, axis, t, boundary) for s in flat]
+            assert (image.reshape(flat.shape) == np.array(want)).all()
+    # every image is a new array, also where no row is transformed
+    assert not np.shares_memory(images[0], state)
+
+
+def test_family_transforms_the_rows_of_each_power_once():
+    # times 1/8 .. 5/8 on 64 rows move 8 .. 40 rows through B; the family
+    # transforms the 40 once, where one action per time transforms 120
+    n = 64
+    seen = []
+
+    class Counting(DiagonalBoundary):
+        def apply(self, lines, axis, power=1):
+            if power:
+                seen.append(lines.shape)
+            return super().apply(lines, axis, power)
+
+    rng = np.random.default_rng(37)
+    boundary = Counting(random_sequence(rng, 8), shift=0.3)
+    times = (0.125, 0.25, 0.375, 0.5, 0.625)
+    state = random_grid(rng, n, n)
+    grid_group_action(1, times, boundary)(state)
+    assert seen == [(40, n)]
+    seen.clear()
+    grid_group_action(2, times + (1.375,), boundary)(random_grid(rng, 3, n, n))
+    # power 1: rows [0, 40) of the short times and [24, 64) of 1.375;
+    # power 2: rows [0, 24) of 1.375
+    assert seen == [(3, n, 64), (3, n, 24)]
+    seen.clear()
+    # times on both sides of a seam crossing: power 1 moves rows [0, 8)
+    # for 0.125 and [56, 64) for 1.875, two runs of 8 rather than their
+    # hull of 64; power 2 moves rows [0, 56) for 1.875
+    state = random_grid(rng, n, n)
+    images = grid_group_action(1, (0.125, 1.875), boundary)(state)
+    assert seen == [(8, n), (8, n), (56, n)]
+    for t, image in zip((0.125, 1.875), images):
+        assert (image == _rolled_action(state, 1, t, boundary)).all()
+
+
+@pytest.mark.parametrize("n", [40, 64, 128])
+def test_commutator_table_equals_grid_norm_per_pair(n):
+    # the reference moves each probe with one single-time action per
+    # operator and measures each pair's difference by grid_norm
+    rng = np.random.default_rng(38)
+    phases = (0.3, 0.7)
+    win = LatticeWindow.centered(8, 2)
+    bx = DiagonalBoundary(PhaseSequence({1: unit(0.4)}, 1.0), shift=phases[1])
+    by = DiagonalBoundary(random_sequence(rng, 8), shift=phases[0])
+    coeffs = default_probe_coefficients(win, 1, 3, rng)
+    probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
+    table = commutator_norm(
+        grid_group_action(1, S_TIMES, bx), grid_group_action(2, T_TIMES, by), probes
+    )
+    want = np.zeros((len(S_TIMES), len(T_TIMES)))
+    for p in probes:
+        for i, s in enumerate(S_TIMES):
+            for j, t in enumerate(T_TIMES):
+                xy = group_action_grid(group_action_grid(p, 2, t, by), 1, s, bx)
+                yx = group_action_grid(group_action_grid(p, 1, s, bx), 2, t, by)
+                ratio = grid_norm(xy - yx) / grid_norm(p)
+                want[i, j] = max(want[i, j], ratio)
+    assert (table == want).all()
+    assert table.max() > 0.01
+
+
+@pytest.mark.parametrize("power", [1, 2, -1])
+def test_matrix_boundary_on_a_stack_equals_per_line(power):
+    rng = np.random.default_rng(39)
+    n = 40
+    boundary = boundary_of("matrix", rng, n)
+    for axis, lines in ((1, random_grid(rng, 7, n)), (0, random_grid(rng, n, 5))):
+        got = boundary.apply(lines, axis, power)
+        for k in range(lines.shape[1 - axis]):
+            line = lines[k] if axis == 1 else lines[:, k]
+            want = boundary.apply(line, 0, power)
+            assert ((got[k] if axis == 1 else got[:, k]) == want).all()
 
 
 def test_truncated_operator_on_a_stack_equals_per_vector_loop():
@@ -822,21 +930,21 @@ def sweep_inputs(rng, phases, radius=8, sub_radius=2, n_random=4):
     bx = DiagonalBoundary(one, shift=phases[1])
     by = DiagonalBoundary(random_sequence(rng, radius), shift=phases[0])
     times = (0.125, 0.25, 0.375, 0.5, 0.625)
-    xs = [grid_group_action(1, s, bx) for s in times]
-    ys = [grid_group_action(2, t, by) for t in times]
+    xs = grid_group_action(1, times, bx)
+    ys = grid_group_action(2, times, by)
     coeffs = default_probe_coefficients(win, sub_radius, n_random, rng)
     return xs, ys, coeffs, win
 
 
-def test_commutator_norm_streams_a_generator_with_two_calls_per_operator():
+def test_commutator_norm_streams_a_generator_with_three_plus_j_family_calls():
     rng = np.random.default_rng(34)
     n, phases = 32, (0.3, 0.7)
     xs, ys, coeffs, win = sweep_inputs(rng, phases)
     calls = []
 
-    def counted(op):
+    def counted(name, op):
         def act(values):
-            calls.append(values.shape)
+            calls.append((name, values.shape))
             return op(values)
         return act
 
@@ -844,23 +952,26 @@ def test_commutator_norm_streams_a_generator_with_two_calls_per_operator():
         for v in coeffs:
             yield synthesize_window_state(v, phases, win, n)
 
-    table = commutator_norm(
-        [counted(x) for x in xs], [counted(y) for y in ys], states()
-    )
+    table = commutator_norm(counted("x", xs), counted("y", ys), states())
     assert (table == commutator_norm(xs, ys, list(states()))).all()
-    assert len(calls) == len(coeffs) * 2 * (len(xs) + len(ys))
-    assert calls.count((n, n)) == len(coeffs) * (len(xs) + len(ys))
+    # per probe: X and Y move it, Y moves the 5 X-images as one stack and
+    # X moves each of the 5 Y-images
+    assert len(calls) == len(coeffs) * (3 + 5)
+    assert calls.count(("x", (n, n))) == len(coeffs) * (1 + 5)
+    assert calls.count(("y", (n, n))) == len(coeffs)
+    assert calls.count(("y", (5, n, n))) == len(coeffs)
+    assert table.shape == (5, 5)
     assert table.max() > 0.01
 
 
 def test_commutator_norm_rejects_an_empty_generator():
     b = DiagonalBoundary(PhaseSequence({}, 1.0))
-    fx = grid_group_action(1, 0.25, b)
+    fx = grid_group_action(1, [0.25], b)
     with pytest.raises(ValueError, match="empty probe list"):
-        commutator_norm([fx], [fx], (p for p in []))
+        commutator_norm(fx, fx, (p for p in []))
 
 
-def test_streamed_sweep_of_benchmark_size_stays_under_6_mib():
+def test_streamed_sweep_of_benchmark_size_stays_under_5_mib():
     # the sweep of one simulate-groups job in the groups-sweep workload:
     # window radius 8, grid_n 64, 5 x 5 times, 81 + 10 = 91 probes
     rng = np.random.default_rng(35)
@@ -876,4 +987,4 @@ def test_streamed_sweep_of_benchmark_size_stays_under_6_mib():
     finally:
         tracemalloc.stop()
     assert table.shape == (5, 5)
-    assert peak < 6 * 2**20
+    assert peak < 5 * 2**20

@@ -57,3 +57,27 @@ def test_window_cells_count_reads_the_eigenvalue_window():
     eigs = BoundaryEigenvalues.from_pair(PhaseSequence({}), PhaseSequence({}), window)
     count = _load_spans()._count("cocycles.window_cells", (eigs,), None)
     assert count == window.cardinality == 20
+
+
+def test_traced_simulate_groups_job_counts_grid_actions_and_transforms(tmp_path):
+    # the tracer counts calls into the closures of cli.grid_group_action
+    # and into groups.twisted_analysis/twisted_synthesis; a rename on the
+    # package side would read as zero work, not as an error
+    config = tmp_path / "groups.yaml"
+    config.write_text(
+        "command: simulate-groups\n"
+        "groups: {window: {radius: 2}, grid_n: 16, times: [0.25, 0.5], "
+        "sub_radius: 1, n_random: 1}\n",
+        encoding="utf-8",
+    )
+    argv = ["simulate-groups", "--config", str(config), "--out", str(tmp_path / "out")]
+    tracer = _load_spans().Tracer()
+    tracer.install(spectralbox)
+    try:
+        status = tracer.run_job(0, "simulate-groups", lambda: spectralbox.cli.main(argv))
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    counts = tracer.counts[0]
+    assert counts["groups.grid_actions"] > 0
+    assert counts["grid.transforms"] > 0
