@@ -85,7 +85,7 @@ required key:
 
     rootscan:                     # root-scan; entries are re or [re, im]
       coefficients: [1, 0, 1, 1]  # at least one, all finite
-      samples: 100000             # >= 16
+      samples: 100000             # >= 16; 2 samples (degree + 1) <= 2^27
 
 Artifacts written to the output directory: report.txt always; gram.txt,
 spectrum.txt, multiplicity.txt, tiling.svg, diffraction.svg, density.txt,

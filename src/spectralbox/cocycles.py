@@ -292,10 +292,14 @@ def check_cocycle_2d(
 
 
 # comparisons check_single_identity_2d may make, M^2 N^2 for an M x N
-# window: about a second at radius 48; radius 49 is the widest square window
+# window: the rows its box bound cannot decide are still quartic, about a
+# second at radius 48; radius 49 is the widest square window
 MAX_IDENTITY_TERMS = 10**8
 # entries of one single-identity block: a radius-32 m1 row (65^3) fits whole
 _IDENTITY_BLOCK = 2**19
+# a computed |p - q| exceeds the exact one by at most 3u, and the computed
+# box bound may fall short of its exact value by 4u (u = 2^-53); 2^-48 is 32u
+_IDENTITY_MARGIN = 1.0 + 2.0**-48
 
 
 def check_identity_window(window: LatticeWindow) -> None:
@@ -314,14 +318,27 @@ def check_single_identity_2d(
 ) -> bool:
     """(1 - b_{m+k})(1 - a_n) = (1 - b_m)(1 - a_{n+l}) over the window.
 
-    The M^2 N^2 comparisons run in blocks of one m1 row, and of at most
-    _IDENTITY_BLOCK entries within a row.
+    With p[m, n] = (1 - b_m)(1 - a_n), row m1 compares p[m1, n2] with
+    every p[m2, n1], m2 != m1 and n1 != n2.  No such |p[m2, n1] - p[m1, n2]|
+    exceeds the distance from the row's bounding box in the complex plane
+    to the farthest corner of the box of all of p, so a row whose distance,
+    times _IDENTITY_MARGIN for the rounding of both, is below eq_tol
+    passes without its comparisons; the verdict is the one comparing every
+    entry.  Where a or b is identically one p is 0 and no row is compared.
+    The other rows' M N^2 comparisons run in blocks of at most
+    _IDENTITY_BLOCK entries, and the first failing block ends the check.
     """
     a, b = _pair(eigs)
     p = np.outer(1.0 - b, 1.0 - a)  # p[m, n]
+    reach = [
+        np.maximum(part.max() - part.min(axis=1), part.max(axis=1) - part.min())
+        for part in (p.real, p.imag)
+    ]
+    undecided = ~(np.hypot(*reach) * _IDENTITY_MARGIN < eq_tol)
     cols = np.arange(p.shape[1])
     step = max(1, _IDENTITY_BLOCK // p.size)
-    for m1, row in enumerate(p):
+    for m1 in np.flatnonzero(undecided):
+        row = p[m1]
         for lo in range(0, cols.size, step):
             # p[m2, n1] against p[m1, n2] for all m2 != m1, n1 != n2
             n_shift = cols[lo : lo + step, None] != cols[None, :]

@@ -20,7 +20,7 @@ import yaml
 from .cocycles import PhaseSequence, check_identity_window
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
 from .diffraction import check_diffraction_size
-from .exponentials import check_pair_size
+from .exponentials import check_pair_size, check_scan_size
 from .groups import check_sweep_grid
 from .model import (
     Domain,
@@ -409,10 +409,9 @@ def _parse_rootscan(section: dict, cfg: "RunConfig") -> dict:
     coeffs = [_complex(v, where) for v in _list(section.get("coefficients", ()), where)]
     if not coeffs:
         raise ConfigError(f"{where}: needs at least one entry")
-    return {
-        "coefficients": coeffs,
-        "samples": _int(section.get("samples", 100_000), "rootscan.samples", lo=16),
-    }
+    samples = _int(section.get("samples", 100_000), "rootscan.samples", lo=16)
+    check_scan_size(len(coeffs) - 1, samples)
+    return {"coefficients": coeffs, "samples": samples}
 
 
 @dataclass

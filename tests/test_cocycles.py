@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -242,6 +243,53 @@ def test_single_identity_matches_dense_reference():
     assert verdicts == {True, False}
 
 
+def _largest_compared_distance(a, b, window):
+    """max |p[m2, n1] - p[m1, n2]| over m2 != m1, n1 != n2, densely."""
+    m_idx, n_idx = window.axis_indices(0), window.axis_indices(1)
+    p = np.outer(1.0 - b.values(m_idx), 1.0 - a.values(n_idx))
+    diff = np.abs(p[None, :, :, None] - p[:, None, None, :])
+    mask = (
+        (~np.eye(m_idx.size, dtype=bool))[:, :, None, None]
+        & (~np.eye(n_idx.size, dtype=bool))[None, None, :, :]
+    )
+    return float((diff * mask).max())
+
+
+@pytest.mark.parametrize("spread", [2e-6, 0.3])
+def test_single_identity_decides_by_blocks_at_the_tolerance(spread):
+    # a and b near one put every p within a small disk; eq_tol at the
+    # largest compared distance, or one float above it, leaves the row
+    # holding that distance to the blocked comparisons: its box reaches
+    # at least as far, and the margin lifts it to eq_tol or past it
+    rng = np.random.default_rng(int(1 / spread))
+    window = LatticeWindow(((-3, 4), (-2, 3)))
+    a, b = (
+        PhaseSequence({k: unit(spread * rng.random()) for k in range(-4, 5)})
+        for _ in range(2)
+    )
+    eigs = pair(a, b, window)
+    edge = _largest_compared_distance(a, b, window)
+    assert 0 < edge < 80 * spread**2  # |1 - unit(x)| <= 2 pi x
+    for eq_tol, holds in ((edge, False), (np.nextafter(edge, np.inf), True)):
+        assert reference_single_identity_2d(a, b, window, eq_tol) is holds
+        assert check_single_identity_2d(eigs, eq_tol) is holds
+
+
+@pytest.mark.parametrize("one_is", ["a", "b", "both"])
+def test_single_identity_of_a_commuting_pair_past_the_load_cap_is_quick(one_is):
+    # 401^4, about 2.6e10 comparisons without the row bound; p is exactly
+    # 0 here, so every row is decided by its box
+    rng = np.random.default_rng(31)
+    window = window2(200)
+    one = PhaseSequence({}, 1.0)
+    moving = PhaseSequence({k: unit(rng.random()) for k in range(-200, 201)})
+    a, b = {"a": (one, moving), "b": (moving, one), "both": (one, one)}[one_is]
+    eigs = pair(a, b, window)
+    start = time.perf_counter()
+    assert check_single_identity_2d(eigs) is True
+    assert time.perf_counter() - start < 5.0
+
+
 def test_cocycle_holds_when_a_is_one():
     rng = np.random.default_rng(0)
     eigs = pair(PhaseSequence({}, 1.0), random_unit_sequence(rng), window2())
@@ -306,8 +354,8 @@ def test_pair_arrays_are_read_only_window_evaluations():
 
 @pytest.mark.parametrize("ranges", [((0, 1), (0, 1999)), ((0, 1999), (0, 1))])
 def test_cocycle_checks_hold_window_sized_memory(ranges):
-    # a commuting pair, so the single identity runs every block; a dense
-    # shift kernel or single-identity row needs over 180 MiB here
+    # a commuting pair; a dense shift kernel or single-identity row needs
+    # over 180 MiB here
     rng = np.random.default_rng(29)
     moving = PhaseSequence({k: unit(rng.random()) for k in range(2000)})
     one = PhaseSequence({}, 1.0)
@@ -322,6 +370,23 @@ def test_cocycle_checks_hold_window_sized_memory(ranges):
             tracemalloc.stop()
         assert getattr(result, "holds", result) is True
         assert peak < 32 * 2**20, (check.__name__, peak)
+
+
+def test_single_identity_blocks_hold_window_sized_memory():
+    # p is zero but for p[1, 1999], so the box bound decides no row and
+    # row 0 fails only in its last block: every block of a 2 x 2000 row
+    # runs, where one dense row would need over 180 MiB
+    a = PhaseSequence({1999: unit(0.25)}, 1.0)
+    b = PhaseSequence({1: unit(0.25)}, 1.0)
+    eigs = pair(a, b, LatticeWindow(((0, 1), (0, 1999))))
+    tracemalloc.start()
+    try:
+        holds = check_single_identity_2d(eigs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert holds is False
+    assert peak < 32 * 2**20, peak
 
 
 def test_cocycle_implies_single_identity():

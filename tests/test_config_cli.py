@@ -827,6 +827,7 @@ EXPLICIT_PAIR = (
     "spectrum: {family: explicit, points: %s}\nwindow: {radius: 1}"
 )
 EXPLICIT_BARE = EXPLICIT_PAIR.replace("\nwindow: {radius: 1}", "")
+ROOTSCAN = "command: root-scan\nrootscan: {coefficients: %s, samples: %d}"
 
 
 @pytest.mark.parametrize(
@@ -923,6 +924,12 @@ TWO_COMPONENTS = (
          "spectrum: 2300 points in dimension 2"),
         (EXPLICIT_BARE % [[float(i), 0.5] for i in range(2300)],
          "spectrum: 2300 points in dimension 2"),
+        # 2^63 angles, a scan that would never end
+        (ROOTSCAN % ([1, 1], 2**63),
+         "rootscan: 9223372036854775808 samples of a degree-1 polynomial need "
+         "36893488147419103232 Horner steps for the rescan at twice the "
+         "samples, more than 134217728"),
+        (ROOTSCAN % ([1.0] * 7, 9586981), "samples of a degree-6 polynomial"),
     ],
 )
 def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
@@ -946,6 +953,13 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
         PAIR + "window: {radius: 16}",
         PAIR + "window: {radius: 23}",
         EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2000)],
+        # the benchmark's degree-6 job, also at its 2e6-sample rescan size,
+        # acceptance criterion 08's larger scan, and the cap itself
+        ROOTSCAN % ([1.0] * 7, 1_000_000),
+        ROOTSCAN % ([1.0] * 7, 2_000_000),
+        ROOTSCAN % ([1, 0, 1, 1], 200_000),
+        ROOTSCAN % ([1.0] * 7, 9586980),
+        ROOTSCAN % ([1.0], 2**26),
     ],
 )
 def test_sizes_under_the_caps_load(text):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from spectralbox.exponentials import (
+    _SCAN_STRIDE,
+    RootScanReport,
+    _poly_on_circle,
     completeness_probe,
     eval_F_omega,
     f_omega_quadrature,
@@ -484,3 +487,153 @@ def test_root_scan_does_not_depend_on_its_chunk_size(monkeypatch, chunk, samples
         whole = unit_circle_root_scan(coeffs, samples)
         monkeypatch.setattr(exponentials, "_SCAN_CHUNK", chunk)
         assert unit_circle_root_scan(coeffs, samples) == whole
+
+
+# Test-only copy of the dense root scan: every angle evaluated, in chunks
+# of the module's _SCAN_CHUNK, then the same golden-section refinement.
+# The pruned scan must return the same report, bit for bit.
+
+
+def reference_root_scan(coefficients, samples):
+    from spectralbox import exponentials
+
+    coeffs = np.asarray(list(coefficients), dtype=complex)
+    poly = exponentials._poly_on_circle
+    minima, angles = [], []
+    for start in range(0, samples, exponentials._SCAN_CHUNK):
+        stop = min(start + exponentials._SCAN_CHUNK, samples)
+        theta = 2.0 * np.pi * np.arange(start, stop) / samples
+        mods = np.abs(poly(coeffs, theta))
+        i = int(np.argmin(mods))
+        minima.append(mods[i])
+        angles.append(theta[i])
+    best = int(np.argmin(minima))
+    coarse, theta0 = minima[best], angles[best]
+    delta = 2.0 * np.pi / samples
+    a, b = theta0 - delta, theta0 + delta
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = abs(poly(coeffs, np.array([c]))[0])
+    fd = abs(poly(coeffs, np.array([d]))[0])
+    for _ in range(120):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = abs(poly(coeffs, np.array([c]))[0])
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = abs(poly(coeffs, np.array([d]))[0])
+    angle = c if fc < fd else d
+    refined = min(fc, fd)
+    if refined <= coarse:
+        return RootScanReport(float(refined), float(angle % (2 * np.pi)), samples)
+    return RootScanReport(float(coarse), float(theta0), samples)
+
+
+def _coarse_minimum(coeffs, samples):
+    from spectralbox import exponentials
+
+    return exponentials._scan_minimum(np.asarray(coeffs, dtype=complex), samples)
+
+
+def _dense_minimum(coeffs, samples):
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    mods = np.abs(_poly_on_circle(np.asarray(coeffs, dtype=complex), theta))
+    i = int(np.argmin(mods))
+    return mods[i], theta[i]
+
+
+STRIDE = _SCAN_STRIDE
+SCAN_COUNTS = [16, 17, STRIDE - 1, STRIDE, STRIDE + 1, 7 * STRIDE, 7 * STRIDE + 5,
+               4096, 100_003]
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_root_scan_equals_the_dense_scan_on_random_polynomials(degree):
+    rng = np.random.default_rng(100 + degree)
+    for _ in range(4):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        for samples in SCAN_COUNTS:
+            assert unit_circle_root_scan(coeffs, samples) == reference_root_scan(
+                coeffs, samples
+            )
+            # the coarse minimum and angle before refinement, too
+            assert _coarse_minimum(coeffs, samples) == _dense_minimum(coeffs, samples)
+
+
+@pytest.mark.parametrize("samples", SCAN_COUNTS + [3 * 2**16 + 1])
+def test_root_scan_on_a_constant_modulus_keeps_the_first_tie(samples):
+    # |p| equals |c_0| at every angle, so no interval can be skipped and the
+    # first angle, index 0, holds the minimum; z^3 is constant up to rounding
+    for coeffs in ([1.5 - 2.0j], [0.0, 0.0, 0.0, 1.0]):
+        assert unit_circle_root_scan(coeffs, samples) == reference_root_scan(
+            coeffs, samples
+        )
+    assert _coarse_minimum([1.5 - 2.0j], samples) == (2.5, 0.0)
+
+
+@pytest.mark.parametrize("n, samples", [(2, 4096), (3, 3 * 2000), (7, 7 * STRIDE),
+                                        (16, 16 * 6250), (5, 5 * 19)])
+def test_root_scan_on_roots_of_unity_at_sample_angles(n, samples):
+    # z^n - 1 vanishes at every (samples / n)-th angle, up to rounding
+    coeffs = [-1.0] + [0.0] * (n - 1) + [1.0]
+    got = unit_circle_root_scan(coeffs, samples)
+    assert got == reference_root_scan(coeffs, samples)
+    assert got.min_modulus < 1e-12
+    assert _coarse_minimum(coeffs, samples) == _dense_minimum(coeffs, samples)
+
+
+def _benchmark_polynomial(rng):
+    # the benchmark's degree-6 root-scan input: |c_0| = 1 > 0.9 = the rest
+    raw = rng.standard_normal((6, 2)) @ np.array([1.0, 1j])
+    tail = 0.9 * raw / np.abs(raw).sum()
+    return np.concatenate([[np.exp(2j * np.pi * rng.random())], tail])
+
+
+@pytest.mark.parametrize("samples", [1_000_000, 2_000_000])
+def test_root_scan_at_benchmark_size_equals_the_dense_scan(samples):
+    rng = np.random.default_rng(81)
+    for _ in range(2):
+        coeffs = _benchmark_polynomial(rng)
+        assert unit_circle_root_scan(coeffs, samples) == reference_root_scan(
+            coeffs, samples
+        )
+
+
+def test_root_scan_without_a_live_interval_holds_no_more_than_the_dense_scan():
+    # the constant-modulus case leaves every interval live, the most the
+    # pruned scan ever evaluates; it must not outgrow the dense chunks
+    import tracemalloc
+
+    coeffs, samples = [0.0, 0.0, 0.0, 1.0], 2_000_000
+    peaks = []
+    for scan in (reference_root_scan, unit_circle_root_scan):
+        tracemalloc.start()
+        try:
+            scan(coeffs, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    dense, pruned = peaks
+    assert pruned <= dense, peaks
+    assert dense < 8 * 2**20, peaks
+
+
+def test_root_scan_evaluates_a_small_share_of_a_benchmark_scan(monkeypatch):
+    from spectralbox import exponentials
+
+    evaluated = []
+    poly = exponentials._poly_on_circle
+
+    def counting(coefficients, theta):
+        evaluated.append(theta.size)
+        return poly(coefficients, theta)
+
+    monkeypatch.setattr(exponentials, "_poly_on_circle", counting)
+    coeffs = _benchmark_polynomial(np.random.default_rng(82))
+    exponentials._scan_minimum(np.asarray(coeffs), 2_000_000)
+    # the knots alone are 2e6 / STRIDE angles
+    assert 2_000_000 // STRIDE < sum(evaluated) < 2_000_000 // 20
