@@ -48,6 +48,10 @@ EXPECTED = {
         "commutator_sweep.csv": "53030b32a7ea2c207dfa2339827b9497ee10f2f9163bc39321714b8b0e916959",
         "report.txt": "8f3877f7a0cbcadbc7cabefd570fe4136eefaec687eddc70afbb034bcbbb75e2",
     }),
+    "simulate_groups_class_ii": ("simulate-groups", 0, {
+        "commutator_sweep.csv": "f58e79e178fb7441ef6e07d2a04e2c83e50328699688a5346a20278a875f2c8b",
+        "report.txt": "686acb159979c34f239ffac704cd7b67a9feb6a7a76c1d13c0da632fa98b86d3",
+    }),
     "verify_pair_class_a": ("verify-pair", 0, {
         "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",
         "report.txt": "aff7d65ee87ce25d2441c512c0ac4bf413233afa4c476a51e1d22b982d2b2a47",
