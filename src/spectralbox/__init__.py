@@ -5,7 +5,9 @@ Spectrum families are TranslatedLattice (alpha + Z^d), ExplicitSpectrum
 levels[j](k_0, ..., k_{j-1}) + k_j on output axis axis_order[j].  The
 config families class-a, class-b and tower3d are spellings of one Tower:
 the planar column- and row-shifted towers and the 3-D tower with a zero
-level 0.
+level 0.  IntFunction is also the one phase-table type of the boundary
+data: the 2-D pair (a, b), a DiagonalBoundary and a Tower's levels hold
+phase fractions p in [0, 1), each lifted to exp(i*2*pi*p) by one function.
 
 Submodules:
   model         domain/spectrum value types and family enumeration

@@ -56,9 +56,9 @@ required key:
                                   #   M^2 N^2 <= 10^8 for an M x N window
                                   #   (the single-identity check's work)
 
-    groups:                       # simulate-groups
-      a: {default: 0.0, table: {}}
-      b: {default: 0.0, table: {"1": 0.3}}
+    groups:                       # simulate-groups; a and b are phase
+      a: {default: 0.0, table: {}}                 # tables as in cocycle,
+      b: {default: 0.0, table: {"1": 0.3}}         #   fractions in [0, 1)
       phases: [0.0, 0.0]          # two reals
       window: {radius: 8}         # two indices per axis, 4096 modes at most
       grid_n: 64                  # >= the window width per axis; <= 819 with 5 times
@@ -409,15 +409,12 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         [("max_mismatch", mismatch), ("max_leakage", op.max_leakage)],
     )
 
-    def phi_of(n: int) -> float:
-        return float(np.angle(g["a"].value(n)) / (2 * np.pi) % 1.0)
-
     samples = [
         (s, m, n)
         for s in g["times"][:2]
         for (m, n) in ((0, 0), (1, -1), (-2, 2))
     ]
-    eig = eigenrelation_check(phi_of, phases[1], samples, grid_n=grid_n)
+    eig = eigenrelation_check(bx, samples, grid_n)
     report.add(
         "groups.eigenrelation_check",
         "U_x(s) multiplies e_{m+phi(n)} x e_{n+beta} by "

@@ -3,8 +3,9 @@
 Commutativity of the induced translation groups is equivalent to product
 identities on the unit-modulus eigenvalues v_j of the d boundary
 unitaries.  One type holds those eigenvalues over a finite index window,
-BoundaryEigenvalues, built from a 2-D sequence pair (a, b) or from a
-staircase Tower of any d and axis order.  One vectorised kernel,
+BoundaryEigenvalues, built from a 2-D pair (a, b) of phase tables
+(IntFunction) or from a staircase Tower of any d and axis order; a phase
+p enters as exp(i*2*pi*p), through one lift.  One vectorised kernel,
 check_cocycle, checks the pairwise shift identity for every ordered slot
 pair (witnesses (f, s, n, shift, modulus)); check_cocycle_2d relabels its
 witnesses ("b-shift" | "a-shift", m, n, shift, modulus) for a pair.  The
@@ -17,18 +18,23 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ArityMismatchError, LatticeWindow, SpectralBoxError, Tower
+from .model import (
+    ArityMismatchError,
+    IntFunction,
+    LatticeWindow,
+    SpectralBoxError,
+    Tower,
+)
 
 __all__ = [
     "UnitModulusError",
     "WindowTooSmallError",
     "ToleranceInconsistencyError",
-    "PhaseSequence",
     "BoundaryEigenvalues",
     "CocycleReport",
     "check_cocycle",
@@ -68,54 +74,30 @@ def _renormalize_unit(value: complex, where: str) -> complex:
     return complex(value / mod)
 
 
-@dataclass(frozen=True)
-class PhaseSequence:
-    """Unit-modulus sequence on Z: finite table plus a default value.
-
-    Values within 1e-6 of the circle are renormalized at construction;
-    anything farther off is rejected so downstream products stay
-    well-conditioned.
-    """
-
-    table: Mapping[int, complex] = field(default_factory=dict)
-    default: complex = 1.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        normalized = {
-            int(k): _renormalize_unit(complex(v), f"table[{k}]")
-            for k, v in dict(self.table).items()
-        }
-        object.__setattr__(self, "table", normalized)
-        object.__setattr__(
-            self, "default", _renormalize_unit(complex(self.default), "default")
-        )
-
-    @classmethod
-    def from_phases(
-        cls, table: Mapping[int, float], default: float = 0.0
-    ) -> "PhaseSequence":
-        """Build from phase fractions in [0,1): value = exp(i*2*pi*phase).
-
-        Raises ValueError for a NaN or infinite fraction.
-        """
-        for k, v in [*table.items(), ("default", default)]:
-            if not np.isfinite(float(v)):
-                raise ValueError(f"phase at {k} is {float(v)}, not finite")
-        return cls(
-            {int(k): np.exp(2j * np.pi * float(v)) for k, v in table.items()},
-            np.exp(2j * np.pi * float(default)),
-        )
-
-    def value(self, n: int) -> complex:
-        return self.table.get(int(n), self.default)
-
-    def values(self, indices: Sequence[int]) -> np.ndarray:
-        return np.array([self.value(int(n)) for n in indices], dtype=complex)
-
-
 def _lift(phase: float) -> complex:
-    """exp(i*2*pi*phase), the value PhaseSequence.from_phases stores."""
+    """exp(i*2*pi*phase), divided by its modulus: the one lift of a phase."""
     return _renormalize_unit(complex(np.exp(2j * np.pi * float(phase))), "phase")
+
+
+def _lift_window(fn: IntFunction, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """exp(i*2*pi*fn(k)) at every index tuple k of the inclusive ranges.
+
+    The default and each table entry inside the ranges are lifted once, by
+    _lift; numpy only places them.  Entries outside the ranges are never
+    lifted.  The array has one axis per range, of its length.
+    """
+    if fn.arity != len(ranges):
+        raise ArityMismatchError(
+            f"a function of {fn.arity} indices over {len(ranges)} ranges"
+        )
+    lifted = np.full([hi - lo + 1 for lo, hi in ranges], _lift(fn.default))
+    if fn.table:
+        keys = np.array(list(fn.table)) - [lo for lo, _ in ranges]
+        inside = np.all((keys >= 0) & (keys < lifted.shape), axis=1)
+        lifted[tuple(keys[inside].T)] = [
+            _lift(p) for p, ok in zip(fn.table.values(), inside) if ok
+        ]
+    return lifted
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +142,19 @@ class BoundaryEigenvalues:
 
     @classmethod
     def from_pair(
-        cls, a: PhaseSequence, b: PhaseSequence, window: LatticeWindow
+        cls, a: IntFunction, b: IntFunction, window: LatticeWindow
     ) -> "BoundaryEigenvalues":
-        """The 2-D pair: a, indexed by the mode n on axis 1, is v_0; b,
-        indexed by the mode m on axis 0, is v_1."""
+        """The 2-D pair of phase tables: exp(i*2*pi*a(n)), indexed by the
+        mode n on axis 1, is v_0; exp(i*2*pi*b(m)), indexed by the mode m
+        on axis 0, is v_1."""
         if window.dimension != 2:
             raise ValueError("a 2-D pair needs a window of two axes")
+        m_range, n_range = window.ranges
         return cls(
             window,
             (
-                a.values(window.axis_indices(1))[None, :],
-                b.values(window.axis_indices(0))[:, None],
+                _lift_window(a, [n_range])[None, :],
+                _lift_window(b, [m_range])[:, None],
             ),
         )
 
@@ -197,13 +181,7 @@ class BoundaryEigenvalues:
         values = [None] * tower.dimension
         for j, level in enumerate(tower.levels):
             read = tower.axis_order[:j]  # the axes of k_0, ..., k_{j-1}
-            lift = np.full([sizes[a] for a in read], _lift(level.default))
-            if level.table:
-                keys = np.array(list(level.table)) - [window.ranges[a][0] for a in read]
-                inside = np.all((keys >= 0) & (keys < lift.shape), axis=1)
-                lift[tuple(keys[inside].T)] = [
-                    _lift(p) for p, ok in zip(level.table.values(), inside) if ok
-                ]
+            lift = _lift_window(level, [window.ranges[a] for a in read])
             lift = np.transpose(lift, np.argsort(read)).reshape(
                 [n if a in read else 1 for a, n in enumerate(sizes)]
             )
@@ -425,27 +403,15 @@ def boundary_matrices_from_tower3d(
     _, beta, gamma = spec.levels
     if window.dimension != 3:
         raise ValueError("window must have three axes")
-    k_idx = window.axis_indices(0)
-    l_idx = window.axis_indices(1)
-    m_idx = window.axis_indices(2)
-    mk, ml, mm = len(k_idx), len(l_idx), len(m_idx)
-
+    mk, ml, mm = (hi - lo + 1 for lo, hi in window.ranges)
     v1 = np.eye(ml * mm, dtype=complex)
-
-    eig_2 = np.repeat(
-        np.exp(2j * np.pi * np.array([beta(int(k)) for k in k_idx])), mm
-    )
-    v2 = np.diag(eig_2)
-
-    blocks = []
-    for k in k_idx:
-        eig = np.exp(
-            2j * np.pi * np.array([gamma(int(k), int(l)) for l in l_idx])
-        )
-        blocks.append(diagonal_boundary_matrix(eig, beta(int(k))))
+    v2 = np.diag(np.repeat(_lift_window(beta, window.ranges[:1]), mm))
+    gamma_kl = _lift_window(gamma, window.ranges[:2])
     v3 = np.zeros((mk * ml, mk * ml), dtype=complex)
-    for i, block in enumerate(blocks):
-        v3[i * ml : (i + 1) * ml, i * ml : (i + 1) * ml] = block
+    for i, k in enumerate(window.axis_indices(0)):
+        v3[i * ml : (i + 1) * ml, i * ml : (i + 1) * ml] = diagonal_boundary_matrix(
+            gamma_kl[i], beta(int(k))
+        )
     return [v1, v2, v3]
 
 

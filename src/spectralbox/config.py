@@ -17,7 +17,7 @@ from typing import Any
 
 import yaml
 
-from .cocycles import PhaseSequence, check_identity_window
+from .cocycles import check_identity_window
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
 from .diffraction import check_diffraction_size
 from .exponentials import check_pair_size, check_scan_size
@@ -174,13 +174,12 @@ def _parse_table(section, arity: int, where: str) -> tuple[float, dict]:
 
 
 def _parse_int_function(section, arity: int, where: str) -> IntFunction:
+    """A {default, table} phase table; every value must lie in [0, 1)."""
     default, table = _parse_table(section, arity, where)
-    return IntFunction(arity, default, table)
-
-
-def _parse_phase_sequence(section, where: str) -> PhaseSequence:
-    default, table = _parse_table(section, 1, where)
-    return PhaseSequence.from_phases({k: v for (k,), v in table.items()}, default)
+    try:
+        return IntFunction(arity, default, table)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
@@ -317,8 +316,8 @@ def _parse_cocycle(section: dict, cfg: "RunConfig") -> dict:
     window = _shift_window(section, "cocycle.window")
     check_identity_window(window)
     return {
-        "a": _parse_phase_sequence(section.get("a", {}), "cocycle.a"),
-        "b": _parse_phase_sequence(section.get("b", {}), "cocycle.b"),
+        "a": _parse_int_function(section.get("a", {}), 1, "cocycle.a"),
+        "b": _parse_int_function(section.get("b", {}), 1, "cocycle.b"),
         "window": window,
     }
 
@@ -334,8 +333,8 @@ def _parse_groups(section: dict, cfg: "RunConfig") -> dict:
     if times == []:
         raise ConfigError("groups.times: needs at least one entry")
     groups = {
-        "a": _parse_phase_sequence(section.get("a", {}), "groups.a"),
-        "b": _parse_phase_sequence(section.get("b", {}), "groups.b"),
+        "a": _parse_int_function(section.get("a", {}), 1, "groups.a"),
+        "b": _parse_int_function(section.get("b", {}), 1, "groups.b"),
         "window": _shift_window(section, "groups.window"),
         "phases": tuple(_reals(section.get("phases", [0.0, 0.0]), "groups.phases", 2)),
         "grid_n": _int(section.get("grid_n", 64), "groups.grid_n", lo=1),

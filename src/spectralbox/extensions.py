@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cocycles import _lift
 from .model import SpectralBoxError
 
 __all__ = [
@@ -84,10 +85,10 @@ def boundary_unitary_from_phases(phases) -> BoundaryUnitary:
     """Diagonal boundary unitary from a table of phase fractions.
 
     `phases` is a sequence of fractions in [0, 1), one per cross-section
-    mode, giving the diagonal exp(i*2*pi*phase).
+    mode, giving the diagonal exp(i*2*pi*phase), lifted as every phase
+    table is.
     """
-    eig = np.exp(2j * np.pi * np.asarray(list(phases), dtype=float))
-    return BoundaryUnitary(np.diag(eig))
+    return BoundaryUnitary(np.diag([_lift(p) for p in phases]))
 
 
 def _guarded_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Induced one-parameter unitary groups on the unit square, two ways.
 
 The exact realization translates grid samples along one axis and
-transports the wrapped slab through the boundary unitary; the spectral
-realization assembles the same operator as a truncated matrix over a
-window of shifted product Fourier modes, mixing indicator Fourier
+transports the wrapped slab through the boundary unitary, a
+DiagonalBoundary over a phase table (IntFunction) or a MatrixBoundary;
+eigenrelation_check reads a DiagonalBoundary's own table and shift.  The
+spectral realization assembles the same operator as a truncated matrix
+over a window of shifted product Fourier modes, mixing indicator Fourier
 coefficients with the boundary eigenvalues.
 
 Convention, fixed once and used everywhere: the action is
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .cocycles import BoundaryEigenvalues, PhaseSequence
+from .cocycles import BoundaryEigenvalues, _lift_window
 from .grid import (
     fft_mode_indices,
     grid_coords,
@@ -31,7 +33,7 @@ from .grid import (
     twisted_analysis,
     twisted_synthesis,
 )
-from .model import LatticeWindow, SpectralBoxError
+from .model import IntFunction, LatticeWindow, SpectralBoxError
 
 MAX_SPECTRAL_BYTES = 2**28  # the dense spectral matrix, 256 MiB of complex128
 MAX_SWEEP_BYTES = 2**28  # commutator_norm's Y X images of one probe, complex128
@@ -134,9 +136,10 @@ def _steps_for(t: float, grid_n: int) -> int:
 
 @dataclass(frozen=True)
 class DiagonalBoundary:
-    """Boundary unitary diagonal on the shift-twisted Fourier modes."""
+    """Boundary unitary diagonal on the shift-twisted Fourier modes: the
+    mode n + shift has the eigenvalue exp(i*2*pi*phases(n))."""
 
-    eigenvalues: PhaseSequence
+    phases: IntFunction
     shift: float = 0.0
     _eig_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -146,7 +149,9 @@ class DiagonalBoundary:
         """Eigenvalues on the n grid modes in FFT order (cached, read-only)."""
         eig = self._eig_cache.get(n)
         if eig is None:
-            eig = self.eigenvalues.values(fft_mode_indices(n))
+            modes = fft_mode_indices(n)
+            lo = int(modes.min())
+            eig = _lift_window(self.phases, [(lo, int(modes.max()))])[modes - lo]
             eig.flags.writeable = False
             self._eig_cache[n] = eig
         return eig
@@ -565,25 +570,19 @@ class EigenRelationReport:
 
 
 def eigenrelation_check(
-    phi,
-    beta: float,
+    boundary: DiagonalBoundary,
     samples: Sequence[tuple[float, int, int]],
-    grid_n: int = 256,
+    grid_n: int,
 ) -> EigenRelationReport:
     """Residuals of the axis-1 eigenrelation on sampled eigenfunctions.
 
-    With the boundary operator diagonal on e_{n+beta} with phases phi(n),
-    the state e_{m+phi(n)} x e_{n+beta} must satisfy
+    With phi = boundary.phases and beta = boundary.shift, the boundary
+    operator is diagonal on e_{n+beta} with eigenvalues exp(i*2*pi*phi(n)),
+    and the state e_{m+phi(n)} x e_{n+beta} must satisfy
       U_x(s) E = exp(i*2*pi*(m+phi(n))*s) E
-    exactly (up to roundoff) in the grid realization.  phi may be an
-    IntFunction or any int -> float callable with values in [0,1).
+    exactly (up to roundoff) in the grid_n realization.
     """
-    boundary = DiagonalBoundary(
-        PhaseSequence.from_phases(
-            {n: phi(n) for n in fft_mode_indices(grid_n)}, 0.0
-        ),
-        shift=beta,
-    )
+    phi, beta = boundary.phases, boundary.shift
     worst = 0.0
     x = grid_coords(grid_n)
     for s, m, n in samples:

@@ -12,7 +12,6 @@ import numpy as np
 from spectralbox.cli import main as cli_main
 from spectralbox.cocycles import (
     BoundaryEigenvalues,
-    PhaseSequence,
     boundary_matrices_from_tower3d,
     check_cocycle,
     check_cocycle_2d,
@@ -137,11 +136,12 @@ def test_acceptance_02_difference_set_containment():
 def _commuting_instance(rng, radius):
     """A commuting sequence pair (a, b)."""
     kind = int(rng.integers(3))
-    rand = lambda: PhaseSequence(
-        {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
-        unit(rng.random()),
+    rand = lambda: IntFunction(
+        1,
+        table={int(k): rng.random() for k in range(-radius, radius + 1)},
+        default=rng.random(),
     )
-    one = PhaseSequence({}, 1.0)
+    one = IntFunction(1)
     if kind == 0:
         return one, rand()
     if kind == 1:
@@ -152,20 +152,20 @@ def _commuting_instance(rng, radius):
 def _perturbed_instance(rng, radius):
     a, b = _commuting_instance(rng, radius)
     n0 = int(rng.integers(-3, 4))
-    value = unit(0.15 + 0.6 * rng.random())
+    value = 0.15 + 0.6 * rng.random()
     a_is_one = all(
-        abs(a.value(n) - 1.0) < 1e-12 for n in range(-radius, radius + 1)
+        abs(unit(a(n)) - 1.0) < 1e-12 for n in range(-radius, radius + 1)
     )
     b_is_one = all(
-        abs(b.value(m) - 1.0) < 1e-12 for m in range(-radius, radius + 1)
+        abs(unit(b(m)) - 1.0) < 1e-12 for m in range(-radius, radius + 1)
     )
     if a_is_one and b_is_one:
-        a = PhaseSequence({n0: value}, 1.0)
-        b = PhaseSequence({2: unit(0.3)}, 1.0)
+        a = IntFunction(1, 0.0, {n0: value})
+        b = IntFunction(1, 0.0, {2: 0.3})
         return a, b
     if a_is_one:
-        return PhaseSequence({n0: value}, 1.0), b
-    return a, PhaseSequence({n0: value}, 1.0)
+        return IntFunction(1, 0.0, {n0: value}), b
+    return a, IntFunction(1, 0.0, {n0: value})
 
 
 def test_acceptance_03_cocycle_commutator_cross_oracle():
@@ -215,13 +215,15 @@ def test_acceptance_04_spectral_vs_grid_oracle_match():
     for trial in range(20):
         axis = 1 + trial % 2
         radius = 20
-        a = PhaseSequence(
-            {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
-            unit(rng.random()),
+        a = IntFunction(
+            1,
+            table={int(k): rng.random() for k in range(-radius, radius + 1)},
+            default=rng.random(),
         )
-        b = PhaseSequence(
-            {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
-            unit(rng.random()),
+        b = IntFunction(
+            1,
+            table={int(k): rng.random() for k in range(-radius, radius + 1)},
+            default=rng.random(),
         )
         eigs = BoundaryEigenvalues.from_pair(a, b, window)
         phases = (float(rng.random()), float(rng.random()))

@@ -10,7 +10,6 @@ from spectralbox.cocycles import (
     BoundaryEigenvalues,
     Classification,
     CocycleReport,
-    PhaseSequence,
     ToleranceInconsistencyError,
     UnitModulusError,
     WindowTooSmallError,
@@ -24,7 +23,9 @@ from spectralbox.cocycles import (
     phase_grid,
     quasi_commutativity_check,
 )
-from spectralbox.model import IntFunction, LatticeWindow, Tower
+from spectralbox.grid import fft_mode_indices
+from spectralbox.groups import DiagonalBoundary
+from spectralbox.model import ArityMismatchError, IntFunction, LatticeWindow, Tower
 
 
 def unit(x):
@@ -39,10 +40,19 @@ def pair(a, b, window):
     return BoundaryEigenvalues.from_pair(a, b, window)
 
 
+def phases(table=None, default=0.0):
+    """A phase table of one member of a pair, keyed by one index."""
+    return IntFunction(1, default, table or {})
+
+
+ONE = phases()  # phase 0 everywhere: the sequence identically one
+
+
 def random_unit_sequence(rng, radius=2):
-    return PhaseSequence(
-        {int(k): unit(rng.random()) for k in range(-radius, radius + 1)},
-        unit(rng.random()),
+    return IntFunction(
+        1,
+        table={int(k): rng.random() for k in range(-radius, radius + 1)},
+        default=rng.random(),
     )
 
 
@@ -50,7 +60,7 @@ def random_pair(rng, trial, radius=2):
     """(a, b) by trial % 5: a identically one, b identically one, both
     generic, or a moved at one index, by a large phase or by one near 1e-11
     so that the products land on either side of eq_tol."""
-    one = PhaseSequence({}, 1.0)
+    one = ONE
     kind = trial % 5
     if kind == 0:
         return one, random_unit_sequence(rng, radius)
@@ -59,7 +69,7 @@ def random_pair(rng, trial, radius=2):
     if kind == 2:
         return random_unit_sequence(rng, radius), random_unit_sequence(rng, radius)
     phase = 0.1 + 0.8 * rng.random() if kind == 3 else 10 ** rng.uniform(-11.5, -10)
-    moved = PhaseSequence({int(rng.integers(-1, 2)): unit(phase)})
+    moved = phases({int(rng.integers(-1, 2)): phase})
     return moved, random_unit_sequence(rng, radius)
 
 
@@ -70,12 +80,37 @@ def random_pair(rng, trial, radius=2):
 MAX_WITNESSES = 10
 
 
+def _renormalized(value):
+    return complex(value / abs(value))
+
+
+def reference_values(fn, keys):
+    """exp(i*2*pi*fn(k)) at each key, an index or an index tuple.
+
+    A copy of what the complex-sequence type that the window fill
+    replaced computed, built from phases and read at keys: numpy's scalar
+    exp of every table phase and of the default, each divided by its
+    modulus, then one lookup per key.  The fill must equal it bit for bit.
+    """
+    lifted = {
+        k: _renormalized(complex(np.exp(2j * np.pi * float(v))))
+        for k, v in fn.table.items()
+    }
+    default = _renormalized(complex(np.exp(2j * np.pi * float(fn.default))))
+    keys = [tuple(k) if np.ndim(k) else (int(k),) for k in keys]
+    return np.array([lifted.get(k, default) for k in keys], dtype=complex)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def reference_cocycle_2d(a_seq, b_seq, window, eq_tol=1e-10):
     """Both 2-D identities as two M x M x N / N x N x M arrays."""
     m_idx = window.axis_indices(0)
     n_idx = window.axis_indices(1)
-    a = a_seq.values(n_idx)
-    b = b_seq.values(m_idx)
+    a = reference_values(a_seq, n_idx)
+    b = reference_values(b_seq, m_idx)
     witnesses = []
     b_diff = b[:, None] - b[None, :]
     prod1 = np.abs(b_diff[:, :, None] * (1.0 - a)[None, None, :])
@@ -104,7 +139,7 @@ def reference_single_identity_2d(a, b, window, eq_tol=1e-10):
     """The single identity as one dense M x M x N x N array."""
     m_idx = window.axis_indices(0)
     n_idx = window.axis_indices(1)
-    p = np.outer(1.0 - b.values(m_idx), 1.0 - a.values(n_idx))
+    p = np.outer(1.0 - reference_values(b, m_idx), 1.0 - reference_values(a, n_idx))
     diff = np.abs(p[None, :, :, None] - p[:, None, None, :])  # [m1, m2, n1, n2]
     mask = (
         (~np.eye(m_idx.size, dtype=bool))[:, :, None, None]
@@ -175,25 +210,14 @@ def eigs_from_callables(v, window):
     return BoundaryEigenvalues(window, tuple(values))
 
 
-def test_phase_sequence_renormalizes_and_rejects():
-    seq = PhaseSequence({0: 1.0 + 5e-7j}, default=1.0)
-    assert abs(abs(seq.value(0)) - 1.0) < 1e-15
-    with pytest.raises(UnitModulusError):
-        PhaseSequence({0: 1.5})
-    with pytest.raises(UnitModulusError):
-        PhaseSequence({0: complex("nan")})
-    with pytest.raises(UnitModulusError):
-        PhaseSequence({}, default=complex("nan+1j"))
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_from_phases_rejects_non_finite_fractions(bad):
+def test_phase_tables_reject_non_finite_fractions(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
-            PhaseSequence.from_phases({1: bad})
-        with pytest.raises(ValueError, match="not finite"):
-            PhaseSequence.from_phases({}, default=bad)
+        with pytest.raises(ValueError, match="outside"):
+            phases({1: bad})
+        with pytest.raises(ValueError, match="outside"):
+            phases(default=bad)
 
 
 def test_cocycle_2d_matches_reference_exactly():
@@ -216,8 +240,8 @@ def test_cocycle_2d_matches_reference_exactly():
 
 def test_cocycle_2d_lists_both_witness_kinds_like_reference():
     # 3 x 4 window: four b-shift and six a-shift violations
-    a = PhaseSequence({1: 1j})
-    b = PhaseSequence({1: -1.0})
+    a = phases({1: 0.25})
+    b = phases({1: 0.5})
     window = LatticeWindow(((0, 2), (0, 3)))
     got = check_cocycle_2d(pair(a, b, window))
     assert got == reference_cocycle_2d(a, b, window)
@@ -227,8 +251,8 @@ def test_cocycle_2d_lists_both_witness_kinds_like_reference():
 def test_single_identity_matches_dense_reference():
     rng = np.random.default_rng(23)
     failing = (
-        PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0),
-        PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0),
+        phases({0: 0.0, 1: 0.25, 2: 0.0}),
+        phases({0: 0.0, 1: 0.5, 2: 0.0}),
         LatticeWindow(((0, 2), (0, 2))),
     )
     cases = [failing] + [
@@ -246,7 +270,7 @@ def test_single_identity_matches_dense_reference():
 def _largest_compared_distance(a, b, window):
     """max |p[m2, n1] - p[m1, n2]| over m2 != m1, n1 != n2, densely."""
     m_idx, n_idx = window.axis_indices(0), window.axis_indices(1)
-    p = np.outer(1.0 - b.values(m_idx), 1.0 - a.values(n_idx))
+    p = np.outer(1.0 - reference_values(b, m_idx), 1.0 - reference_values(a, n_idx))
     diff = np.abs(p[None, :, :, None] - p[:, None, None, :])
     mask = (
         (~np.eye(m_idx.size, dtype=bool))[:, :, None, None]
@@ -264,7 +288,7 @@ def test_single_identity_decides_by_blocks_at_the_tolerance(spread):
     rng = np.random.default_rng(int(1 / spread))
     window = LatticeWindow(((-3, 4), (-2, 3)))
     a, b = (
-        PhaseSequence({k: unit(spread * rng.random()) for k in range(-4, 5)})
+        phases({k: spread * rng.random() for k in range(-4, 5)})
         for _ in range(2)
     )
     eigs = pair(a, b, window)
@@ -281,9 +305,8 @@ def test_single_identity_of_a_commuting_pair_past_the_load_cap_is_quick(one_is):
     # 0 here, so every row is decided by its box
     rng = np.random.default_rng(31)
     window = window2(200)
-    one = PhaseSequence({}, 1.0)
-    moving = PhaseSequence({k: unit(rng.random()) for k in range(-200, 201)})
-    a, b = {"a": (one, moving), "b": (moving, one), "both": (one, one)}[one_is]
+    moving = phases({k: rng.random() for k in range(-200, 201)})
+    a, b = {"a": (ONE, moving), "b": (moving, ONE), "both": (ONE, ONE)}[one_is]
     eigs = pair(a, b, window)
     start = time.perf_counter()
     assert check_single_identity_2d(eigs) is True
@@ -292,22 +315,23 @@ def test_single_identity_of_a_commuting_pair_past_the_load_cap_is_quick(one_is):
 
 def test_cocycle_holds_when_a_is_one():
     rng = np.random.default_rng(0)
-    eigs = pair(PhaseSequence({}, 1.0), random_unit_sequence(rng), window2())
+    eigs = pair(ONE, random_unit_sequence(rng), window2())
     report = check_cocycle_2d(eigs)
     assert report.holds and report.max_violation < 1e-12
 
 
 def test_cocycle_holds_when_b_is_one():
     rng = np.random.default_rng(1)
-    eigs = pair(random_unit_sequence(rng), PhaseSequence({}, 1.0), window2())
+    eigs = pair(random_unit_sequence(rng), ONE, window2())
     assert check_cocycle_2d(eigs).holds
 
 
 def test_cocycle_failing_pair_with_witness():
     # a = (1, i, 1), b = (1, -1, 1) on the window [0,2]^2
-    a = PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0)
-    b = PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0)
+    a = phases({0: 0.0, 1: 0.25, 2: 0.0})
+    b = phases({0: 0.0, 1: 0.5, 2: 0.0})
     report = check_cocycle_2d(pair(a, b, LatticeWindow(((0, 2), (0, 2)))))
+    a, b = reference_values(a, range(3)), reference_values(b, range(3))
     assert not report.holds
     assert 0 < len(report.witnesses) <= 10
     # brute force over all in-window tuples agrees with the reported max
@@ -318,7 +342,7 @@ def test_cocycle_failing_pair_with_witness():
                 continue
             for n in range(3):
                 worst = max(
-                    worst, abs((b.value(m) - b.value(m2)) * (1 - a.value(n)))
+                    worst, abs((b[m] - b[m2]) * (1 - a[n]))
                 )
     for n in range(3):
         for n2 in range(3):
@@ -326,7 +350,7 @@ def test_cocycle_failing_pair_with_witness():
                 continue
             for m in range(3):
                 worst = max(
-                    worst, abs((a.value(n) - a.value(n2)) * (1 - b.value(m)))
+                    worst, abs((a[n] - a[n2]) * (1 - b[m]))
                 )
     assert report.max_violation == pytest.approx(worst)
 
@@ -335,21 +359,99 @@ def test_cocycle_window_too_small():
     # the pair refuses a one-index axis when it is built, before any check
     for ranges in (((0, 0), (0, 2)), ((0, 2), (0, 0))):
         with pytest.raises(WindowTooSmallError):
-            pair(PhaseSequence({}, 1.0), PhaseSequence({}, 1.0), LatticeWindow(ranges))
+            pair(ONE, ONE, LatticeWindow(ranges))
 
 
 def test_pair_arrays_are_read_only_window_evaluations():
-    a = PhaseSequence({1: 1j, 4: -1.0}, unit(0.3))
-    b = PhaseSequence({-1: -1j})
+    a = phases({1: 0.25, 4: 0.5}, 0.3)
+    b = phases({-1: 0.75})
     eigs = pair(a, b, LatticeWindow(((-2, 1), (0, 4))))
     v0, v1 = eigs.values
     assert v0.shape == (1, 5) and v1.shape == (4, 1)
-    assert np.array_equal(v0[0], a.values(range(0, 5)))
-    assert np.array_equal(v1[:, 0], b.values(range(-2, 2)))
+    assert np.array_equal(v0[0], reference_values(a, range(0, 5)))
+    assert np.array_equal(v1[:, 0], reference_values(b, range(-2, 2)))
     for values in eigs.values:
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0, 0] = 1.0
+
+
+# windows of even and odd widths, with and without index 0; the tables
+# reach past every edge, and some keys fall outside the window
+FILL_WINDOWS = [
+    LatticeWindow(((-8, 7), (-16, 16))),
+    LatticeWindow(((3, 9), (-12, -5))),
+    LatticeWindow(((-40, -31), (20, 52))),
+    LatticeWindow(((0, 1), (-1, 0))),
+]
+
+
+def random_phase_table(rng, arity, lo, hi):
+    """Random phases on about half of the tuples of [lo, hi]^arity."""
+    keys = itertools.product(range(lo, hi + 1), repeat=arity)
+    table = {k: float(rng.random()) for k in keys if rng.random() < 0.5}
+    return IntFunction(arity, float(rng.random()), table)
+
+
+def test_pair_fill_equals_the_reference_lift_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for window in FILL_WINDOWS:
+        (m_lo, m_hi), (n_lo, n_hi) = window.ranges
+        for _ in range(10):
+            a = random_phase_table(rng, 1, n_lo - 5, n_hi + 5)
+            b = random_phase_table(rng, 1, m_lo - 5, m_hi + 5)
+            v0, v1 = pair(a, b, window).values
+            assert same_bits(v0[0], reference_values(a, window.axis_indices(1)))
+            assert same_bits(v1[:, 0], reference_values(b, window.axis_indices(0)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tower_fill_equals_the_reference_lift_bit_for_bit(d):
+    rng = np.random.default_rng(44 + d)
+    windows = FILL_WINDOWS if d == 2 else [
+        LatticeWindow(((-2, 1), (3, 5), (-1, 1))),
+        LatticeWindow(((1, 4), (-3, 1), (-4, -2))),
+    ]
+    for window in windows:
+        lo = min(lo for lo, _ in window.ranges) - 2
+        hi = max(hi for _, hi in window.ranges) + 2
+        for _ in range(4):
+            order = tuple(int(a) for a in rng.permutation(d))
+            levels = [IntFunction.constant(0.0)]
+            levels += [random_phase_table(rng, j, lo, hi) for j in range(1, d)]
+            tower = Tower(tuple(levels), order)
+            values = BoundaryEigenvalues.from_tower(tower, window).values
+            for j, level in enumerate(tower.levels):
+                read = order[:j]
+                got = np.array([values[order[j]][tuple(
+                    0 if a == order[j] else n[a] - window.ranges[a][0]
+                    for a in range(d)
+                )] for n in window.indices()])
+                want = reference_values(
+                    level, [tuple(n[a] for a in read) for n in window.indices()]
+                ) if j else np.ones(window.cardinality, dtype=complex)
+                assert same_bits(got, want)
+            if d == 2 and order == (0, 1):
+                eigs = pair(ONE, tower.levels[1], window)
+                assert all(map(same_bits, values, eigs.values))
+
+
+@pytest.mark.parametrize("n", [15, 16, 33, 64])
+def test_boundary_fill_equals_the_reference_lift_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    modes = fft_mode_indices(n)
+    for lo, hi in ((-n, n), (modes.min() + 3, modes.max() + 9), (n // 2, 2 * n)):
+        for _ in range(5):
+            phi = random_phase_table(rng, 1, int(lo), int(hi))
+            got = DiagonalBoundary(phi, shift=0.3).eigenvalue_array(n)
+            assert same_bits(got, reference_values(phi, modes))
+
+
+def test_fill_refuses_a_table_of_another_arity():
+    with pytest.raises(ArityMismatchError):
+        pair(IntFunction(2), ONE, window2())
+    with pytest.raises(ArityMismatchError):
+        DiagonalBoundary(IntFunction.constant(0.3)).eigenvalue_array(8)
 
 
 @pytest.mark.parametrize("ranges", [((0, 1), (0, 1999)), ((0, 1999), (0, 1))])
@@ -357,9 +459,8 @@ def test_cocycle_checks_hold_window_sized_memory(ranges):
     # a commuting pair; a dense shift kernel or single-identity row needs
     # over 180 MiB here
     rng = np.random.default_rng(29)
-    moving = PhaseSequence({k: unit(rng.random()) for k in range(2000)})
-    one = PhaseSequence({}, 1.0)
-    a, b = (moving, one) if ranges[0] == (0, 1) else (one, moving)
+    moving = phases({k: rng.random() for k in range(2000)})
+    a, b = (moving, ONE) if ranges[0] == (0, 1) else (ONE, moving)
     eigs = pair(a, b, LatticeWindow(ranges))
     for check in (check_cocycle_2d, check_single_identity_2d):
         tracemalloc.start()
@@ -376,8 +477,8 @@ def test_single_identity_blocks_hold_window_sized_memory():
     # p is zero but for p[1, 1999], so the box bound decides no row and
     # row 0 fails only in its last block: every block of a 2 x 2000 row
     # runs, where one dense row would need over 180 MiB
-    a = PhaseSequence({1999: unit(0.25)}, 1.0)
-    b = PhaseSequence({1: unit(0.25)}, 1.0)
+    a = phases({1999: 0.25})
+    b = phases({1: 0.25})
     eigs = pair(a, b, LatticeWindow(((0, 1), (0, 1999))))
     tracemalloc.start()
     try:
@@ -395,9 +496,9 @@ def test_cocycle_implies_single_identity():
     for trial in range(200):
         kind = trial % 3
         if kind == 0:
-            a, b = PhaseSequence({}, 1.0), random_unit_sequence(rng)
+            a, b = ONE, random_unit_sequence(rng)
         elif kind == 1:
-            a, b = random_unit_sequence(rng), PhaseSequence({}, 1.0)
+            a, b = random_unit_sequence(rng), ONE
         else:
             a, b = random_unit_sequence(rng), random_unit_sequence(rng)
         eigs = pair(a, b, window2())
@@ -408,8 +509,8 @@ def test_cocycle_implies_single_identity():
 
 
 def test_single_identity_fails_for_failing_pair():
-    a = PhaseSequence({0: 1.0, 1: 1j, 2: 1.0}, 1.0)
-    b = PhaseSequence({0: 1.0, 1: -1.0, 2: 1.0}, 1.0)
+    a = phases({0: 0.0, 1: 0.25, 2: 0.0})
+    b = phases({0: 0.0, 1: 0.5, 2: 0.0})
     assert not check_single_identity_2d(pair(a, b, LatticeWindow(((0, 2), (0, 2)))))
 
 
@@ -417,20 +518,19 @@ def test_classification_cases():
     rng = np.random.default_rng(5)
     b = random_unit_sequence(rng)
     while all(
-        abs(b.value(m) - 1.0) < 1e-10 for m in range(-2, 3)
+        abs(unit(b(m)) - 1.0) < 1e-10 for m in range(-2, 3)
     ):  # pragma: no cover
         b = random_unit_sequence(rng)
-    one = PhaseSequence({}, 1.0)
-    assert classify_2d(pair(one, b, window2())) is Classification.CLASS_I
-    assert classify_2d(pair(b, one, window2())) is Classification.CLASS_II
-    assert classify_2d(pair(one, one, window2())) is Classification.LATTICE
-    bad_a = PhaseSequence({0: 1j}, 1.0)
+    assert classify_2d(pair(ONE, b, window2())) is Classification.CLASS_I
+    assert classify_2d(pair(b, ONE, window2())) is Classification.CLASS_II
+    assert classify_2d(pair(ONE, ONE, window2())) is Classification.LATTICE
+    bad_a = phases({0: 0.25})
     assert classify_2d(pair(bad_a, b, window2())) is Classification.NON_COMMUTING
 
 
 def test_classification_tolerance_pathology():
-    a = PhaseSequence({}, unit(1e-7))
-    b = PhaseSequence({}, unit(1e-7))
+    a = phases(default=1e-7)
+    b = phases(default=1e-7)
     with pytest.raises(ToleranceInconsistencyError):
         classify_2d(pair(a, b, window2()))
 
@@ -525,10 +625,7 @@ def test_planar_tower_is_the_pair_with_a_one():
         tower = BoundaryEigenvalues.from_tower(
             Tower((IntFunction.constant(0.0), beta)), window
         )
-        b = PhaseSequence.from_phases(
-            {k: v for (k,), v in beta.table.items()}, beta.default
-        )
-        eigs = pair(PhaseSequence({}), b, window)
+        eigs = pair(ONE, beta, window)
         for got, want in zip(tower.values, eigs.values):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert check_cocycle_2d(tower) == check_cocycle_2d(eigs)
@@ -583,10 +680,9 @@ def test_two_dimensional_checks_refuse_other_d():
 
 def test_pair_refuses_a_window_of_other_d():
     # a one-axis window used to fail with an IndexError on its axis 1
-    one = PhaseSequence({}, 1.0)
     for window in (LatticeWindow(((0, 2),)), LatticeWindow.centered(1, 3)):
         with pytest.raises(ValueError, match="two axes"):
-            BoundaryEigenvalues.from_pair(one, one, window)
+            BoundaryEigenvalues.from_pair(ONE, ONE, window)
 
 
 def test_highdim_cocycle_on_aligned_instance():

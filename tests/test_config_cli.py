@@ -813,6 +813,7 @@ def test_non_finite_tolerance_exits_two_at_load(tmp_path, capsys, key, value):
 
 
 GROUPS = "command: simulate-groups\ngroups: "
+COCYCLE = "command: check-cocycle\ncocycle: "
 STAIRCASE = (
     "command: check-tiling\n"
     "spectrum: {{family: {family}, alpha: {alpha}, beta: {{default: 0.0}}}}"
@@ -846,6 +847,15 @@ ROOTSCAN = "command: root-scan\nrootscan: {coefficients: %s, samples: %d}"
          "spectrum: alpha 1.0 outside [0,1)"),
         (STAIRCASE.format(family="class-b", alpha=-0.1),
          "spectrum: alpha -0.1 outside [0,1)"),
+        # phase tables of the 2-D pair
+        (COCYCLE + "{a: {default: 1.0}}", "cocycle.a: default 1.0 outside [0,1)"),
+        (COCYCLE + '{b: {table: {"0": -0.25}}}',
+         "cocycle.b: table value -0.25 at (0,) outside [0,1)"),
+        (GROUPS + '{a: {table: {"1": 1.5}}}',
+         "groups.a: table value 1.5 at (1,) outside [0,1)"),
+        (GROUPS + "{b: {default: -0.5}}", "groups.b: default -0.5 outside [0,1)"),
+        (GROUPS + '{b: {default: 0.0, table: {"2": 0.25, "3": 1.0}}}',
+         "groups.b: table value 1.0 at (3,) outside [0,1)"),
     ],
 )
 def test_out_of_range_value_exits_two_at_load(tmp_path, capsys, text, message):

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spectralbox import cocycles
 from spectralbox.cocycles import (
     BoundaryEigenvalues,
-    PhaseSequence,
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
@@ -35,16 +35,26 @@ from spectralbox.groups import (
 )
 from spectralbox.extensions import BoundaryUnitary, cayley_forward
 from spectralbox.model import IntFunction, LatticeWindow
+from test_cocycles import reference_values
 
 
 def unit(x):
     return np.exp(2j * np.pi * x)
 
 
+def phases_of(table=None, default=0.0):
+    """A phase table keyed by one index."""
+    return IntFunction(1, default, table or {})
+
+
+ONE = phases_of()  # phase 0 everywhere: the sequence identically one
+
+
 def random_sequence(rng, radius):
-    return PhaseSequence(
-        {int(n): unit(rng.random()) for n in range(-radius, radius + 1)},
-        unit(rng.random()),
+    return IntFunction(
+        1,
+        table={int(n): rng.random() for n in range(-radius, radius + 1)},
+        default=rng.random(),
     )
 
 
@@ -114,7 +124,7 @@ def test_indicator_complement_relations():
     # with a identically one the axis-1 column of E(m, n) has entries
     # q_k + p_k: the complement is delta_{k0} - p_k, so only k = 0 is left
     win = LatticeWindow.centered(5, 2)
-    one = PhaseSequence({}, 1.0)
+    one = ONE
     eigs = BoundaryEigenvalues.from_pair(one, one, win)
     op = group_matrix_spectral(1, 0.3, eigs, (0.0, 0.0), leakage_tol=1e-12)
     diag = np.array([unit(m * 0.3) for (m, n) in op.labels()])
@@ -148,7 +158,7 @@ def test_identity_boundary_is_cyclic_shift():
     rng = np.random.default_rng(0)
     n = 32
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    b = DiagonalBoundary(ONE)
     g = group_action_grid(f, 1, 1.0 / n, b)
     np.testing.assert_allclose(g, np.roll(f, -1, axis=0))
 
@@ -158,7 +168,7 @@ def test_scalar_boundary_full_period_is_global_phase():
     n = 32
     c = 0.3
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b = DiagonalBoundary(PhaseSequence({}, unit(c)))
+    b = DiagonalBoundary(phases_of(default=c))
     g = group_action_grid(f, 1, 1.0, b)
     np.testing.assert_allclose(g, unit(c) * f, atol=1e-12)
 
@@ -168,7 +178,7 @@ def test_matched_scalar_boundary_eigenrelation():
     # exp(+i 2 pi (alpha+m) s): the sign convention everything else pins to
     n, alpha, m, s = 64, 0.3, 2, 5 / 64
     f = mode_state(m + alpha, 1.0, n)
-    b = DiagonalBoundary(PhaseSequence({}, unit(alpha)))
+    b = DiagonalBoundary(phases_of(default=alpha))
     g = group_action_grid(f, 1, s, b)
     expected = f * unit((m + alpha) * s)
     assert grid_norm(g - expected) < 1e-12
@@ -197,7 +207,7 @@ def test_isometry_both_axes():
 
 def test_incommensurate_time_rejected():
     f = np.ones((16, 16), dtype=complex)
-    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    b = DiagonalBoundary(ONE)
     with pytest.raises(IncommensurateTimeError):
         group_action_grid(f, 1, 0.1, b)
 
@@ -206,11 +216,9 @@ def test_matrix_boundary_matches_diagonal():
     rng = np.random.default_rng(4)
     n = 64
     win = LatticeWindow.centered(8, 2)
-    eigs = unit(rng.random(17))
-    mb = MatrixBoundary(np.diag(eigs), (-8, 8), shift=0.2)
-    db = DiagonalBoundary(
-        PhaseSequence({k: eigs[k + 8] for k in range(-8, 9)}, 1.0), shift=0.2
-    )
+    phi = rng.random(17)
+    mb = MatrixBoundary(np.diag(unit(phi)), (-8, 8), shift=0.2)
+    db = DiagonalBoundary(phases_of({k: phi[k + 8] for k in range(-8, 9)}), shift=0.2)
     vec = rng.standard_normal(win.cardinality) + 1j * rng.standard_normal(
         win.cardinality
     )
@@ -225,31 +233,25 @@ def test_matrix_boundary_matches_diagonal():
 # ---------------------------------------------------------------------------
 
 
-class CountingSequence(PhaseSequence):
-    """A phase sequence that counts its lookups, over all instances."""
-
-    lookups = 0
-
-    def value(self, n: int) -> complex:
-        CountingSequence.lookups += 1
-        return super().value(n)
-
-
-def test_pair_is_evaluated_once_for_every_check():
-    # M = 3 m indices for b, N = 5 n indices for a
+def test_pair_is_lifted_once_for_every_check(monkeypatch):
+    # M = 3 m indices for b, N = 5 n indices for a; b's keys 2 and 3 lie
+    # outside the window and are never lifted
     rng = np.random.default_rng(41)
-    CountingSequence.lookups = 0
+    lifts = []
+    lift = cocycles._lift
+    monkeypatch.setattr(cocycles, "_lift", lambda p: lifts.append(p) or lift(p))
     eigs = BoundaryEigenvalues.from_pair(
-        CountingSequence({}, 1.0),
-        CountingSequence({m: unit(rng.random()) for m in range(-1, 2)}),
+        ONE,
+        phases_of({m: rng.random() for m in range(-1, 4)}),
         LatticeWindow(((-1, 1), (0, 4))),
     )
+    assert len(lifts) == 2 + 3  # the two defaults, b's in-window entries
     assert check_cocycle_2d(eigs).holds
     assert check_single_identity_2d(eigs)
     assert classify_2d(eigs).value == "class-i"
     for axis in (1, 2):
         group_matrix_spectral(axis, 0.25, eigs, (0.0, 0.0), leakage_tol=1.0)
-    assert CountingSequence.lookups == 3 + 5
+    assert len(lifts) == 2 + 3
 
 
 def test_spectral_identity_at_time_zero():
@@ -267,7 +269,7 @@ def test_spectral_telescopes_for_constant_one_boundary():
     rng = np.random.default_rng(6)
     win = LatticeWindow.centered(6, 2)
     eigs = BoundaryEigenvalues.from_pair(
-        PhaseSequence({}, 1.0), random_sequence(rng, 6), win
+        ONE, random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(1, 0.375, eigs, (0.0, 0.0), leakage_tol=1e-6)
     off = op.matrix - np.diag(np.diag(op.matrix))
@@ -281,7 +283,7 @@ def test_spectral_telescopes_for_matched_scalar_boundary():
     alpha = 0.25
     win = LatticeWindow.centered(6, 2)
     eigs = BoundaryEigenvalues.from_pair(
-        PhaseSequence({}, unit(alpha)), random_sequence(rng, 6), win
+        phases_of(default=alpha), random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(
         1, 0.375, eigs, (alpha, 0.0), leakage_tol=1e-6
@@ -350,8 +352,8 @@ def test_synthesize_project_roundtrip():
 def test_commutator_scalar_boundaries_is_zero():
     rng = np.random.default_rng(11)
     n = 32
-    bx = DiagonalBoundary(PhaseSequence({}, unit(0.3)))
-    by = DiagonalBoundary(PhaseSequence({}, unit(0.8)))
+    bx = DiagonalBoundary(phases_of(default=0.3))
+    by = DiagonalBoundary(phases_of(default=0.8))
     probes = [
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for _ in range(3)
@@ -366,7 +368,7 @@ def test_commutator_class_one_is_zero():
     rng = np.random.default_rng(12)
     n = 64
     win = LatticeWindow.centered(8, 2)
-    a, b = PhaseSequence({}, 1.0), random_sequence(rng, 8)
+    a, b = ONE, random_sequence(rng, 8)
     assert check_cocycle_2d(BoundaryEigenvalues.from_pair(a, b, win)).holds
     bx = DiagonalBoundary(a)
     by = DiagonalBoundary(b)
@@ -384,7 +386,7 @@ def test_commutator_detects_failing_pair():
     rng = np.random.default_rng(13)
     n = 64
     win = LatticeWindow.centered(8, 2)
-    a = PhaseSequence({0: unit(0.3)}, 1.0)
+    a = phases_of({0: 0.3})
     b = random_sequence(rng, 8)
     eigs = BoundaryEigenvalues.from_pair(a, b, win)
     assert not check_cocycle_2d(eigs).holds
@@ -402,7 +404,7 @@ def test_commutator_matrix_route_agrees_with_grid_verdict():
     rng = np.random.default_rng(14)
     n = 128
     win = LatticeWindow.centered(8, 2)
-    a = PhaseSequence({1: unit(0.4)}, 1.0)
+    a = phases_of({1: 0.4})
     b = random_sequence(rng, 8)
     eigs = BoundaryEigenvalues.from_pair(a, b, win)
     s, t = 0.25, 0.375
@@ -414,7 +416,7 @@ def test_commutator_matrix_route_agrees_with_grid_verdict():
 
 
 def test_commutator_rejects_empty_and_zero_probes():
-    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    b = DiagonalBoundary(ONE)
     fx = grid_group_action(1, [0.25], b)
     fy = grid_group_action(2, [0.25], b)
     with pytest.raises(ValueError):
@@ -482,9 +484,9 @@ T_TIMES = (0.25, 0.625, 1.375)
 def test_commutator_table_equals_per_pair_reference(n, phases, commuting):
     rng = np.random.default_rng(16)
     win = LatticeWindow.centered(8, 2)
-    one = PhaseSequence({}, 1.0)
+    one = ONE
     if not commuting:
-        one = PhaseSequence({1: unit(0.4)}, 1.0)
+        one = phases_of({1: 0.4})
     a, b = one, random_sequence(rng, 8)
     coeffs = default_probe_coefficients(win, sub_radius=1, n_random=3, rng=rng)
     probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
@@ -531,7 +533,7 @@ def test_commutator_table_equals_reference_for_truncated_operators():
     rng = np.random.default_rng(18)
     win = LatticeWindow.centered(6, 2)
     eigs = BoundaryEigenvalues.from_pair(
-        PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
+        phases_of({1: 0.4}), random_sequence(rng, 6), win
     )
     mxs = [
         group_matrix_spectral(1, s, eigs, (0.0, 0.0), grid_n=64, leakage_tol=1.0)
@@ -555,7 +557,7 @@ def test_commutator_table_equals_reference_for_truncated_operators():
 
 
 def test_commutator_validates_probes_and_actions_at_entry():
-    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    b = DiagonalBoundary(ONE)
     with pytest.raises(ValueError):
         grid_group_action(3, [0.25], b)
     with pytest.raises(ValueError):
@@ -589,7 +591,7 @@ def test_diagonal_boundary_caches_read_only_eigenvalues_per_size():
             want = DiagonalBoundary(seq, shift=0.3).apply(lines, axis, power)
             assert np.array_equal(got, want)
         eig = shared.eigenvalue_array(n)
-        assert np.array_equal(eig, seq.values(fft_mode_indices(n)))
+        assert np.array_equal(eig, reference_values(seq, fft_mode_indices(n)))
         assert not eig.flags.writeable
         with pytest.raises(ValueError):
             eig[0] = 1.0
@@ -612,7 +614,7 @@ def test_default_probes_shapes():
 
 def test_eigenrelation_plain_fourier_mode():
     phi = IntFunction(1, default=0.0)
-    report = eigenrelation_check(phi, 0.0, [(1 / 64, 1, 0)], grid_n=64)
+    report = eigenrelation_check(DiagonalBoundary(phi), [(1 / 64, 1, 0)], 64)
     assert report.max_residual < 1e-12
 
 
@@ -625,8 +627,24 @@ def test_eigenrelation_quarter_phase_table():
         (int(rng.integers(1, 64)) / 64, int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
         for _ in range(8)
     ]
-    report = eigenrelation_check(phi, 0.3, samples, grid_n=64)
+    report = eigenrelation_check(DiagonalBoundary(phi, shift=0.3), samples, 64)
     assert report.max_residual < 1e-12
+
+
+@pytest.mark.parametrize("grid_n", [64, 65, 256])
+def test_eigenrelation_of_a_generic_phase_table_passes_num_tol(grid_n):
+    # random, non-dyadic phases on every mode the samples reach and past
+    # them, a random default and a random shift
+    rng = np.random.default_rng(grid_n)
+    phi = random_sequence(rng, 40)
+    beta = float(rng.random())
+    samples = [
+        (int(rng.integers(1, 2 * grid_n)) / grid_n, int(rng.integers(-6, 7)),
+         int(rng.integers(-20, 21)))
+        for _ in range(12)
+    ]
+    report = eigenrelation_check(DiagonalBoundary(phi, shift=beta), samples, grid_n)
+    assert report.max_residual < 1e-8  # the default num_tol
 
 
 def test_eigenrelation_wrong_eigenvalue_detected():
@@ -634,7 +652,7 @@ def test_eigenrelation_wrong_eigenvalue_detected():
     phi = IntFunction(1, default=0.0)
     x = np.arange(n) / n
     f = mode_state(1.0, 0.0, n)
-    boundary = DiagonalBoundary(PhaseSequence({}, 1.0), shift=0.0)
+    boundary = DiagonalBoundary(ONE, shift=0.0)
     g = group_action_grid(f, 1, 0.5, boundary)
     wrong = f * unit((1 + 0.1) * 0.5)
     residual = grid_norm(g - wrong) / grid_norm(f)
@@ -648,7 +666,7 @@ def test_spectral_matrix_columns_isometric_without_leakage():
     rng = np.random.default_rng(17)
     win = LatticeWindow.centered(5, 2)
     eigs = BoundaryEigenvalues.from_pair(
-        PhaseSequence({}, 1.0), random_sequence(rng, 5), win
+        ONE, random_sequence(rng, 5), win
     )
     op = group_matrix_spectral(1, 0.25, eigs, (0.0, 0.0), leakage_tol=1e-12)
     for _ in range(5):
@@ -678,8 +696,8 @@ def test_time_zero_is_identity():
 def test_cayley_boundary_generates_induced_eigenrelation():
     # end-to-end: a diagonal extension datum V maps through the fractional
     # linear transform to the boundary operator W; the induced group with
-    # boundary W must have eigenfrequencies at the angles of W's
-    # eigenvalues, mode by mode
+    # boundary W, given by the phase table of W's eigenvalue angles, must
+    # have eigenfrequencies at those angles, mode by mode
     rng = np.random.default_rng(19)
     grid_n = 64
     phases_v = rng.random(grid_n)
@@ -687,11 +705,9 @@ def test_cayley_boundary_generates_induced_eigenrelation():
     W = cayley_forward(BoundaryUnitary(V))
     w_eims = np.diag(W)
     theta = (np.angle(w_eims) / (2 * np.pi)) % 1.0
+    np.testing.assert_allclose(unit(theta), w_eims, rtol=0.0, atol=1e-12)
     boundary = DiagonalBoundary(
-        PhaseSequence(
-            {int(k): w_eims[int(k) % grid_n] for k in range(-grid_n // 2, grid_n // 2)},
-            1.0,
-        ),
+        phases_of({k: theta[k % grid_n] for k in range(-grid_n // 2, grid_n // 2)}),
         shift=0.0,
     )
     x = np.arange(grid_n) / grid_n
@@ -714,7 +730,7 @@ def test_spectral_column_for_single_flipped_eigenvalue():
     win = LatticeWindow.centered(4, 2)
     n0 = 1
     eigs = BoundaryEigenvalues.from_pair(
-        PhaseSequence({n0: -1.0}, 1.0), PhaseSequence({}, 1.0), win
+        phases_of({n0: 0.5}), ONE, win
     )
     op = group_matrix_spectral(1, 0.5, eigs, (0.0, 0.0), leakage_tol=0.6)
     labels = op.labels()
@@ -878,7 +894,7 @@ def test_commutator_table_equals_grid_norm_per_pair(n):
     rng = np.random.default_rng(38)
     phases = (0.3, 0.7)
     win = LatticeWindow.centered(8, 2)
-    bx = DiagonalBoundary(PhaseSequence({1: unit(0.4)}, 1.0), shift=phases[1])
+    bx = DiagonalBoundary(phases_of({1: 0.4}), shift=phases[1])
     by = DiagonalBoundary(random_sequence(rng, 8), shift=phases[0])
     coeffs = default_probe_coefficients(win, 1, 3, rng)
     probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
@@ -914,7 +930,7 @@ def test_truncated_operator_on_a_stack_equals_per_vector_loop():
     rng = np.random.default_rng(33)
     win = LatticeWindow.centered(6, 2)
     eigs = BoundaryEigenvalues.from_pair(
-        PhaseSequence({1: unit(0.4)}, 1.0), random_sequence(rng, 6), win
+        phases_of({1: 0.4}), random_sequence(rng, 6), win
     )
     op = group_matrix_spectral(
         2, 0.375, eigs, (0.1, 0.2), grid_n=64, leakage_tol=1.0
@@ -926,7 +942,7 @@ def test_truncated_operator_on_a_stack_equals_per_vector_loop():
 
 def sweep_inputs(rng, phases, radius=8, sub_radius=2, n_random=4):
     win = LatticeWindow.centered(radius, 2)
-    one = PhaseSequence({1: unit(0.4)}, 1.0)
+    one = phases_of({1: 0.4})
     bx = DiagonalBoundary(one, shift=phases[1])
     by = DiagonalBoundary(random_sequence(rng, radius), shift=phases[0])
     times = (0.125, 0.25, 0.375, 0.5, 0.625)
@@ -965,7 +981,7 @@ def test_commutator_norm_streams_a_generator_with_three_plus_j_family_calls():
 
 
 def test_commutator_norm_rejects_an_empty_generator():
-    b = DiagonalBoundary(PhaseSequence({}, 1.0))
+    b = DiagonalBoundary(ONE)
     fx = grid_group_action(1, [0.25], b)
     with pytest.raises(ValueError, match="empty probe list"):
         commutator_norm(fx, fx, (p for p in []))

@@ -50,7 +50,7 @@ EXPECTED = {
     }),
     "simulate_groups_class_ii": ("simulate-groups", 0, {
         "commutator_sweep.csv": "f58e79e178fb7441ef6e07d2a04e2c83e50328699688a5346a20278a875f2c8b",
-        "report.txt": "686acb159979c34f239ffac704cd7b67a9feb6a7a76c1d13c0da632fa98b86d3",
+        "report.txt": "9b011f6226b0a2487418d3227bb2fab398131f0a530354eca989ac0001595ba3",
     }),
     "verify_pair_class_a": ("verify-pair", 0, {
         "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",

@@ -13,8 +13,8 @@ import pytest
 
 import spectralbox
 import spectralbox.cli  # noqa: F401  (binds the submodules on the package)
-from spectralbox.cocycles import BoundaryEigenvalues, PhaseSequence
-from spectralbox.model import LatticeWindow
+from spectralbox.cocycles import BoundaryEigenvalues
+from spectralbox.model import IntFunction, LatticeWindow
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -54,7 +54,7 @@ def test_tracer_installs_and_restores_every_name():
 
 def test_window_cells_count_reads_the_eigenvalue_window():
     window = LatticeWindow(((-2, 1), (0, 4)))
-    eigs = BoundaryEigenvalues.from_pair(PhaseSequence({}), PhaseSequence({}), window)
+    eigs = BoundaryEigenvalues.from_pair(IntFunction(1), IntFunction(1), window)
     count = _load_spans()._count("cocycles.window_cells", (eigs,), None)
     assert count == window.cardinality == 20
 
