@@ -60,6 +60,10 @@ EXPECTED = {
         "gram.txt": "7c57599d200189c9ea586e0d0f26c137cf2dfc45062df674572301c97ab3201c",
         "report.txt": "700737966a6cdc6e7dfe1e3a4ca07cdd8c74a9b20b87b3ecd2fe22b5b20f4e6b",
     }),
+    "verify_pair_interval_union": ("verify-pair", 0, {
+        "gram.txt": "a02d444bf978b7b1b0f6711b0c3dfcd7f598961cb2890251cd8b208ebcf6ae9a",
+        "report.txt": "8140ccc4a8d787f5d0a01a81ff091adf757488b1d3a1babf86083add083b6662",
+    }),
 }
 
 
