@@ -158,35 +158,42 @@ def _write_text(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
 
 
-# "%.12e" text of a float64 is at most 20 characters ("-1.234567890123e-308"),
+# the left-justified, space-padded field of each dtype a table may hold: a
+# float64 as format_float writes it, an int64 as str does.  Either text is
+# at most 20 characters ("-1.234567890123e-308", "-9223372036854775808"),
 # so a field this wide always ends in at least one padding space
 _FIELD = 21
+_FORMATS = {np.dtype(np.float64): f"%-{_FIELD}.12e", np.dtype(np.int64): f"%-{_FIELD}d"}
 
 
-def _float_table(values: np.ndarray, seps: str) -> bytes:
-    """Text of a float64 (rows, cols) table, each value as format_float writes it.
+def _text_table(values: np.ndarray, seps: str) -> bytes:
+    """Text of a float64 or int64 (rows, cols) table, one value a cell.
 
     seps[c] is the one character written after column c, so a row ends
     with seps[-1].  Values are grouped by bit pattern, which keeps -0.0
     and NaN apart from their look-alikes, and each distinct value is
-    formatted once; numpy places the texts in one byte buffer.
+    formatted once.  Its field is NUL-padded to the longest text plus
+    one, so a separator may be a space; numpy places the texts in one
+    byte buffer.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values)
+    fmt = _FORMATS[values.dtype]
     rows, cols = values.shape
     bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    distinct = bits.view(np.float64)
-    # one left-justified, space-padded field per distinct value
-    text = (f"%-{_FIELD}.12e" * distinct.size) % tuple(distinct.tolist())
+    text = (fmt * bits.size) % tuple(bits.view(values.dtype).tolist())
     fields = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _FIELD)
     lengths = np.argmax(fields == ord(" "), axis=1)
-    cells = fields[inverse].reshape(rows, cols, _FIELD)
-    # the first padding space of each cell becomes its column's separator
+    fields = fields[:, : lengths.max() + 1]
+    fields = fields * (fields != ord(" "))
+    cells = np.take(fields, inverse, axis=0).reshape(rows, cols, -1)
+    # the first padding NUL of each cell becomes its column's separator
     sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     np.put_along_axis(
-        cells, lengths[inverse].reshape(rows, cols, 1), sep[None, :, None], axis=-1
+        cells, np.take(lengths, inverse).reshape(rows, cols, 1), sep[None, :, None],
+        axis=-1,
     )
     flat = cells.ravel()
-    return flat[flat != ord(" ")].tobytes()
+    return flat[flat != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +204,7 @@ def _float_table(values: np.ndarray, seps: str) -> bytes:
 def _cmd_build_spectrum(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     points = enumerate_spectrum(cfg.spectrum, cfg.window)
     seps = "\t" * (points.shape[1] - 1) + "\n"
-    (outdir / "spectrum.txt").write_bytes(_float_table(points, seps))
+    (outdir / "spectrum.txt").write_bytes(_text_table(points, seps))
     report.add(
         "model.enumerate_spectrum",
         "one point per window index tuple, family formula applied",
@@ -213,7 +220,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     # the Gram as interleaved re/im columns: "re,im" entries, tab-separated
     seps = (",\t" * points.shape[0])[:-1] + "\n"
     entries = np.ascontiguousarray(gram.entries).view(np.float64)
-    (outdir / "gram.txt").write_bytes(_float_table(entries, seps))
+    (outdir / "gram.txt").write_bytes(_text_table(entries, seps))
 
     orth = orthogonality_verdict(gram, tol.eq_tol)
     metrics = [
@@ -430,8 +437,8 @@ def _cmd_check_tiling(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     mp = multiplicity_map(cfg.spectrum, torus_n, res)
     verdict = tiling_verdict(mp)
     if cfg.spectrum.dimension == 2:
-        lines = [" ".join(map(str, row)) for row in mp.counts.tolist()]
-        _write_text(outdir, "multiplicity.txt", "\n".join(lines) + "\n")
+        seps = " " * (mp.counts.shape[1] - 1) + "\n"
+        (outdir / "multiplicity.txt").write_bytes(_text_table(mp.counts, seps))
         emit_tiling_svg(cfg.spectrum, torus_n, outdir / "tiling.svg")
     report.add(
         "tiling.tiling_verdict",

@@ -170,12 +170,39 @@ class GramMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
+def _bit_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float64 bit patterns of `values`, ascending as unsigned
+    integers, and the index of each value's pattern; -0.0 is not 0.0."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel(),
+        return_inverse=True,
+    )
+    return bits.view(np.float64), inverse.reshape(-1)
+
+
 def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
-    """Gram matrix G[j,k] = F(point_k - point_j); diagonal is the measure."""
+    """Gram matrix G[j,k] = F(point_k - point_j); diagonal is the measure.
+
+    Equal, bit for bit, to eval_F_omega on the P x P x d table of
+    differences, but each axis's factor transform runs once per distinct
+    difference.  The axis's coordinates are grouped by bit pattern, the
+    u x u table of differences of the u distinct ones is grouped by bit
+    pattern again, and one P x P code array gathers the transforms back.
+    A difference is the same float subtraction as in the dense table, and
+    the transform is elementwise, so every factor is that of the dense
+    table; the factors are multiplied as eval_F_omega multiplies them.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("gram matrix of an empty point list")
-    entries = eval_F_omega(domain, pts[None, :, :] - pts[:, None, :])
+    _check_arity(domain, pts)
+    factors = []
+    for axis, factor in enumerate(domain.factors):
+        coords, slot = _bit_groups(pts[:, axis])
+        diffs, code = _bit_groups(coords[None, :] - coords[:, None])
+        code = code.reshape(coords.size, coords.size)[slot[:, None], slot[None, :]]
+        factors.append(_factor_transform(factor, diffs.astype(complex))[code])
+    entries = np.prod(np.stack(factors, axis=-1), axis=-1)
     return GramMatrix(entries=entries, labels=pts)
 
 

@@ -28,6 +28,7 @@ from .model import SpectralBoxError
 __all__ = [
     "NotUnitaryError",
     "IllConditionedError",
+    "EmptyBoundaryError",
     "BoundaryUnitary",
     "boundary_unitary_from_phases",
     "cayley_forward",
@@ -53,6 +54,10 @@ class IllConditionedError(SpectralBoxError):
     """A transform's linear solve is too ill-conditioned to trust."""
 
 
+class EmptyBoundaryError(SpectralBoxError):
+    """A boundary unitary over no cross-section modes."""
+
+
 def _unitarity_defect(matrix: np.ndarray) -> float:
     eye = np.eye(matrix.shape[0])
     return float(np.max(np.abs(matrix.conj().T @ matrix - eye)))
@@ -69,6 +74,8 @@ class BoundaryUnitary:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("boundary unitary must be a square matrix")
+        if mat.shape[0] == 0:
+            raise EmptyBoundaryError("boundary unitary needs at least one mode")
         object.__setattr__(self, "matrix", mat)
         defect = _unitarity_defect(mat)
         if defect > self.eq_tol:

@@ -302,16 +302,27 @@ class Tower:
 
         Row i of `indices` holds the window index on each output axis.
         With `period`, level tables are read N-periodically: their
-        arguments are reduced modulo `period`.
+        arguments are reduced modulo `period`.  Each level is called once
+        per distinct argument tuple, in lexicographic order: a tuple is
+        keyed by its mixed-radix code over the box its columns span, which
+        for the rows of an index box (or their residues) holds no more
+        codes than the box has rows.
         """
         k = np.asarray(indices, dtype=int)[:, self.axis_order]
         out = np.empty(k.shape, dtype=float)
+        if k.shape[0] == 0:
+            return out
         for j, fn in enumerate(self.levels):
             if j == 0:
                 shift = fn()
             else:
                 args = k[:, :j] if period is None else k[:, :j] % period
-                keys, inverse = np.unique(args, axis=0, return_inverse=True)
+                low = args.min(axis=0)
+                dims = tuple(args.max(axis=0) - low + 1)
+                codes, inverse = np.unique(
+                    np.ravel_multi_index((args - low).T, dims), return_inverse=True
+                )
+                keys = np.stack(np.unravel_index(codes, dims), axis=1) + low
                 values = np.array([fn(*key) for key in keys.tolist()])
                 shift = values[inverse.reshape(-1)]
             out[:, self.axis_order[j]] = shift + k[:, j]

@@ -637,3 +637,136 @@ def test_root_scan_evaluates_a_small_share_of_a_benchmark_scan(monkeypatch):
     exponentials._scan_minimum(np.asarray(coeffs), 2_000_000)
     # the knots alone are 2e6 / STRIDE angles
     assert 2_000_000 // STRIDE < sum(evaluated) < 2_000_000 // 20
+
+
+# The Gram transforms each distinct difference once per axis.  Its dense
+# reference is eval_F_omega on the full P x P x d table of differences,
+# evaluated here a block of rows at a time, which changes no element.
+
+
+def dense_gram_reference(domain, pts, block=128):
+    pts = np.asarray(pts, dtype=float)
+    return np.concatenate([
+        eval_F_omega(domain, pts[None, :, :] - pts[start:start + block, None, :])
+        for start in range(0, pts.shape[0], block)
+    ])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+def random_level(rng, arity, radius):
+    keys = rng.integers(-radius, radius + 1, size=(3 * radius, max(arity, 1)))
+    return IntFunction(
+        arity,
+        default=float(rng.random()),
+        table={tuple(k[:arity]): float(rng.random()) for k in keys} if arity else {},
+    )
+
+
+def random_family_points(rng, family, d, radius):
+    if family == "class-a":
+        spec = Tower((IntFunction.constant(float(rng.random())), random_beta(rng, radius)))
+    elif family == "class-b":
+        spec = Tower(
+            (IntFunction.constant(float(rng.random())), random_beta(rng, radius)), (1, 0)
+        )
+    else:
+        spec = Tower(
+            tuple(random_level(rng, k, radius) for k in range(d)),
+            tuple(rng.permutation(d)),
+        )
+    return enumerate_spectrum(spec, LatticeWindow.centered(radius, spec.dimension))
+
+
+def union_domain(rng, d):
+    """A product of d factors, each one to three random disjoint intervals."""
+    factors = []
+    for _ in range(d):
+        cuts = np.sort(rng.uniform(-2.0, 3.0, size=2 * int(rng.integers(1, 4))))
+        factors.append(IntervalUnion(tuple(zip(cuts[::2], cuts[1::2]))))
+    return Domain(tuple(factors))
+
+
+@pytest.mark.parametrize(
+    "family, d, radius",
+    [("class-a", 2, 8), ("class-b", 2, 8), ("class-b", 2, 5), ("tower", 1, 12),
+     ("tower", 2, 6), ("tower", 3, 3), ("tower", 4, 2)],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gram_of_families_equals_the_dense_reference_bit_for_bit(family, d, radius, seed):
+    rng = np.random.default_rng([seed, d, radius])
+    pts = random_family_points(rng, family, d, radius)
+    for domain in (UnitCube(pts.shape[1]), union_domain(rng, pts.shape[1])):
+        got = gram_matrix(domain, pts)
+        assert same_bits(got.entries, dense_gram_reference(domain, pts))
+        assert same_bits(got.labels, pts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gram_of_explicit_sets_equals_the_dense_reference_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    # few distinct coordinates per axis, repeated points, signed zeros,
+    # quarter steps, and some generic reals
+    pool = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 2.5, 1e-7, -1e-7])
+    pts = rng.choice(pool, size=(60, d))
+    pts[:5] = pts[5:10]
+    pts[50:] = rng.uniform(-3.0, 3.0, size=(10, d))
+    assert np.any(np.signbit(pts) & (pts == 0.0))
+    for domain in (UnitCube(d), union_domain(rng, d)):
+        assert same_bits(gram_matrix(domain, pts).entries, dense_gram_reference(domain, pts))
+
+
+def counting_transform(monkeypatch):
+    """Patch the factor transform to record the values each call gets."""
+    from spectralbox import exponentials
+
+    seen = []
+    transform = exponentials._factor_transform
+
+    def counting(factor, z):
+        seen.append(np.array(z, copy=True))
+        return transform(factor, z)
+
+    monkeypatch.setattr(exponentials, "_factor_transform", counting)
+    return seen
+
+
+def test_gram_keeps_signed_zero_differences_apart(monkeypatch):
+    seen = counting_transform(monkeypatch)
+    pts = np.array([[0.0], [-0.0], [0.0], [-0.0]])
+    domain = Domain((IntervalUnion(((-1.0, -0.5), (0.25, 2.0))),))
+    entries = gram_matrix(domain, pts).entries
+    # 0.0 - 0.0, 0.0 - -0.0 and -0.0 - -0.0 are 0.0, -0.0 - 0.0 is -0.0:
+    # two bit patterns, each transformed once
+    (z,) = seen
+    assert z.size == 2 and sorted(np.signbit(z.real).tolist()) == [False, True]
+    assert same_bits(entries, dense_gram_reference(domain, pts))
+
+
+def test_gram_of_the_radius_16_sample_family_equals_the_dense_reference():
+    beta = IntFunction(1, 0.15, {-8: 0.6, -3: 0.25, 0: 0.5, 2: 0.05, 5: 0.9, 8: 0.7})
+    spec = Tower((IntFunction.constant(0.375), beta), (1, 0))
+    pts = enumerate_spectrum(spec, LatticeWindow.centered(16, 2))
+    assert pts.shape == (1089, 2)
+    got = gram_matrix(UnitCube(2), pts).entries
+    assert same_bits(got, dense_gram_reference(UnitCube(2), pts))
+
+
+def test_gram_transforms_each_distinct_difference_once(monkeypatch):
+    seen = counting_transform(monkeypatch)
+    beta = IntFunction(1, 0.15, {-8: 0.6, -3: 0.25, 0: 0.5, 2: 0.05, 5: 0.9, 8: 0.7})
+    spec = Tower((IntFunction.constant(0.375), beta), (1, 0))
+    pts = enumerate_spectrum(spec, LatticeWindow.centered(8, 2))
+    gram_matrix(UnitCube(2), pts)
+    distinct = [
+        np.unique((pts[None, :, axis] - pts[:, None, axis]).view(np.uint64)).size
+        for axis in range(2)
+    ]
+    # axis 1 holds alpha + n: its differences are the integers -16..16
+    assert distinct[1] == 33
+    assert [z.size for z in seen] == distinct
+    assert sum(distinct) < pts.shape[0] ** 2 // 20

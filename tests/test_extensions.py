@@ -8,6 +8,7 @@ from spectralbox.extensions import (
     BoundaryUnitary,
     BumpProfile,
     DomainVector,
+    EmptyBoundaryError,
     IllConditionedError,
     NotUnitaryError,
     boundary_condition_residual,
@@ -206,3 +207,16 @@ def test_boundary_unitary_from_phase_table():
     np.testing.assert_allclose(
         np.diag(V.matrix), [1.0, 1j, -1.0], atol=1e-12
     )
+
+
+def test_boundary_unitary_without_modes_raises_a_typed_error(monkeypatch):
+    # the error comes before the unitarity defect's reduction, which an
+    # empty matrix would fail with numpy's untyped ValueError
+    def no_defect(matrix):
+        raise AssertionError("unitarity defect of an empty matrix")
+
+    monkeypatch.setattr(extensions, "_unitarity_defect", no_defect)
+    with pytest.raises(EmptyBoundaryError, match="at least one mode"):
+        boundary_unitary_from_phases([])
+    with pytest.raises(EmptyBoundaryError):
+        BoundaryUnitary(np.zeros((0, 0), dtype=complex))

@@ -8,7 +8,7 @@ float once and must give the same bytes under `==`.
 import numpy as np
 import pytest
 
-from spectralbox.cli import _float_table
+from spectralbox.cli import _text_table
 from spectralbox.exponentials import gram_matrix
 from spectralbox.model import (
     IntFunction,
@@ -37,12 +37,12 @@ def gram_table_reference(entries: np.ndarray) -> bytes:
 
 
 def points_table(points: np.ndarray) -> bytes:
-    return _float_table(points, "\t" * (points.shape[1] - 1) + "\n")
+    return _text_table(points, "\t" * (points.shape[1] - 1) + "\n")
 
 
 def gram_table(entries: np.ndarray) -> bytes:
     seps = (",\t" * entries.shape[1])[:-1] + "\n"
-    return _float_table(np.ascontiguousarray(entries).view(np.float64), seps)
+    return _text_table(np.ascontiguousarray(entries).view(np.float64), seps)
 
 
 def staircase_gram() -> np.ndarray:

@@ -226,3 +226,73 @@ def test_difference_set_closed_under_negation():
     diffs = spectrum_difference_set(pts)
     as_set = {tuple(np.round(d, 12)) for d in diffs}
     assert all(tuple(np.round(-d, 12)) in as_set for d in diffs)
+
+
+def points_at_reference(spec, indices, period):
+    """Tower.points_at as it was first written: each level's argument rows
+    grouped by np.unique(axis=0)."""
+    k = np.asarray(indices, dtype=int)[:, spec.axis_order]
+    out = np.empty(k.shape, dtype=float)
+    for j, fn in enumerate(spec.levels):
+        if j == 0:
+            shift = fn()
+        else:
+            args = k[:, :j] if period is None else k[:, :j] % period
+            keys, inverse = np.unique(args, axis=0, return_inverse=True)
+            values = np.array([fn(*key) for key in keys.tolist()])
+            shift = values[inverse.reshape(-1)]
+        out[:, spec.axis_order[j]] = shift + k[:, j]
+    return out
+
+
+class RecordingLevel:
+    """A level that records the arguments of every call."""
+
+    def __init__(self, fn):
+        self.fn, self.arity, self.calls = fn, fn.arity, []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("period", [None, 1, 2, 5])
+def test_points_at_equals_the_row_unique_reference(d, period):
+    rng = np.random.default_rng([d, period or 0])
+    for _ in range(4):
+        ranges = []
+        for _ in range(d):
+            lo = int(rng.integers(-9, 4))
+            ranges.append((lo, lo + int(rng.integers(0, 6))))
+        levels = [IntFunction.constant(float(rng.random()))]
+        for arity in range(1, d):
+            keys = rng.integers(-9, 9, size=(12, arity))
+            levels.append(IntFunction(
+                arity,
+                default=float(rng.random()),
+                table={tuple(key): float(rng.random()) for key in keys},
+            ))
+        order = tuple(int(a) for a in rng.permutation(d))
+        recorded = [RecordingLevel(fn) for fn in levels]
+        spec = Tower(tuple(levels), order)
+        idx = np.array(list(LatticeWindow(tuple(ranges)).indices()))
+        got = Tower(tuple(recorded), order).points_at(idx, period)
+        want = points_at_reference(spec, idx, period)
+        assert got.tobytes() == want.tobytes()
+        # the same calls in the same order: distinct argument tuples,
+        # lexicographic
+        replay = [RecordingLevel(fn) for fn in levels]
+        points_at_reference(Tower(tuple(replay), order), idx, period)
+        assert [r.calls for r in recorded] == [r.calls for r in replay]
+        # rows in another order, some repeated: the same points row by row
+        rows = rng.permutation(np.concatenate([idx, idx[: len(idx) // 2]]))
+        assert spec.points_at(rows, period).tobytes() == (
+            points_at_reference(spec, rows, period).tobytes()
+        )
+
+
+def test_points_at_no_rows():
+    spec = Tower((IntFunction.constant(0.5), IntFunction(1, 0.25)), (1, 0))
+    got = spec.points_at(np.empty((0, 2), dtype=int), None)
+    assert got.shape == (0, 2)
