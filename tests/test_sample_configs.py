@@ -64,6 +64,10 @@ EXPECTED = {
         "gram.txt": "a02d444bf978b7b1b0f6711b0c3dfcd7f598961cb2890251cd8b208ebcf6ae9a",
         "report.txt": "8140ccc4a8d787f5d0a01a81ff091adf757488b1d3a1babf86083add083b6662",
     }),
+    "verify_pair_translated_lattice": ("verify-pair", 0, {
+        "gram.txt": "225de4f4bfa6ff779beb0859d27b54437acbdcb9131a54ce1fde25dfb99ebe70",
+        "report.txt": "b089b1eca6a59500c7706ef5b05a8c2d4864455c74a3bd56e23851341e52d1c1",
+    }),
 }
 
 
