@@ -12,7 +12,7 @@ phase fractions p in [0, 1), each lifted to exp(i*2*pi*p) by one function.
 Submodules:
   model         domain/spectrum value types and family enumeration
   exponentials  box transforms, Gram matrices, completeness, root scans
-  cocycles      cocycle identities, classification, quasi-commutativity
+  cocycles      cocycle identities, the seam twist, classification
   extensions    boundary unitaries and the fractional linear transform
   grid          periodic grid geometry and twisted Fourier transforms
   groups        induced one-parameter groups, grid and spectral realizations

@@ -107,6 +107,7 @@ from .cocycles import (
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
+    seam_twisted,
 )
 from .config import ConfigError, RunConfig, load_config
 from .diffraction import (
@@ -383,7 +384,12 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     _write_text(outdir, "commutator_sweep.csv", "\n".join(rows) + "\n")
     worst = float(table.max(initial=0.0))
 
-    cocycle_holds = check_cocycle_2d(eigs, tol.eq_tol).holds
+    # the groups commute iff the pair twisted by the basis phases satisfies
+    # the cocycle (the cocycles module docstring derives it)
+    twisted = BoundaryEigenvalues.from_pair(
+        seam_twisted(g["a"], phases[0]), seam_twisted(g["b"], phases[1]), g["window"]
+    )
+    cocycle_holds = check_cocycle_2d(twisted, tol.eq_tol).holds
     commuting = worst < 1e-6
     report.add(
         "groups.commutator_norm",

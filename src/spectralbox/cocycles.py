@@ -9,17 +9,26 @@ p enters as exp(i*2*pi*p), through one lift.  One vectorised kernel,
 check_cocycle, checks the pairwise shift identity for every ordered slot
 pair (witnesses (f, s, n, shift, modulus)); check_cocycle_2d relabels its
 witnesses ("b-shift" | "a-shift", m, n, shift, modulus) for a pair.  The
-module also classifies the 2-D outcomes and decides quasi-commutativity
-(joint diagonalizability in a fixed shifted product basis) for small
-matrix models.  All verdicts are relative to the supplied window.
+module also classifies the 2-D outcomes.  All verdicts are relative to
+the supplied window.
+
+The 2-D identities read a pair relative to the integer modes e_m x e_n.
+In the groups module's convention the basis is e_{m+alpha} x e_{n+beta},
+the axis-1 boundary has eigenvalues a_n on the y modes e_{n+beta} and the
+axis-2 one b_m on the x modes e_{m+alpha}.  Multiplying by the unimodular
+exp(-i*2*pi*(alpha*x + beta*y)) carries that basis to e_m x e_n and turns
+U_x(s) into exp(i*2*pi*alpha*s) times the group whose boundary has the
+eigenvalues a'_n = a_n exp(-i*2*pi*alpha) on e_n; U_y likewise becomes a
+scalar times the group of b'_m = b_m exp(-i*2*pi*beta).  Scalars leave
+commutators alone, so the groups commute iff the seam-twisted pair
+(a', b') satisfies the identities; seam_twisted builds its phase tables.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +45,7 @@ __all__ = [
     "WindowTooSmallError",
     "ToleranceInconsistencyError",
     "BoundaryEigenvalues",
+    "seam_twisted",
     "CocycleReport",
     "check_cocycle",
     "check_cocycle_2d",
@@ -44,12 +54,6 @@ __all__ = [
     "check_identity_window",
     "Classification",
     "classify_2d",
-    "cyclic_mode_basis",
-    "boundary_matrices_from_tower3d",
-    "diagonal_boundary_matrix",
-    "phase_grid",
-    "QuasiCommutativityReport",
-    "quasi_commutativity_check",
 ]
 
 
@@ -98,6 +102,20 @@ def _lift_window(fn: IntFunction, ranges: Sequence[tuple[int, int]]) -> np.ndarr
             _lift(p) for p, ok in zip(fn.table.values(), inside) if ok
         ]
     return lifted
+
+
+def seam_twisted(fn: IntFunction, shift: float) -> IntFunction:
+    """(fn - shift) mod 1: the phase table of exp(i*2*pi*fn) times the seam
+    factor exp(-i*2*pi*shift).  A difference a rounding below zero wraps
+    to 1.0 in floating point and is stored as 0.0, the same phase."""
+
+    def twist(p: float) -> float:
+        p = (p - shift) % 1.0
+        return 0.0 if p == 1.0 else p
+
+    return IntFunction(
+        fn.arity, twist(fn.default), {k: twist(p) for k, p in fn.table.items()}
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,124 +377,3 @@ def classify_2d(
     if a_one and b_one:
         return Classification.LATTICE
     return Classification.CLASS_I if a_one else Classification.CLASS_II
-
-
-# ---------------------------------------------------------------------------
-# Quasi-commutativity on cyclic matrix models
-# ---------------------------------------------------------------------------
-
-
-def cyclic_mode_basis(size: int, shift: float) -> np.ndarray:
-    """Orthonormal shifted Fourier basis on Z_size (columns are modes)."""
-    j = np.arange(size)
-    n = np.arange(size)
-    return np.exp(2j * np.pi * np.outer(j, n + shift) / size) / np.sqrt(size)
-
-
-def diagonal_boundary_matrix(
-    eigenvalues: Sequence[complex], shift: float
-) -> np.ndarray:
-    """Matrix diagonal in the shift-twisted cyclic basis."""
-    u = cyclic_mode_basis(len(eigenvalues), shift)
-    return u @ np.diag(np.asarray(eigenvalues, dtype=complex)) @ u.conj().T
-
-
-def boundary_matrices_from_tower3d(
-    spec: Tower, window: LatticeWindow
-) -> list[np.ndarray]:
-    """Cyclic matrix models of the three staircase boundary operators.
-
-    Matrices act on the integer-mode product basis of the two non-omitted
-    slots (slot order preserved, row-major).  The slot-2 eigenbasis of the
-    third operator is beta(k)-shifted per fiber, which is exactly what
-    makes generic staircases fail quasi-commutativity.
-    """
-    if (
-        spec.dimension != 3
-        or spec.axis_order != (0, 1, 2)
-        or spec.levels[0]() != 0.0
-    ):
-        raise ValueError(
-            "expected the 3-D staircase (k, beta(k)+l, gamma(k,l)+m): three "
-            "levels, identity axis order and a zero level 0"
-        )
-    _, beta, gamma = spec.levels
-    if window.dimension != 3:
-        raise ValueError("window must have three axes")
-    mk, ml, mm = (hi - lo + 1 for lo, hi in window.ranges)
-    v1 = np.eye(ml * mm, dtype=complex)
-    v2 = np.diag(np.repeat(_lift_window(beta, window.ranges[:1]), mm))
-    gamma_kl = _lift_window(gamma, window.ranges[:2])
-    v3 = np.zeros((mk * ml, mk * ml), dtype=complex)
-    for i, k in enumerate(window.axis_indices(0)):
-        v3[i * ml : (i + 1) * ml, i * ml : (i + 1) * ml] = diagonal_boundary_matrix(
-            gamma_kl[i], beta(int(k))
-        )
-    return [v1, v2, v3]
-
-
-def phase_grid(step: float, dimension: int) -> list[tuple[float, ...]]:
-    """All phase vectors on the uniform grid of the given step in [0,1)."""
-    if step <= 0 or step > 1:
-        raise ValueError("step must be in (0, 1]")
-    count = int(round(1.0 / step))
-    ticks = [i * step for i in range(count)]
-    return [tuple(p) for p in itertools.product(ticks, repeat=dimension)]
-
-
-@dataclass(frozen=True)
-class QuasiCommutativityReport:
-    quasi_commuting: bool
-    phases_found: Optional[tuple[float, ...]]
-    best_offdiag: float
-
-
-def quasi_commutativity_check(
-    operators: Sequence[np.ndarray],
-    candidate_phases: Sequence[tuple[float, ...]],
-    window: LatticeWindow,
-    eq_tol: float = 1e-10,
-) -> QuasiCommutativityReport:
-    """Search candidate phase vectors for joint diagonality.
-
-    operators[j] must be the matrix of the boundary operator that omits
-    slot j, over the integer-mode product basis of the remaining window
-    axes (row-major slot order).  A candidate passes when every operator
-    is diagonal in the correspondingly shifted product basis, measured by
-    the largest off-diagonal modulus.
-    """
-    if len(candidate_phases) == 0:
-        raise ValueError("empty candidate phase list")
-    d = window.dimension
-    if len(operators) != d:
-        raise ValueError("need one operator per coordinate")
-    sizes = [len(window.axis_indices(s)) for s in range(d)]
-    for j, op in enumerate(operators):
-        expected = int(np.prod([sizes[s] for s in range(d) if s != j]))
-        if op.shape != (expected, expected):
-            raise ValueError(
-                f"operator {j} has shape {op.shape}, expected "
-                f"({expected}, {expected})"
-            )
-
-    best = np.inf
-    for phases in candidate_phases:
-        if len(phases) != d:
-            raise ValueError("phase vector arity mismatch")
-        worst = 0.0
-        for j, op in enumerate(operators):
-            transform = None
-            for s in range(d):
-                if s == j:
-                    continue
-                u = cyclic_mode_basis(sizes[s], float(phases[s]))
-                transform = u if transform is None else np.kron(transform, u)
-            rotated = transform.conj().T @ op @ transform
-            off = rotated - np.diag(np.diag(rotated))
-            worst = max(worst, float(np.abs(off).max()))
-            if worst >= eq_tol:
-                break
-        best = min(best, worst)
-        if worst < eq_tol:
-            return QuasiCommutativityReport(True, tuple(phases), worst)
-    return QuasiCommutativityReport(False, None, float(best))

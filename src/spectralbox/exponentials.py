@@ -161,14 +161,6 @@ class GramMatrix:
     entries: np.ndarray
     labels: np.ndarray
 
-    def max_offdiag(self) -> float:
-        off = self.entries.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.max(np.abs(off))) if off.size else 0.0
-
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
 
 def _bit_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct float64 bit patterns of `values`, ascending as unsigned

@@ -13,15 +13,10 @@ from spectralbox.cocycles import (
     ToleranceInconsistencyError,
     UnitModulusError,
     WindowTooSmallError,
-    boundary_matrices_from_tower3d,
     check_cocycle,
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
-    cyclic_mode_basis,
-    diagonal_boundary_matrix,
-    phase_grid,
-    quasi_commutativity_check,
 )
 from spectralbox.grid import fft_mode_indices
 from spectralbox.groups import DiagonalBoundary
@@ -631,19 +626,6 @@ def test_planar_tower_is_the_pair_with_a_one():
         assert check_cocycle_2d(tower) == check_cocycle_2d(eigs)
 
 
-def test_boundary_matrices_reject_other_towers():
-    beta, gamma = IntFunction(1), IntFunction(2)
-    window = LatticeWindow.centered(1, 3)
-    others = [
-        Tower((IntFunction.constant(0.0), beta)),
-        Tower((IntFunction.constant(0.5), beta, gamma)),
-        Tower((IntFunction.constant(0.0), beta, gamma), (0, 2, 1)),
-    ]
-    for spec in others:
-        with pytest.raises(ValueError, match="3-D staircase"):
-            boundary_matrices_from_tower3d(spec, window)
-
-
 def test_from_tower_rejects_only_a_nonzero_level_zero_and_one_axis():
     beta, gamma = IntFunction(1), IntFunction(2)
     BoundaryEigenvalues.from_tower(
@@ -823,70 +805,3 @@ def test_constructor_rejects_non_unit_values():
         BoundaryEigenvalues(window, values[:2])
     with pytest.raises(ValueError, match=r"v\[0\] has shape"):
         BoundaryEigenvalues(window, (ones, *values[1:]))
-
-
-# ---------------------------------------------------------------------------
-# quasi-commutativity
-# ---------------------------------------------------------------------------
-
-
-def test_cyclic_mode_basis_unitary():
-    u = cyclic_mode_basis(7, 0.3)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(7), atol=1e-12)
-
-
-def test_quasi_commutativity_constant_tables_true():
-    spec = Tower((
-        IntFunction.constant(0.0),
-        IntFunction(1, default=0.25),
-        IntFunction(2, default=0.5),
-    ))
-    w = LatticeWindow.centered(2, 3)
-    ops = boundary_matrices_from_tower3d(spec, w)
-    report = quasi_commutativity_check(ops, phase_grid(1 / 8, 3), w)
-    assert report.quasi_commuting
-    assert report.phases_found == (0.0, 0.0, 0.0)
-
-
-def test_quasi_commutativity_generic_false():
-    spec = generic_tower3d()
-    w = LatticeWindow.centered(2, 3)
-    ops = boundary_matrices_from_tower3d(spec, w)
-    report = quasi_commutativity_check(ops, phase_grid(1 / 8, 3), w)
-    assert not report.quasi_commuting
-    assert report.phases_found is None
-    assert report.best_offdiag > 1e-3
-
-
-def test_quasi_commutativity_2d_diagonal_true():
-    rng = np.random.default_rng(9)
-    w = LatticeWindow.centered(2, 2)
-    sizes = [5, 5]
-    alpha, beta = 0.25, 0.5
-    # boundary operators diagonal on the (n+beta) and (m+alpha) mode bases
-    a_eigs = unit(rng.random(sizes[1]))
-    b_eigs = unit(rng.random(sizes[0]))
-    op_x = diagonal_boundary_matrix(a_eigs, beta)  # omits slot 0, acts on slot 1
-    op_y = diagonal_boundary_matrix(b_eigs, alpha)  # omits slot 1, acts on slot 0
-    report = quasi_commutativity_check(
-        [op_x, op_y], phase_grid(1 / 4, 2), w
-    )
-    assert report.quasi_commuting
-    assert report.phases_found == (0.25, 0.5)
-
-
-def test_quasi_commutativity_empty_candidates_error():
-    spec = generic_tower3d()
-    w = LatticeWindow.centered(1, 3)
-    ops = boundary_matrices_from_tower3d(spec, w)
-    with pytest.raises(ValueError):
-        quasi_commutativity_check(ops, [], w)
-
-
-def test_tower3d_boundary_matrices_are_unitary():
-    spec = generic_tower3d()
-    w = LatticeWindow.centered(2, 3)
-    for op in boundary_matrices_from_tower3d(spec, w):
-        np.testing.assert_allclose(
-            op.conj().T @ op, np.eye(op.shape[0]), atol=1e-12
-        )

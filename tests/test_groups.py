@@ -9,6 +9,7 @@ from spectralbox.cocycles import (
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
+    seam_twisted,
 )
 from spectralbox.grid import (
     _phase,
@@ -1004,3 +1005,79 @@ def test_streamed_sweep_of_benchmark_size_stays_under_5_mib():
         tracemalloc.stop()
     assert table.shape == (5, 5)
     assert peak < 5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the seam twist: which pair the cocycle cross-oracle reads
+# ---------------------------------------------------------------------------
+
+
+def _phase_table(rng, kind, radius):
+    """A phase table that is identically one, a nonzero constant or generic."""
+    if kind == "one":
+        return ONE
+    if kind == "constant":
+        return phases_of(default=float(rng.uniform(0.05, 0.95)))
+    table = {k: float(rng.random()) for k in range(-radius, radius + 1)}
+    return phases_of(table, float(rng.random()))
+
+
+def test_twisted_cocycle_verdict_matches_the_grid_commutator():
+    # U_x(s) reads a on the y modes n + beta and U_y(t) reads b on the x
+    # modes m + alpha; the cocycle of the pair twisted by the basis phases,
+    # (a - alpha, b - beta) mod 1, must decide commutation of the grid groups
+    rng = np.random.default_rng(2207)
+    radius, grid_n, times = 3, 64, [i / 8 for i in range(1, 6)]
+    window = LatticeWindow.centered(radius, 2)
+    kinds = ["one", "constant", "generic"]
+    untwisted_misses = 0
+    for _ in range(40):
+        a = _phase_table(rng, kinds[rng.integers(3)], radius)
+        b = _phase_table(rng, kinds[rng.integers(3)], radius)
+        alpha, beta = (float(rng.random()) if rng.random() < 0.5 else 0.0 for _ in "ab")
+        probes = [
+            synthesize_window_state(v, (alpha, beta), window, grid_n)
+            for v in default_probe_coefficients(window, 0, 4, rng)
+        ]
+        worst = commutator_norm(
+            grid_group_action(1, times, DiagonalBoundary(a, shift=beta)),
+            grid_group_action(2, times, DiagonalBoundary(b, shift=alpha)),
+            probes,
+        ).max()
+        twisted = BoundaryEigenvalues.from_pair(
+            seam_twisted(a, alpha), seam_twisted(b, beta), window
+        )
+        assert check_cocycle_2d(twisted).holds == (worst < 1e-6), (a, b, alpha, beta)
+        untwisted = check_cocycle_2d(BoundaryEigenvalues.from_pair(a, b, window))
+        untwisted_misses += untwisted.holds != (worst < 1e-6)
+    # the sample holds pairs on which the untwisted pair gives the wrong verdict
+    assert untwisted_misses > 0
+
+
+def test_seam_twist_by_zero_keeps_every_lifted_bit():
+    rng = np.random.default_rng(2208)
+    window = LatticeWindow.centered(4, 2)
+    for kind in ["one", "constant", "generic"]:
+        a, b = (_phase_table(rng, kind, 4) for _ in "ab")
+        plain = BoundaryEigenvalues.from_pair(a, b, window)
+        twisted = BoundaryEigenvalues.from_pair(
+            seam_twisted(a, 0.0), seam_twisted(b, 0.0), window
+        )
+        for got, want in zip(twisted.values, plain.values):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_seam_twist_subtracts_the_shift_mod_one():
+    fn = IntFunction(1, 0.25, {0: 0.75, 1: 0.1, 2: 0.5})
+    got = seam_twisted(fn, 0.5)
+    assert (got.default, got.table) == (0.75, {(0,): 0.25, (1,): 0.6, (2,): 0.0})
+    # a difference a rounding below zero would wrap to 1.0: it reads 0.0
+    shift = np.nextafter(0.1, 1.0)
+    assert seam_twisted(IntFunction(1, 0.1), shift).default == 0.0
+    # the lift is the seam factor times the untwisted lift
+    window = LatticeWindow.centered(2, 2)
+    lifted = BoundaryEigenvalues.from_pair(seam_twisted(fn, 0.3), ONE, window)
+    plain = BoundaryEigenvalues.from_pair(fn, ONE, window)
+    np.testing.assert_allclose(
+        lifted.values[0], plain.values[0] * unit(-0.3), rtol=0, atol=1e-15
+    )
