@@ -109,6 +109,7 @@ def reached(tmp_path_factory):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     out = tmp_path_factory.mktemp("reach")
+    previous = sys.getprofile()
     for config in configs:
         command = load_config(config).command
         argv = [command, "--config", str(config), "--out", str(out / config.stem)]
@@ -116,7 +117,7 @@ def reached(tmp_path_factory):
         try:
             status = main(argv)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(previous)
         assert status in (0, 1), config.name
     return {name for name, key in _definitions().items() if key in entered}
 
