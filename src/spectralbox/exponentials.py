@@ -156,10 +156,23 @@ def in_zero_set_cube_many(
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Inner-product matrix of exponentials labeled by spectrum points."""
+    """Inner-product matrix of exponentials labeled by spectrum points.
+
+    entries is table[index]: table holds one value per tuple of per-axis
+    difference codes, each distinct tuple once unless every entry keeps a
+    tuple of its own (see _fold), and index the tuple of each entry.
+    axes holds, per axis, (differences, code, slot): the distinct
+    differences of the axis's distinct coordinates, the index of each
+    such difference into them, and the coordinate slot of each point, so
+    the axis coordinate of point_k - point_j is
+    differences[code[slot[j], slot[k]]].
+    """
 
     entries: np.ndarray
     labels: np.ndarray
+    table: np.ndarray
+    index: np.ndarray
+    axes: tuple
 
 
 def _bit_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,35 +185,89 @@ def _bit_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), inverse.reshape(-1)
 
 
+def _fold(
+    key: np.ndarray, count: int, code: np.ndarray, radix: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's tuple code after one more axis.
+
+    key holds each entry's tuple so far, below count, and code its index
+    on the next axis, below radix.  Returns the distinct mixed-radix
+    values key * radix + code, ascending, and each entry's index into
+    them.  A range of at most 16 values an entry is marked in a table,
+    with no sort; a wider one is sorted, unless half the entries already
+    have a tuple of their own.  No fold could halve the count then, and
+    every entry keeps its own code: the returned values may repeat.
+    """
+    mixed = key.astype(np.intp, copy=False) * radix + code
+    bound = count * radix
+    if 2 * count > key.size:
+        return mixed.ravel(), np.arange(key.size).reshape(key.shape)
+    if bound > 16 * key.size:
+        seen, inverse = np.unique(mixed, return_inverse=True)
+        return seen, inverse.reshape(key.shape)
+    present = np.zeros(bound, dtype=bool)
+    present[mixed] = True
+    seen = np.flatnonzero(present)
+    rank = np.empty(bound, dtype=np.int32 if bound < 2**31 else np.intp)
+    rank[seen] = np.arange(seen.size)
+    return seen, np.take(rank, mixed)
+
+
 def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     """Gram matrix G[j,k] = F(point_k - point_j); diagonal is the measure.
 
     Equal, bit for bit, to eval_F_omega on the P x P x d table of
     differences, but each axis's factor transform runs once per distinct
-    difference.  The axis's coordinates are grouped by bit pattern, the
-    u x u table of differences of the u distinct ones is grouped by bit
-    pattern again, and one P x P code array gathers the transforms back.
-    A difference is the same float subtraction as in the dense table, and
-    the transform is elementwise, so every factor is that of the dense
-    table; the factors are multiplied as eval_F_omega multiplies them.
+    difference, and the factors are multiplied once per distinct tuple of
+    them.  The axis's coordinates are grouped by bit pattern, the u x u
+    table of differences of the u distinct ones is grouped by bit pattern
+    again, and the axes are folded one at a time into a code per entry,
+    made dense again after each axis, so a code stays below P^2 times the
+    next axis's count of differences.  A difference is the same float
+    subtraction as in the dense table and the transform is elementwise, so
+    every factor is that of the dense table; the factors of a tuple are
+    multiplied as eval_F_omega multiplies them.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("gram matrix of an empty point list")
     _check_arity(domain, pts)
-    factors = []
-    for axis, factor in enumerate(domain.factors):
-        coords, slot = _bit_groups(pts[:, axis])
+    axes, factors = [], []
+    for factor, column in zip(domain.factors, pts.T):
+        coords, slot = _bit_groups(column)
         diffs, code = _bit_groups(coords[None, :] - coords[:, None])
-        code = code.reshape(coords.size, coords.size)[slot[:, None], slot[None, :]]
-        factors.append(_factor_transform(factor, diffs.astype(complex))[code])
-    entries = np.prod(np.stack(factors, axis=-1), axis=-1)
-    return GramMatrix(entries=entries, labels=pts)
+        # fewer than P^2 < 2^31 differences at any P whose Gram fits in memory
+        code = code.astype(np.int32).reshape(coords.size, coords.size)
+        axes.append((diffs, code, slot))
+        factors.append(_factor_transform(factor, diffs.astype(complex)))
+    key, parts = None, None
+    for diffs, code, slot in axes:
+        entry = np.take(code[slot], slot, axis=1)
+        if key is None:
+            # dense already: each difference of two coordinates is one of
+            # two points
+            key, parts = entry, np.arange(diffs.size)[:, None]
+        else:
+            seen, key = _fold(key, parts.shape[0], entry, diffs.size)
+            parts = np.column_stack((parts[seen // diffs.size], seen % diffs.size))
+    stacked = np.empty(parts.shape, dtype=complex)
+    for a, f in enumerate(factors):
+        stacked[:, a] = np.take(f, parts[:, a])
+    table = np.prod(stacked, axis=-1)
+    if table.size == key.size and np.array_equal(key.ravel(), np.arange(key.size)):
+        entries = table.reshape(key.shape)  # every entry kept its own tuple
+    else:
+        entries = np.take(table, key)
+    return GramMatrix(
+        entries=entries, labels=pts, table=table, index=key, axes=tuple(axes)
+    )
 
 
-# verify-pair's Gram, difference set and temporaries take about 176 + 16 d
-# bytes per entry of the P x P table: peak RSS over the import baseline was
-# 181-202 B for d = 1, 2, 3 and P = 289 to 1 331
+# verify-pair's Gram, its codes and the text of gram.txt take about
+# 176 + 16 d bytes per entry of the P x P table: peak RSS over the import
+# baseline at P = 1 331 was 148-165 B for lattice windows (d = 1, 2, 3) and
+# 204 B for a generic class-a window; an explicit spectrum whose coordinate
+# differences all differ took 229-260 B (x86-64, numpy 2.4)
 MAX_PAIR_BYTES = 2**30
 
 
@@ -210,7 +277,7 @@ def check_pair_size(points: int, dimension: int) -> None:
     if need > MAX_PAIR_BYTES:
         raise ValueError(
             f"{points} points in dimension {dimension} need about {need} bytes "
-            f"for the Gram matrix and difference set, more than {MAX_PAIR_BYTES}"
+            f"for the Gram matrix and its text, more than {MAX_PAIR_BYTES}"
         )
 
 
@@ -268,6 +335,8 @@ def completeness_probe(
     if domain != UnitCube(domain.dimension):
         raise TypeError("completeness probe requires a unit-cube domain")
     pts = enumerate_spectrum(spec, window)
+    slots = [_bit_groups(column) for column in pts.T]
+    phases_of: dict = {}  # the per-axis (points, samples) phases per grid shape
     ratios = []
     for f in test_functions:
         f = np.asarray(f, dtype=complex)
@@ -278,13 +347,16 @@ def completeness_probe(
         norm2 = grid_norm(f) ** 2
         if norm2 <= 0.0:
             raise ValueError("zero-norm test function")
+        if f.shape not in phases_of:
+            # exp per distinct coordinate, gathered to the points' rows
+            phases_of[f.shape] = [
+                np.exp(2j * np.pi * coords[:, None] * grid_coords(n)).conj()[slot]
+                for (coords, slot), n in zip(slots, f.shape)
+            ]
         # <e_lam, f> = sum_x w(x) f(x) prod_j conj(exp(i 2 pi lam_j x_j)):
         # weight the samples once, then contract one axis at a time with
         # that axis's (points, samples) phase matrix, axis 0 as one matmul
-        first, *rest = (
-            np.exp(2j * np.pi * pts[:, ax, None] * grid_coords(n)).conj()
-            for ax, n in enumerate(f.shape)
-        )
+        first, *rest = phases_of[f.shape]
         weighted = grid_weight(f.shape) * f
         coeffs = (first @ weighted.reshape(weighted.shape[0], -1)).reshape(
             pts.shape[:1] + weighted.shape[1:]

@@ -76,13 +76,16 @@ def twisted_analysis(values: np.ndarray, axis: int, shift: float) -> np.ndarray:
     n = values.shape[axis]
     if shift:
         values = values * _along(_phase(n, shift, -1), values.ndim, axis)
-    return np.fft.fft(values, axis=axis) / n
+    coeffs = np.fft.fft(values, axis=axis)
+    coeffs /= n
+    return coeffs
 
 
 def twisted_synthesis(coeffs: np.ndarray, axis: int, shift: float) -> np.ndarray:
     """Inverse of twisted_analysis (same mode ordering)."""
     n = coeffs.shape[axis]
-    values = np.fft.ifft(coeffs, axis=axis) * n
+    values = np.fft.ifft(coeffs, axis=axis)
+    values *= n
     if shift:
         values *= _along(_phase(n, shift, 1), values.ndim, axis)
     return values

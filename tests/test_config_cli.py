@@ -924,10 +924,10 @@ TWO_COMPONENTS = (
         # 20 475 masses of 6.4e6 comb samples each, about 15 minutes
         (DIFFRACTION + "test_function: {widths: [1.0e6, 1.0e6]}, k_radius: 2047}",
          "diffraction: the pairing has 131174950725 terms, more than 134217728"),
-        # a 26 GB Gram and a 26 GB difference set
+        # a 26 GB Gram and its text
         (PAIR + "window: {radius: 100}",
          "window: 40401 points in dimension 2 need about 339506086608 bytes for "
-         "the Gram matrix and difference set, more than 1073741824"),
+         "the Gram matrix and its text, more than 1073741824"),
         (PAIR + "window: {radius: 24}", "window: 2401 points in dimension 2"),
         # an explicit spectrum is sized by its points, not by the window
         (EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2300)],

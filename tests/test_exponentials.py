@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+
 from spectralbox.exponentials import (
     _SCAN_STRIDE,
     RootScanReport,
+    _fold,
     _poly_on_circle,
     completeness_probe,
     eval_F_omega,
@@ -13,6 +15,7 @@ from spectralbox.exponentials import (
     orthogonality_verdict,
     unit_circle_root_scan,
 )
+from spectralbox.grid import grid_coords, grid_norm, grid_weight
 from spectralbox.model import (
     Domain,
     ExplicitSpectrum,
@@ -770,3 +773,89 @@ def test_gram_transforms_each_distinct_difference_once(monkeypatch):
     assert distinct[1] == 33
     assert [z.size for z in seen] == distinct
     assert sum(distinct) < pts.shape[0] ** 2 // 20
+
+
+# gram_matrix folds the axes into one code per entry and multiplies the
+# factors once per distinct code tuple; the tests below pin the fold, the
+# codes the Gram hands to its readers, and the probe's shared phases.
+
+
+@pytest.mark.parametrize(
+    "count, radix, dense",
+    [(5, 7, True), (40, 30, True), (100, 1000, True), (300, 2000, False)],
+)
+def test_fold_gives_each_entry_its_mixed_radix_value(count, radix, dense):
+    # 400 entries: a table of flags for a small range, a sort for a wide
+    # one (100 * 1000 > 16 * 400), and no fold once 300 > 400 / 2 tuples
+    rng = np.random.default_rng(count)
+    key = rng.integers(0, count, size=(20, 20))
+    code = rng.integers(0, radix, size=(20, 20))
+    seen, index = _fold(key, count, code, radix)
+    mixed = key * radix + code
+    assert index.shape == key.shape
+    assert np.array_equal(seen[index], mixed)
+    if dense:
+        assert np.array_equal(seen, np.unique(mixed))
+
+
+def test_gram_codes_decode_to_the_differences_and_entries():
+    rng = np.random.default_rng(9)
+    pts = random_family_points(rng, "tower", 3, 2)
+    pts[:4] = -0.0
+    gram = gram_matrix(UnitCube(3), pts)
+    assert same_bits(np.take(gram.table, gram.index), gram.entries)
+    tuples = []
+    for axis, (diffs, code, slot) in enumerate(gram.axes):
+        tuples.append(code[slot[:, None], slot[None, :]])
+        got = diffs[tuples[-1]]
+        assert same_bits(got, pts[None, :, axis] - pts[:, None, axis])
+    # one table value per distinct tuple of difference codes
+    distinct = np.unique(np.stack(tuples, -1).reshape(-1, 3), axis=0)
+    assert gram.table.size == distinct.shape[0] < gram.entries.size // 3
+
+
+def test_gram_folds_past_the_int64_range_of_a_plain_mixed_radix_code():
+    # 300 generic 4-D points: about 89 700 distinct differences an axis,
+    # whose product exceeds 2^63; the fold keeps every code below P^2 u
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-3.0, 3.0, size=(300, 4))
+    gram = gram_matrix(UnitCube(4), pts)
+    counts = [diffs.size for diffs, _, _ in gram.axes]
+    assert np.prod(np.array(counts, dtype=float)) > 2.0**63
+    assert same_bits(gram.entries, dense_gram_reference(UnitCube(4), pts))
+
+
+def completeness_per_point_phases(domain, spec, window, test_functions):
+    """The probe with its phase matrices built per point and per state,
+    as it first was: the same contraction, in the same order."""
+    pts = enumerate_spectrum(spec, window)
+    ratios = []
+    for f in test_functions:
+        f = np.asarray(f, dtype=complex)
+        first, *rest = (
+            np.exp(2j * np.pi * pts[:, ax, None] * grid_coords(n)).conj()
+            for ax, n in enumerate(f.shape)
+        )
+        weighted = grid_weight(f.shape) * f
+        coeffs = (first @ weighted.reshape(weighted.shape[0], -1)).reshape(
+            pts.shape[:1] + weighted.shape[1:]
+        )
+        for phases in rest:
+            coeffs = np.einsum("pi...,pi->p...", coeffs, phases)
+        captured = float(np.cumsum(np.abs(coeffs) ** 2)[-1])
+        ratios.append(captured / (grid_norm(f) ** 2 * domain.measure))
+    return ratios
+
+
+@pytest.mark.parametrize("d, shapes", [
+    (1, [(40,), (40,), (33,)]), (2, [(17, 12), (17, 12), (12, 17)]),
+    (3, [(9, 7, 6), (6, 7, 9)]),
+])
+@pytest.mark.parametrize("family", [_staircase, _explicit])
+def test_completeness_probe_equals_per_point_phases_bit_for_bit(d, shapes, family):
+    rng = np.random.default_rng(d)
+    states = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    spec, window = family(d), LatticeWindow.centered(2, d)
+    got = completeness_probe(UnitCube(d), spec, window, states).ratios
+    want = completeness_per_point_phases(UnitCube(d), spec, window, states)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))

@@ -2,7 +2,8 @@
 
 The references format one entry at a time with `format_float`, the way
 the two tables were first written; the writer formats each distinct
-float once and must give the same bytes under `==`.
+float once and must give the same bytes under `==`, whether it is handed
+the table as it stands or the Gram's distinct values and its index.
 """
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from spectralbox.cli import _text_table
 from spectralbox.exponentials import gram_matrix
 from spectralbox.model import (
+    Domain,
+    IntervalUnion,
     IntFunction,
     LatticeWindow,
     Tower,
@@ -37,12 +40,14 @@ def gram_table_reference(entries: np.ndarray) -> bytes:
 
 
 def points_table(points: np.ndarray) -> bytes:
-    return _text_table(points, "\t" * (points.shape[1] - 1) + "\n")
+    rows = np.arange(len(points))[:, None]
+    return _text_table(points, rows, "\t" * (points.shape[1] - 1) + "\n")
 
 
 def gram_table(entries: np.ndarray) -> bytes:
     seps = (",\t" * entries.shape[1])[:-1] + "\n"
-    return _text_table(np.ascontiguousarray(entries).view(np.float64), seps)
+    values = np.ascontiguousarray(entries).view(np.float64)
+    return _text_table(values, np.arange(len(values))[:, None], seps)
 
 
 def staircase_gram() -> np.ndarray:
@@ -104,3 +109,33 @@ def test_signed_zeros_and_nans_stay_apart():
     assert points_table(row) == (
         b"0.000000000000e+00\t-0.000000000000e+00\tnan\tnan\tinf\t-inf\n"
     )
+
+
+def coded_gram_table(gram) -> bytes:
+    """gram.txt as verify-pair writes it: the table of distinct values and
+    the Gram's index into it."""
+    seps = (",\t" * gram.index.shape[1])[:-1] + "\n"
+    return _text_table(gram.table.view(np.float64).reshape(-1, 2), gram.index, seps)
+
+
+@pytest.mark.parametrize("case", ["staircase", "explicit", "union", "one point"])
+def test_gram_written_through_its_index_equals_the_identity_index(case):
+    rng = np.random.default_rng(12)
+    if case == "staircase":
+        beta = IntFunction(1, 0.15, {-8: 0.6, -3: 0.25, 0: 0.5, 2: 0.05})
+        points = enumerate_spectrum(
+            Tower((IntFunction.constant(0.375), beta), (1, 0)), LatticeWindow.centered(6, 2)
+        )
+        domain = UnitCube(2)
+    elif case == "explicit":
+        points = rng.choice(np.array([0.0, -0.0, 0.5, -1.25, 3.0, 1e-300]), size=(40, 3))
+        domain = UnitCube(3)
+    elif case == "union":
+        points = rng.uniform(-2.0, 2.0, size=(30, 1))
+        domain = Domain((IntervalUnion(((0.0, 1.0), (2.0, 3.5))),))
+    else:
+        points, domain = np.array([[0.25, -0.0]]), UnitCube(2)
+    gram = gram_matrix(domain, points)
+    assert gram.table.size <= gram.entries.size
+    assert coded_gram_table(gram) == gram_table(gram.entries)
+    assert coded_gram_table(gram) == gram_table_reference(gram.entries)

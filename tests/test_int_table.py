@@ -17,7 +17,8 @@ def join_reference(counts: np.ndarray) -> bytes:
 
 
 def space_table(counts: np.ndarray) -> bytes:
-    return _text_table(counts, " " * (counts.shape[1] - 1) + "\n")
+    rows = np.arange(len(counts))[:, None]
+    return _text_table(counts, rows, " " * (counts.shape[1] - 1) + "\n")
 
 
 EXTREMES = np.array(
@@ -49,5 +50,6 @@ def test_all_zero_and_all_negative_tables():
 
 def test_int_table_takes_any_separators():
     counts = np.array([[3, -40, 500], [0, 7, -8]], dtype=np.int64)
-    assert _text_table(counts, ",\t\n") == b"3,-40\t500\n0,7\t-8\n"
+    rows = np.arange(len(counts))[:, None]
+    assert _text_table(counts, rows, ",\t\n") == b"3,-40\t500\n0,7\t-8\n"
 

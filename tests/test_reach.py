@@ -38,6 +38,12 @@ ALLOWED = {
         ORACLE, "Gauss-Legendre quadrature of the box transform, checked "
         "against the closed form"),
     "exponentials._leggauss": (ORACLE, "nodes of f_omega_quadrature"),
+    "exponentials.eval_F_omega": (
+        ORACLE, "the box transform on a dense stack of differences, the "
+        "reference of gram_matrix"),
+    "model.spectrum_difference_set": (
+        ORACLE, "the dense P (P - 1) x d difference set, the reference of "
+        "verify-pair's zero set"),
     "exponentials._gl_segment": (ORACLE, "one panel of f_omega_quadrature"),
     "groups._indicator_coeff_closed": (
         ORACLE, "continuum indicator coefficients, the limit of the grid's "
