@@ -213,9 +213,10 @@ def _padded_cells(table: np.ndarray, index: np.ndarray, seps: str) -> np.ndarray
     return cells
 
 
-def _in_zero_set(domain, gram, num_tol: float) -> bool:
-    """Whether point_j - point_k is in the domain's zero set for all j != k,
-    read off the Gram's codes instead of the P (P - 1) x d difference set.
+def _in_zero_set(domain, gram, num_tol: float) -> tuple[str, bool]:
+    """The identity verify-pair checks for the domain's zero set, and
+    whether point_j - point_k is in that set for all j != k, read off the
+    Gram's codes instead of the P (P - 1) x d difference set.
 
     On the unit cube a difference is in it when some coordinate lies
     within 1e-9 of a nonzero integer: each axis's distinct differences
@@ -226,14 +227,19 @@ def _in_zero_set(domain, gram, num_tol: float) -> bool:
     are entries: it must be below num_tol in modulus.
     """
     if domain == UnitCube(domain.dimension):
+        identity = (
+            "every difference of distinct points has a coordinate at a "
+            "nonzero integer"
+        )
         hits = np.zeros(gram.index.shape, dtype=bool)
         for diffs, code, slot in gram.axes:
             near = in_zero_set_cube_many(1, diffs[:, None], 1e-9)
             hits |= np.take(near[code][slot], slot, axis=1)
     else:
+        identity = "domain transform vanishes on all differences of points"
         hits = np.take(np.abs(gram.table) < num_tol, gram.index)
     np.fill_diagonal(hits, True)
-    return bool(hits.all())
+    return identity, bool(hits.all())
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +293,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         notes,
     )
 
-    ok = _in_zero_set(cfg.domain, gram, tol.num_tol)
-    if cfg.domain == UnitCube(cfg.domain.dimension):
-        identity = (
-            "every difference of distinct points has a coordinate at a "
-            "nonzero integer"
-        )
-    else:
-        identity = "domain transform vanishes on all differences of points"
+    identity, ok = _in_zero_set(cfg.domain, gram, tol.num_tol)
     report.add(
         "exponentials.in_zero_set_cube",
         identity,

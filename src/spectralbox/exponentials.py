@@ -158,9 +158,8 @@ def in_zero_set_cube_many(
 class GramMatrix:
     """Inner-product matrix of exponentials labeled by spectrum points.
 
-    entries is table[index]: table holds one value per tuple of per-axis
-    difference codes, each distinct tuple once unless every entry keeps a
-    tuple of its own (see _fold), and index the tuple of each entry.
+    entries is table[index]: table holds one value per distinct tuple of
+    per-axis difference codes, and index the tuple of each entry.
     axes holds, per axis, (differences, code, slot): the distinct
     differences of the axis's distinct coordinates, the index of each
     such difference into them, and the coordinate slot of each point, so
@@ -194,14 +193,10 @@ def _fold(
     on the next axis, below radix.  Returns the distinct mixed-radix
     values key * radix + code, ascending, and each entry's index into
     them.  A range of at most 16 values an entry is marked in a table,
-    with no sort; a wider one is sorted, unless half the entries already
-    have a tuple of their own.  No fold could halve the count then, and
-    every entry keeps its own code: the returned values may repeat.
+    with no sort; a wider one is sorted.
     """
     mixed = key.astype(np.intp, copy=False) * radix + code
     bound = count * radix
-    if 2 * count > key.size:
-        return mixed.ravel(), np.arange(key.size).reshape(key.shape)
     if bound > 16 * key.size:
         seen, inverse = np.unique(mixed, return_inverse=True)
         return seen, inverse.reshape(key.shape)
@@ -254,20 +249,18 @@ def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     for a, f in enumerate(factors):
         stacked[:, a] = np.take(f, parts[:, a])
     table = np.prod(stacked, axis=-1)
-    if table.size == key.size and np.array_equal(key.ravel(), np.arange(key.size)):
-        entries = table.reshape(key.shape)  # every entry kept its own tuple
-    else:
-        entries = np.take(table, key)
     return GramMatrix(
-        entries=entries, labels=pts, table=table, index=key, axes=tuple(axes)
+        entries=np.take(table, key), labels=pts, table=table, index=key,
+        axes=tuple(axes),
     )
 
 
 # verify-pair's Gram, its codes and the text of gram.txt take about
 # 176 + 16 d bytes per entry of the P x P table: peak RSS over the import
-# baseline at P = 1 331 was 148-165 B for lattice windows (d = 1, 2, 3) and
-# 204 B for a generic class-a window; an explicit spectrum whose coordinate
-# differences all differ took 229-260 B (x86-64, numpy 2.4)
+# baseline at P = 1 331 was 141-152 B for lattice windows (d = 1, 2, 3) and
+# 215 B for a generic class-a window (d = 2); an explicit spectrum whose
+# coordinate differences all differ took 208-322 B (d = 1, 2, 3), more
+# than this price (x86-64, glibc, numpy 2.4)
 MAX_PAIR_BYTES = 2**30
 
 

@@ -164,7 +164,7 @@ class DiagonalBoundary:
         eig = self.eigenvalue_array(lines.shape[axis]) ** power
         shape = [1] * lines.ndim
         shape[axis] = lines.shape[axis]
-        coeffs *= eig.reshape(shape)
+        coeffs = coeffs * eig.reshape(shape)
         return twisted_synthesis(coeffs, axis, self.shift)
 
 
@@ -260,7 +260,7 @@ def _plan(times: tuple, n: int, ax: int) -> tuple[list, list]:
 
 def grid_group_action(
     axis: int, times: Sequence[float], boundary: Boundary
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray], list[np.ndarray]]:
     """U_axis(t) on grid states for every t in `times`, exactly: translate,
     twist the wrap.
 
@@ -269,8 +269,8 @@ def grid_group_action(
     Rows that cross the seam are transported through the boundary
     operator, once per full crossing.  axis and times are checked here,
     once; the map takes one (n, n) state or a stack (..., n, n) of them,
-    whose grid axes are the last two, and returns one new array of the
-    images, (len(times), ...) with the state's shape after the time axis.
+    whose grid axes are the last two, and returns a list with one new
+    image per time.
 
     The boundary transforms the lines along the other axis, each on its
     own, so the rows that one boundary power moves for any of the times
@@ -289,7 +289,7 @@ def grid_group_action(
     ax, other = (-2, -1) if axis == 1 else (-1, -2)
     plans: dict = {}  # the _plan of the times per grid size n
 
-    def act(values: np.ndarray) -> np.ndarray:
+    def act(values: np.ndarray) -> list[np.ndarray]:
         values = np.asarray(values, dtype=complex)
         if values.ndim < 2:
             raise ValueError("grid group actions are implemented on I^2")
@@ -300,10 +300,12 @@ def grid_group_action(
         blocks = {(0, 0): values}
         for key, power, index in sources:
             blocks[key] = boundary.apply(values[index], other, power)
-        images = np.empty((len(times),) + values.shape, dtype=complex)
-        for out, pieces in zip(images, pieces_of):
+        images = []
+        for pieces in pieces_of:
+            out = np.empty_like(values)
             for out_index, key, index in pieces:
                 out[out_index] = blocks[key][index]
+            images.append(out)
         return images
 
     return act
@@ -500,15 +502,14 @@ def commutator_norm(
     """Table of max over probes of |X_i Y_j p - Y_j X_i p| / |p|.
 
     xs and ys are operator families: each maps a state, or a stack of
-    states along leading axes, to its images, one per member along a new
-    first axis, as grid_group_action(axis, times, boundary) does for its
-    times on grid states, or to a list of them: truncated matrices `ops`
-    on coefficient vectors make one as `lambda v: [op(v) for op in ops]`.
-    The images xs returns are overwritten, so they must not be views of
-    its input.  Entry [i, j] belongs to the pair (member i of xs, member
-    j of ys).  Every probe is checked for finite values once and measured
-    by grid_norm, which on a coefficient vector is the RMS norm, a scale
-    the ratio does not see.
+    states along leading axes, to a list with one image per member, as
+    grid_group_action(axis, times, boundary) does for its times on grid
+    states, or to one array of them; truncated matrices `ops` on
+    coefficient vectors make one as `lambda v: [op(v) for op in ops]`.
+    Entry [i, j] belongs to the pair (member i of xs, member j of ys).
+    Every probe is checked for finite values once and measured by
+    grid_norm, which on a coefficient vector is the RMS norm, a scale the
+    ratio does not see.
 
     A probe costs 3 + len(ys) family calls: xs and ys move the probe, ys
     moves the stack of X-images, and xs moves each Y-image.  On grid
@@ -526,17 +527,14 @@ def commutator_norm(
     for values, den in _checked_probes(probes):
         axes = tuple(range(-values.ndim, 0))
         w = grid_weight(values.shape)
-        yx = ys(np.asarray(xs(values)))  # yx[j][i] = Y_j X_i p
+        yx = ys(np.stack(xs(values)))  # yx[j][i] = Y_j X_i p
         if table is None:
             table = np.zeros((len(yx[0]), len(yx)))
         for j, y_image in enumerate(ys(values)):
-            diff = np.asarray(xs(y_image))  # diff[i] = X_i Y_j p
+            diff = np.stack(xs(y_image))  # diff[i] = X_i Y_j p
             diff -= yx[j]
-            # grid_norm of each difference, in place, summed in its order
-            mass = np.abs(diff)
-            np.square(mass, out=mass)
-            mass *= w
-            norms = np.sqrt(np.sum(mass, axis=axes))
+            # grid_norm of each difference, summed in the same order
+            norms = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=axes))
             table[:, j] = np.maximum(table[:, j], norms / den)
     if table is None:
         raise ValueError("empty probe list")

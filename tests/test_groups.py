@@ -508,26 +508,22 @@ def test_commutator_table_equals_per_pair_reference(n, phases, commuting):
     assert (table.max() < 1e-12) == (commuting and phases == (0.0, 0.0))
 
 
-def test_grid_family_returns_one_array_and_lists_give_the_same_table():
-    # a grid family fills one (times, ...) array; a family that returns a
-    # list of the same images gives the same table, bit for bit
+def test_families_returning_one_array_give_the_same_table():
+    # a grid family returns a list of images; a family that returns them
+    # stacked in one array gives the same table, bit for bit
     rng = np.random.default_rng(19)
     n, win, phases = 40, LatticeWindow.centered(6, 2), (0.3, 0.7)
     bx = DiagonalBoundary(phases_of({1: 0.4}), shift=phases[1])
     by = DiagonalBoundary(random_sequence(rng, 6), shift=phases[0])
     xs, ys = grid_group_action(1, S_TIMES, bx), grid_group_action(2, T_TIMES, by)
-    state = random_grid(rng, 3, n, n)
-    images = xs(state)
-    assert isinstance(images, np.ndarray)
-    assert images.shape == (len(S_TIMES), 3, n, n)
     coeffs = default_probe_coefficients(win, sub_radius=1, n_random=2, rng=rng)
     probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
     table = commutator_norm(xs, ys, probes)
-    listed = commutator_norm(
-        lambda f: list(xs(f)), lambda f: list(ys(f)), probes
+    stacked = commutator_norm(
+        lambda f: np.stack(xs(f)), lambda f: np.stack(ys(f)), probes
     )
     assert table.max() > 0.01
-    assert np.array_equal(table.view(np.uint64), listed.view(np.uint64))
+    assert np.array_equal(table.view(np.uint64), stacked.view(np.uint64))
 
 
 def test_commutator_table_equals_reference_for_matrix_boundaries():

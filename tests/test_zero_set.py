@@ -34,7 +34,7 @@ def dense_verdict(domain, pts, num_tol=NUM_TOL):
 
 
 def coded_verdict(domain, pts, num_tol=NUM_TOL):
-    return _in_zero_set(domain, gram_matrix(domain, pts), num_tol)
+    return _in_zero_set(domain, gram_matrix(domain, pts), num_tol)[1]
 
 
 @pytest.mark.parametrize(
