@@ -41,7 +41,7 @@ required key:
         - {default: 0.0, table: {"1,2": 0.3}}
       points: [[0.0, 0.0]]        # explicit only; finite; needs no window
     window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]; verify-pair
-                                  #   on P points needs P^2 (176 + 16 d) <= 2^30 B
+                                  #   on P points needs P^2 (192 + 48 d) <= 2^30 B
 
     class-a, class-b and tower3d are config spellings of one Tower,
     level k holding a table of k indices with values in [0, 1):
@@ -89,14 +89,26 @@ required key:
 
 Artifacts written to the output directory: report.txt always; gram.txt,
 spectrum.txt, multiplicity.txt, tiling.svg, diffraction.svg, density.txt,
-commutator_sweep.csv per command.  Fixed config and seed give
-byte-identical outputs.
+commutator_sweep.csv per command.  They appear only when a run completes:
+they are written into a temporary sibling of the directory and moved in
+when the command returns, so a run that exits 2 or 3 creates no output
+directory and changes no file in an existing one.  Fixed config and seed
+give byte-identical outputs.
+
+check-cocycle classifies the pair from its two sequences alone, constant
+pairs included (a identically one: class-i; b identically one: class-ii;
+both one or both constant: lattice; otherwise non-commuting), an oracle
+independent of the shift identities: the classification line passes when
+the two agree on whether the pair commutes, and a note says when not.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +116,7 @@ import numpy as np
 from . import __version__
 from .cocycles import (
     BoundaryEigenvalues,
+    Classification,
     check_cocycle_2d,
     check_single_identity_2d,
     classify_2d,
@@ -126,6 +139,7 @@ from .exponentials import (
     unit_circle_root_scan,
 )
 from .groups import (
+    MAX_SPECTRAL_PROBES,
     DiagonalBoundary,
     commutator_norm,
     default_probe_coefficients,
@@ -370,23 +384,19 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         single or not rep.holds,
         [("holds", single)],
     )
-    try:
-        label = classify_2d(eigs, tol.eq_tol).value
-    except SpectralBoxError as exc:
-        report.add(
-            "cocycles.classify_2d",
-            "one sequence constant one wherever the other moves",
-            False,
-            [("classification", "inconsistent")],
-            [str(exc)],
-        )
-    else:
-        report.add(
-            "cocycles.classify_2d",
-            "one sequence constant one wherever the other moves",
-            True,
-            [("classification", label)],
-        )
+    label = classify_2d(eigs, tol.eq_tol)
+    # two oracles: the class read off the sequences, the shift identities
+    agree = (label is not Classification.NON_COMMUTING) == rep.holds
+    report.add(
+        "cocycles.classify_2d",
+        "one sequence constant one wherever the other moves",
+        agree,
+        [("classification", label.value)],
+        [] if agree else [
+            f"the sequences read {label.value}, the shift identities "
+            f"{'hold' if rep.holds else 'fail'}"
+        ],
+    )
 
 
 def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
@@ -442,13 +452,14 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     op = group_matrix_spectral(
         1, s0, eigs, phases, grid_n=grid_n, leakage_tol=g["leakage_tol"]
     )
-    mismatch = 0.0
-    for vec in coeff_probes[: min(8, len(coeff_probes))]:
-        state = synthesize_window_state(vec, phases, g["window"], grid_n)
-        moved = group_action_grid(state, 1, s0, bx)
-        proj = project_to_window(moved, phases, g["window"])
-        denom = np.linalg.norm(vec)
-        mismatch = max(mismatch, float(np.linalg.norm(op(vec) - proj) / denom))
+    # the first probes as one stack, each measured on its own row
+    vecs = coeff_probes[:MAX_SPECTRAL_PROBES]
+    states = synthesize_window_state(vecs, phases, g["window"], grid_n)
+    proj = project_to_window(group_action_grid(states, 1, s0, bx), phases, g["window"])
+    mismatch = max(
+        float(np.linalg.norm(row) / np.linalg.norm(vec))
+        for row, vec in zip(op(vecs) - proj, vecs)
+    )
     report.add(
         "groups.group_matrix_spectral",
         "shifted-mode matrix action equals the window projection of the "
@@ -557,16 +568,29 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig, config_path: str, outdir: Path) -> int:
-    """Execute one parsed run config; returns the process exit status."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = ReportBuilder(
-        command=cfg.command,
-        config_path=config_path,
-        seed=cfg.seed,
-        tolerance_line=_tolerance_line(cfg.tolerances),
-    )
-    _DISPATCH[cfg.command](cfg, report, outdir)
-    _write_text(outdir, "report.txt", report.render())
+    """Execute one parsed run config; returns the process exit status.
+
+    The artifacts are written into a temporary sibling of outdir and moved
+    into outdir, made if need be, only once the command has returned, so
+    a run that raises leaves no outdir and changes no file in one.
+    """
+    outdir = Path(os.path.abspath(outdir))
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}-", dir=outdir.parent))
+    try:
+        report = ReportBuilder(
+            command=cfg.command,
+            config_path=config_path,
+            seed=cfg.seed,
+            tolerance_line=_tolerance_line(cfg.tolerances),
+        )
+        _DISPATCH[cfg.command](cfg, report, staging)
+        _write_text(staging, "report.txt", report.render())
+        outdir.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            path.replace(outdir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return 0 if report.all_passed else 1
 
 

@@ -8,9 +8,10 @@ BoundaryEigenvalues, built from a 2-D pair (a, b) of phase tables
 p enters as exp(i*2*pi*p), through one lift.  One vectorised kernel,
 check_cocycle, checks the pairwise shift identity for every ordered slot
 pair (witnesses (f, s, n, shift, modulus)); check_cocycle_2d relabels its
-witnesses ("b-shift" | "a-shift", m, n, shift, modulus) for a pair.  The
-module also classifies the 2-D outcomes.  All verdicts are relative to
-the supplied window.
+witnesses ("b-shift" | "a-shift", m, n, shift, modulus) for a pair.
+classify_2d reads a pair's class off its two sequences alone, a second
+oracle beside the kernel.  All verdicts are relative to the supplied
+window.
 
 The 2-D identities read a pair relative to the integer modes e_m x e_n.
 In the groups module's convention the basis is e_{m+alpha} x e_{n+beta},
@@ -43,7 +44,6 @@ from .model import (
 __all__ = [
     "UnitModulusError",
     "WindowTooSmallError",
-    "ToleranceInconsistencyError",
     "BoundaryEigenvalues",
     "seam_twisted",
     "CocycleReport",
@@ -63,10 +63,6 @@ class UnitModulusError(SpectralBoxError):
 
 class WindowTooSmallError(SpectralBoxError):
     """No nonzero shift fits inside the window on some axis."""
-
-
-class ToleranceInconsistencyError(SpectralBoxError):
-    """Cocycle holds but neither sequence is constant: tolerance pathology."""
 
 
 def _renormalize_unit(value: complex, where: str) -> complex:
@@ -352,28 +348,21 @@ class Classification(enum.Enum):
     NON_COMMUTING = "non-commuting"
 
 
-def classify_2d(
-    eigs: BoundaryEigenvalues, eq_tol: float = 1e-10
-) -> Classification:
-    """Sort a sequence pair into the two commuting classes, the lattice
-    case, or non-commuting; the complementarity product (1-a_n)(1-b_m) is
-    verified explicitly and a hold-but-neither-constant window raises
-    ToleranceInconsistencyError.
+def classify_2d(eigs: BoundaryEigenvalues, eq_tol: float = 1e-10) -> Classification:
+    """The class of a pair, read off its two sequences alone.
+
+    a identically one is class-i and b identically one class-ii; both
+    identically one, or both constant, is the translated lattice; any
+    other pair is non-commuting, because a moving sequence forces the
+    other to be one.  "Identically" and "constant" each mean a maximum
+    deviation, from one or from the first entry, below eq_tol.  No
+    shift identity is evaluated, so the class is an oracle independent
+    of check_cocycle_2d, and the two can disagree only at the tolerance.
     """
-    report = check_cocycle_2d(eigs, eq_tol)
-    if not report.holds:
-        return Classification.NON_COMMUTING
     a, b = _pair(eigs)
-    one_minus_a = 1.0 - a
-    one_minus_b = 1.0 - b
-    a_one = bool(np.all(np.abs(one_minus_a) < eq_tol))
-    b_one = bool(np.all(np.abs(one_minus_b) < eq_tol))
-    product = np.abs(np.outer(one_minus_b, one_minus_a))
-    if product.max() >= eq_tol or not (a_one or b_one):
-        raise ToleranceInconsistencyError(
-            "cocycle holds on the window but neither sequence is "
-            "identically one (tolerance pathology)"
-        )
-    if a_one and b_one:
+    a_one, b_one = (bool(np.abs(1.0 - v).max() < eq_tol) for v in (a, b))
+    if a_one != b_one:
+        return Classification.CLASS_I if a_one else Classification.CLASS_II
+    if a_one or all(np.abs(v - v[0]).max() < eq_tol for v in (a, b)):
         return Classification.LATTICE
-    return Classification.CLASS_I if a_one else Classification.CLASS_II
+    return Classification.NON_COMMUTING

@@ -255,22 +255,24 @@ def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     )
 
 
-# verify-pair's Gram, its codes and the text of gram.txt take about
-# 176 + 16 d bytes per entry of the P x P table: peak RSS over the import
-# baseline at P = 1 331 was 141-152 B for lattice windows (d = 1, 2, 3) and
-# 215 B for a generic class-a window (d = 2); an explicit spectrum whose
-# coordinate differences all differ took 208-322 B (d = 1, 2, 3), more
-# than this price (x86-64, glibc, numpy 2.4)
+# verify-pair's Gram, its codes and the text of gram.txt are priced at
+# 192 + 48 d bytes per entry of the P x P table, the worst case measured
+# with about 20% to spare: peak RSS over the import baseline at P = 1 331
+# was 137-150 B for lattice windows (d = 1, 2, 3), 217 B for a generic
+# class-a window (d = 2), and 205, 249, 275 and 322 B for explicit sets
+# whose coordinate differences all differ (d = 1, 2, 3, 4), whose sorts
+# leave the heap fragmented (x86-64, glibc, numpy 2.4)
 MAX_PAIR_BYTES = 2**30
 
 
 def check_pair_size(points: int, dimension: int) -> None:
     """Raise ValueError unless a verify-pair run fits MAX_PAIR_BYTES."""
-    need = points * points * (176 + 16 * dimension)
+    need = points * points * (192 + 48 * dimension)
     if need > MAX_PAIR_BYTES:
         raise ValueError(
-            f"{points} points in dimension {dimension} need about {need} bytes "
-            f"for the Gram matrix and its text, more than {MAX_PAIR_BYTES}"
+            f"{points} points in dimension {dimension} need up to {need} bytes "
+            f"for the Gram matrix, its codes and its text, more than "
+            f"{MAX_PAIR_BYTES}"
         )
 
 

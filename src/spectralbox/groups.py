@@ -36,7 +36,8 @@ from .grid import (
 from .model import IntFunction, LatticeWindow, SpectralBoxError
 
 MAX_SPECTRAL_BYTES = 2**28  # the dense spectral matrix, 256 MiB of complex128
-MAX_SWEEP_BYTES = 2**28  # commutator_norm's Y X images of one probe, complex128
+MAX_SWEEP_BYTES = 2**28  # the most grid states one check holds, complex128
+MAX_SPECTRAL_PROBES = 8  # the probes the spectral check moves as one stack
 
 __all__ = [
     "IncommensurateTimeError",
@@ -414,8 +415,9 @@ def check_sweep_grid(
     The window must fit in grid_n modes without aliasing, every time must
     be a multiple of the grid step 1/grid_n, and the window's dense
     spectral matrix, cardinality^2 complex entries, must fit in
-    MAX_SPECTRAL_BYTES, and the sweep's len(times)^2 images of a probe in
-    MAX_SWEEP_BYTES.
+    MAX_SPECTRAL_BYTES, and the larger of the sweep's len(times)^2 images
+    of a probe and the spectral check's stack of MAX_SPECTRAL_PROBES
+    probes in MAX_SWEEP_BYTES.
 
     Per probe, the sweep (commutator_norm over two grid_group_action
     families) makes 3 + len(times) family calls.  Each transforms, per
@@ -432,11 +434,22 @@ def check_sweep_grid(
             f"the spectral matrix of a {window.cardinality}-mode window "
             f"needs more than {MAX_SPECTRAL_BYTES} bytes"
         )
-    if 16 * len(times) ** 2 * grid_n**2 > MAX_SWEEP_BYTES:
-        raise ValueError(
-            f"the sweep's {len(times)} x {len(times)} images of a {grid_n}^2 "
-            f"grid need more than {MAX_SWEEP_BYTES} bytes"
+    if 16 * max(len(times) ** 2, MAX_SPECTRAL_PROBES) * grid_n**2 > MAX_SWEEP_BYTES:
+        held = (
+            f"the sweep's {len(times)} x {len(times)} images"
+            if len(times) ** 2 >= MAX_SPECTRAL_PROBES
+            else f"the spectral check's {MAX_SPECTRAL_PROBES} probes"
         )
+        raise ValueError(
+            f"{held} of a {grid_n}^2 grid need more than {MAX_SWEEP_BYTES} bytes"
+        )
+
+
+def _window_cells(window: LatticeWindow, n: int) -> tuple:
+    """Index of the window's modes on the last two axes of n x n grid
+    coefficients in FFT order, every leading axis kept."""
+    _check_window_fits(window, n)
+    return (Ellipsis, *np.ix_(window.axis_indices(0) % n, window.axis_indices(1) % n))
 
 
 def synthesize_window_state(
@@ -445,15 +458,18 @@ def synthesize_window_state(
     window: LatticeWindow,
     grid_n: int,
 ) -> np.ndarray:
-    """Grid samples of sum_{(m,n)} vec[m,n] e_{m+alpha} x e_{n+beta}."""
+    """Grid samples of sum_{(m,n)} vec[m,n] e_{m+alpha} x e_{n+beta}.
+
+    vec holds the window's coefficients in row-major order on its last
+    axis; any leading axes are a stack, and the grid axes of the states
+    are the last two.
+    """
     alpha, beta = phases
-    _check_window_fits(window, grid_n)
-    m_idx = window.axis_indices(0)
-    n_idx = window.axis_indices(1)
-    coeffs = np.zeros((grid_n, grid_n), dtype=complex)
-    vec = np.asarray(vec, dtype=complex).reshape(m_idx.size, n_idx.size)
-    coeffs[np.ix_(m_idx % grid_n, n_idx % grid_n)] = vec
-    return twisted_synthesis(twisted_synthesis(coeffs, 0, alpha), 1, beta)
+    vec = np.asarray(vec, dtype=complex)
+    coeffs = np.zeros(vec.shape[:-1] + (grid_n, grid_n), dtype=complex)
+    sizes = tuple(hi - lo + 1 for lo, hi in window.ranges)
+    coeffs[_window_cells(window, grid_n)] = vec.reshape(vec.shape[:-1] + sizes)
+    return twisted_synthesis(twisted_synthesis(coeffs, -2, alpha), -1, beta)
 
 
 def project_to_window(
@@ -463,16 +479,15 @@ def project_to_window(
 ) -> np.ndarray:
     """Window coefficients of a grid state in the shifted product basis.
 
-    Exact for anything the grid can represent: the shifted modes stay
-    exactly orthogonal under the discrete inner product.
+    The state's grid axes are its last two, and any leading axes a stack;
+    the coefficients of each state are one row-major last axis.  Exact
+    for anything the grid can represent: the shifted modes stay exactly
+    orthogonal under the discrete inner product.
     """
     alpha, beta = phases
-    n = state.shape[0]
-    _check_window_fits(window, n)
-    coeffs = twisted_analysis(twisted_analysis(state, 0, alpha), 1, beta)
-    m_idx = window.axis_indices(0)
-    n_idx = window.axis_indices(1)
-    return coeffs[np.ix_(m_idx % n, n_idx % n)].reshape(-1)
+    coeffs = twisted_analysis(twisted_analysis(state, -2, alpha), -1, beta)
+    cells = coeffs[_window_cells(window, state.shape[-1])]
+    return cells.reshape(cells.shape[:-2] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +561,29 @@ def default_probe_coefficients(
     sub_radius: int = 4,
     n_random: int = 10,
     rng: Optional[np.random.Generator] = None,
-) -> list[np.ndarray]:
-    """Basis states of a centered subwindow plus random unit-norm states."""
+) -> np.ndarray:
+    """Basis states of a centered subwindow plus random unit-norm states.
+
+    One row per probe, over the window's modes in row-major order: first
+    the basis state of each mode with |m|, |n| <= sub_radius, in that
+    order, then n_random states whose real and imaginary parts are drawn,
+    in that order, one probe after the other.  Each random row is divided
+    by np.linalg.norm of that row, bit for bit.
+    """
     rng = rng or np.random.default_rng(0)
     m_idx = window.axis_indices(0)
     n_idx = window.axis_indices(1)
     size = m_idx.size * n_idx.size
-    probes = []
-    for i, m in enumerate(m_idx):
-        for j, n in enumerate(n_idx):
-            if abs(int(m)) <= sub_radius and abs(int(n)) <= sub_radius:
-                vec = np.zeros(size, dtype=complex)
-                vec[i * n_idx.size + j] = 1.0
-                probes.append(vec)
-    for _ in range(n_random):
-        vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        probes.append(vec / np.linalg.norm(vec))
-    return probes
+    near = (np.abs(m_idx)[:, None] <= sub_radius) & (np.abs(n_idx) <= sub_radius)
+    cells = np.flatnonzero(near)
+    basis = np.zeros((cells.size, size), dtype=complex)
+    basis[np.arange(cells.size), cells] = 1.0
+    draws = rng.standard_normal((n_random, 2, size))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    # np.linalg.norm's sum for a complex vector: a dot of the strided real
+    # parts plus one of the imaginary parts, which vecdot makes row by row
+    norms = np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
+    return np.concatenate([basis, vecs / norms[:, None]])
 
 
 @dataclass(frozen=True)

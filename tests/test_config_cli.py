@@ -921,19 +921,23 @@ TWO_COMPONENTS = (
          "than 268435456 bytes"),
         (GROUPS + "{grid_n: 1024}",
          "groups: the sweep's 5 x 5 images of a 1024^2 grid"),
+        # with one or two times the spectral check's stack is the larger
+        (GROUPS + "{grid_n: 1450, times: [0.5]}",
+         "groups: the spectral check's 8 probes of a 1450^2 grid need more "
+         "than 268435456 bytes"),
         # 20 475 masses of 6.4e6 comb samples each, about 15 minutes
         (DIFFRACTION + "test_function: {widths: [1.0e6, 1.0e6]}, k_radius: 2047}",
          "diffraction: the pairing has 131174950725 terms, more than 134217728"),
-        # a 26 GB Gram and its text
+        # a 26 GB Gram, its codes and its text
         (PAIR + "window: {radius: 100}",
-         "window: 40401 points in dimension 2 need about 339506086608 bytes for "
-         "the Gram matrix and its text, more than 1073741824"),
-        (PAIR + "window: {radius: 24}", "window: 2401 points in dimension 2"),
+         "window: 40401 points in dimension 2 need up to 470085350688 bytes for "
+         "the Gram matrix, its codes and its text, more than 1073741824"),
+        (PAIR + "window: {radius: 22}", "window: 2025 points in dimension 2"),
         # an explicit spectrum is sized by its points, not by the window
-        (EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2300)],
-         "spectrum: 2300 points in dimension 2"),
-        (EXPLICIT_BARE % [[float(i), 0.5] for i in range(2300)],
-         "spectrum: 2300 points in dimension 2"),
+        (EXPLICIT_PAIR % [[float(i), 0.5] for i in range(1931)],
+         "spectrum: 1931 points in dimension 2"),
+        (EXPLICIT_BARE % [[float(i), 0.5] for i in range(1931)],
+         "spectrum: 1931 points in dimension 2"),
         # 2^63 angles, a scan that would never end
         (ROOTSCAN % ([1, 1], 2**63),
          "rootscan: 9223372036854775808 samples of a degree-1 polynomial need "
@@ -959,10 +963,11 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
         GROUPS + "{window: {radius: 8}, grid_n: 64, times: [0.125, 0.25, 0.375, 0.5, 0.625]}",
         # exactly at the sweep cap
         GROUPS + "{grid_n: 1024, times: [0.25, 0.5, 0.75, 1.0]}",
+        GROUPS + "{grid_n: 1448, times: [0.25, 0.5]}",
         # 1 089 points, about 250 MB
         PAIR + "window: {radius: 16}",
-        PAIR + "window: {radius: 23}",
-        EXPLICIT_PAIR % [[float(i), 0.5] for i in range(2000)],
+        PAIR + "window: {radius: 21}",
+        EXPLICIT_PAIR % [[float(i), 0.5] for i in range(1930)],
         # the benchmark's degree-6 job, also at its 2e6-sample rescan size,
         # acceptance criterion 08's larger scan, and the cap itself
         ROOTSCAN % ([1.0] * 7, 1_000_000),
@@ -1019,3 +1024,137 @@ def test_verify_pair_without_tiling_section_uses_window_4_resolution_32(
                      "--out", str(out)]) == 1
         reports.append((out / "report.txt").read_text())
     assert (reports[0] == reports[1]) == same
+
+
+# ---------------------------------------------------------------------------
+# the classification line: its own oracle, against the shift identities
+# ---------------------------------------------------------------------------
+
+
+def _report_lines(out):
+    return (out / "report.txt").read_text(encoding="utf-8").splitlines()
+
+
+def _check_block(lines, op):
+    start = lines.index(f"[check] op={op}")
+    end = next(
+        (i for i in range(start + 1, len(lines)) if not lines[i].startswith("  ")),
+        len(lines),
+    )
+    return lines[start + 1 : end]
+
+
+def test_constant_pair_is_the_lattice_for_both_boundary_commands(tmp_path):
+    pair = "a: {default: 0.3}, b: {default: 0.4}, window: {radius: 3}"
+    out = tmp_path / "cocycle"
+    cfg = write(tmp_path, "c.yaml", f"command: check-cocycle\ncocycle: {{{pair}}}\n")
+    assert main(["check-cocycle", "--config", cfg, "--out", str(out)]) == 0
+    assert _check_block(_report_lines(out), "cocycles.classify_2d") == [
+        "  identity: one sequence constant one wherever the other moves",
+        "  verdict: PASS",
+        "  classification: lattice",
+    ]
+    out = tmp_path / "groups"
+    cfg = write(
+        tmp_path,
+        "g.yaml",
+        f"command: simulate-groups\ngroups: {{{pair}, grid_n: 16, times: [0.25, 0.5], "
+        "sub_radius: 1, n_random: 1, leakage_tol: 1.0}\n",
+    )
+    assert main(["simulate-groups", "--config", cfg, "--out", str(out)]) == 0
+    block = _check_block(_report_lines(out), "groups.commutator_norm")
+    assert "  cocycle_holds: true" in block and "  groups_commute: true" in block
+
+
+def test_classification_that_disagrees_with_the_identities_fails_with_a_note(
+    tmp_path,
+):
+    # every product is about 3.9e-13, so the identities hold; a moves and
+    # neither sequence is one, so the sequences say non-commuting
+    cfg = write(
+        tmp_path,
+        "cfg.yaml",
+        'command: check-cocycle\ncocycle: {a: {default: 1.0e-7, table: {"0": 2.0e-7}}, '
+        "b: {default: 1.0e-7}, window: {radius: 2}}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["check-cocycle", "--config", cfg, "--out", str(out)]) == 1
+    lines = _report_lines(out)
+    assert "  verdict: PASS" in _check_block(lines, "cocycles.check_cocycle_2d")
+    assert _check_block(lines, "cocycles.classify_2d")[1:] == [
+        "  verdict: FAIL",
+        "  classification: non-commuting",
+        "  note: the sequences read non-commuting, the shift identities hold",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs: files appear only when a run completes
+# ---------------------------------------------------------------------------
+
+# the class-ii sample without its leakage_tol: the truncation check raises
+# TruncationLeakageError after the sweep has written commutator_sweep.csv
+LATE_FAILURE = (CONFIGS / "simulate_groups_class_ii.yaml").read_text(
+    encoding="utf-8"
+).replace("  leakage_tol: 1.0\n", "")
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def test_late_failure_leaves_no_output_directory(tmp_path, capsys):
+    assert "leakage_tol:" not in LATE_FAILURE
+    cfg = write(tmp_path, "cfg.yaml", LATE_FAILURE)
+    out = tmp_path / "nested" / "out"
+    assert main(["simulate-groups", "--config", cfg, "--out", str(out)]) == 2
+    assert "leakage" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(out.parent.iterdir()) == []
+
+
+def test_late_failure_changes_no_file_of_an_existing_output(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.txt").write_text("an earlier report\n", encoding="utf-8")
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = _tree(out)
+    cfg = write(tmp_path, "cfg.yaml", LATE_FAILURE)
+    assert main(["simulate-groups", "--config", cfg, "--out", str(out)]) == 2
+    assert _tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "out"]
+
+
+def test_internal_error_after_a_partial_write_leaves_no_output(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(cfg, report, outdir):
+        (outdir / "partial.txt").write_text("half\n", encoding="utf-8")
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli._DISPATCH, "root-scan", broken)
+    cfg = write(tmp_path, "cfg.yaml", MINIMAL)
+    out = tmp_path / "out"
+    assert main(["root-scan", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("name, status", [
+    ("simulate_groups_class_ii", 0), ("check_cocycle_failing", 1),
+])
+def test_completed_runs_fill_new_empty_and_existing_outputs_alike(
+    tmp_path, name, status
+):
+    command = load_config(CONFIGS / f"{name}.yaml").command
+    fresh, empty, existing = (tmp_path / d for d in ("fresh", "empty", "existing"))
+    empty.mkdir()
+    existing.mkdir()
+    (existing / "report.txt").write_text("an earlier report\n", encoding="utf-8")
+    (existing / "notes.txt").write_text("kept\n", encoding="utf-8")
+    for out in (fresh, empty, existing):
+        argv = [command, "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]
+        assert main(argv) == status
+    assert _tree(empty) == _tree(fresh)
+    assert _tree(existing) == {**_tree(fresh), "notes.txt": b"kept\n"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "existing", "fresh"]

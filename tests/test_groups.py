@@ -36,7 +36,7 @@ from spectralbox.groups import (
 )
 from spectralbox.extensions import BoundaryUnitary, cayley_forward
 from spectralbox.model import IntFunction, LatticeWindow
-from test_cocycles import reference_values
+from test_cocycles import reference_values, same_bits
 
 
 def unit(x):
@@ -343,6 +343,75 @@ def test_synthesize_project_roundtrip():
     state = synthesize_window_state(vec, phases, win, 64)
     back = project_to_window(state, phases, win)
     np.testing.assert_allclose(back, vec, atol=1e-12)
+
+
+# The per-probe forms the stacked probe layer replaced, kept as references.
+
+
+def reference_probe_coefficients(window, sub_radius, n_random, rng):
+    m_idx = window.axis_indices(0)
+    n_idx = window.axis_indices(1)
+    size = m_idx.size * n_idx.size
+    probes = []
+    for i, m in enumerate(m_idx):
+        for j, n in enumerate(n_idx):
+            if abs(int(m)) <= sub_radius and abs(int(n)) <= sub_radius:
+                vec = np.zeros(size, dtype=complex)
+                vec[i * n_idx.size + j] = 1.0
+                probes.append(vec)
+    for _ in range(n_random):
+        vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        probes.append(vec / np.linalg.norm(vec))
+    return probes
+
+
+def reference_synthesis(vec, phases, window, grid_n):
+    m_idx = window.axis_indices(0)
+    n_idx = window.axis_indices(1)
+    coeffs = np.zeros((grid_n, grid_n), dtype=complex)
+    coeffs[np.ix_(m_idx % grid_n, n_idx % grid_n)] = vec.reshape(m_idx.size, n_idx.size)
+    return twisted_synthesis(twisted_synthesis(coeffs, 0, phases[0]), 1, phases[1])
+
+
+def reference_projection(state, phases, window):
+    n = state.shape[0]
+    coeffs = twisted_analysis(twisted_analysis(state, 0, phases[0]), 1, phases[1])
+    m_idx = window.axis_indices(0)
+    n_idx = window.axis_indices(1)
+    return coeffs[np.ix_(m_idx % n, n_idx % n)].reshape(-1)
+
+
+def test_stacked_probe_layer_equals_the_per_probe_forms_bit_for_bit():
+    rng = np.random.default_rng(41)
+    windows = [
+        LatticeWindow.centered(2, 2),
+        LatticeWindow(((-3, 1), (0, 4))),
+        LatticeWindow(((1, 3), (-2, 2))),
+        LatticeWindow.centered(6, 2),
+    ]
+    for trial in range(24):
+        window = windows[trial % len(windows)]
+        sub_radius = int(rng.integers(0, 4))
+        n_random = 0 if trial % 3 == 0 else int(rng.integers(1, 12))
+        seed = int(rng.integers(2**32))
+        got = default_probe_coefficients(
+            window, sub_radius, n_random, np.random.default_rng(seed)
+        )
+        want = reference_probe_coefficients(
+            window, sub_radius, n_random, np.random.default_rng(seed)
+        )
+        assert got.shape == (len(want), window.cardinality)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        if not len(want):
+            continue
+        phases = (float(rng.random()), 0.0 if trial % 2 else float(rng.random()))
+        grid_n = (16, 32, 64)[trial % 3]
+        states = synthesize_window_state(got, phases, window, grid_n)
+        assert states.shape == (len(want), grid_n, grid_n)
+        coeffs = project_to_window(states, phases, window)
+        for vec, state, row in zip(want, states, coeffs):
+            assert same_bits(state, reference_synthesis(vec, phases, window, grid_n))
+            assert same_bits(row, reference_projection(state, phases, window))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import spectralbox
+import spectralbox.grid
 from spectralbox.cli import main
 from spectralbox.config import load_config
 
@@ -115,6 +116,8 @@ def reached(tmp_path_factory):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     out = tmp_path_factory.mktemp("reach")
+    # a phase table cached by an earlier test would hide its maker
+    spectralbox.grid._phase.cache_clear()
     previous = sys.getprofile()
     for config in configs:
         command = load_config(config).command

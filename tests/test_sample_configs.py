@@ -26,6 +26,9 @@ EXPECTED = {
     "check_cocycle_failing": ("check-cocycle", 1, {
         "report.txt": "16b8705a620e33cb94645878993d4652bdf265dac76126ae706f591ef80f9ba5",
     }),
+    "check_cocycle_translated_lattice": ("check-cocycle", 0, {
+        "report.txt": "06d1c0d70c268c75171f4299d71bfc9c0f9c6b949779828b28cbae3d33c517e1",
+    }),
     "check_tiling_class_b": ("check-tiling", 0, {
         "multiplicity.txt": "ef70f9898f854644a38afcabd4877fb04e4d38d203755aad3d171abd1959a8a9",
         "report.txt": "370c0cd2252b1291b1b81ba0e80de6c829f3c03627cbd5e905c4fbadef59e9bb",

@@ -81,3 +81,25 @@ def test_traced_simulate_groups_job_counts_grid_actions_and_transforms(tmp_path)
     counts = tracer.counts[0]
     assert counts["groups.grid_actions"] > 0
     assert counts["grid.transforms"] > 0
+
+
+def test_traced_check_cocycle_job_counts_window_cells(tmp_path):
+    # the count reads args[0].window of check_cocycle_2d, of the single
+    # identity and of classify_2d: a signature change there fails here
+    config = tmp_path / "cocycle.yaml"
+    config.write_text(
+        "command: check-cocycle\n"
+        'cocycle: {b: {table: {"1": 0.3}}, window: {radius: 2}}\n',
+        encoding="utf-8",
+    )
+    argv = ["check-cocycle", "--config", str(config), "--out", str(tmp_path / "out")]
+    tracer = _load_spans().Tracer()
+    tracer.install(spectralbox)
+    try:
+        status = tracer.run_job(0, "check-cocycle", lambda: spectralbox.cli.main(argv))
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    # three spans of the 25-cell window: the kernel, the single identity
+    # and the classification
+    assert tracer.counts[0]["cocycles.window_cells"] == 3 * 25
