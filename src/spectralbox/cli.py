@@ -90,16 +90,11 @@ required key:
 Artifacts written to the output directory: report.txt always; gram.txt,
 spectrum.txt, multiplicity.txt, tiling.svg, diffraction.svg, density.txt,
 commutator_sweep.csv per command.  They appear only when a run completes:
-they are written into a temporary sibling of the directory and moved in
-when the command returns, so a run that exits 2 or 3 creates no output
-directory and changes no file in an existing one.  Fixed config and seed
-give byte-identical outputs.
-
-check-cocycle classifies the pair from its two sequences alone, constant
-pairs included (a identically one: class-i; b identically one: class-ii;
-both one or both constant: lattice; otherwise non-commuting), an oracle
-independent of the shift identities: the classification line passes when
-the two agree on whether the pair commutes, and a note says when not.
+a run that exits 2 or 3 leaves no output directory and changes no file in
+one.  Fixed config and seed give byte-identical outputs.  check-cocycle
+classifies a pair, constant pairs included, from its two sequences alone,
+an oracle beside the shift identities; simulate-groups hands one
+seam-twisted pair to its cocycle cross-oracle and to group_matrix_spectral.
 """
 
 from __future__ import annotations
@@ -285,25 +280,15 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     (outdir / "gram.txt").write_bytes(_text_table(parts, gram.index, seps))
 
     orth = orthogonality_verdict(gram, tol.eq_tol)
-    metrics = [
-        ("points", orth.n_points),
-        ("worst_offdiag", orth.worst_offdiag),
-    ]
     notes = []
     if orth.witness is not None:
-        a, b = orth.witness
-        notes.append(
-            "witness pair: ("
-            + ", ".join(format_float(v) for v in a)
-            + ") and ("
-            + ", ".join(format_float(v) for v in b)
-            + ")"
-        )
+        a, b = (", ".join(map(format_float, point)) for point in orth.witness)
+        notes.append(f"witness pair: ({a}) and ({b})")
     report.add(
         "exponentials.orthogonality_verdict",
         "gram(j,k) = box transform at point_k - point_j; off-diagonal zero test",
         orth.is_orthogonal,
-        metrics,
+        [("points", orth.n_points), ("worst_offdiag", orth.worst_offdiag)],
         notes,
     )
 
@@ -320,9 +305,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         x = (np.arange(n) + 0.5) / n
         half = ((x[:, None] < 0.5) * np.ones((n, n))).astype(complex)
         const = np.ones((n, n), dtype=complex)
-        comp = completeness_probe(
-            cfg.domain, cfg.spectrum, cfg.window, [const, half]
-        )
+        comp = completeness_probe(cfg.domain, cfg.spectrum, cfg.window, [const, half])
         # completeness is a ratio, never a verdict: the probe line is
         # informational and does not drive the exit status
         report.add(
@@ -332,15 +315,11 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
             [
                 ("ratio_constant", comp.ratios[0]),
                 ("ratio_half_indicator", comp.ratios[1]),
-                (
-                    "plateau_reached",
-                    all(r > PLATEAU_THRESHOLD for r in comp.ratios),
-                ),
+                ("plateau_reached", all(r > PLATEAU_THRESHOLD for r in comp.ratios)),
             ],
             [
-                "plateau threshold "
-                f"{PLATEAU_THRESHOLD} is a heuristic; totality is a "
-                "limit statement"
+                f"plateau threshold {PLATEAU_THRESHOLD} is a heuristic; "
+                "totality is a limit statement"
             ],
         )
 
@@ -385,29 +364,30 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         [("holds", single)],
     )
     label = classify_2d(eigs, tol.eq_tol)
-    # two oracles: the class read off the sequences, the shift identities
     agree = (label is not Classification.NON_COMMUTING) == rep.holds
+    held = "hold" if rep.holds else "fail"
+    notes = [f"the sequences read {label.value}, the identities {held}"]
     report.add(
         "cocycles.classify_2d",
         "one sequence constant one wherever the other moves",
         agree,
         [("classification", label.value)],
-        [] if agree else [
-            f"the sequences read {label.value}, the shift identities "
-            f"{'hold' if rep.holds else 'fail'}"
-        ],
+        [] if agree else notes,
     )
 
 
 def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     tol = cfg.tolerances
     g = cfg.groups
-    eigs = BoundaryEigenvalues.from_pair(g["a"], g["b"], g["window"])
     phases = g["phases"]
+    # the groups commute iff the pair twisted by the basis phases satisfies
+    # the cocycle (the cocycles module docstring derives it)
+    twisted = BoundaryEigenvalues.from_pair(
+        seam_twisted(g["a"], phases[0]), seam_twisted(g["b"], phases[1]), g["window"]
+    )
     grid_n = g["grid_n"]
-    rng = np.random.default_rng(cfg.seed)
     coeff_probes = default_probe_coefficients(
-        g["window"], g["sub_radius"], g["n_random"], rng
+        g["window"], g["sub_radius"], g["n_random"], np.random.default_rng(cfg.seed)
     )
     probes = (
         synthesize_window_state(v, phases, g["window"], grid_n)
@@ -421,19 +401,14 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         grid_group_action(2, g["times"], by),
         probes,
     )
-    rows = ["s,t,commutator_norm"]
-    for i, s in enumerate(g["times"]):
-        for j, t in enumerate(g["times"]):
-            val = table[i, j]
-            rows.append(f"{format_float(s)},{format_float(t)},{format_float(val)}")
+    rows = ["s,t,commutator_norm"] + [
+        f"{format_float(s)},{format_float(t)},{format_float(table[i, j])}"
+        for i, s in enumerate(g["times"])
+        for j, t in enumerate(g["times"])
+    ]
     _write_text(outdir, "commutator_sweep.csv", "\n".join(rows) + "\n")
     worst = float(table.max(initial=0.0))
 
-    # the groups commute iff the pair twisted by the basis phases satisfies
-    # the cocycle (the cocycles module docstring derives it)
-    twisted = BoundaryEigenvalues.from_pair(
-        seam_twisted(g["a"], phases[0]), seam_twisted(g["b"], phases[1]), g["window"]
-    )
     cocycle_holds = check_cocycle_2d(twisted, tol.eq_tol).holds
     commuting = worst < 1e-6
     report.add(
@@ -450,7 +425,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
 
     s0 = g["times"][0]
     op = group_matrix_spectral(
-        1, s0, eigs, phases, grid_n=grid_n, leakage_tol=g["leakage_tol"]
+        1, s0, twisted, phases, grid_n=grid_n, leakage_tol=g["leakage_tol"]
     )
     # the first probes as one stack, each measured on its own row
     vecs = coeff_probes[:MAX_SPECTRAL_PROBES]
@@ -468,11 +443,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         [("max_mismatch", mismatch), ("max_leakage", op.max_leakage)],
     )
 
-    samples = [
-        (s, m, n)
-        for s in g["times"][:2]
-        for (m, n) in ((0, 0), (1, -1), (-2, 2))
-    ]
+    samples = [(s, *mn) for s in g["times"][:2] for mn in ((0, 0), (1, -1), (-2, 2))]
     eig = eigenrelation_check(bx, samples, grid_n)
     report.add(
         "groups.eigenrelation_check",
@@ -571,9 +542,7 @@ def run(cfg: RunConfig, config_path: str, outdir: Path) -> int:
     """Execute one parsed run config; returns the process exit status.
 
     The artifacts are written into a temporary sibling of outdir and moved
-    into outdir, made if need be, only once the command has returned, so
-    a run that raises leaves no outdir and changes no file in one.
-    """
+    in, outdir made if need be, only once the command has returned."""
     outdir = Path(os.path.abspath(outdir))
     outdir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}-", dir=outdir.parent))

@@ -255,13 +255,12 @@ def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     )
 
 
-# verify-pair's Gram, its codes and the text of gram.txt are priced at
-# 192 + 48 d bytes per entry of the P x P table, the worst case measured
-# with about 20% to spare: peak RSS over the import baseline at P = 1 331
-# was 137-150 B for lattice windows (d = 1, 2, 3), 217 B for a generic
-# class-a window (d = 2), and 205, 249, 275 and 322 B for explicit sets
-# whose coordinate differences all differ (d = 1, 2, 3, 4), whose sorts
-# leave the heap fragmented (x86-64, glibc, numpy 2.4)
+# verify-pair's Gram, its codes and the text of gram.txt: 192 + 48 d bytes
+# per entry of the P x P table covers the worst case measured with about
+# 20% to spare.  Peak RSS over the import baseline at P = 1 331 was
+# 137-150 B for lattice windows (d = 1-3), 217 B for a generic class-a
+# window, and 205/249/275/322 B for explicit sets whose coordinate
+# differences all differ, d = 1/2/3/4 (x86-64, glibc, numpy 2.4)
 MAX_PAIR_BYTES = 2**30
 
 

@@ -351,12 +351,14 @@ def group_matrix_spectral(
     leakage_tol: float = 1e-6,
 ) -> TruncatedOperator:
     """Assemble the axis group in the basis E(m,n) = e_{m+alpha} x e_{n+beta}
-    over the window of `eigs`.
+    over the window of `eigs`, the seam-twisted pair.
 
-    For axis 1 the column of E(m,n) is
-      exp(i*2*pi*(m+alpha)*t) * (q_k + exp(-i*2*pi*alpha) a_n p_k)
+    eigs holds a'_n = a_n exp(-i*2*pi*alpha) and b'_m = b_m
+    exp(-i*2*pi*beta), the pair cocycles.seam_twisted makes from the phase
+    tables and the basis phases.  For axis 1 the column of E(m,n) is
+      exp(i*2*pi*(m+alpha)*t) * (q_k + a'_n p_k)
     at row E(m+k,n), with p the sub-interval indicator coefficients and
-    q their complements; axis 2 swaps roles (b_m, beta).  Commuting-class
+    q their complements; axis 2 swaps roles (b'_m, beta).  Commuting-class
     sequences telescope the coefficients and leak nothing; for generic
     sequences the 1/k coefficient tails make truncation loss unavoidable,
     so the per-column leakage (1 - kept mass) is measured and any excess
@@ -366,10 +368,10 @@ def group_matrix_spectral(
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    # axis 1 moves along m with phase alpha and reads a on n; axis 2 mirrors it
+    # axis 1 moves along m with phase alpha and reads a' on n; axis 2 mirrors it
     shift = float(phases[axis - 1])
     move_idx = eigs.window.axis_indices(axis - 1)
-    eig = eigs.values[axis - 1].ravel() * np.exp(-2j * np.pi * shift)
+    eig = eigs.values[axis - 1].ravel()
     base_phase = np.exp(2j * np.pi * (move_idx + shift) * t)
     # basis position of E(m, n), row-major over the window
     index = np.arange(eigs.window.cardinality).reshape(
@@ -458,12 +460,9 @@ def synthesize_window_state(
     window: LatticeWindow,
     grid_n: int,
 ) -> np.ndarray:
-    """Grid samples of sum_{(m,n)} vec[m,n] e_{m+alpha} x e_{n+beta}.
-
-    vec holds the window's coefficients in row-major order on its last
-    axis; any leading axes are a stack, and the grid axes of the states
-    are the last two.
-    """
+    """Grid samples of sum_{(m,n)} vec[m,n] e_{m+alpha} x e_{n+beta}: vec's
+    last axis holds the window's coefficients row-major, and any leading
+    axes are a stack of states."""
     alpha, beta = phases
     vec = np.asarray(vec, dtype=complex)
     coeffs = np.zeros(vec.shape[:-1] + (grid_n, grid_n), dtype=complex)
@@ -477,12 +476,11 @@ def project_to_window(
     phases: tuple[float, float],
     window: LatticeWindow,
 ) -> np.ndarray:
-    """Window coefficients of a grid state in the shifted product basis.
+    """Window coefficients, row-major on the last axis, of a grid state or
+    of a stack of them along leading axes, in the shifted product basis.
 
-    The state's grid axes are its last two, and any leading axes a stack;
-    the coefficients of each state are one row-major last axis.  Exact
-    for anything the grid can represent: the shifted modes stay exactly
-    orthogonal under the discrete inner product.
+    Exact for anything the grid can represent: the shifted modes stay
+    exactly orthogonal under the discrete inner product.
     """
     alpha, beta = phases
     coeffs = twisted_analysis(twisted_analysis(state, -2, alpha), -1, beta)
@@ -562,14 +560,10 @@ def default_probe_coefficients(
     n_random: int = 10,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Basis states of a centered subwindow plus random unit-norm states.
-
-    One row per probe, over the window's modes in row-major order: first
-    the basis state of each mode with |m|, |n| <= sub_radius, in that
-    order, then n_random states whose real and imaginary parts are drawn,
-    in that order, one probe after the other.  Each random row is divided
-    by np.linalg.norm of that row, bit for bit.
-    """
+    """Basis states of a centered subwindow plus random unit-norm states,
+    one row each over the window's modes in row-major order.  A random row
+    draws its real, then its imaginary part, and is divided by its
+    np.linalg.norm, bit for bit."""
     rng = rng or np.random.default_rng(0)
     m_idx = window.axis_indices(0)
     n_idx = window.axis_indices(1)
@@ -580,8 +574,8 @@ def default_probe_coefficients(
     basis[np.arange(cells.size), cells] = 1.0
     draws = rng.standard_normal((n_random, 2, size))
     vecs = draws[:, 0] + 1j * draws[:, 1]
-    # np.linalg.norm's sum for a complex vector: a dot of the strided real
-    # parts plus one of the imaginary parts, which vecdot makes row by row
+    # np.linalg.norm's sum of a complex vector, the dots of its strided
+    # real and imaginary parts, made row by row
     norms = np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
     return np.concatenate([basis, vecs / norms[:, None]])
 

@@ -14,6 +14,7 @@ from spectralbox.cocycles import (
     BoundaryEigenvalues,
     check_cocycle,
     check_cocycle_2d,
+    seam_twisted,
 )
 from spectralbox.diffraction import (
     GaussianTestFunction,
@@ -224,8 +225,10 @@ def test_acceptance_04_spectral_vs_grid_oracle_match():
             table={int(k): rng.random() for k in range(-radius, radius + 1)},
             default=rng.random(),
         )
-        eigs = BoundaryEigenvalues.from_pair(a, b, window)
         phases = (float(rng.random()), float(rng.random()))
+        eigs = BoundaryEigenvalues.from_pair(
+            seam_twisted(a, phases[0]), seam_twisted(b, phases[1]), window
+        )
         t = int(rng.integers(1, grid_n)) / grid_n
         op = group_matrix_spectral(
             axis, t, eigs, phases, grid_n=grid_n, leakage_tol=1.0

@@ -523,16 +523,16 @@ def test_classification_cases():
 
 
 def test_classification_of_constant_pairs_is_the_lattice():
-    # a constant pair has no moving sequence: alpha + Z^2, whatever the
-    # constants; both identities hold, since every difference is zero
-    for a, b in ((1e-7, 1e-7), (0.3, 0.4), (0.0, 0.4), (0.3, 0.0)):
+    # a constant pair has no moving sequence, so every difference is zero
+    # and both identities hold: alpha + Z^2, unless one side is one
+    for a, b, want in (
+        (1e-7, 1e-7, Classification.LATTICE),
+        (0.3, 0.4, Classification.LATTICE),
+        (0.0, 0.4, Classification.CLASS_I),
+        (0.3, 0.0, Classification.CLASS_II),
+    ):
         eigs = pair(phases(default=a), phases(default=b), window2())
         assert check_cocycle_2d(eigs).holds
-        want = (
-            Classification.LATTICE
-            if a == b == 0.0 or 0.0 not in (a, b)
-            else Classification.CLASS_I if a == 0.0 else Classification.CLASS_II
-        )
         assert classify_2d(eigs) is want
 
 
@@ -546,10 +546,6 @@ def test_classification_reads_a_sub_tolerance_product_as_non_commuting():
     report = check_cocycle_2d(eigs)
     assert report.holds and 3e-13 < report.max_violation < 5e-13
     assert classify_2d(eigs) is Classification.NON_COMMUTING
-
-
-def _commuting_by_class(eigs, eq_tol=1e-10):
-    return classify_2d(eigs, eq_tol) is not Classification.NON_COMMUTING
 
 
 def test_classification_agrees_with_the_cocycle_on_the_seeded_pairs():
@@ -583,7 +579,7 @@ def test_classification_agrees_with_the_cocycle_on_the_seeded_pairs():
     edge = 0
     for kind, eigs in cases:
         report = check_cocycle_2d(eigs)
-        if _commuting_by_class(eigs) == report.holds:
+        if (classify_2d(eigs) is not Classification.NON_COMMUTING) == report.holds:
             continue
         # only at the tolerance: random_pair's kind 4 moves a by 1e-11.5 to
         # 1e-10, and a deviation from one below eq_tol reads as a

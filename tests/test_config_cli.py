@@ -1084,7 +1084,7 @@ def test_classification_that_disagrees_with_the_identities_fails_with_a_note(
     assert _check_block(lines, "cocycles.classify_2d")[1:] == [
         "  verdict: FAIL",
         "  classification: non-commuting",
-        "  note: the sequences read non-commuting, the shift identities hold",
+        "  note: the sequences read non-commuting, the identities hold",
     ]
 
 

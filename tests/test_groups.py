@@ -284,7 +284,9 @@ def test_spectral_telescopes_for_matched_scalar_boundary():
     alpha = 0.25
     win = LatticeWindow.centered(6, 2)
     eigs = BoundaryEigenvalues.from_pair(
-        phases_of(default=alpha), random_sequence(rng, 6), win
+        seam_twisted(phases_of(default=alpha), alpha),
+        seam_twisted(random_sequence(rng, 6), 0.0),
+        win,
     )
     op = group_matrix_spectral(
         1, 0.375, eigs, (alpha, 0.0), leakage_tol=1e-6
@@ -311,8 +313,10 @@ def test_spectral_matches_projected_grid_action():
     win = LatticeWindow.centered(8, 2)
     for axis in (1, 2):
         a, b = random_sequence(rng, 12), random_sequence(rng, 12)
-        eigs = BoundaryEigenvalues.from_pair(a, b, win)
         phases = (float(rng.random()), float(rng.random()))
+        eigs = BoundaryEigenvalues.from_pair(
+            seam_twisted(a, phases[0]), seam_twisted(b, phases[1]), win
+        )
         t = int(rng.integers(1, n)) / n
         op = group_matrix_spectral(
             axis, t, eigs, phases, grid_n=n, leakage_tol=1.0
@@ -331,6 +335,39 @@ def test_spectral_matches_projected_grid_action():
             moved = group_action_grid(state, axis, t, boundary)
             proj = project_to_window(moved, phases, win)
             assert np.linalg.norm(op(vec) - proj) < 1e-12
+
+
+def test_spectral_matrix_of_the_twisted_pair_matches_the_grid_on_a_probe_stack():
+    # the simulate-groups check on 40 seeded pairs with random basis phases:
+    # the matrix reads the seam-twisted pair, the grid the phase tables
+    rng = np.random.default_rng(40)
+    num_tol = 1e-8
+    for trial in range(40):
+        radius = int(rng.integers(2, 5))
+        win = LatticeWindow.centered(radius, 2)
+        a, b = random_sequence(rng, radius + 2), random_sequence(rng, radius + 2)
+        if trial % 4 == 1:
+            a = ONE
+        elif trial % 4 == 2:
+            b = ONE
+        phases = (float(rng.random()), float(rng.random()))
+        twisted = BoundaryEigenvalues.from_pair(
+            seam_twisted(a, phases[0]), seam_twisted(b, phases[1]), win
+        )
+        n = 32
+        axis = 1 + trial % 2
+        t = int(rng.integers(1, n)) / n
+        op = group_matrix_spectral(axis, t, twisted, phases, grid_n=n, leakage_tol=1.0)
+        boundary = (
+            DiagonalBoundary(a, shift=phases[1])
+            if axis == 1
+            else DiagonalBoundary(b, shift=phases[0])
+        )
+        vecs = default_probe_coefficients(win, 1, 4, rng)[:8]
+        states = synthesize_window_state(vecs, phases, win, n)
+        proj = project_to_window(group_action_grid(states, axis, t, boundary), phases, win)
+        for row, vec in zip(op(vecs) - proj, vecs):
+            assert np.linalg.norm(row) / np.linalg.norm(vec) < 10 * num_tol
 
 
 def test_synthesize_project_roundtrip():

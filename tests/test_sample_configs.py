@@ -53,11 +53,11 @@ EXPECTED = {
     }),
     "simulate_groups_class_ii": ("simulate-groups", 0, {
         "commutator_sweep.csv": "f58e79e178fb7441ef6e07d2a04e2c83e50328699688a5346a20278a875f2c8b",
-        "report.txt": "9b011f6226b0a2487418d3227bb2fab398131f0a530354eca989ac0001595ba3",
+        "report.txt": "56f22bbf3d115bed06615f09f3a76eefbc2aed4cef03f36c0ebca62fd3ca6364",
     }),
     "simulate_groups_class_ii_twisted": ("simulate-groups", 0, {
         "commutator_sweep.csv": "33388c62459e1c9982574c09fa19f3569b398ea11f095d5bca5190268f3a9300",
-        "report.txt": "7e5c8bda87da30ea6c1300faabcc5f3ccfdbfa48a8b33e4b7773daf93e18301d",
+        "report.txt": "f7617770843d4ee47cbddf515209253265b71dfe3e87be5e3075b42b3ad4ca14",
     }),
     "verify_pair_class_a": ("verify-pair", 0, {
         "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",
