@@ -11,37 +11,53 @@ in the run passes, 1 when some verdict fails, 2 on config or input errors
 
 Config schema (YAML).  The whole config is checked when it loads, before
 the output directory exists.  Unknown or duplicate keys are errors; so are
-an integer field given a fractional or non-finite number, a non-finite
-real, a list of the wrong length, a value below its bound and a missing
-required key:
+a section the command does not read, a key of another spectrum family, a
+window with both or neither of radius and ranges, an integer field given a
+fractional or non-finite number, a non-finite real, a list of the wrong
+length, a value below its bound and a missing required key or section.
+Each command reads these sections, the required ones before the
+semicolon; every command also takes command and seed:
+
+    verify-pair       domain, spectrum, window; tiling, tolerances
+    build-spectrum    spectrum, window
+    check-cocycle     cocycle; tolerances
+    simulate-groups   groups; tolerances
+    check-tiling      spectrum, tiling
+    diffraction       diffraction
+    root-scan         rootscan; tolerances
+
+An explicit spectrum needs no window.  The sections:
 
     command: verify-pair          # required, one of the seven commands
     seed: 0                       # optional; --seed overrides
-    tolerances:                   # optional, all fields optional
+    tolerances:                   # all fields optional
       eq_tol: 1.0e-10             # closed-form identity tolerance
       num_tol: 1.0e-8             # quadrature/grid tolerance
       grid_n: 256                 # samples per axis
       quad_n: 2048                # >= 2; read by no command, only echoed
                                   #   in the report's tolerances line
 
-    domain:                       # verify-pair; its dimension must equal
-      kind: unit-cube             #   the spectrum's; or interval-union
+    domain:                       # its dimension must equal the spectrum's
+      kind: unit-cube             # or interval-union
       dimension: 2                # unit-cube only
       intervals: [[0, 1], [2, 4]] # interval-union only; finite endpoints
-    spectrum:                     # verify-pair, build-spectrum, check-tiling
-      family: class-a             # translated-lattice | class-a | class-b
-                                  #   | tower | tower3d | explicit
-      alpha: 0.25                 # class-a/class-b offset, in [0, 1)
-      alpha_vector: [0.25, 0.5]   # translated-lattice only; any finite reals
+    spectrum:                     # a family takes only its own keys:
+      family: class-a             #   translated-lattice: alpha or alpha_vector
+                                  #   class-a, class-b: alpha, beta
+                                  #   tower: levels; tower3d: beta, gamma
+                                  #   explicit: points
+      alpha: 0.25                 # class-a/class-b offset, in [0, 1); a
+                                  #   translated-lattice's one-axis offset
+      alpha_vector: [0.25, 0.5]   # translated-lattice; any finite reals
       beta:  {default: 0.0, table: {"0": 0.2, "1": 0.5}}
-      gamma: {default: 0.0, table: {"0,0": 0.3}}   # tower3d only
-      levels:                     # tower only; level k takes k indices
+      gamma: {default: 0.0, table: {"0,0": 0.3}}
+      levels:                     # level k takes k indices
         - {default: 0.25}
         - {default: 0.0, table: {"1": 0.5}}
         - {default: 0.0, table: {"1,2": 0.3}}
-      points: [[0.0, 0.0]]        # explicit only; finite; needs no window
-    window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]]; verify-pair
-                                  #   on P points needs P^2 (192 + 48 d) <= 2^30 B
+      points: [[0.0, 0.0]]        # finite
+    window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]], not both; verify-
+                                  #   pair on P points needs P^2 (192 + 48 d) <= 2^30 B
 
     class-a, class-b and tower3d are config spellings of one Tower,
     level k holding a table of k indices with values in [0, 1):
@@ -49,32 +65,33 @@ required key:
       class-b   levels [alpha, beta] on swapped axes: (beta(n)+m, alpha+n)
       tower3d   levels [0, beta, gamma]: (k, beta(k)+l, gamma(k,l)+m)
 
-    cocycle:                      # check-cocycle; tables hold phase
-      a: {default: 0.0, table: {"0": 0.25}}        # fractions in [0, 1)
+    cocycle:                      # tables hold phase fractions in [0, 1)
+      a: {default: 0.0, table: {"0": 0.25}}
       b: {default: 0.0, table: {}}
-      window: {radius: 8}         # at least two indices per axis, and
+      window: {radius: 8}         # as above; at least two indices per axis, and
                                   #   M^2 N^2 <= 10^8 for an M x N window
                                   #   (the single-identity check's work)
 
-    groups:                       # simulate-groups; a and b are phase
-      a: {default: 0.0, table: {}}                 # tables as in cocycle,
-      b: {default: 0.0, table: {"1": 0.3}}         #   fractions in [0, 1)
+    groups:                       # a and b are phase tables as in cocycle,
+      a: {default: 0.0, table: {}}                 #   fractions in [0, 1)
+      b: {default: 0.0, table: {"1": 0.3}}
       phases: [0.0, 0.0]          # two reals
       window: {radius: 8}         # two indices per axis, 4096 modes at most
       grid_n: 64                  # >= the window width per axis; <= 819 with 5 times
-      times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid
-      sub_radius: 2               # >= 0
-      n_random: 4                 # >= 0
+      times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid;
+                                  #   the first, the spectral check's, <= 1
+      sub_radius: 2               # >= 0; the window modes with |m|, |n| <=
+      n_random: 4                 #   sub_radius and n_random >= 0 random
+                                  #   states are the probes, at least one
       leakage_tol: 1.0e-6         # >= 0; spectral-matrix truncation acknowledgment
 
-    tiling:                       # check-tiling; verify-pair reads it too
-                                  #   and uses window 4, resolution 32
+    tiling:                       # verify-pair uses window 4, resolution 32
                                   #   when the section is absent
       window: 4                   # >= 1 unit cubes per axis
       resolution: 64              # >= 8 samples per unit; at most 2^24
                                   #   samples, (window*resolution)^d
 
-    diffraction:                  # diffraction
+    diffraction:
       components:                 # each needs a period
         - {period: 1.4142135623730951, cosine_amplitude: 0.1, harmonic: 1}
         - {period: 1.7320508075688772, coeffs: {"1": [0.025, 0.0], "-1": [0.025, 0.0]}}
@@ -83,8 +100,8 @@ required key:
       k_radius: 12                # 0..2047; the density has <= 2^20 masses and
                                   #   <= 2^27 comb samples, 2 space_radius + 1 a mass
 
-    rootscan:                     # root-scan; entries are re or [re, im]
-      coefficients: [1, 0, 1, 1]  # at least one, all finite
+    rootscan:
+      coefficients: [1, 0, 1, 1]  # at least one, all finite; re or [re, im]
       samples: 100000             # >= 16; 2 samples (degree + 1) <= 2^27
 
 Artifacts written to the output directory: report.txt always; gram.txt,
@@ -305,7 +322,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         x = (np.arange(n) + 0.5) / n
         half = ((x[:, None] < 0.5) * np.ones((n, n))).astype(complex)
         const = np.ones((n, n), dtype=complex)
-        comp = completeness_probe(cfg.domain, cfg.spectrum, cfg.window, [const, half])
+        comp = completeness_probe(cfg.domain, points, [const, half])
         # completeness is a ratio, never a verdict: the probe line is
         # informational and does not drive the exit status
         report.add(

@@ -2,7 +2,8 @@
 
 Configs are YAML documents (key-value with nested tables).  Parsing is
 strict: duplicate keys are errors naming the key, unknown keys are errors,
-and integer-tuple table keys serialize as comma-joined integers
+a section, family key or window form the command does not read is an
+error, and integer-tuple table keys serialize as comma-joined integers
 ("1,-2": 0.25).  Every value goes through a typed reader (`_int`, `_real`,
 `_reals`, `_complex`) that names the offending field; a constructor's
 ValueError or TypeError becomes a ConfigError naming its section.  The
@@ -39,15 +40,18 @@ from .tiling import check_window
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
-COMMANDS = (
-    "verify-pair",
-    "build-spectrum",
-    "check-cocycle",
-    "simulate-groups",
-    "check-tiling",
-    "diffraction",
-    "root-scan",
-)
+# The sections each command reads, as (required, optional); any other
+# section is an error.  A command that reads a window or a tiling requires
+# the spectrum whose dimension sizes it.
+COMMANDS = {
+    "verify-pair": (("domain", "spectrum", "window"), ("tiling", "tolerances")),
+    "build-spectrum": (("spectrum", "window"), ()),
+    "check-cocycle": (("cocycle",), ("tolerances",)),
+    "simulate-groups": (("groups",), ("tolerances",)),
+    "check-tiling": (("spectrum", "tiling"), ()),
+    "diffraction": (("diffraction",), ()),
+    "root-scan": (("rootscan",), ("tolerances",)),
+}
 
 
 class ConfigError(SpectralBoxError):
@@ -185,31 +189,25 @@ def _parse_int_function(section, arity: int, where: str) -> IntFunction:
 def _parse_window(section, dimension: int, where: str) -> LatticeWindow:
     section = _require_mapping(section, where)
     _check_keys(section, {"radius", "ranges"}, where)
+    if len(section) != 1:
+        raise ConfigError(f"{where}: needs exactly one of 'radius' and 'ranges'")
     if "radius" in section:
         return LatticeWindow.centered(
             _int(section["radius"], f"{where}.radius"), dimension
         )
-    if "ranges" in section:
-        at = f"{where}.ranges"
-        return LatticeWindow(tuple(
-            tuple(_int(v, at) for v in _list(pair, at, 2))
-            for pair in _list(section["ranges"], at, dimension)
-        ))
-    raise ConfigError(f"{where}: needs either 'radius' or 'ranges'")
-
-
-def _dimension(cfg: "RunConfig") -> int:
-    return cfg.spectrum.dimension if cfg.spectrum is not None else 2
+    at = f"{where}.ranges"
+    return LatticeWindow(tuple(
+        tuple(_int(v, at) for v in _list(pair, at, 2))
+        for pair in _list(section["ranges"], at, dimension)
+    ))
 
 
 def _parse_spectrum_window(section: dict, cfg: "RunConfig") -> LatticeWindow:
     """The spectrum's window; for verify-pair its Gram must fit in memory."""
-    window = _parse_window(section, _dimension(cfg), "window")
     spec = cfg.spectrum
+    window = _parse_window(section, spec.dimension, "window")
     # an explicit spectrum is its own finite set, sized where it is parsed
-    if cfg.command == "verify-pair" and spec is not None and not isinstance(
-        spec, ExplicitSpectrum
-    ):
+    if cfg.command == "verify-pair" and not isinstance(spec, ExplicitSpectrum):
         check_pair_size(window.cardinality, spec.dimension)
     return window
 
@@ -218,37 +216,45 @@ def _parse_spectrum_window(section: dict, cfg: "RunConfig") -> LatticeWindow:
 # far; `parse_config` turns a constructor's ValueError or TypeError into a
 # ConfigError naming the section.
 
+# the keys of each domain kind and of each spectrum family
 _DOMAIN_KEYS = {
     "unit-cube": {"kind", "dimension"},
     "interval-union": {"kind", "intervals"},
 }
+_SPECTRUM_KEYS = {
+    "translated-lattice": {"family", "alpha", "alpha_vector"},
+    "class-a": {"family", "alpha", "beta"},
+    "class-b": {"family", "alpha", "beta"},
+    "tower": {"family", "levels"},
+    "tower3d": {"family", "beta", "gamma"},
+    "explicit": {"family", "points"},
+}
+
+
+def _variant(section: dict, key: str, keys: dict, where: str) -> str:
+    """The section's `key` value, one of `keys`; the section may hold only
+    the keys listed for it."""
+    name = section.get(key)
+    if name not in keys:
+        raise ConfigError(
+            f"{where}.{key} must be one of {', '.join(keys)}; got {name!r}"
+        )
+    _check_keys(section, keys[name], f"a {name} {where}")
+    return name
 
 
 def _parse_domain(section: dict, cfg: "RunConfig") -> Domain:
-    kind = section.get("kind")
-    _check_keys(
-        section, _DOMAIN_KEYS.get(kind, {"kind", "dimension", "intervals"}), "domain"
-    )
-    if kind == "unit-cube":
+    if _variant(section, "kind", _DOMAIN_KEYS, "domain") == "unit-cube":
         return UnitCube(_int(section.get("dimension", 2), "domain.dimension"))
-    if kind == "interval-union":
-        where = "domain.intervals"
-        return Domain((IntervalUnion(tuple(
-            tuple(_reals(pair, where, 2, finite=False))
-            for pair in _list(section.get("intervals", ()), where)
-        )),))
-    raise ConfigError(
-        f"domain.kind must be 'unit-cube' or 'interval-union', got {kind!r}"
-    )
+    where = "domain.intervals"
+    return Domain((IntervalUnion(tuple(
+        tuple(_reals(pair, where, 2, finite=False))
+        for pair in _list(section.get("intervals", ()), where)
+    )),))
 
 
 def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
-    _check_keys(
-        section,
-        {"family", "alpha", "alpha_vector", "beta", "gamma", "levels", "points"},
-        "spectrum",
-    )
-    family = section.get("family")
+    family = _variant(section, "family", _SPECTRUM_KEYS, "spectrum")
 
     def alpha() -> float:
         return _real(section.get("alpha", 0.0), "spectrum.alpha")
@@ -263,6 +269,10 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
         return _parse_int_function(section.get(key, {}), arity, f"spectrum.{key}")
 
     if family == "translated-lattice":
+        if "alpha" in section and "alpha_vector" in section:
+            raise ConfigError(
+                "spectrum: needs at most one of 'alpha' and 'alpha_vector'"
+            )
         if "alpha_vector" in section:
             return TranslatedLattice(
                 tuple(_reals(section["alpha_vector"], "spectrum.alpha_vector"))
@@ -281,16 +291,11 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
             _parse_int_function(entry, k, f"spectrum.levels[{k}]")
             for k, entry in enumerate(levels)
         ))
-    if family == "explicit":
-        points = _list(section.get("points", ()), "spectrum.points")
-        spec = ExplicitSpectrum([_reals(p, "spectrum.points") for p in points])
-        if cfg.command == "verify-pair":
-            check_pair_size(len(spec.points), spec.dimension)
-        return spec
-    raise ConfigError(
-        "spectrum.family must be one of translated-lattice, class-a, "
-        f"class-b, tower, tower3d, explicit; got {family!r}"
-    )
+    points = _list(section.get("points", ()), "spectrum.points")
+    spec = ExplicitSpectrum([_reals(p, "spectrum.points") for p in points])
+    if cfg.command == "verify-pair":
+        check_pair_size(len(spec.points), spec.dimension)
+    return spec
 
 
 def _parse_tolerances(section: dict, cfg: "RunConfig") -> ToleranceConfig:
@@ -344,6 +349,18 @@ def _parse_groups(section: dict, cfg: "RunConfig") -> dict:
         "leakage_tol": _real(section.get("leakage_tol", 1e-6), "groups.leakage_tol", lo=0),
     }
     check_sweep_grid(groups["window"], groups["grid_n"], groups["times"])
+    # the probes: the window's modes with |m|, |n| <= sub_radius, and the
+    # random ones
+    r, ranges = groups["sub_radius"], groups["window"].ranges
+    if groups["n_random"] == 0 and any(hi < -r or r < lo for lo, hi in ranges):
+        raise ConfigError(
+            "groups.n_random: 0 random probes, and no window mode lies within "
+            f"sub_radius {r} of the origin: no probes to sweep"
+        )
+    # indicator coefficients need the spectral check's time in [0, 1]
+    s0 = groups["times"][0]
+    if s0 > 1:
+        raise ConfigError(f"groups.times: {s0!r}, the spectral check's time, is above 1")
     return groups
 
 
@@ -353,7 +370,7 @@ def _parse_tiling(section: dict, cfg: "RunConfig") -> dict:
         "window": _int(section.get("window", 4), "tiling.window"),
         "resolution": _int(section.get("resolution", 64), "tiling.resolution"),
     }
-    check_window(tiling["window"], tiling["resolution"], _dimension(cfg))
+    check_window(tiling["window"], tiling["resolution"], cfg.spectrum.dimension)
     return tiling
 
 
@@ -430,7 +447,8 @@ class RunConfig:
     rootscan: dict = field(default_factory=dict)
 
 
-# Section parsers in parse order: the spectrum precedes the windows sized
+# Section parsers in parse order.  A missing required section fails in its
+# place, so the spectrum is parsed before the window and the tiling sized
 # by its dimension.
 _SECTIONS = {
     "tolerances": _parse_tolerances,
@@ -444,11 +462,9 @@ _SECTIONS = {
     "rootscan": _parse_rootscan,
 }
 
-_TOP_KEYS = {"command", "seed", *_SECTIONS}
-
 
 def parse_config(text: str) -> RunConfig:
-    """Deterministic parse of a YAML config; unknown keys are errors."""
+    """Deterministic parse of a YAML config; keys it does not read are errors."""
     try:
         raw = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
@@ -456,12 +472,13 @@ def parse_config(text: str) -> RunConfig:
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"config parse error{loc}: {exc}") from exc
     raw = _require_mapping(raw, "config")
-    _check_keys(raw, _TOP_KEYS, "config")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(
             f"command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
+    required, optional = COMMANDS[command]
+    _check_keys(raw, {"command", "seed", *required, *optional}, f"a {command} config")
     cfg = RunConfig(command=command, seed=_int(raw.get("seed", 0), "seed"))
     for name, parse in _SECTIONS.items():
         if name in raw:
@@ -469,36 +486,18 @@ def parse_config(text: str) -> RunConfig:
                 setattr(cfg, name, parse(_require_mapping(raw[name], name), cfg))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-    if cfg.domain is not None and cfg.spectrum is not None:
-        if cfg.domain.dimension != cfg.spectrum.dimension:
-            raise ConfigError(
-                f"domain: dimension {cfg.domain.dimension} differs from the "
-                f"spectrum's dimension {cfg.spectrum.dimension}"
-            )
-    _validate_required(cfg)
+        # no step reads a window for an explicit set
+        elif name in required and not (
+            name == "window" and isinstance(cfg.spectrum, ExplicitSpectrum)
+        ):
+            raise ConfigError(f"command {command!r} requires a {name!r} section")
+    # a command that reads the domain requires the spectrum
+    if cfg.domain is not None and cfg.domain.dimension != cfg.spectrum.dimension:
+        raise ConfigError(
+            f"domain: dimension {cfg.domain.dimension} differs from the "
+            f"spectrum's dimension {cfg.spectrum.dimension}"
+        )
     return cfg
-
-
-_REQUIRED = {
-    "verify-pair": ("domain", "spectrum", "window"),
-    "build-spectrum": ("spectrum", "window"),
-    "check-cocycle": ("cocycle",),
-    "simulate-groups": ("groups",),
-    "check-tiling": ("spectrum", "tiling"),
-    "diffraction": ("diffraction",),
-    "root-scan": ("rootscan",),
-}
-
-
-def _validate_required(cfg: RunConfig) -> None:
-    for name in _REQUIRED[cfg.command]:
-        if name == "window" and isinstance(cfg.spectrum, ExplicitSpectrum):
-            continue  # no step reads a window for an explicit set
-        value = getattr(cfg, name.replace("-", "_"))
-        if value is None or value == {}:
-            raise ConfigError(
-                f"command {cfg.command!r} requires a {name!r} section"
-            )
 
 
 def load_config(path: str) -> RunConfig:

@@ -19,15 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import grid_coords, grid_norm, grid_weight
-from .model import (
-    ArityMismatchError,
-    Domain,
-    IntervalUnion,
-    LatticeWindow,
-    SpectrumSpec,
-    UnitCube,
-    enumerate_spectrum,
-)
+from .model import ArityMismatchError, Domain, IntervalUnion, UnitCube
+
+# no function here calls it, but perfbench/spans.py wraps it by its name in
+# this module, so the name stays bound
+from .model import enumerate_spectrum  # noqa: F401
 
 __all__ = [
     "eval_F_omega",
@@ -313,23 +309,19 @@ class CompletenessReport:
 
 
 def completeness_probe(
-    domain: Domain,
-    spec: SpectrumSpec,
-    window: Optional[LatticeWindow],
-    test_functions: Sequence[np.ndarray],
+    domain: Domain, points: np.ndarray, test_functions: Sequence[np.ndarray]
 ) -> CompletenessReport:
-    """Parseval ratio sum |<e_lam, f>|^2 / (|f|^2 * measure) per test state.
+    """Parseval ratio sum |<e_lam, f>|^2 / (|f|^2 * measure) per test state,
+    over the (P, d) frequency array `points`.
 
     Each test state is a grid state: samples at i/n on each axis, which
     must be finite.  Ratios increase toward 1 with the window when the
     family is total; missing frequencies leave a plateau strictly below 1.
     Only unit-cube domains carry the grid sampling this probe relies on.
-    An ExplicitSpectrum needs no window.
     """
     if domain != UnitCube(domain.dimension):
         raise TypeError("completeness probe requires a unit-cube domain")
-    pts = enumerate_spectrum(spec, window)
-    slots = [_bit_groups(column) for column in pts.T]
+    slots = [_bit_groups(column) for column in points.T]
     phases_of: dict = {}  # the per-axis (points, samples) phases per grid shape
     ratios = []
     for f in test_functions:
@@ -353,7 +345,7 @@ def completeness_probe(
         first, *rest = phases_of[f.shape]
         weighted = grid_weight(f.shape) * f
         coeffs = (first @ weighted.reshape(weighted.shape[0], -1)).reshape(
-            pts.shape[:1] + weighted.shape[1:]
+            points.shape[:1] + weighted.shape[1:]
         )
         for phases in rest:
             coeffs = np.einsum("pi...,pi->p...", coeffs, phases)

@@ -374,50 +374,58 @@ cocycle:
 # class-a and tower3d: config spellings of one tower
 # ---------------------------------------------------------------------------
 
-CLASS_A_TILED = CLASS_A + "tiling: {window: 4, resolution: 32}\n"
+CLASS_A_SPECTRUM = """
+spectrum:
+  family: class-a
+  alpha: 0.25
+  beta: {default: 0.0, table: {"0": 0.2, "1": 0.5}}
+"""
 
 TOWER_2LEVEL = """
-command: verify-pair
-seed: 5
-domain: {kind: unit-cube, dimension: 2}
 spectrum:
   family: tower
   levels:
     - {default: 0.25}
     - {default: 0.0, table: {"0": 0.2, "1": 0.5}}
-window: {radius: 2}
-tiling: {window: 4, resolution: 32}
 """
 
+# the sections besides the spectrum that each command reads
+PLANAR_SECTIONS = {
+    "build-spectrum": "window: {radius: 2}\n",
+    "verify-pair": "domain: {kind: unit-cube, dimension: 2}\nwindow: {radius: 2}\n"
+    "tiling: {window: 4, resolution: 32}\n",
+    "check-tiling": "tiling: {window: 4, resolution: 32}\n",
+}
+
 TOWER3D = """
-command: build-spectrum
 spectrum:
   family: tower3d
   beta: {default: 0.0, table: {"1": 0.5, "-1": 0.25}}
   gamma: {default: 0.1, table: {"1,2": 0.25, "-1,0": 0.75}}
-window: {radius: 2}
-tiling: {window: 2, resolution: 8}
 """
 
 TOWER_3LEVEL = """
-command: build-spectrum
 spectrum:
   family: tower
   levels:
     - {default: 0.0}
     - {default: 0.0, table: {"1": 0.5, "-1": 0.25}}
     - {default: 0.1, table: {"1,2": 0.25, "-1,0": 0.75}}
-window: {radius: 2}
-tiling: {window: 2, resolution: 8}
 """
 
+SOLID_SECTIONS = {
+    "build-spectrum": "window: {radius: 2}\n",
+    "check-tiling": "tiling: {window: 2, resolution: 8}\n",
+}
 
-def run_artifacts(tmp_path, name, text, command):
-    """Run a config as `command`; return (exit status, artifacts).
+
+def run_artifacts(tmp_path, name, spectrum, sections, command):
+    """Run `spectrum` and the sections `command` reads as `command`;
+    return (exit status, artifacts).
 
     The report's "config:" line names the config path and is left out.
     """
-    text = re.sub(r"^command: .*$", f"command: {command}", text, flags=re.M)
+    text = f"command: {command}\nseed: 5{spectrum}{sections[command]}"
     cfg = write(tmp_path, f"{name}.yaml", text)
     out = tmp_path / name
     code = main([command, "--config", cfg, "--out", str(out)])
@@ -429,8 +437,12 @@ def run_artifacts(tmp_path, name, text, command):
 
 @pytest.mark.parametrize("command", ["build-spectrum", "verify-pair", "check-tiling"])
 def test_class_a_and_two_level_tower_give_identical_artifacts(tmp_path, command):
-    code_a, files_a = run_artifacts(tmp_path, "class_a", CLASS_A_TILED, command)
-    code_t, files_t = run_artifacts(tmp_path, "tower", TOWER_2LEVEL, command)
+    code_a, files_a = run_artifacts(
+        tmp_path, "class_a", CLASS_A_SPECTRUM, PLANAR_SECTIONS, command
+    )
+    code_t, files_t = run_artifacts(
+        tmp_path, "tower", TOWER_2LEVEL, PLANAR_SECTIONS, command
+    )
     assert code_a == code_t == 0
     expected = {
         "build-spectrum": "spectrum.txt",
@@ -445,8 +457,12 @@ def test_class_a_and_two_level_tower_give_identical_artifacts(tmp_path, command)
 
 @pytest.mark.parametrize("command", ["build-spectrum", "check-tiling"])
 def test_tower3d_and_three_level_tower_give_identical_artifacts(tmp_path, command):
-    code_a, files_a = run_artifacts(tmp_path, "tower3d", TOWER3D, command)
-    code_t, files_t = run_artifacts(tmp_path, "tower", TOWER_3LEVEL, command)
+    code_a, files_a = run_artifacts(
+        tmp_path, "tower3d", TOWER3D, SOLID_SECTIONS, command
+    )
+    code_t, files_t = run_artifacts(
+        tmp_path, "tower", TOWER_3LEVEL, SOLID_SECTIONS, command
+    )
     assert code_a == code_t == 0
     if command == "build-spectrum":
         assert len(files_a["spectrum.txt"].splitlines()) == 125
@@ -733,8 +749,10 @@ ONE_COSINE = (
         ("command: simulate-groups\ngroups: {grid_n: .inf}", "groups.grid_n"),
         ("command: simulate-groups\ngroups: {sub_radius: 1.5}", "groups.sub_radius"),
         ("command: simulate-groups\ngroups: {n_random: .nan}", "groups.n_random"),
-        ("command: check-tiling\ntiling: {window: 2.5}", "tiling.window"),
-        ("command: check-tiling\ntiling: {resolution: .inf}", "tiling.resolution"),
+        ("command: check-tiling\nspectrum: {family: class-a}\ntiling: {window: 2.5}",
+         "tiling.window"),
+        ("command: check-tiling\nspectrum: {family: class-a}\ntiling: {resolution: .inf}",
+         "tiling.resolution"),
         (ONE_COSINE + "lambda_window: 20.5}", "diffraction.lambda_window"),
         (ONE_COSINE + "k_radius: -.inf}", "diffraction.k_radius"),
         ("command: diffraction\ndiffraction: {components: "
@@ -990,12 +1008,160 @@ def test_check_cocycle_windows_under_the_work_cap_load(window):
     assert m * m * n * n <= 10**8
 
 
+# ---------------------------------------------------------------------------
+# every key is read: sections by command, keys by spectrum family, one
+# window form
+# ---------------------------------------------------------------------------
+
+# a valid text of each section
+SECTION_TEXT = {
+    "tolerances": "tolerances: {eq_tol: 1.0e-10, num_tol: 1.0e-8}",
+    "domain": "domain: {kind: unit-cube, dimension: 2}",
+    "spectrum": "spectrum: {family: class-a, alpha: 0.25}",
+    "window": "window: {radius: 1}",
+    "cocycle": "cocycle: {window: {radius: 2}}",
+    "groups": "groups: {window: {radius: 2}, grid_n: 16, times: [0.25]}",
+    "tiling": "tiling: {window: 4, resolution: 16}",
+    "diffraction": "diffraction: {components: [{period: 1.5, cosine_amplitude: 0.1}]}",
+    "rootscan": "rootscan: {coefficients: [1, 1], samples: 64}",
+}
+# the sections each command reads
+READS = {
+    "verify-pair": ("domain", "spectrum", "window", "tiling", "tolerances"),
+    "build-spectrum": ("spectrum", "window"),
+    "check-cocycle": ("cocycle", "tolerances"),
+    "simulate-groups": ("groups", "tolerances"),
+    "check-tiling": ("spectrum", "tiling"),
+    "diffraction": ("diffraction",),
+    "root-scan": ("rootscan", "tolerances"),
+}
+
+
+def command_text(command, sections):
+    return "\n".join([f"command: {command}", "seed: 3"] + [
+        SECTION_TEXT[name] for name in sections
+    ])
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_config_of_every_section_its_command_reads_loads(command):
+    assert parse_config(command_text(command, READS[command])).command == command
+
+
+@pytest.mark.parametrize("command, section", [
+    (command, section)
+    for command in sorted(READS)
+    for section in SECTION_TEXT
+    if section not in READS[command]
+])
+def test_a_section_the_command_does_not_read_exits_two_at_load(
+    tmp_path, capsys, command, section
+):
+    text = command_text(command, READS[command] + (section,))
+    assert_load_error(
+        tmp_path, capsys, text, f"unknown key(s) [{section!r}] in a {command} config"
+    )
+
+
+# a valid value of each family key, and the keys each family reads
+FAMILY_KEY_TEXT = {
+    "alpha": "0.25",
+    "alpha_vector": "[0.1, 0.2]",
+    "beta": "{default: 0.5}",
+    "gamma": "{default: 0.5}",
+    "levels": "[{default: 0.5}, {default: 0.25}]",
+    "points": "[[0.0, 0.5]]",
+}
+FAMILY_KEYS = {
+    "translated-lattice": ("alpha_vector",),
+    "class-a": ("alpha", "beta"),
+    "class-b": ("alpha", "beta"),
+    "tower": ("levels",),
+    "tower3d": ("beta", "gamma"),
+    "explicit": ("points",),
+}
+
+
+def spectrum_text(family, keys):
+    entries = [f"family: {family}"] + [f"{key}: {FAMILY_KEY_TEXT[key]}" for key in keys]
+    return f"command: build-spectrum\nspectrum: {{{', '.join(entries)}}}\nwindow: {{radius: 1}}"
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_KEYS))
+def test_a_spectrum_of_its_family_keys_loads(family):
+    assert parse_config(spectrum_text(family, FAMILY_KEYS[family])).spectrum is not None
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, key)
+    for family in sorted(FAMILY_KEYS)
+    for key in FAMILY_KEY_TEXT
+    # a translated lattice takes alpha in place of alpha_vector
+    if key not in FAMILY_KEYS[family] and (family, key) != ("translated-lattice", "alpha")
+])
+def test_a_key_of_another_family_exits_two_at_load(tmp_path, capsys, family, key):
+    text = spectrum_text(family, FAMILY_KEYS[family] + (key,))
+    assert_load_error(
+        tmp_path, capsys, text, f"unknown key(s) [{key!r}] in a {family} spectrum"
+    )
+
+
+@pytest.mark.parametrize("text, message", [
+    ("command: build-spectrum\nspectrum: {family: class-a}\n"
+     "window: {radius: 2, ranges: [[0, 9], [0, 9]]}",
+     "window: needs exactly one of 'radius' and 'ranges'"),
+    ("command: build-spectrum\nspectrum: {family: class-a}\nwindow: {}",
+     "window: needs exactly one of 'radius' and 'ranges'"),
+    (COCYCLE + "{window: {radius: 2, ranges: [[0, 3], [0, 3]]}}",
+     "cocycle.window: needs exactly one of 'radius' and 'ranges'"),
+    (GROUPS + "{window: {radius: 2, ranges: [[0, 3], [0, 3]]}}",
+     "groups.window: needs exactly one of 'radius' and 'ranges'"),
+    ("command: build-spectrum\n"
+     "spectrum: {family: translated-lattice, alpha: 0.5, alpha_vector: [0.1, 0.2]}\n"
+     "window: {radius: 1}",
+     "spectrum: needs at most one of 'alpha' and 'alpha_vector'"),
+])
+def test_a_second_form_exits_two_at_load(tmp_path, capsys, text, message):
+    assert_load_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("text, message", [
+    # no window mode within sub_radius of the origin, and no random probe
+    (GROUPS + "{window: {ranges: [[3, 5], [3, 5]]}, grid_n: 16, times: [0.25], "
+     "sub_radius: 2, n_random: 0}",
+     "groups.n_random: 0 random probes, and no window mode lies within "
+     "sub_radius 2 of the origin"),
+    (GROUPS + "{window: {ranges: [[-1, 1], [3, 5]]}, n_random: 0}",
+     "groups.n_random: 0 random probes"),
+    (GROUPS + "{window: {radius: 2}, grid_n: 16, times: [1.125, 0.25], "
+     "sub_radius: 1, n_random: 1}",
+     "groups.times: 1.125, the spectral check's time, is above 1"),
+])
+def test_a_sweep_the_spectral_check_cannot_run_exits_two_at_load(
+    tmp_path, capsys, text, message
+):
+    assert_load_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("groups", [
+    # one basis probe, the origin; one random probe; the last time above 1
+    "{window: {ranges: [[0, 1], [0, 1]]}, sub_radius: 0, n_random: 0}",
+    "{window: {ranges: [[3, 5], [3, 5]]}, grid_n: 16, times: [0.25], n_random: 1}",
+    "{window: {radius: 2}, grid_n: 16, times: [1.0, 1.25], sub_radius: 1}",
+])
+def test_sweeps_with_a_probe_and_a_first_time_up_to_one_load(groups):
+    parse_config(GROUPS + groups)
+
+
 @pytest.mark.parametrize("command", ["verify-pair", "build-spectrum"])
 def test_explicit_spectrum_needs_no_window(tmp_path, command):
     # no step reads the window of an explicit set
-    body = EXPLICIT_BARE.replace("verify-pair", command) % [
-        [0.0, 0.0], [1.0, 0.25], [0.5, 1.0]
-    ]
+    points = [[0.0, 0.0], [1.0, 0.25], [0.5, 1.0]]
+    body = {
+        "verify-pair": EXPLICIT_BARE % points,
+        "build-spectrum": "command: build-spectrum\n"
+        f"spectrum: {{family: explicit, points: {points}}}",
+    }[command]
     runs = []
     for name, text in (("windowed", body + "\nwindow: {radius: 1}\n"), ("bare", body)):
         out = tmp_path / name

@@ -203,7 +203,7 @@ def test_completeness_constant_function():
     f = np.ones((n, n), dtype=complex)
     spec = TranslatedLattice((0.0, 0.0))
     report = completeness_probe(
-        UnitCube(2), spec, LatticeWindow.centered(2, 2), [f]
+        UnitCube(2), enumerate_spectrum(spec, LatticeWindow.centered(2, 2)), [f]
     )
     assert report.ratios[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -218,7 +218,7 @@ def test_completeness_indicator_approaches_one():
     radii = [2, 8, 32]
     ratios = [
         completeness_probe(
-            UnitCube(2), spec, LatticeWindow.centered(r, 2), [f]
+            UnitCube(2), enumerate_spectrum(spec, LatticeWindow.centered(r, 2)), [f]
         ).ratios[0]
         for r in radii
     ]
@@ -247,7 +247,7 @@ def test_completeness_missing_rows_plateau():
         spec = ExplicitSpectrum(np.array(pts, dtype=float))
         ratios.append(
             completeness_probe(
-                UnitCube(2), spec, LatticeWindow.centered(0, 2), [f]
+                UnitCube(2), enumerate_spectrum(spec, LatticeWindow.centered(0, 2)), [f]
             ).ratios[0]
         )
     assert ratios == sorted(ratios)
@@ -260,8 +260,7 @@ def test_completeness_rejects_zero_norm():
     with pytest.raises(ValueError):
         completeness_probe(
             UnitCube(2),
-            TranslatedLattice((0.0, 0.0)),
-            LatticeWindow.centered(1, 2),
+            enumerate_spectrum(TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2)),
             [f],
         )
 
@@ -273,8 +272,7 @@ def test_completeness_rejects_non_finite_test_functions(bad):
     with pytest.raises(ValueError, match="finite"):
         completeness_probe(
             UnitCube(2),
-            TranslatedLattice((0.0, 0.0)),
-            LatticeWindow.centered(1, 2),
+            enumerate_spectrum(TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2)),
             [np.ones((8, 8)), f],
         )
 
@@ -459,7 +457,7 @@ def test_completeness_probe_matches_the_per_point_loop(d, shape, family):
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     states = [noise, np.ones(shape, dtype=complex)]
     spec, window = family(d), LatticeWindow.centered(2, d)
-    got = completeness_probe(UnitCube(d), spec, window, states).ratios
+    got = completeness_probe(UnitCube(d), enumerate_spectrum(spec, window), states).ratios
     want = completeness_reference(UnitCube(d), spec, window, states)
     assert len(got) == len(want) == 2
     for g, w in zip(got, want):
@@ -471,7 +469,8 @@ def test_completeness_probe_needs_the_unit_cube():
     half = Domain((IntervalUnion(((0.0, 0.5),)), IntervalUnion(((0.0, 1.0),))))
     with pytest.raises(TypeError):
         completeness_probe(
-            half, TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2), [f]
+            half, enumerate_spectrum(TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2)),
+            [f],
         )
 
 
@@ -851,6 +850,6 @@ def test_completeness_probe_equals_per_point_phases_bit_for_bit(d, shapes, famil
     rng = np.random.default_rng(d)
     states = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
     spec, window = family(d), LatticeWindow.centered(2, d)
-    got = completeness_probe(UnitCube(d), spec, window, states).ratios
+    got = completeness_probe(UnitCube(d), enumerate_spectrum(spec, window), states).ratios
     want = completeness_per_point_phases(UnitCube(d), spec, window, states)
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
