@@ -33,9 +33,6 @@ An explicit spectrum needs no window.  The sections:
     tolerances:                   # all fields optional
       eq_tol: 1.0e-10             # closed-form identity tolerance
       num_tol: 1.0e-8             # quadrature/grid tolerance
-      grid_n: 256                 # samples per axis
-      quad_n: 2048                # >= 2; read by no command, only echoed
-                                  #   in the report's tolerances line
 
     domain:                       # its dimension must equal the spectrum's
       kind: unit-cube             # or interval-union
@@ -178,11 +175,7 @@ from .model import spectrum_difference_set  # noqa: F401
 
 
 def _tolerance_line(tol: ToleranceConfig) -> str:
-    return (
-        f"eq_tol={format_float(tol.eq_tol)} "
-        f"num_tol={format_float(tol.num_tol)} "
-        f"grid_n={tol.grid_n} quad_n={tol.quad_n}"
-    )
+    return f"eq_tol={format_float(tol.eq_tol)} num_tol={format_float(tol.num_tol)}"
 
 
 def _write_text(outdir: Path, name: str, text: str) -> None:
@@ -318,7 +311,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     )
 
     if cfg.domain == UnitCube(2):
-        n = min(cfg.tolerances.grid_n, 128)
+        n = 128  # samples per axis of the two test states
         x = (np.arange(n) + 0.5) / n
         half = ((x[:, None] < 0.5) * np.ones((n, n))).astype(complex)
         const = np.ones((n, n), dtype=complex)

@@ -299,10 +299,9 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
 
 
 def _parse_tolerances(section: dict, cfg: "RunConfig") -> ToleranceConfig:
-    _check_keys(section, {"eq_tol", "num_tol", "grid_n", "quad_n"}, "tolerances")
+    _check_keys(section, {"eq_tol", "num_tol"}, "tolerances")
     return ToleranceConfig(**{
-        key: (_int if key.endswith("_n") else _real)(value, f"tolerances.{key}")
-        for key, value in section.items()
+        key: _real(value, f"tolerances.{key}") for key, value in section.items()
     })
 
 

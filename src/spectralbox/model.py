@@ -217,24 +217,15 @@ class LatticeWindow:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical tolerances and default resolutions, used package-wide.
-
-    eq_tol guards closed-form identities, num_tol quadrature/grid
-    comparisons; grid_n is samples per axis.  quad_n, a quadrature node
-    count, is read by no command: the report header echoes it, and
-    f_omega_quadrature keeps its own default.
-    """
+    """Numerical tolerances, used package-wide: eq_tol guards closed-form
+    identities, num_tol quadrature/grid comparisons."""
 
     eq_tol: float = 1e-10
     num_tol: float = 1e-8
-    grid_n: int = 256
-    quad_n: int = 2048
 
     def __post_init__(self) -> None:
         if not (0 < self.eq_tol < math.inf and 0 < self.num_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.grid_n < 2 or self.quad_n < 2:
-            raise ValueError("grid_n and quad_n must be >= 2")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_minimal_config_defaults():
     assert cfg.command == "root-scan"
     assert cfg.seed == 0
     assert cfg.tolerances.eq_tol == 1e-10
-    assert cfg.tolerances.grid_n == 256
+    assert cfg.tolerances.num_tol == 1e-8
     assert cfg.rootscan["samples"] == 4096
 
 
@@ -742,7 +742,6 @@ ONE_COSINE = (
 @pytest.mark.parametrize(
     "text, where",
     [
-        ("command: root-scan\ntolerances: {grid_n: 64.5}", "tolerances.grid_n"),
         ("command: check-cocycle\ncocycle: {window: {ranges: [[-2, 2.5], [0, 1]]}}",
          "cocycle.window.ranges"),
         ('command: check-cocycle\ncocycle: {a: {table: {1.5: 0.25}}}', "cocycle.a.table"),
@@ -828,6 +827,14 @@ def test_non_finite_tolerance_exits_two_at_load(tmp_path, capsys, key, value):
         'cocycle: {a: {table: {"0": 0.25}}, b: {table: {"1": 0.4}}, window: {radius: 3}}'
     )
     assert_load_error(tmp_path, capsys, text, f"tolerances.{key}: {value} is not finite")
+
+
+# no command reads a quadrature node count or a tolerance grid size
+@pytest.mark.parametrize("knob", ["quad_n: 2048", "grid_n: 256", "grid_n: 64.5"])
+def test_quad_n_and_grid_n_tolerances_exit_two_at_load(tmp_path, capsys, knob):
+    text = f"{MINIMAL.strip()}\ntolerances: {{{knob}}}"
+    key = knob.split(":")[0]
+    assert_load_error(tmp_path, capsys, text, f"unknown key(s) [{key!r}] in tolerances")
 
 
 GROUPS = "command: simulate-groups\ngroups: "
