@@ -182,54 +182,126 @@ def _write_text(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
 
 
-# the left-justified, space-padded field of each dtype a table may hold: a
-# float64 as format_float writes it, an int64 as str does.  Either text is
-# at most 20 characters ("-1.234567890123e-308", "-9223372036854775808"),
-# so a field this wide always ends in at least one padding space
-_FIELD = 21
-_FORMATS = {np.dtype(np.float64): f"%-{_FIELD}.12e", np.dtype(np.int64): f"%-{_FIELD}d"}
+# cells a block of rows holds at most, unless a single row is wider: the
+# writer holds one block's codes, cells and text at a time
+_BLOCK_CELLS = 1 << 16
+_SIGN = np.uint64(1 << 63)
+# 10^0 .. 10^22, every one exact in float64
+_EXACT_POW10 = np.array([float(10**j) for j in range(23)])
+# the four digits of each integer 0 .. 9999, as ASCII
+_QUADS = (
+    (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
 
 
-def _text_table(table: np.ndarray, index: np.ndarray, seps: str) -> bytes:
-    """Text of the float64 or int64 table table[index], one value a cell.
+def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
+    """Write the float64 or int64 table table[index] to sink, one value a
+    cell, as '%.12e' or '%d' writes it.
 
     index is (rows, k) and picks rows of table, whose trailing axes are
     flattened into the columns of the text.  seps[c] is the one character
-    written after column c, so a row ends with seps[-1].  The values of
-    table are grouped by bit pattern, which keeps -0.0 and NaN apart from
-    their look-alikes, and each distinct value is formatted once.  Its
-    field is NUL-padded to the longest text plus one, so a separator may
-    be a space; numpy places the texts in one byte buffer and drops the
-    padding.
+    written after column c, so a row ends with seps[-1].  A float table is
+    grouped by magnitude bits, which keeps -0.0 and NaN payloads apart from
+    their look-alikes, and each distinct magnitude is formatted once; an
+    int table is grouped by value.  Each (value, sign, separator) gets one
+    field, its text and separator padded with NULs, and the rows go to
+    sink in blocks of _BLOCK_CELLS cells: a block gathers its fields and
+    drops their NULs.
     """
-    flat = _padded_cells(np.ascontiguousarray(table), index, seps).ravel()
-    return flat[flat != 0].tobytes()
-
-
-def _padded_cells(table: np.ndarray, index: np.ndarray, seps: str) -> np.ndarray:
-    """The (rows, columns, width) bytes of _text_table: each cell's text,
-    its separator, then NULs.  Of the arrays made here, as large as the
-    table or the text, only these cells outlive the call."""
-    fmt = _FORMATS[table.dtype]
-    bits, inverse = np.unique(table.view(np.uint64).ravel(), return_inverse=True)
-    # int32 and uint8 indices: the size caps keep the distinct values far
-    # below 2^31, and a text is at most 20 bytes
-    cell = np.take(inverse.astype(np.int32).reshape(len(table), -1), index, axis=0)
-    cell = cell.reshape(len(index), -1)
-    del inverse
-    text = (fmt * bits.size) % tuple(bits.view(table.dtype).tolist())
-    fields = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _FIELD)
-    del text
-    lengths = np.argmax(fields == ord(" "), axis=1).astype(np.uint8)
-    fields = fields[:, : lengths.max() + 1]
-    fields = fields * (fields != ord(" "))
-    cells = np.take(fields, cell, axis=0)
-    # the first padding NUL of each cell becomes its column's separator
-    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
-    np.put_along_axis(
-        cells, np.take(lengths, cell)[..., None], sep[None, :, None], axis=-1
+    table = np.ascontiguousarray(table)
+    if table.dtype == np.float64:
+        bits = table.view(np.uint64).ravel()
+        keys, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
+        mags = keys.view(np.float64)
+        # each magnitude's text, then '-' and its text; '%' prints no
+        # sign for NaN
+        texts = np.zeros((mags.size, 2, 21), dtype=np.uint8)
+        texts[:, 0, :19] = _float_texts(mags)
+        texts[:, 1, 0] = ord("-")
+        texts[:, 1, 1:20] = texts[:, 0, :19]
+        nan = np.isnan(mags)
+        texts[nan, 1] = texts[nan, 0]
+        texts = texts.reshape(-1, 21)
+        inverse = 2 * inverse + (bits >> np.uint64(63)).astype(np.intp)
+    else:
+        keys, inverse = np.unique(table.ravel(), return_inverse=True)
+        texts = _padded_texts("d", 21, keys.tolist())
+    # a field is a text, the NULs up to the longest text, then one
+    # separator; the texts leave their last column free
+    width = texts.shape[1] - 1
+    while not texts[:, width - 1].any():
+        width -= 1
+    sep_bytes, sep_code = np.unique(
+        np.frombuffer(seps.encode("ascii"), dtype=np.uint8), return_inverse=True
     )
-    return cells
+    fields = np.repeat(texts[None, :, : width + 1], sep_bytes.size, axis=0)
+    fields[:, :, width] = sep_bytes[:, None]
+    fields = fields.reshape(-1, width + 1)
+    # int32 codes: the size caps keep the fields far below 2^31
+    codes = inverse.astype(np.int32).reshape(len(table), -1)
+    sep_code = (sep_code * len(texts)).astype(np.int32)
+    rows = max(1, _BLOCK_CELLS // len(seps))
+    for start in range(0, len(index), rows):
+        cell = np.take(codes, index[start : start + rows], axis=0)
+        cell = cell.reshape(-1, len(seps))
+        cell += sep_code
+        block = np.take(fields, cell, axis=0).ravel()
+        sink.write(block[block != 0])
+
+
+def _padded_texts(spec: str, width: int, values: list) -> np.ndarray:
+    """(n, width) bytes: each value's text under '%' and spec, padded with
+    NULs to width, which no text may exceed."""
+    text = (f"%-{width}{spec}" * len(values)) % tuple(values)
+    texts = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, width)
+    return texts * (texts != ord(" "))
+
+
+def _float_texts(mags: np.ndarray) -> np.ndarray:
+    """(n, 19) bytes: '%.12e' % m padded with NULs, for each float64
+    magnitude m (sign bit clear), the same bytes as Python's '%' gives.
+
+    A normal m takes e = floor(log10 m), k = 12 - e and
+    y = (m 10^k1) 10^k2 with |k1| <= 22, so 10^k1 is exact and one
+    multiply or divide rounds once.  The second multiply rounds once more
+    and 10^k2 may be 1 ulp off, so y is within 4u y < 4u 10^13 = 4.4e-3 of
+    m 10^k (u = 2^-53).  Where 10^12 <= floor(y) < 10^13 - 1 and frac(y)
+    lies at least 0.01 from 1/2, y rounds to the same 13 digits as m 10^k
+    and they carry into no 14th: those digits and e are the text.  Every
+    other m goes to '%': a tie or near-tie (round half to even), a carry at
+    9.9999999999995 10^e, a misestimated e, 0, subnormals, inf and NaN.
+    """
+    normal = (mags >= np.finfo(np.float64).tiny) & (mags <= np.finfo(np.float64).max)
+    x = np.where(normal, mags, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    k1 = np.clip(12 - e, -22, 22)
+    # one of the two exact powers is 1
+    y = x * _EXACT_POW10[np.maximum(k1, 0)] / _EXACT_POW10[np.maximum(-k1, 0)]
+    y *= np.power(10.0, 12 - e - k1)
+    whole = np.floor(y)
+    fast = normal & (whole >= 1e12) & (whole < 1e13 - 1)
+    fast &= np.abs(y - whole - 0.5) >= 0.01
+    # every row is written; the rows that are not fast are overwritten
+    digits = whole.astype(np.int64) + (y - whole > 0.5)
+    texts = np.empty((mags.size, 19), dtype=np.uint8)
+    texts[:, 0] = digits // 10**12 % 10 + ord("0")
+    texts[:, 1] = ord(".")
+    for column, quad in ((2, digits // 10**8), (6, digits // 10**4), (10, digits)):
+        texts[:, column : column + 4] = _QUADS[quad % 10**4].view(np.uint8).reshape(-1, 4)
+    texts[:, 14] = ord("e")
+    texts[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+    # two exponent digits, or three from 100 on
+    exponent = _QUADS[np.abs(e) % 10**4].view(np.uint8).reshape(-1, 4)
+    wide = np.abs(e) >= 100
+    texts[:, 16:18] = np.where(wide[:, None], exponent[:, 1:3], exponent[:, 2:4])
+    texts[:, 18] = exponent[:, 3] * wide
+    slow = ~fast
+    if slow.any():
+        texts[slow] = _padded_texts(".12e", 19, mags[slow].tolist())
+    return texts
 
 
 def _in_zero_set(domain, gram, num_tol: float) -> tuple[str, bool]:
@@ -270,7 +342,8 @@ def _cmd_build_spectrum(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     points = enumerate_spectrum(cfg.spectrum, cfg.window)
     seps = "\t" * (points.shape[1] - 1) + "\n"
     rows = np.arange(len(points))[:, None]
-    (outdir / "spectrum.txt").write_bytes(_text_table(points, rows, seps))
+    with open(outdir / "spectrum.txt", "wb") as sink:
+        _write_table(sink, points, rows, seps)
     report.add(
         "model.enumerate_spectrum",
         "one point per window index tuple, family formula applied",
@@ -287,7 +360,8 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     # written from its table of distinct values
     seps = (",\t" * points.shape[0])[:-1] + "\n"
     parts = gram.table.view(np.float64).reshape(-1, 2)
-    (outdir / "gram.txt").write_bytes(_text_table(parts, gram.index, seps))
+    with open(outdir / "gram.txt", "wb") as sink:
+        _write_table(sink, parts, gram.index, seps)
 
     orth = orthogonality_verdict(gram, tol.eq_tol)
     notes = []
@@ -472,7 +546,8 @@ def _cmd_check_tiling(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     if cfg.spectrum.dimension == 2:
         seps = " " * (mp.counts.shape[1] - 1) + "\n"
         rows = np.arange(len(mp.counts))[:, None]
-        (outdir / "multiplicity.txt").write_bytes(_text_table(mp.counts, rows, seps))
+        with open(outdir / "multiplicity.txt", "wb") as sink:
+            _write_table(sink, mp.counts, rows, seps)
         emit_tiling_svg(cfg.spectrum, torus_n, outdir / "tiling.svg")
     report.add(
         "tiling.tiling_verdict",

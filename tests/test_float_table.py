@@ -1,15 +1,21 @@
 """The table writer of gram.txt and spectrum.txt against per-entry loops.
 
 The references format one entry at a time with `format_float`, the way
-the two tables were first written; the writer formats each distinct
-float once and must give the same bytes under `==`, whether it is handed
-the table as it stands or the Gram's distinct values and its index.
+the two tables were first written.  The writer formats each distinct
+magnitude once, most through a vectorised '%.12e' and the rest through
+'%', and writes the rows in blocks of `_BLOCK_CELLS` cells; it must give
+the same bytes under `==`, whether it is handed the table as it stands or
+the Gram's distinct values and its index, and whatever the block size.
 """
+
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectralbox.cli import _text_table
+from spectralbox import cli
+from spectralbox.cli import _write_table
 from spectralbox.exponentials import gram_matrix
 from spectralbox.model import (
     Domain,
@@ -21,6 +27,13 @@ from spectralbox.model import (
     enumerate_spectrum,
 )
 from spectralbox.reporting import format_float
+
+
+def text_table(table: np.ndarray, index: np.ndarray, seps: str) -> bytes:
+    """All the bytes _write_table writes for table[index]."""
+    sink = io.BytesIO()
+    _write_table(sink, table, index, seps)
+    return sink.getvalue()
 
 
 def points_table_reference(points: np.ndarray) -> bytes:
@@ -41,20 +54,25 @@ def gram_table_reference(entries: np.ndarray) -> bytes:
 
 def points_table(points: np.ndarray) -> bytes:
     rows = np.arange(len(points))[:, None]
-    return _text_table(points, rows, "\t" * (points.shape[1] - 1) + "\n")
+    return text_table(points, rows, "\t" * (points.shape[1] - 1) + "\n")
 
 
 def gram_table(entries: np.ndarray) -> bytes:
     seps = (",\t" * entries.shape[1])[:-1] + "\n"
     values = np.ascontiguousarray(entries).view(np.float64)
-    return _text_table(values, np.arange(len(values))[:, None], seps)
+    return text_table(values, np.arange(len(values))[:, None], seps)
+
+
+def staircase(radius: int):
+    """The Gram of the class-b radius-8 sample's family on a square window."""
+    beta = IntFunction(1, 0.15, {-8: 0.6, -3: 0.25, 0: 0.5, 2: 0.05, 5: 0.9, 8: 0.7})
+    spec = Tower((IntFunction.constant(0.375), beta), (1, 0))
+    points = enumerate_spectrum(spec, LatticeWindow.centered(radius, 2))
+    return gram_matrix(UnitCube(2), points)
 
 
 def staircase_gram() -> np.ndarray:
-    beta = IntFunction(1, 0.15, {-8: 0.6, -3: 0.25, 0: 0.5, 2: 0.05, 5: 0.9, 8: 0.7})
-    spec = Tower((IntFunction.constant(0.375), beta), (1, 0))
-    points = enumerate_spectrum(spec, LatticeWindow.centered(8, 2))
-    return gram_matrix(UnitCube(2), points).entries
+    return staircase(8).entries
 
 
 # -0.0, subnormals, huge and tiny magnitudes (three-digit exponents), NaN
@@ -115,7 +133,7 @@ def coded_gram_table(gram) -> bytes:
     """gram.txt as verify-pair writes it: the table of distinct values and
     the Gram's index into it."""
     seps = (",\t" * gram.index.shape[1])[:-1] + "\n"
-    return _text_table(gram.table.view(np.float64).reshape(-1, 2), gram.index, seps)
+    return text_table(gram.table.view(np.float64).reshape(-1, 2), gram.index, seps)
 
 
 @pytest.mark.parametrize("case", ["staircase", "explicit", "union", "one point"])
@@ -139,3 +157,149 @@ def test_gram_written_through_its_index_equals_the_identity_index(case):
     assert gram.table.size <= gram.entries.size
     assert coded_gram_table(gram) == gram_table(gram.entries)
     assert coded_gram_table(gram) == gram_table_reference(gram.entries)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised '%.12e': every row as '%' writes it
+# ---------------------------------------------------------------------------
+
+
+def column_table(values: np.ndarray) -> bytes:
+    """values written one a row."""
+    return text_table(values[:, None], np.arange(len(values))[:, None], "\n")
+
+
+def column_reference(values: np.ndarray) -> bytes:
+    return "".join("%.12e\n" % v for v in values.tolist()).encode("ascii")
+
+
+# the rounding ties 1 234 567 890 000 + (2j + 1)/2, exact in float64:
+# round half to even, so 1234567890123.5 prints 1.234567890124e+12
+TIES = 1_234_567_890_000 + (2 * np.arange(2000) + 1) / 2
+POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+# 9.9999999999995e{k} rounds up into the next decade, as may its neighbours
+CARRIES = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 308)])
+
+
+def neighbours(values: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        (values, np.nextafter(values, np.inf), np.nextafter(values, 0.0))
+    )
+
+
+def test_seeded_magnitudes_across_the_whole_range_match_percent():
+    rng = np.random.default_rng(2024)
+    mags = 10.0 ** rng.uniform(-320.0, np.log10(np.finfo(np.float64).max), 200_000)
+    values = mags * rng.choice([-1.0, 1.0], size=mags.size)
+    assert (mags < np.finfo(np.float64).tiny).any() and (mags > 1e307).any()
+    assert column_table(values) == column_reference(values)
+
+
+def test_random_bit_patterns_match_percent():
+    rng = np.random.default_rng(2025)
+    values = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    assert np.isnan(values).any()
+    assert column_table(values) == column_reference(values)
+
+
+def test_ties_powers_of_ten_and_decade_carries_match_percent():
+    values = np.concatenate((TIES, neighbours(POWERS), neighbours(CARRIES)))
+    assert column_table(values) == column_reference(values)
+    assert column_table(np.array([1234567890123.5])) == b"1.234567890124e+12\n"
+
+
+def test_subnormals_zeros_infinities_and_nans_match_percent():
+    tiny = np.finfo(np.float64).tiny
+    sub = np.array([5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(tiny, 0.0)])
+    values = np.concatenate((sub, -sub, [tiny, -tiny, 0.0, -0.0, np.inf, -np.inf]))
+    nans = np.array([np.nan, -np.nan]).view(np.uint64) | np.uint64(12345)
+    values = np.concatenate((values, [np.nan, -np.nan], nans.view(np.float64)))
+    assert np.signbit(values[-1]) and np.isnan(values[-1])
+    assert column_table(values) == column_reference(values)
+
+
+def test_the_ties_go_to_percent(monkeypatch):
+    formatted = []
+
+    def recording(spec, width, values):
+        formatted.extend(values)
+        return padded(spec, width, values)
+
+    padded = cli._padded_texts
+    monkeypatch.setattr(cli, "_padded_texts", recording)
+    texts = cli._float_texts(TIES)
+    assert formatted == TIES.tolist()
+    assert texts.tobytes().replace(b"\0", b"\n") == column_reference(TIES)
+
+
+def test_most_distinct_magnitudes_of_a_gram_take_the_vectorised_path(monkeypatch):
+    formatted = []
+
+    def recording(spec, width, values):
+        formatted.extend(values)
+        return padded(spec, width, values)
+
+    padded = cli._padded_texts
+    monkeypatch.setattr(cli, "_padded_texts", recording)
+    mags = np.unique(np.abs(staircase(8).table.view(np.float64)))
+    cli._float_texts(mags)
+    assert len(formatted) < mags.size // 20
+
+
+# ---------------------------------------------------------------------------
+# block boundaries
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_any_block_size_gives_the_same_bytes(monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    # 23 rows of 3 cells: 23 is a multiple of no block's row count above 1
+    points = rng.choice(SPECIAL, size=(23, 3))
+    assert points_table(points) == points_table_reference(points)
+    # 10 rows of 20 cells, each row wider than a block of 1 or 7
+    entries = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    assert gram_table(entries) == gram_table_reference(entries)
+    # 98 cells a row through the Gram's index: wider than every block here
+    gram = staircase(3)
+    assert coded_gram_table(gram) == gram_table_reference(gram.entries)
+    one = np.array([[complex(-0.25, 1e-300)]])
+    assert gram_table(one) == gram_table_reference(one)
+
+
+# ---------------------------------------------------------------------------
+# memory: the writer holds the field table and a block, never the text
+# ---------------------------------------------------------------------------
+
+
+class CountingSink:
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, data):
+        self.bytes += len(data)
+
+
+def test_radius_16_gram_streams_in_blocks():
+    gram = staircase(16)
+    assert gram.index.shape == (1089, 1089)
+    parts = gram.table.view(np.float64).reshape(-1, 2)
+    seps = (",\t" * 1089)[:-1] + "\n"
+    mags = np.unique(np.abs(parts)).size
+    # the (magnitude, sign, separator) fields, at most 21 bytes each; the
+    # grouping of the table (its bits, sort order and codes); and a
+    # block's codes, cells, NUL mask and text, under 64 bytes a cell.
+    # Measured at 2^16 cells a block: a 9.5 MB peak against this bound of
+    # 14 MB; writing the whole text at once peaked at 141 MB.
+    bound = mags * 2 * 3 * 21 + 32 * parts.size + 2 * 64 * cli._BLOCK_CELLS
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _write_table(sink, parts, gram.index, seps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sink.bytes == 46_074_258
+    assert peak <= bound

@@ -5,10 +5,20 @@ and a newline after every row; the writer formats each distinct int64
 once, with a space as the separator, and must give the same bytes.
 """
 
+import io
+
 import numpy as np
 import pytest
 
-from spectralbox.cli import _text_table
+from spectralbox import cli
+from spectralbox.cli import _write_table
+
+
+def text_table(table: np.ndarray, index: np.ndarray, seps: str) -> bytes:
+    """All the bytes _write_table writes for table[index]."""
+    sink = io.BytesIO()
+    _write_table(sink, table, index, seps)
+    return sink.getvalue()
 
 
 def join_reference(counts: np.ndarray) -> bytes:
@@ -18,7 +28,7 @@ def join_reference(counts: np.ndarray) -> bytes:
 
 def space_table(counts: np.ndarray) -> bytes:
     rows = np.arange(len(counts))[:, None]
-    return _text_table(counts, rows, " " * (counts.shape[1] - 1) + "\n")
+    return text_table(counts, rows, " " * (counts.shape[1] - 1) + "\n")
 
 
 EXTREMES = np.array(
@@ -51,5 +61,18 @@ def test_all_zero_and_all_negative_tables():
 def test_int_table_takes_any_separators():
     counts = np.array([[3, -40, 500], [0, 7, -8]], dtype=np.int64)
     rows = np.arange(len(counts))[:, None]
-    assert _text_table(counts, rows, ",\t\n") == b"3,-40\t500\n0,7\t-8\n"
+    assert text_table(counts, rows, ",\t\n") == b"3,-40\t500\n0,7\t-8\n"
 
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_any_block_size_gives_the_same_bytes(monkeypatch, block):
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    # 13 rows of 5: 13 is a multiple of no block's row count above 1
+    counts = rng.choice(EXTREMES, size=(13, 5))
+    assert (counts < 0).any()
+    assert space_table(counts) == join_reference(counts)
+    # 70 cells a row, wider than every block here
+    wide = -rng.integers(0, 1000, size=(3, 70))
+    assert space_table(wide) == join_reference(wide)
