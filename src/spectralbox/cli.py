@@ -54,7 +54,8 @@ An explicit spectrum needs no window.  The sections:
         - {default: 0.0, table: {"1,2": 0.3}}
       points: [[0.0, 0.0]]        # finite
     window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]], not both; verify-
-                                  #   pair on P points needs P^2 (192 + 48 d) <= 2^30 B
+                                  #   pair on P points needs P^2 (192 + 48 d) <= 2^30 B,
+                                  #   the measured peak of its Gram; gram.txt is written in blocks
 
     class-a, class-b and tower3d are config spellings of one Tower,
     level k holding a table of k indices with values in [0, 1):
@@ -185,7 +186,6 @@ def _write_text(outdir: Path, name: str, text: str) -> None:
 # cells a block of rows holds at most, unless a single row is wider: the
 # writer holds one block's codes, cells and text at a time
 _BLOCK_CELLS = 1 << 16
-_SIGN = np.uint64(1 << 63)
 # 10^0 .. 10^22, every one exact in float64
 _EXACT_POW10 = np.array([float(10**j) for j in range(23)])
 # the four digits of each integer 0 .. 9999, as ASCII
@@ -198,57 +198,53 @@ _QUADS = (
 
 
 def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
-    """Write the float64 or int64 table table[index] to sink, one value a
-    cell, as '%.12e' or '%d' writes it.
+    """Write the nonempty float64 or int64 table table[index] to sink, one
+    value a cell, as '%.12e' or '%d' writes it.
 
     index is (rows, k) and picks rows of table, whose trailing axes are
     flattened into the columns of the text.  seps[c] is the one character
     written after column c, so a row ends with seps[-1].  A float table is
-    grouped by magnitude bits, which keeps -0.0 and NaN payloads apart from
-    their look-alikes, and each distinct magnitude is formatted once; an
-    int table is grouped by value.  Each (value, sign, separator) gets one
-    field, its text and separator padded with NULs, and the rows go to
-    sink in blocks of _BLOCK_CELLS cells: a block gathers its fields and
-    drops their NULs.
+    grouped by the bits of its magnitudes, which keeps NaN payloads apart,
+    and each distinct magnitude is formatted once; an
+    int table is grouped by value.  Each group gets one field: a sign slot,
+    its text, NULs up to the longest text, and a separator slot.  The rows
+    go to sink in blocks of _BLOCK_CELLS cells: a block gathers its
+    fields, fills the two slots of each cell, and drops the NULs.
     """
     table = np.ascontiguousarray(table)
     if table.dtype == np.float64:
-        bits = table.view(np.uint64).ravel()
-        keys, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
+        keys, inverse = np.unique(np.abs(table).view(np.uint64), return_inverse=True)
         mags = keys.view(np.float64)
-        # each magnitude's text, then '-' and its text; '%' prints no
-        # sign for NaN
-        texts = np.zeros((mags.size, 2, 21), dtype=np.uint8)
-        texts[:, 0, :19] = _float_texts(mags)
-        texts[:, 1, 0] = ord("-")
-        texts[:, 1, 1:20] = texts[:, 0, :19]
-        nan = np.isnan(mags)
-        texts[nan, 1] = texts[nan, 0]
-        texts = texts.reshape(-1, 21)
-        inverse = 2 * inverse + (bits >> np.uint64(63)).astype(np.intp)
+        texts = np.empty((mags.size, 19), dtype=np.uint8)
+        for start in range(0, mags.size, _BLOCK_CELLS):
+            texts[start : start + _BLOCK_CELLS] = _float_texts(
+                mags[start : start + _BLOCK_CELLS]
+            )
+        # each value's sign slot; '%' prints no sign for NaN
+        signs = (np.signbit(table) & ~np.isnan(table)) * np.uint8(ord("-"))
+        signs = signs.reshape(len(table), -1)
     else:
-        keys, inverse = np.unique(table.ravel(), return_inverse=True)
-        texts = _padded_texts("d", 21, keys.tolist())
-    # a field is a text, the NULs up to the longest text, then one
-    # separator; the texts leave their last column free
-    width = texts.shape[1] - 1
+        keys, inverse = np.unique(table, return_inverse=True)
+        texts = _padded_texts("d", 20, keys.tolist())
+        signs = None
+    width = texts.shape[1]
     while not texts[:, width - 1].any():
         width -= 1
-    sep_bytes, sep_code = np.unique(
-        np.frombuffer(seps.encode("ascii"), dtype=np.uint8), return_inverse=True
-    )
-    fields = np.repeat(texts[None, :, : width + 1], sep_bytes.size, axis=0)
-    fields[:, :, width] = sep_bytes[:, None]
-    fields = fields.reshape(-1, width + 1)
-    # int32 codes: the size caps keep the fields far below 2^31
+    fields = np.zeros((len(texts), width + 2), dtype=np.uint8)
+    fields[:, 1:-1] = texts[:, :width]
+    # int32 codes: the size caps keep the distinct values far below 2^31
     codes = inverse.astype(np.int32).reshape(len(table), -1)
-    sep_code = (sep_code * len(texts)).astype(np.int32)
+    del keys, inverse, texts
+    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     rows = max(1, _BLOCK_CELLS // len(seps))
     for start in range(0, len(index), rows):
-        cell = np.take(codes, index[start : start + rows], axis=0)
-        cell = cell.reshape(-1, len(seps))
-        cell += sep_code
-        block = np.take(fields, cell, axis=0).ravel()
+        picked = index[start : start + rows]
+        block = np.take(fields, np.take(codes, picked, axis=0), axis=0)
+        block = block.reshape(len(picked), len(seps), width + 2)
+        if signs is not None:
+            block[:, :, 0] = np.take(signs, picked, axis=0).reshape(len(picked), -1)
+        block[:, :, -1] = sep
+        block = block.ravel()
         sink.write(block[block != 0])
 
 

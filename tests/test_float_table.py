@@ -287,12 +287,13 @@ def test_radius_16_gram_streams_in_blocks():
     parts = gram.table.view(np.float64).reshape(-1, 2)
     seps = (",\t" * 1089)[:-1] + "\n"
     mags = np.unique(np.abs(parts)).size
-    # the (magnitude, sign, separator) fields, at most 21 bytes each; the
-    # grouping of the table (its bits, sort order and codes); and a
-    # block's codes, cells, NUL mask and text, under 64 bytes a cell.
-    # Measured at 2^16 cells a block: a 9.5 MB peak against this bound of
-    # 14 MB; writing the whole text at once peaked at 141 MB.
-    bound = mags * 2 * 3 * 21 + 32 * parts.size + 2 * 64 * cli._BLOCK_CELLS
+    # the fields, at most 21 bytes a distinct magnitude; the grouping of the
+    # table (its magnitude bits, their sort order and the codes); and one
+    # block: its codes, signs, fields, NUL mask and text, under 64 bytes a
+    # cell.  At 2^16 cells a block the peak was 5.0 MB against this bound
+    # of 9.2 MB; the writer that built the whole text at once peaked at
+    # 141 MB.
+    bound = 21 * mags + 56 * parts.size + 64 * cli._BLOCK_CELLS
     sink = CountingSink()
     tracemalloc.start()
     try:
