@@ -55,7 +55,8 @@ An explicit spectrum needs no window.  The sections:
       points: [[0.0, 0.0]]        # finite
     window: {radius: 4}           # or ranges: [[-4, 4], [-4, 4]], not both; verify-
                                   #   pair on P points needs P^2 (192 + 48 d) <= 2^30 B,
-                                  #   the measured peak of its Gram; gram.txt is written in blocks
+                                  #   its Gram's measured peak (gram.txt is
+                                  #   written in blocks of rows)
 
     class-a, class-b and tower3d are config spellings of one Tower,
     level k holding a table of k indices with values in [0, 1):
@@ -188,13 +189,6 @@ def _write_text(outdir: Path, name: str, text: str) -> None:
 _BLOCK_CELLS = 1 << 16
 # 10^0 .. 10^22, every one exact in float64
 _EXACT_POW10 = np.array([float(10**j) for j in range(23)])
-# the four digits of each integer 0 .. 9999, as ASCII
-_QUADS = (
-    (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
-    .astype(np.uint8)
-    .view(np.uint32)
-    .ravel()
-)
 
 
 def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
@@ -205,11 +199,12 @@ def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
     flattened into the columns of the text.  seps[c] is the one character
     written after column c, so a row ends with seps[-1].  A float table is
     grouped by the bits of its magnitudes, which keeps NaN payloads apart,
-    and each distinct magnitude is formatted once; an
-    int table is grouped by value.  Each group gets one field: a sign slot,
-    its text, NULs up to the longest text, and a separator slot.  The rows
-    go to sink in blocks of _BLOCK_CELLS cells: a block gathers its
-    fields, fills the two slots of each cell, and drops the NULs.
+    and each distinct magnitude is formatted once; an int table is grouped
+    by value.  Each group gets one field: a sign slot, its text, NULs up to
+    the longest text, and a separator slot.  The rows go to sink in blocks
+    of _BLOCK_CELLS cells: a block gathers its fields, fills the two slots
+    of each cell, and drops the NULs.  Beside the table and its codes, the
+    writer holds the fields and one block, never the whole text.
     """
     table = np.ascontiguousarray(table)
     if table.dtype == np.float64:
@@ -285,12 +280,20 @@ def _float_texts(mags: np.ndarray) -> np.ndarray:
     texts = np.empty((mags.size, 19), dtype=np.uint8)
     texts[:, 0] = digits // 10**12 % 10 + ord("0")
     texts[:, 1] = ord(".")
+    # the ASCII digits of each integer 0 .. 99 as one uint16, and of each
+    # integer 0 .. 9999 as one uint32
+    pairs = np.arange(100)[:, None] // [10, 1] % 10 + ord("0")
+    pairs = pairs.astype(np.uint8).view(np.uint16).ravel()
+    quads = np.empty((100, 100, 2), dtype=np.uint16)
+    quads[:, :, 0] = pairs[:, None]
+    quads[:, :, 1] = pairs[None, :]
+    quads = quads.view(np.uint32).ravel()
     for column, quad in ((2, digits // 10**8), (6, digits // 10**4), (10, digits)):
-        texts[:, column : column + 4] = _QUADS[quad % 10**4].view(np.uint8).reshape(-1, 4)
+        texts[:, column : column + 4] = quads[quad % 10**4].view(np.uint8).reshape(-1, 4)
     texts[:, 14] = ord("e")
     texts[:, 15] = np.where(e < 0, ord("-"), ord("+"))
     # two exponent digits, or three from 100 on
-    exponent = _QUADS[np.abs(e) % 10**4].view(np.uint8).reshape(-1, 4)
+    exponent = quads[np.abs(e) % 10**4].view(np.uint8).reshape(-1, 4)
     wide = np.abs(e) >= 100
     texts[:, 16:18] = np.where(wide[:, None], exponent[:, 1:3], exponent[:, 2:4])
     texts[:, 18] = exponent[:, 3] * wide
