@@ -200,22 +200,24 @@ def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
     written after column c, so a row ends with seps[-1].  A float table is
     grouped by the bits of its magnitudes, which keeps NaN payloads apart,
     and each distinct magnitude is formatted once; an int table is grouped
-    by value.  Each group gets one field: a sign slot, its text, NULs up to
-    the longest text, and a separator slot.  The rows go to sink in blocks
-    of _BLOCK_CELLS cells: a block gathers its fields, fills the two slots
-    of each cell, and drops the NULs.  Beside the table and its codes, the
-    writer holds the fields and one block, never the whole text.
+    by value.  Each group gets one field: for floats a sign slot, its text,
+    NULs up to the longest text, and a separator slot.  The rows go to
+    sink in blocks of _BLOCK_CELLS cells: a block gathers its fields, fills
+    the slots of each cell, and drops the NULs.  Beside the table and its
+    codes, the writer holds the fields and one block, never the whole text.
     """
     table = np.ascontiguousarray(table)
     if table.dtype == np.float64:
         keys, inverse = np.unique(np.abs(table).view(np.uint64), return_inverse=True)
         mags = keys.view(np.float64)
-        texts = np.empty((mags.size, 19), dtype=np.uint8)
+        # a sign slot, then the magnitude's text, formatted a block's worth
+        # at a time so that the formatter's temporaries stay that small
+        texts = np.zeros((mags.size, 20), dtype=np.uint8)
         for start in range(0, mags.size, _BLOCK_CELLS):
-            texts[start : start + _BLOCK_CELLS] = _float_texts(
+            texts[start : start + _BLOCK_CELLS, 1:] = _float_texts(
                 mags[start : start + _BLOCK_CELLS]
             )
-        # each value's sign slot; '%' prints no sign for NaN
+        # each value's sign byte; '%' prints no sign for NaN
         signs = (np.signbit(table) & ~np.isnan(table)) * np.uint8(ord("-"))
         signs = signs.reshape(len(table), -1)
     else:
@@ -225,8 +227,8 @@ def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
     width = texts.shape[1]
     while not texts[:, width - 1].any():
         width -= 1
-    fields = np.zeros((len(texts), width + 2), dtype=np.uint8)
-    fields[:, 1:-1] = texts[:, :width]
+    fields = np.zeros((len(texts), width + 1), dtype=np.uint8)
+    fields[:, :-1] = texts[:, :width]
     # int32 codes: the size caps keep the distinct values far below 2^31
     codes = inverse.astype(np.int32).reshape(len(table), -1)
     del keys, inverse, texts
@@ -235,7 +237,7 @@ def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
     for start in range(0, len(index), rows):
         picked = index[start : start + rows]
         block = np.take(fields, np.take(codes, picked, axis=0), axis=0)
-        block = block.reshape(len(picked), len(seps), width + 2)
+        block = block.reshape(len(picked), len(seps), width + 1)
         if signs is not None:
             block[:, :, 0] = np.take(signs, picked, axis=0).reshape(len(picked), -1)
         block[:, :, -1] = sep
