@@ -30,7 +30,6 @@ from .model import (
     IntFunction,
     LatticeWindow,
     SpectralBoxError,
-    ToleranceConfig,
     Tower,
     TranslatedLattice,
     UnitCube,
@@ -47,7 +46,6 @@ __all__ = [
     "IntFunction",
     "LatticeWindow",
     "SpectralBoxError",
-    "ToleranceConfig",
     "Tower",
     "TranslatedLattice",
     "UnitCube",

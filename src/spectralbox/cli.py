@@ -133,7 +133,7 @@ from .cocycles import (
     classify_2d,
     seam_twisted,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import TOLERANCES, ConfigError, RunConfig, load_config
 from .diffraction import (
     build_density,
     emit_diffraction_svg,
@@ -161,12 +161,7 @@ from .groups import (
     project_to_window,
     synthesize_window_state,
 )
-from .model import (
-    SpectralBoxError,
-    ToleranceConfig,
-    UnitCube,
-    enumerate_spectrum,
-)
+from .model import SpectralBoxError, UnitCube, enumerate_spectrum
 from .reporting import ReportBuilder, format_float
 from .tiling import emit_tiling_svg, multiplicity_map, tiling_verdict
 
@@ -174,10 +169,6 @@ from .tiling import emit_tiling_svg, multiplicity_map, tiling_verdict
 # names in this module, so the names stay bound
 from .exponentials import eval_F_omega  # noqa: F401
 from .model import spectrum_difference_set  # noqa: F401
-
-
-def _tolerance_line(tol: ToleranceConfig) -> str:
-    return f"eq_tol={format_float(tol.eq_tol)} num_tol={format_float(tol.num_tol)}"
 
 
 def _write_text(outdir: Path, name: str, text: str) -> None:
@@ -364,7 +355,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     with open(outdir / "gram.txt", "wb") as sink:
         _write_table(sink, parts, gram.index, seps)
 
-    orth = orthogonality_verdict(gram, tol.eq_tol)
+    orth = orthogonality_verdict(gram, tol["eq_tol"])
     notes = []
     if orth.witness is not None:
         a, b = (", ".join(map(format_float, point)) for point in orth.witness)
@@ -377,7 +368,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         notes,
     )
 
-    identity, ok = _in_zero_set(cfg.domain, gram, tol.num_tol)
+    identity, ok = _in_zero_set(cfg.domain, gram, tol["num_tol"])
     report.add(
         "exponentials.in_zero_set_cube",
         identity,
@@ -429,7 +420,7 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     eigs = BoundaryEigenvalues.from_pair(
         cfg.cocycle["a"], cfg.cocycle["b"], cfg.cocycle["window"]
     )
-    rep = check_cocycle_2d(eigs, tol.eq_tol)
+    rep = check_cocycle_2d(eigs, tol["eq_tol"])
     notes = [
         f"witness ({kind}) m={m} n={n} shift={k} modulus={format_float(v)}"
         for kind, m, n, k, v in rep.witnesses
@@ -441,14 +432,14 @@ def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         [("max_violation", rep.max_violation)],
         notes,
     )
-    single = check_single_identity_2d(eigs, tol.eq_tol)
+    single = check_single_identity_2d(eigs, tol["eq_tol"])
     report.add(
         "cocycles.check_single_identity_2d",
         "(1-b_{m+k})(1-a_n) = (1-b_m)(1-a_{n+l}) on the window",
         single or not rep.holds,
         [("holds", single)],
     )
-    label = classify_2d(eigs, tol.eq_tol)
+    label = classify_2d(eigs, tol["eq_tol"])
     agree = (label is not Classification.NON_COMMUTING) == rep.holds
     held = "hold" if rep.holds else "fail"
     notes = [f"the sequences read {label.value}, the identities {held}"]
@@ -494,7 +485,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     _write_text(outdir, "commutator_sweep.csv", "\n".join(rows) + "\n")
     worst = float(table.max(initial=0.0))
 
-    cocycle_holds = check_cocycle_2d(twisted, tol.eq_tol).holds
+    cocycle_holds = check_cocycle_2d(twisted, tol["eq_tol"]).holds
     commuting = worst < 1e-6
     report.add(
         "groups.commutator_norm",
@@ -524,7 +515,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         "groups.group_matrix_spectral",
         "shifted-mode matrix action equals the window projection of the "
         "exact grid action",
-        mismatch < 10 * tol.num_tol,
+        mismatch < 10 * tol["num_tol"],
         [("max_mismatch", mismatch), ("max_leakage", op.max_leakage)],
     )
 
@@ -534,7 +525,7 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         "groups.eigenrelation_check",
         "U_x(s) multiplies e_{m+phi(n)} x e_{n+beta} by "
         "exp(i*2*pi*(m+phi(n))*s)",
-        eig.max_residual < tol.num_tol,
+        eig.max_residual < tol["num_tol"],
         [("max_residual", eig.max_residual), ("samples", len(samples))],
     )
 
@@ -603,7 +594,7 @@ def _cmd_root_scan(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     report.add(
         "exponentials.unit_circle_root_scan",
         "minimum of |p(z)| over |z| = 1 by coarse scan plus refinement",
-        scan.min_modulus > cfg.tolerances.num_tol and stable,
+        scan.min_modulus > cfg.tolerances["num_tol"] and stable,
         [
             ("min_modulus", scan.min_modulus),
             ("argmin_angle", scan.argmin_angle),
@@ -637,7 +628,7 @@ def run(cfg: RunConfig, config_path: str, outdir: Path) -> int:
             command=cfg.command,
             config_path=config_path,
             seed=cfg.seed,
-            tolerance_line=_tolerance_line(cfg.tolerances),
+            tolerances={**TOLERANCES, **cfg.tolerances},
         )
         _DISPATCH[cfg.command](cfg, report, staging)
         _write_text(staging, "report.txt", report.render())

@@ -31,7 +31,6 @@ from .model import (
     LatticeWindow,
     SpectralBoxError,
     SpectrumSpec,
-    ToleranceConfig,
     Tower,
     TranslatedLattice,
     UnitCube,
@@ -40,18 +39,23 @@ from .tiling import check_window
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
-# The sections each command reads, as (required, optional); any other
-# section is an error.  A command that reads a window or a tiling requires
-# the spectrum whose dimension sizes it.
+# The sections each command reads, as (required, optional), and the
+# tolerances it reads; any other section or tolerance is an error.  A
+# command that reads a tolerance takes a tolerances section.  A command
+# that reads a window or a tiling requires the spectrum whose dimension
+# sizes it.
 COMMANDS = {
-    "verify-pair": (("domain", "spectrum", "window"), ("tiling", "tolerances")),
-    "build-spectrum": (("spectrum", "window"), ()),
-    "check-cocycle": (("cocycle",), ("tolerances",)),
-    "simulate-groups": (("groups",), ("tolerances",)),
-    "check-tiling": (("spectrum", "tiling"), ()),
-    "diffraction": (("diffraction",), ()),
-    "root-scan": (("rootscan",), ("tolerances",)),
+    "verify-pair": (("domain", "spectrum", "window"), ("tiling",), ("eq_tol", "num_tol")),
+    "build-spectrum": (("spectrum", "window"), (), ()),
+    "check-cocycle": (("cocycle",), (), ("eq_tol",)),
+    "simulate-groups": (("groups",), (), ("eq_tol", "num_tol")),
+    "check-tiling": (("spectrum", "tiling"), (), ()),
+    "diffraction": (("diffraction",), (), ()),
+    "root-scan": (("rootscan",), (), ("num_tol",)),
 }
+# the default of each tolerance: eq_tol guards closed-form identities,
+# num_tol quadrature and grid comparisons
+TOLERANCES = {"eq_tol": 1e-10, "num_tol": 1e-8}
 
 
 class ConfigError(SpectralBoxError):
@@ -298,11 +302,15 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
     return spec
 
 
-def _parse_tolerances(section: dict, cfg: "RunConfig") -> ToleranceConfig:
-    _check_keys(section, {"eq_tol", "num_tol"}, "tolerances")
-    return ToleranceConfig(**{
-        key: _real(value, f"tolerances.{key}") for key, value in section.items()
-    })
+def _parse_tolerances(section: dict, cfg: "RunConfig") -> dict:
+    """The command's tolerances, each positive and finite; the defaults
+    stand for the ones the section leaves out."""
+    _check_keys(section, set(cfg.tolerances), "tolerances")
+    # the least positive float as the bound: a tolerance of 0 is an error
+    return {**cfg.tolerances, **{
+        key: _real(value, f"tolerances.{key}", lo=math.ulp(0.0))
+        for key, value in section.items()
+    }}
 
 
 def _shift_window(section: dict, where: str) -> LatticeWindow:
@@ -431,11 +439,12 @@ def _parse_rootscan(section: dict, cfg: "RunConfig") -> dict:
 
 @dataclass
 class RunConfig:
-    """Parsed run description: one command, typed inputs, tolerances."""
+    """Parsed run description: one command, typed inputs, and the
+    tolerances the command reads, by name."""
 
     command: str
     seed: int
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
+    tolerances: dict = field(default_factory=dict)
     domain: Any = None
     spectrum: Any = None
     window: Any = None
@@ -476,9 +485,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    required, optional = COMMANDS[command]
+    required, optional, tolerances = COMMANDS[command]
+    if tolerances:
+        optional += ("tolerances",)
     _check_keys(raw, {"command", "seed", *required, *optional}, f"a {command} config")
-    cfg = RunConfig(command=command, seed=_int(raw.get("seed", 0), "seed"))
+    cfg = RunConfig(
+        command=command,
+        seed=_int(raw.get("seed", 0), "seed"),
+        tolerances={key: TOLERANCES[key] for key in tolerances},
+    )
     for name, parse in _SECTIONS.items():
         if name in raw:
             try:

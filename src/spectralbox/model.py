@@ -1,8 +1,7 @@
 """Shared domain types and the candidate-spectrum families.
 
 Everything here is an immutable value object: domains carrying Lebesgue
-measure, windowed index sets, tolerance settings, and the parametrized
-families of frequency sets that the rest of the package analyzes.  A
+measure, windowed index sets, and the parametrized families of frequency sets that the rest of the package analyzes.  A
 domain is one type, the product of 1-D interval-union factors; UnitCube(d)
 builds the product of d unit intervals.  All exponentials in the package
 use the normalization e(x) = exp(i*2*pi*lam.x), so spectra live on the same
@@ -28,7 +27,6 @@ __all__ = [
     "UnitCube",
     "IntFunction",
     "LatticeWindow",
-    "ToleranceConfig",
     "TranslatedLattice",
     "Tower",
     "ExplicitSpectrum",
@@ -110,7 +108,7 @@ def UnitCube(dimension: int) -> Domain:
 
 
 # ---------------------------------------------------------------------------
-# Integer-argument functions, windows, tolerances
+# Integer-argument functions and windows
 # ---------------------------------------------------------------------------
 
 
@@ -213,19 +211,6 @@ class LatticeWindow:
         return itertools.product(
             *(range(lo, hi + 1) for lo, hi in self.ranges)
         )
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances, used package-wide: eq_tol guards closed-form
-    identities, num_tol quadrature/grid comparisons."""
-
-    eq_tol: float = 1e-10
-    num_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0 < self.eq_tol < math.inf and 0 < self.num_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class ReportBuilder:
     command: str
     config_path: str
     seed: int
-    tolerance_line: str
+    tolerances: dict
     checks: list[CheckResult] = field(default_factory=list)
     preamble: list[str] = field(default_factory=list)
 
@@ -88,8 +88,11 @@ class ReportBuilder:
             f"command: {self.command}",
             f"config: {self.config_path}",
             f"seed: {self.seed}",
-            f"tolerances: {self.tolerance_line}",
         ]
+        if self.tolerances:
+            lines.append("tolerances: " + " ".join(
+                f"{key}={format_float(value)}" for key, value in self.tolerances.items()
+            ))
         for text in self.preamble:
             lines.append(f"note: {text}")
         lines.append("")

@@ -41,8 +41,8 @@ def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.command == "root-scan"
     assert cfg.seed == 0
-    assert cfg.tolerances.eq_tol == 1e-10
-    assert cfg.tolerances.num_tol == 1e-8
+    # root-scan reads num_tol only
+    assert cfg.tolerances == {"num_tol": 1e-8}
     assert cfg.rootscan["samples"] == 4096
 
 
@@ -818,15 +818,26 @@ def test_malformed_shape_exits_two_at_load(tmp_path, capsys, text, message):
     assert_load_error(tmp_path, capsys, text, message)
 
 
+# a config of a command that reads the tolerance, before its tolerances section
+READS_TOLERANCE = {
+    "eq_tol": 'command: check-cocycle\ncocycle: {a: {table: {"0": 0.25}}, window: {radius: 3}}',
+    "num_tol": MINIMAL.strip(),
+}
+
+
 @pytest.mark.parametrize("key", ["eq_tol", "num_tol"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_tolerance_exits_two_at_load(tmp_path, capsys, key, value):
-    text = (
-        "command: check-cocycle\n"
-        f"tolerances: {{{key}: .{value}}}\n"
-        'cocycle: {a: {table: {"0": 0.25}}, b: {table: {"1": 0.4}}, window: {radius: 3}}'
-    )
+    text = f"{READS_TOLERANCE[key]}\ntolerances: {{{key}: .{value}}}"
     assert_load_error(tmp_path, capsys, text, f"tolerances.{key}: {value} is not finite")
+
+
+# the bound is the least positive float
+@pytest.mark.parametrize("key, value", [("eq_tol", "0"), ("num_tol", "-1.0e-9")])
+def test_tolerance_that_is_not_positive_exits_two_at_load(tmp_path, capsys, key, value):
+    text = f"{READS_TOLERANCE[key]}\ntolerances: {{{key}: {value}}}"
+    message = f"tolerances.{key}: {float(value)!r} is below 5e-324"
+    assert_load_error(tmp_path, capsys, text, message)
 
 
 # no command reads a quadrature node count or a tolerance grid size
@@ -1020,9 +1031,18 @@ def test_check_cocycle_windows_under_the_work_cap_load(window):
 # window form
 # ---------------------------------------------------------------------------
 
-# a valid text of each section
+# a valid value of each tolerance, other than its default
+TOLERANCE_TEXT = {"eq_tol": "2.5e-10", "num_tol": "3.0e-8"}
+
+
+def tolerances_text(keys):
+    return f"tolerances: {{{', '.join(f'{key}: {TOLERANCE_TEXT[key]}' for key in keys)}}}"
+
+
+# a valid text of each section; a tolerances section holds every tolerance
+# here and, in command_text, those its command reads
 SECTION_TEXT = {
-    "tolerances": "tolerances: {eq_tol: 1.0e-10, num_tol: 1.0e-8}",
+    "tolerances": tolerances_text(TOLERANCE_TEXT),
     "domain": "domain: {kind: unit-cube, dimension: 2}",
     "spectrum": "spectrum: {family: class-a, alpha: 0.25}",
     "window": "window: {radius: 1}",
@@ -1042,11 +1062,24 @@ READS = {
     "diffraction": ("diffraction",),
     "root-scan": ("rootscan", "tolerances"),
 }
+# the tolerances each command reads, in the order its report lists them
+READS_TOLERANCES = {
+    "verify-pair": ("eq_tol", "num_tol"),
+    "build-spectrum": (),
+    "check-cocycle": ("eq_tol",),
+    "simulate-groups": ("eq_tol", "num_tol"),
+    "check-tiling": (),
+    "diffraction": (),
+    "root-scan": ("num_tol",),
+}
 
 
 def command_text(command, sections):
+    text = dict(SECTION_TEXT)
+    if READS_TOLERANCES[command]:
+        text["tolerances"] = tolerances_text(READS_TOLERANCES[command])
     return "\n".join([f"command: {command}", "seed: 3"] + [
-        SECTION_TEXT[name] for name in sections
+        text[name] for name in sections
     ])
 
 
@@ -1068,6 +1101,23 @@ def test_a_section_the_command_does_not_read_exits_two_at_load(
     assert_load_error(
         tmp_path, capsys, text, f"unknown key(s) [{section!r}] in a {command} config"
     )
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key)
+    for command in sorted(READS)
+    for key in TOLERANCE_TEXT
+    if key not in READS_TOLERANCES[command]
+])
+def test_a_tolerance_the_command_does_not_read_exits_two_at_load(
+    tmp_path, capsys, command, key
+):
+    sections = [name for name in READS[command] if name != "tolerances"]
+    text = f"{command_text(command, sections)}\n{tolerances_text([key])}"
+    # a command that reads no tolerance refuses the section itself
+    where = "tolerances" if READS_TOLERANCES[command] else f"a {command} config"
+    name = key if READS_TOLERANCES[command] else "tolerances"
+    assert_load_error(tmp_path, capsys, text, f"unknown key(s) [{name!r}] in {where}")
 
 
 # a valid value of each family key, and the keys each family reads

@@ -367,7 +367,7 @@ def test_cli_diffraction_files_match_loop_reference(
     cfg.diffraction = {
         "model": model, "test_function": phi, "lambda_window": 20, "k_radius": k_radius,
     }
-    cli._cmd_diffraction(cfg, ReportBuilder("diffraction", "-", seed, ""), tmp_path)
+    cli._cmd_diffraction(cfg, ReportBuilder("diffraction", "-", seed, {}), tmp_path)
     n_rad = height_radius(model, phi)
     weights = ref_build_density(model, range(-n_rad, n_rad + 1), k_radius)
     assert (tmp_path / "density.txt").read_bytes() == ref_density_text(weights).encode()

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from spectralbox.model import (
     IntervalUnion,
     IntFunction,
     LatticeWindow,
-    ToleranceConfig,
     Tower,
     TranslatedLattice,
     UnitCube,
@@ -78,22 +75,6 @@ def test_lattice_window_basics():
         LatticeWindow(((0, 2000), (0, 2000)))
     with pytest.raises(ValueError):
         LatticeWindow(((2, 1),))
-
-
-def test_tolerance_config_validation():
-    t = ToleranceConfig()
-    assert t.eq_tol == 1e-10 and t.num_tol == 1e-8
-    with pytest.raises(ValueError):
-        ToleranceConfig(eq_tol=0.0)
-    with pytest.raises(TypeError):
-        ToleranceConfig(grid_n=256)
-
-
-@pytest.mark.parametrize("key", ["eq_tol", "num_tol"])
-@pytest.mark.parametrize("value", [math.inf, math.nan])
-def test_tolerance_config_rejects_non_finite(key, value):
-    with pytest.raises(ValueError, match="positive and finite"):
-        ToleranceConfig(**{key: value})
 
 
 def test_translated_lattice_window_points():
