@@ -133,7 +133,7 @@ from .cocycles import (
     classify_2d,
     seam_twisted,
 )
-from .config import TOLERANCES, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .diffraction import (
     build_density,
     emit_diffraction_svg,
@@ -628,7 +628,7 @@ def run(cfg: RunConfig, config_path: str, outdir: Path) -> int:
             command=cfg.command,
             config_path=config_path,
             seed=cfg.seed,
-            tolerances={**TOLERANCES, **cfg.tolerances},
+            tolerances=cfg.tolerances,
         )
         _DISPATCH[cfg.command](cfg, report, staging)
         _write_text(staging, "report.txt", report.render())

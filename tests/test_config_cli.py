@@ -1120,6 +1120,19 @@ def test_a_tolerance_the_command_does_not_read_exits_two_at_load(
     assert_load_error(tmp_path, capsys, text, f"unknown key(s) [{name!r}] in {where}")
 
 
+@pytest.mark.parametrize("command", sorted(READS))
+def test_the_report_lists_the_tolerances_its_command_reads(tmp_path, command):
+    cfg = write(tmp_path, "cfg.yaml", command_text(command, READS[command]) + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
+    report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    lines = [line for line in report.splitlines() if line.startswith("tolerances:")]
+    # in the order the command declares them; none for a command that reads none
+    listed = " ".join(
+        f"{key}={float(TOLERANCE_TEXT[key]):.12e}" for key in READS_TOLERANCES[command]
+    )
+    assert lines == ([f"tolerances: {listed}"] if listed else [])
+
+
 # a valid value of each family key, and the keys each family reads
 FAMILY_KEY_TEXT = {
     "alpha": "0.25",

@@ -17,35 +17,35 @@ ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED = {
     "build_spectrum_tower3d": ("build-spectrum", 0, {
-        "report.txt": "6aca9e8351d06a3ceb5a8e9f0702e958c02a1e924d9bd14904c21c26fc157cee",
+        "report.txt": "c20f7e98f2cddb7d5bbc600e7f8ce2ecd487a6b12448038b2d0dd50707bf31a7",
         "spectrum.txt": "ffd66abccb6a2c9193d81d214a562bcb80e404a428444c4db3bb4505a20f3f30",
     }),
     "check_cocycle_commuting": ("check-cocycle", 0, {
-        "report.txt": "4d6c35018689e5560c1dda9dc3f859cacc1d0a1be87f0c1e3a210abacb450c11",
+        "report.txt": "30e8ec06d848e04e23f92d4d3d1b5ff417a5d9882494d81f9be8faf2238f61e0",
     }),
     "check_cocycle_failing": ("check-cocycle", 1, {
-        "report.txt": "36eb2cdc4354dcaaa91e3579510ca9b5f4a010026c1dc7d27a7e40fe4a3784ae",
+        "report.txt": "28471f408e11231bc43231910d9d2cb8295d3318416939e301f24598b2647a65",
     }),
     "check_cocycle_translated_lattice": ("check-cocycle", 0, {
-        "report.txt": "305f54ffe4177a64934f58e093648555133f8db43931f25f25303e129fef9a5f",
+        "report.txt": "d743a631c1394697baa7e99337e7595a7acc56c42ee79680b07d26639f12e2f9",
     }),
     "check_tiling_class_b": ("check-tiling", 0, {
         "multiplicity.txt": "ef70f9898f854644a38afcabd4877fb04e4d38d203755aad3d171abd1959a8a9",
-        "report.txt": "62bcd879b463a8651f3edc2c585f02ef9315c79dac426d26beee8db0b91f4eb6",
+        "report.txt": "8d78077ae6bce6f4c2f4dd2541436457be108002ce780cedcfcb2a9302205e9c",
         "tiling.svg": "5c0fdf6c712088c1c32d5b81552ddc84829c6d01407dfb2fd6a8630572f2f054",
     }),
     "diffraction_one_harmonic": ("diffraction", 0, {
         "density.txt": "e237b05a2cda71d7edfbfa53d1cf0d9973c359bafef7709915211eda1c813025",
         "diffraction.svg": "4b079b97361c7b4fddcd1bf0c21fb6f70722368a1670a0fa568189570fbae9d5",
-        "report.txt": "789c7d45f333716fbeb684c8dc505bf80682655b0d5db38d9333a93f79ba3268",
+        "report.txt": "a761ebce696cc8a5694fa6f2dfdce51709d725b74c0054108a47e28e12482446",
     }),
     "diffraction_two_component": ("diffraction", 0, {
         "density.txt": "46c611af973e8ee32dc999c13362c8e2485d9d1575cf17e199dbfd09f5f9ac84",
         "diffraction.svg": "df25b50c35363c1cf86370f85e54687e4c31a109a9428308121ef39ccfd41af8",
-        "report.txt": "4216584970a9591bdd4c0200941e2fc77952feb16c7311f399f146480793e5e5",
+        "report.txt": "d941dab68b2e5dc9fd780b8d2fb4e77a562a488d96b98ce1f4c94cf73740fb17",
     }),
     "root_scan_interval_union": ("root-scan", 0, {
-        "report.txt": "f7f01a60d14e7049251a5c547aa365db150723469f371c2a68bf8726ccc3a6f0",
+        "report.txt": "75cd90f06398dd763d305d76b9307104858624ece31593b3d98577e095b6b8d5",
     }),
     "simulate_groups_class_i": ("simulate-groups", 0, {
         "commutator_sweep.csv": "53030b32a7ea2c207dfa2339827b9497ee10f2f9163bc39321714b8b0e916959",
