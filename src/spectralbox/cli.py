@@ -511,12 +511,17 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         float(np.linalg.norm(row) / np.linalg.norm(vec))
         for row, vec in zip(op(vecs) - proj, vecs)
     )
+    bound = 10 * tol["num_tol"]
     report.add(
         "groups.group_matrix_spectral",
         "shifted-mode matrix action equals the window projection of the "
         "exact grid action",
-        mismatch < 10 * tol["num_tol"],
-        [("max_mismatch", mismatch), ("max_leakage", op.max_leakage)],
+        mismatch < bound,
+        [
+            ("max_mismatch", mismatch),
+            ("mismatch_bound", bound),
+            ("max_leakage", op.max_leakage),
+        ],
     )
 
     samples = [(s, *mn) for s in g["times"][:2] for mn in ((0, 0), (1, -1), (-2, 2))]

@@ -1133,6 +1133,16 @@ def test_the_report_lists_the_tolerances_its_command_reads(tmp_path, command):
     assert lines == ([f"tolerances: {listed}"] if listed else [])
 
 
+def test_simulate_groups_states_the_spectral_check_bound(tmp_path):
+    text = command_text("simulate-groups", READS["simulate-groups"]) + "\n"
+    cfg = write(tmp_path, "cfg.yaml", text)
+    assert main(["simulate-groups", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    check = report.split("[check] op=groups.group_matrix_spectral\n")[1].split("[check]")[0]
+    # ten times num_tol
+    assert f"  mismatch_bound: {10 * float(TOLERANCE_TEXT['num_tol']):.12e}\n" in check
+
+
 # a valid value of each family key, and the keys each family reads
 FAMILY_KEY_TEXT = {
     "alpha": "0.25",

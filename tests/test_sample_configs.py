@@ -49,15 +49,15 @@ EXPECTED = {
     }),
     "simulate_groups_class_i": ("simulate-groups", 0, {
         "commutator_sweep.csv": "53030b32a7ea2c207dfa2339827b9497ee10f2f9163bc39321714b8b0e916959",
-        "report.txt": "c1b969a3858a5f937d58c8da820735ffb7db6e770f059871c286f1d7d2a2fe3e",
+        "report.txt": "daa848386acfb8dc9c149913d7fd53de8d14d3be0fa7a89856ec988ff97bdec2",
     }),
     "simulate_groups_class_ii": ("simulate-groups", 0, {
         "commutator_sweep.csv": "f58e79e178fb7441ef6e07d2a04e2c83e50328699688a5346a20278a875f2c8b",
-        "report.txt": "a0bd94f73b8e9e2facbbfc7ae60b0fd2a1a5d5294fd6666b1402fbda2f1b6702",
+        "report.txt": "067595a7a18d6b11f33a5e72f70eacf605bf723acbabd54182bf6b51988010a7",
     }),
     "simulate_groups_class_ii_twisted": ("simulate-groups", 0, {
         "commutator_sweep.csv": "33388c62459e1c9982574c09fa19f3569b398ea11f095d5bca5190268f3a9300",
-        "report.txt": "93dc63c368f99ab0f1f3d4c09610f8a9feaa49cbe908217a164a386dd7911071",
+        "report.txt": "229e24588d95e71739fdce42c99c7eac6c332a2e32b27a4a8ac1a0687f7040f8",
     }),
     "verify_pair_class_a": ("verify-pair", 0, {
         "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",
