@@ -16,21 +16,23 @@ window with both or neither of radius and ranges, an integer field given a
 fractional or non-finite number, a non-finite real, a list of the wrong
 length, a value below its bound and a missing required key or section.
 Each command reads these sections, the required ones before the
-semicolon; every command also takes command and seed:
+semicolon, and the tolerances after the bar; every command also takes
+command and seed, and a command that reads a tolerance takes a
+tolerances section:
 
-    verify-pair       domain, spectrum, window; tiling, tolerances
+    verify-pair       domain, spectrum, window; tiling | eq_tol, num_tol
     build-spectrum    spectrum, window
-    check-cocycle     cocycle; tolerances
-    simulate-groups   groups; tolerances
+    check-cocycle     cocycle | eq_tol
+    simulate-groups   groups | eq_tol, num_tol
     check-tiling      spectrum, tiling
     diffraction       diffraction
-    root-scan         rootscan; tolerances
+    root-scan         rootscan | num_tol
 
 An explicit spectrum needs no window.  The sections:
 
     command: verify-pair          # required, one of the seven commands
     seed: 0                       # optional; --seed overrides
-    tolerances:                   # all fields optional
+    tolerances:                   # only the command's (table above), each > 0
       eq_tol: 1.0e-10             # closed-form identity tolerance
       num_tol: 1.0e-8             # quadrature/grid tolerance
 
@@ -84,8 +86,8 @@ An explicit spectrum needs no window.  The sections:
                                   #   states are the probes, at least one
       leakage_tol: 1.0e-6         # >= 0; spectral-matrix truncation acknowledgment
 
-    tiling:                       # verify-pair uses window 4, resolution 32
-                                  #   when the section is absent
+    tiling:                       # verify-pair: a 2-D unit cube only; window 4,
+                                  #   resolution 32 when the section is absent
       window: 4                   # >= 1 unit cubes per axis
       resolution: 64              # >= 8 samples per unit; at most 2^24
                                   #   samples, (window*resolution)^d

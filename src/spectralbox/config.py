@@ -40,10 +40,9 @@ from .tiling import check_window
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 # The sections each command reads, as (required, optional), and the
-# tolerances it reads; any other section or tolerance is an error.  A
-# command that reads a tolerance takes a tolerances section.  A command
-# that reads a window or a tiling requires the spectrum whose dimension
-# sizes it.
+# tolerances it reads, which a tolerances section may set; any other is an
+# error.  A command that reads a window or a tiling requires the spectrum
+# whose dimension sizes it.
 COMMANDS = {
     "verify-pair": (("domain", "spectrum", "window"), ("tiling",), ("eq_tol", "num_tol")),
     "build-spectrum": (("spectrum", "window"), (), ()),
@@ -303,8 +302,7 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
 
 
 def _parse_tolerances(section: dict, cfg: "RunConfig") -> dict:
-    """The command's tolerances, each positive and finite; the defaults
-    stand for the ones the section leaves out."""
+    """The command's tolerances: the section's values over the defaults."""
     _check_keys(section, set(cfg.tolerances), "tolerances")
     # the least positive float as the bound: a tolerance of 0 is an error
     return {**cfg.tolerances, **{
@@ -372,6 +370,9 @@ def _parse_groups(section: dict, cfg: "RunConfig") -> dict:
 
 
 def _parse_tiling(section: dict, cfg: "RunConfig") -> dict:
+    # verify-pair, the one command with a domain, has a tiling line on I^2 only
+    if cfg.domain not in (None, UnitCube(2)):
+        raise ConfigError("tiling: verify-pair checks a tiling only on a 2-D unit cube")
     _check_keys(section, {"window", "resolution"}, "tiling")
     tiling = {
         "window": _int(section.get("window", 4), "tiling.window"),
@@ -439,8 +440,7 @@ def _parse_rootscan(section: dict, cfg: "RunConfig") -> dict:
 
 @dataclass
 class RunConfig:
-    """Parsed run description: one command, typed inputs, and the
-    tolerances the command reads, by name."""
+    """Parsed run description: one command, typed inputs, its tolerances."""
 
     command: str
     seed: int
@@ -489,11 +489,8 @@ def parse_config(text: str) -> RunConfig:
     if tolerances:
         optional += ("tolerances",)
     _check_keys(raw, {"command", "seed", *required, *optional}, f"a {command} config")
-    cfg = RunConfig(
-        command=command,
-        seed=_int(raw.get("seed", 0), "seed"),
-        tolerances={key: TOLERANCES[key] for key in tolerances},
-    )
+    seed = _int(raw.get("seed", 0), "seed")
+    cfg = RunConfig(command, seed, {key: TOLERANCES[key] for key in tolerances})
     for name, parse in _SECTIONS.items():
         if name in raw:
             try:

@@ -1031,6 +1031,20 @@ def test_check_cocycle_windows_under_the_work_cap_load(window):
 # window form
 # ---------------------------------------------------------------------------
 
+def test_the_cli_docstring_command_table_matches_commands():
+    # "command  required; optional | tolerances", one line per command
+    rows = re.findall(r"^    ([a-z-]+) {2,}(\S.*)$", cli.__doc__, flags=re.M)
+    table = {}
+    for command, text in rows:
+        sections, _, tolerances = text.partition(" | ")
+        required, _, optional = sections.partition("; ")
+        table[command] = tuple(
+            tuple(part.split(", ")) if part else ()
+            for part in (required, optional, tolerances)
+        )
+    assert table == config.COMMANDS
+
+
 # a valid value of each tolerance, other than its default
 TOLERANCE_TEXT = {"eq_tol": "2.5e-10", "num_tol": "3.0e-8"}
 
@@ -1250,6 +1264,25 @@ def test_explicit_spectrum_needs_no_window(tmp_path, command):
         runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
     assert runs[0] == runs[1]
     assert "report.txt" in runs[1][1]
+
+
+@pytest.mark.parametrize("domain, points", [
+    ("{kind: interval-union, intervals: [[0, 1], [2, 3]]}", "[[0], [0.25], [1], [1.25]]"),
+    ("{kind: unit-cube, dimension: 1}", "[[0], [1]]"),
+    ("{kind: unit-cube, dimension: 3}", "[[0, 0, 0], [1, 0, 0]]"),
+])
+def test_verify_pair_tiling_off_the_unit_square_exits_two_at_load(
+    tmp_path, capsys, domain, points
+):
+    # verify-pair has no tiling line there, so it would not read the section
+    text = (
+        f"command: verify-pair\ndomain: {domain}\n"
+        f"spectrum: {{family: explicit, points: {points}}}\n"
+        "tiling: {window: 4, resolution: 32}"
+    )
+    assert_load_error(
+        tmp_path, capsys, text, "tiling: verify-pair checks a tiling only on a 2-D unit cube"
+    )
 
 
 @pytest.mark.parametrize("resolution, same", [(32, True), (64, False)])
