@@ -59,6 +59,10 @@ EXPECTED = {
         "commutator_sweep.csv": "33388c62459e1c9982574c09fa19f3569b398ea11f095d5bca5190268f3a9300",
         "report.txt": "229e24588d95e71739fdce42c99c7eac6c332a2e32b27a4a8ac1a0687f7040f8",
     }),
+    "simulate_groups_long_times": ("simulate-groups", 0, {
+        "commutator_sweep.csv": "c556b0df02662f13ba4fad92c6951235349486bcd31f4960705f85473a8004e3",
+        "report.txt": "1c9e48acdd26fe366c71d629561b245f273d60e9cd4361a5d428f4e120e72eaf",
+    }),
     "verify_pair_class_a": ("verify-pair", 0, {
         "gram.txt": "6c0803614ea75c3593510cb3065fc3316952270d495db13b89741da3b8066e5f",
         "report.txt": "11c22d52fb948a6acc47b542fd7435be19dd80e8b6493189e8102c00d5a82706",
