@@ -78,7 +78,7 @@ An explicit spectrum needs no window.  The sections:
       b: {default: 0.0, table: {"1": 0.3}}
       phases: [0.0, 0.0]          # two reals
       window: {radius: 8}         # two indices per axis, 4096 modes at most
-      grid_n: 64                  # >= the window width per axis; <= 819 with 5 times
+      grid_n: 64                  # >= the window width per axis; <= 912 with these times
       times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid;
                                   #   the first, the spectral check's, <= 1
       sub_radius: 2               # >= 0; the window modes with |m|, |n| <=
@@ -86,8 +86,8 @@ An explicit spectrum needs no window.  The sections:
                                   #   states are the probes, at least one
       leakage_tol: 1.0e-6         # >= 0; spectral-matrix truncation acknowledgment
 
-    tiling:                       # verify-pair: a 2-D unit cube only; window 4,
-                                  #   resolution 32 when the section is absent
+    tiling:                       # verify-pair: a 2-D unit cube only, where an
+                                  #   absent section takes these defaults
       window: 4                   # >= 1 unit cubes per axis
       resolution: 64              # >= 8 samples per unit; at most 2^24
                                   #   samples, (window*resolution)^d
@@ -401,9 +401,8 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
             ],
         )
 
-        tiling = cfg.tiling or {"window": 4, "resolution": 32}
         verdict = tiling_verdict(
-            multiplicity_map(cfg.spectrum, tiling["window"], tiling["resolution"])
+            multiplicity_map(cfg.spectrum, cfg.tiling["window"], cfg.tiling["resolution"])
         )
         report.add(
             "tiling.tiling_verdict",

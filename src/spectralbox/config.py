@@ -492,6 +492,9 @@ def parse_config(text: str) -> RunConfig:
     seed = _int(raw.get("seed", 0), "seed")
     cfg = RunConfig(command, seed, {key: TOLERANCES[key] for key in tolerances})
     for name, parse in _SECTIONS.items():
+        # verify-pair's tiling line on I^2 takes the defaults without a section
+        if name == "tiling" and cfg.domain == UnitCube(2):
+            raw.setdefault(name, {})
         if name in raw:
             try:
                 setattr(cfg, name, parse(_require_mapping(raw[name], name), cfg))

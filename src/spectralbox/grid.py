@@ -71,13 +71,15 @@ def twisted_analysis(values: np.ndarray, axis: int, shift: float) -> np.ndarray:
     array holds coefficients in FFT mode order; for band-limited data the
     analysis is exact (shifted modes stay exactly orthogonal on the grid).
     Any other axes are batch axes.  At shift 0 the phase is exactly one
-    and the multiply is skipped.
+    and the multiply is skipped.  The scaling multiplies the real and
+    imaginary parts by 1/n, which gives the bits of numpy's complex
+    division by n but for the sign of a zero part.
     """
     n = values.shape[axis]
     if shift:
         values = values * _along(_phase(n, shift, -1), values.ndim, axis)
     coeffs = np.fft.fft(values, axis=axis)
-    coeffs /= n
+    coeffs.view(float)[...] *= 1.0 / n
     return coeffs
 
 

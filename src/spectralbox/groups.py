@@ -1,7 +1,7 @@
 """Induced one-parameter unitary groups on the unit square, two ways.
 
-The exact realization translates grid samples along one axis and
-transports the wrapped slab through the boundary unitary, a
+The exact realization reads U(t) off the quasi-periodic extension of a
+grid state along one axis, made through the boundary unitary, a
 DiagonalBoundary over a phase table (IntFunction) or a MatrixBoundary;
 eigenrelation_check reads a DiagonalBoundary's own table and shift.  The
 spectral realization assembles the same operator as a truncated matrix
@@ -214,70 +214,38 @@ def _rows(ax: int, start: int, stop: int) -> tuple:
     return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - ax)
 
 
-def _plan(times: tuple, n: int, ax: int) -> tuple[list, list]:
-    """How the images of `times` on n rows along the grid axis ax are made.
-
-    Per time, (full, rem) = divmod(steps, n): output rows i >= n - rem are
-    input rows i + rem - n, which crossed the seam full + 1 times, and
-    rows i < n - rem are input rows i + rem, which crossed it full times.
-    The input rows a nonzero boundary power moves for any time are
-    merged into disjoint runs [lo, hi).  Returns the runs as (key, power,
-    index), and per time its pieces (output index, key, index into that
-    run's block), where the key (0, 0) is the input itself.
-    """
-    pieces_of = []  # per time: (power, first input row, stop, first output row)
-    for t in times:
-        full, rem = divmod(_steps_for(t, n), n)
-        pieces = [(full, rem, n, 0)]
-        if rem:
-            pieces.append((full + 1, 0, rem, n - rem))
-        pieces_of.append(pieces)
-    runs: dict[int, list] = {0: [[0, n]]}
-    for power, start, stop, _ in sorted(p for ps in pieces_of for p in ps):
-        if power not in runs:
-            runs[power] = [[start, stop]]
-        elif start <= runs[power][-1][1]:
-            runs[power][-1][1] = max(runs[power][-1][1], stop)
+def _runs(steps: Sequence[int], n: int) -> list[list[int]]:
+    """The extension rows [lo, hi) that the windows [s, s + n) of `steps`
+    cover, one run per chain of windows that overlap or touch, ascending."""
+    runs: list[list[int]] = []
+    for s in sorted(steps):
+        if runs and s <= runs[-1][1]:
+            runs[-1][1] = s + n
         else:
-            runs[power].append([start, stop])
-    sources = [
-        ((power, lo), power, _rows(ax, lo, hi))
-        for power, spans in runs.items()
-        if power
-        for lo, hi in spans
-    ]
-
-    def piece(power: int, start: int, stop: int, out: int) -> tuple:
-        lo = next(lo for lo, hi in runs[power] if lo <= start < hi)
-        return (
-            _rows(ax, out, out + stop - start),
-            (power, lo),
-            _rows(ax, start - lo, stop - lo),
-        )
-
-    assembly = [[piece(*p) for p in pieces] for pieces in pieces_of]
-    return sources, assembly
+            runs.append([s, s + n])
+    return runs
 
 
 def grid_group_action(
     axis: int, times: Sequence[float], boundary: Boundary
 ) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """U_axis(t) on grid states for every t in `times`, exactly: translate,
-    twist the wrap.
+    """U_axis(t) on grid states for every t in `times`, exactly: each image
+    is a view of the state's quasi-periodic extension.
 
     `axis` is 1-based.  Every t must be a nonnegative multiple of the grid
     step (exactness is the point of this realization; no interpolation).
-    Rows that cross the seam are transported through the boundary
-    operator, once per full crossing.  axis and times are checked here,
-    once; the map takes one (n, n) state or a stack (..., n, n) of them,
-    whose grid axes are the last two, and returns a list with one new
-    image per time.
+    axis and times are checked here, once; the map takes one (n, n) state
+    or a stack (..., n, n) of them, whose grid axes are the last two, and
+    returns a list with one image per time.
 
-    The boundary transforms the lines along the other axis, each on its
-    own, so the rows that one boundary power moves for any of the times
-    are transformed once, as disjoint runs of rows, and every time takes
-    its rows from those results: the images are bit-equal to one call per
-    time, and no row is transformed that one call per time would not.
+    Row s of the extension f(u + 1) = B f(u) along the translated axis is
+    row s % n moved through B^(s // n), and U(t) is the n rows from t n.
+    Windows that overlap or touch share one extension, which holds only
+    their rows; windows apart get their own.  B transforms the lines
+    along the other axis, each on its own, once per power and extension,
+    so every row moved is one that one call per time moves, and the
+    images are bit-equal to those calls.  Images share their extension's
+    memory, so they are read-only.
     """
     if axis not in (1, 2):
         raise ValueError(f"axis {axis} out of range for I^2")
@@ -288,25 +256,26 @@ def grid_group_action(
         raise ValueError("t must be nonnegative (compose inverses externally)")
     # the translated axis and the one the boundary transforms along
     ax, other = (-2, -1) if axis == 1 else (-1, -2)
-    plans: dict = {}  # the _plan of the times per grid size n
 
     def act(values: np.ndarray) -> list[np.ndarray]:
         values = np.asarray(values, dtype=complex)
         if values.ndim < 2:
             raise ValueError("grid group actions are implemented on I^2")
         n = values.shape[ax]
-        if n not in plans:
-            plans[n] = _plan(times, n, ax)
-        sources, pieces_of = plans[n]
-        blocks = {(0, 0): values}
-        for key, power, index in sources:
-            blocks[key] = boundary.apply(values[index], other, power)
-        images = []
-        for pieces in pieces_of:
-            out = np.empty_like(values)
-            for out_index, key, index in pieces:
-                out[out_index] = blocks[key][index]
-            images.append(out)
+        steps = [_steps_for(t, n) for t in times]
+        images = [None] * len(times)
+        for lo, hi in _runs(steps, n):
+            shape = list(values.shape)
+            shape[ax] = hi - lo
+            ext = np.empty(shape, dtype=complex)
+            for power in range(lo // n, (hi - 1) // n + 1):
+                start, stop = max(lo, power * n), min(hi, (power + 1) * n)
+                rows = values[_rows(ax, start - power * n, stop - power * n)]
+                ext[_rows(ax, start - lo, stop - lo)] = boundary.apply(rows, other, power)
+            ext.flags.writeable = False
+            for k, s in enumerate(steps):
+                if lo <= s < hi:
+                    images[k] = ext[_rows(ax, s - lo, s - lo + n)]
         return images
 
     return act
@@ -417,29 +386,28 @@ def check_sweep_grid(
     The window must fit in grid_n modes without aliasing, every time must
     be a multiple of the grid step 1/grid_n, and the window's dense
     spectral matrix, cardinality^2 complex entries, must fit in
-    MAX_SPECTRAL_BYTES, and the larger of the sweep's len(times)^2 images
-    of a probe and the spectral check's stack of MAX_SPECTRAL_PROBES
-    probes in MAX_SWEEP_BYTES.
-
-    Per probe, the sweep (commutator_norm over two grid_group_action
-    families) makes 3 + len(times) family calls.  Each transforms, per
-    boundary power its times need, the union of the rows that power
-    moves, once: at most grid_n rows of the probe, of one of its images
-    or of the stack of its len(times) images.  The sweep holds the
-    len(times)^2 Y X images the cap counts, and len(times) X Y images.
+    MAX_SPECTRAL_BYTES.  The larger of the sweep's holdings and the
+    spectral check's stack of MAX_SPECTRAL_PROBES probes must fit in
+    MAX_SWEEP_BYTES.  Per probe, the sweep (commutator_norm over two
+    grid_group_action families of T = len(times) times) holds the
+    extensions of the stacks of T X- and T Y-images, each T R rows of
+    grid_n, where R is the rows the windows cover (T grid_n when none
+    overlap), and T differences: 16 (2 T R + T grid_n) grid_n bytes.
     """
     _check_window_fits(window, grid_n)
-    for t in times:
-        _steps_for(t, grid_n)
+    steps = [_steps_for(t, grid_n) for t in times]
     if 16 * window.cardinality**2 > MAX_SPECTRAL_BYTES:
         raise ValueError(
             f"the spectral matrix of a {window.cardinality}-mode window "
             f"needs more than {MAX_SPECTRAL_BYTES} bytes"
         )
-    if 16 * max(len(times) ** 2, MAX_SPECTRAL_PROBES) * grid_n**2 > MAX_SWEEP_BYTES:
+    rows = sum(hi - lo for lo, hi in _runs(steps, grid_n))
+    sweep = len(times) * (2 * rows + grid_n)
+    if 16 * max(sweep, MAX_SPECTRAL_PROBES * grid_n) * grid_n > MAX_SWEEP_BYTES:
         held = (
-            f"the sweep's {len(times)} x {len(times)} images"
-            if len(times) ** 2 >= MAX_SPECTRAL_PROBES
+            f"the sweep's two extensions of {len(times)} x {rows} rows and "
+            f"{len(times)} differences"
+            if sweep >= MAX_SPECTRAL_PROBES * grid_n
             else f"the spectral check's {MAX_SPECTRAL_PROBES} probes"
         )
         raise ValueError(
@@ -509,6 +477,17 @@ def _checked_probes(probes: Iterable) -> Iterator[tuple]:
         yield values, den
 
 
+_UNIT = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1074  # the least subnormal
+
+
+def _norm_slack(terms: int) -> float:
+    """Relative slack of commutator_norm's bound over `terms` real squares:
+    the sums' errors gamma_terms and gamma_{terms/2} (gamma_m = m u / (1 -
+    m u)), 11 u for a modulus squared and weighted, and four roundings."""
+    return (2 * terms + 16) * _UNIT
+
+
 def commutator_norm(
     xs: Callable, ys: Callable, probes: Iterable
 ) -> np.ndarray:
@@ -524,31 +503,44 @@ def commutator_norm(
     grid_norm, which on a coefficient vector is the RMS norm, a scale the
     ratio does not see.
 
-    A probe costs 3 + len(ys) family calls: xs and ys move the probe, ys
-    moves the stack of X-images, and xs moves each Y-image.  On grid
-    actions each call transforms, per boundary power, the rows that power
-    moves for any of the family's times, once.  The len(xs) ratios of
-    each Y member come from one batched sum, in grid_norm's summation
-    order per grid, so the table is bit-equal to one grid_norm per pair.
-    `probes` may be any iterable, a generator included: probes are read
-    one at a time.  A probe's images are held until the next probe's
-    replace them, which keeps their pages with the allocator: the Y X
-    images of every pair and the X Y images of one Y member.  A NaN ratio
-    propagates into its entry instead of reading as zero.
+    A probe costs four family calls: xs and ys move the probe, ys moves
+    the stack of X-images and xs the stack of Y-images.  The differences
+    of one X member, one per Y member, go to a buffer every probe reuses.
+    One pass S = sum(re^2 + im^2) over the N = 2 p.size parts of a
+    difference bounds its ratio by sqrt(w S (1 + slack) + 4 N 2^-1074) /
+    |p| (1 + 8 u) + 4 2^-1074, with u = 2^-53, slack = (2 N + 16) u
+    (_norm_slack) and the subnormal terms for underflow.  Only entries
+    whose bound is not below the running max get the exact ratio
+    sqrt(sum(w |d|^2)) / |p|, in grid_norm's summation order, so the
+    table is bit-equal to one grid_norm per pair.  A NaN difference has a
+    NaN bound, so its NaN propagates into its entry instead of reading as
+    zero.  `probes` may be any iterable, a generator included: probes are
+    read one at a time.  A probe's images are held until the next probe's
+    replace them: the two extensions that check_sweep_grid prices.
     """
-    table = None
+    table = diff = None
     for values, den in _checked_probes(probes):
-        axes = tuple(range(-values.ndim, 0))
-        w = grid_weight(values.shape)
         yx = ys(np.stack(xs(values)))  # yx[j][i] = Y_j X_i p
+        xy = xs(np.stack(ys(values)))  # xy[i][j] = X_i Y_j p
         if table is None:
-            table = np.zeros((len(yx[0]), len(yx)))
-        for j, y_image in enumerate(ys(values)):
-            diff = np.stack(xs(y_image))  # diff[i] = X_i Y_j p
-            diff -= yx[j]
-            # grid_norm of each difference, summed in the same order
-            norms = np.sqrt(np.sum(w * np.abs(diff) ** 2, axis=axes))
-            table[:, j] = np.maximum(table[:, j], norms / den)
+            table = np.zeros((len(xy), len(yx)))
+        if diff is None or diff.shape[1:] != values.shape:
+            axes = tuple(range(-values.ndim, 0))
+            w = grid_weight(values.shape)
+            diff = np.empty((len(yx),) + values.shape, dtype=complex)
+            parts = diff.view(float).reshape(len(yx), -1)
+            scale = w * (1 + _norm_slack(parts.shape[1]))
+            floor = 4 * parts.shape[1] * _TINY
+        for i, row in enumerate(table):
+            for j, images in enumerate(yx):
+                np.subtract(xy[i][j], images[i], out=diff[j])
+            root = np.sqrt(np.vecdot(parts, parts) * scale + floor)
+            bound = root / den * (1 + 8 * _UNIT) + 4 * _TINY
+            undecided = np.flatnonzero(~(bound < row))
+            if undecided.size:
+                # grid_norm of each difference, summed in the same order
+                norms = np.sqrt(np.sum(w * np.abs(diff[undecided]) ** 2, axis=axes))
+                row[undecided] = np.maximum(row[undecided], norms / den)
     if table is None:
         raise ValueError("empty probe list")
     return table

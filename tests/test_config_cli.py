@@ -953,10 +953,11 @@ TWO_COMPONENTS = (
          "groups: the spectral matrix of a 4225-mode window"),
         # a 65536^2 probe grid alone is 68.7 GB
         (GROUPS + "{grid_n: 65536}",
-         "groups: the sweep's 5 x 5 images of a 65536^2 grid need more "
-         "than 268435456 bytes"),
+         "groups: the sweep's two extensions of 5 x 98304 rows and 5 "
+         "differences of a 65536^2 grid need more than 268435456 bytes"),
         (GROUPS + "{grid_n: 1024}",
-         "groups: the sweep's 5 x 5 images of a 1024^2 grid"),
+         "groups: the sweep's two extensions of 5 x 1536 rows and 5 "
+         "differences of a 1024^2 grid"),
         # with one or two times the spectral check's stack is the larger
         (GROUPS + "{grid_n: 1450, times: [0.5]}",
          "groups: the spectral check's 8 probes of a 1450^2 grid need more "
@@ -997,8 +998,8 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
         GROUPS + "{window: {radius: 31}, grid_n: 64}",
         # the benchmark's groups-sweep size
         GROUPS + "{window: {radius: 8}, grid_n: 64, times: [0.125, 0.25, 0.375, 0.5, 0.625]}",
-        # exactly at the sweep cap
-        GROUPS + "{grid_n: 1024, times: [0.25, 0.5, 0.75, 1.0]}",
+        # exactly at the sweep cap: 16 * 1024 * 4 * (2 * 1536 + 1024) bytes
+        GROUPS + "{grid_n: 1024, times: [0.0, 0.125, 0.25, 0.5]}",
         GROUPS + "{grid_n: 1448, times: [0.25, 0.5]}",
         # 1 089 points, about 250 MB
         PAIR + "window: {radius: 16}",
@@ -1015,6 +1016,27 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
 )
 def test_sizes_under_the_caps_load(text):
     parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "times, edge, above, rows",
+    [
+        # windows that do not overlap: two extensions of 5 x 5 grid_n rows
+        ("[0, 1, 2, 3, 4]", 552, 553, 5 * 553),
+        # the default times chain into one run of 1.5 grid_n rows; the
+        # next grid they lie on is 8 steps up
+        ("[0.125, 0.25, 0.375, 0.5, 0.625]", 912, 920, 1380),
+    ],
+)
+def test_five_time_sweep_loads_at_its_edge_and_exits_two_one_step_above(
+    tmp_path, capsys, times, edge, above, rows
+):
+    parse_config(GROUPS + f"{{grid_n: {edge}, times: {times}}}")
+    assert_load_error(
+        tmp_path, capsys, GROUPS + f"{{grid_n: {above}, times: {times}}}",
+        f"groups: the sweep's two extensions of 5 x {rows} rows and 5 differences "
+        f"of a {above}^2 grid need more than 268435456 bytes",
+    )
 
 
 @pytest.mark.parametrize(
@@ -1283,9 +1305,17 @@ def test_verify_pair_tiling_off_the_unit_square_exits_two_at_load(
     )
 
 
-@pytest.mark.parametrize("resolution, same", [(32, True), (64, False)])
-def test_verify_pair_without_tiling_section_uses_window_4_resolution_32(
-    tmp_path, resolution, same
+@pytest.mark.parametrize(
+    "section, same",
+    [
+        ("{window: 4}", True),
+        ("{}", True),
+        ("{window: 4, resolution: 64}", True),
+        ("{window: 4, resolution: 32}", False),
+    ],
+)
+def test_verify_pair_without_tiling_section_takes_the_section_defaults(
+    tmp_path, section, same
 ):
     # a 0.3 offset makes the overlap fraction depend on the resolution
     text = (
@@ -1293,7 +1323,8 @@ def test_verify_pair_without_tiling_section_uses_window_4_resolution_32(
         "spectrum: {family: explicit, points: [[0.0, 0.0], [0.3, 0.0]]}\n"
         "window: {radius: 0}\n"
     )
-    tiled = text + f"tiling: {{window: 4, resolution: {resolution}}}\n"
+    assert parse_config(text).tiling == {"window": 4, "resolution": 64}
+    tiled = text + f"tiling: {section}\n"
     reports = []
     for name, body in (("default", text), ("tiled", tiled)):
         out = tmp_path / name

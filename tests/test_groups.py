@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spectralbox.groups import (
     IncommensurateTimeError,
     MatrixBoundary,
     TruncationLeakageError,
+    _norm_slack,
     commutator_norm,
     default_probe_coefficients,
     eigenrelation_check,
@@ -912,6 +914,43 @@ def test_twisted_transforms_equal_multiply_by_phase_versions(shift, axis):
         assert (back == _old_twisted_synthesis(got, axis, shift)).all()
 
 
+@pytest.mark.parametrize("n", [3, 37, 48, 64, 100, 1000])
+def test_twisted_analysis_scaling_keeps_the_bits_of_complex_division(n):
+    # the FFT scaled through its float view against coeffs /= n: every
+    # nonzero part keeps its bits, and a zero part its value, whose sign
+    # may differ
+    rng = np.random.default_rng(40)
+    for magnitude in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+        values = random_grid(rng, 64, n) * magnitude
+        values[:8] = values[:8].real  # zero imaginary parts in the DC mode
+        values[8:16, ::2] = -0.0
+        for shift in (0.0, 0.3):
+            got = twisted_analysis(values, 1, shift)
+            want = np.fft.fft(values * _phase(n, shift, -1) if shift else values, axis=1)
+            want /= n
+            assert (got == want).all()
+            nonzero = want.view(float) != 0
+            assert (got.view(np.uint64)[nonzero] == want.view(np.uint64)[nonzero]).all()
+
+
+def test_an_fft_that_overflows_gives_non_finite_table_entries():
+    # a finite probe whose line sums overflow in the boundary's transform:
+    # every entry is non-finite, never a finite ratio
+    rng = np.random.default_rng(41)
+    n = 64
+    probe = np.full((n, n), 1e307, dtype=complex)
+    bx = DiagonalBoundary(random_sequence(rng, 8), shift=0.3)
+    by = DiagonalBoundary(random_sequence(rng, 8), shift=0.7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(twisted_analysis(probe, 1, 0.0)).any()
+        table = commutator_norm(
+            grid_group_action(1, (0.25, 1.5), bx),
+            grid_group_action(2, (0.125, 0.5), by),
+            [probe],
+        )
+    assert not np.isfinite(table).any()
+
+
 def test_twisted_phases_are_cached_read_only_and_shared():
     phase = _phase(64, 0.3, 1)
     assert _phase(64, 0.3, 1) is phase
@@ -1012,6 +1051,28 @@ def test_family_transforms_the_rows_of_each_power_once():
         assert (image == _rolled_action(state, 1, t, boundary)).all()
 
 
+def test_windows_far_apart_get_extensions_of_their_own():
+    # times 0.125 and 40.0 at grid_n 64 make two extensions of 64 rows,
+    # not the 40-period hull of 2 616 rows (41 states, 2.7 MB)
+    rng = np.random.default_rng(42)
+    n = 64
+    boundary = DiagonalBoundary(random_sequence(rng, 8), shift=0.3)
+    state = random_grid(rng, n, n)
+    act = grid_group_action(1, (0.125, 40.0), boundary)
+    tracemalloc.start()
+    try:
+        images = act(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * state.nbytes
+    for t, image in zip((0.125, 40.0), images):
+        assert (image == _rolled_action(state, 1, t, boundary)).all()
+        # a view of its extension, which other images may share
+        assert not image.flags.writeable
+    assert not np.shares_memory(*images)
+
+
 @pytest.mark.parametrize("n", [40, 64, 128])
 def test_commutator_table_equals_grid_norm_per_pair(n):
     # the reference moves each probe with one single-time action per
@@ -1077,7 +1138,7 @@ def sweep_inputs(rng, phases, radius=8, sub_radius=2, n_random=4):
     return xs, ys, coeffs, win
 
 
-def test_commutator_norm_streams_a_generator_with_three_plus_j_family_calls():
+def test_commutator_norm_streams_a_generator_with_four_family_calls():
     rng = np.random.default_rng(34)
     n, phases = 32, (0.3, 0.7)
     xs, ys, coeffs, win = sweep_inputs(rng, phases)
@@ -1095,14 +1156,132 @@ def test_commutator_norm_streams_a_generator_with_three_plus_j_family_calls():
 
     table = commutator_norm(counted("x", xs), counted("y", ys), states())
     assert (table == commutator_norm(xs, ys, list(states()))).all()
-    # per probe: X and Y move it, Y moves the 5 X-images as one stack and
-    # X moves each of the 5 Y-images
-    assert len(calls) == len(coeffs) * (3 + 5)
-    assert calls.count(("x", (n, n))) == len(coeffs) * (1 + 5)
-    assert calls.count(("y", (n, n))) == len(coeffs)
-    assert calls.count(("y", (5, n, n))) == len(coeffs)
+    # per probe: X and Y move it, Y moves the stack of the 5 X-images and
+    # X the stack of the 5 Y-images
+    assert len(calls) == len(coeffs) * 4
+    for call in (("x", (n, n)), ("y", (n, n)), ("x", (5, n, n)), ("y", (5, n, n))):
+        assert calls.count(call) == len(coeffs)
     assert table.shape == (5, 5)
     assert table.max() > 0.01
+
+
+def all_exact_table(xs, ys, probes):
+    """The commutator table with the exact grid_norm ratio of every pair
+    of every probe, the running max taken by np.maximum."""
+    table = None
+    for p in probes:
+        den = grid_norm(p)
+        yx = ys(np.stack(xs(p)))
+        xy = xs(np.stack(ys(p)))
+        ratios = np.array(
+            [[grid_norm(xy[i][j] - yx[j][i]) / den for j in range(len(yx))]
+             for i in range(len(xy))]
+        )
+        table = ratios if table is None else np.maximum(table, ratios)
+    return table
+
+
+def test_bounded_table_equals_the_all_exact_table_on_a_grid_sweep():
+    rng = np.random.default_rng(43)
+    n, phases = 64, (0.3, 0.7)
+    xs, ys, coeffs, win = sweep_inputs(rng, phases, sub_radius=1, n_random=4)
+    probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
+    # ratios a few ulps apart, which the bound must not skip when above the max
+    near = [p * (1 + k * 2.0**-52) for p in probes[-2:] for k in range(1, 9)]
+    # probes whose differences have subnormal squared moduli
+    tiny = [p * 2.0**-530 for p in probes[-2:]]
+    d = xs(np.stack(ys(tiny[0])))[1][1] - ys(np.stack(xs(tiny[0])))[1][1]
+    assert 0 < (np.abs(d) ** 2).max() < np.finfo(float).tiny
+    for sweep in (probes + probes, probes + near, tiny + probes, probes + tiny):
+        table = commutator_norm(xs, ys, sweep)
+        assert same_bits(table, all_exact_table(xs, ys, sweep))
+        assert table.max() > 0.01
+
+
+def block_families(rng):
+    """Families on 4-vectors.  X_i and Y_j mix the first two coordinates
+    by 2 x 2 matrices that do not commute; on the last two X_i scales by
+    2^i and Y_j swaps them, so a probe on the last two coordinates has
+    differences that are exactly zero."""
+    a = [random_grid(rng, 2, 2) for _ in range(3)]
+    b = [random_grid(rng, 2, 2) for _ in range(2)]
+
+    def xs(v):
+        return [
+            np.concatenate([(m @ v[..., :2, None])[..., 0], v[..., 2:] * 2.0**i], axis=-1)
+            for i, m in enumerate(a)
+        ]
+
+    def ys(v):
+        return [
+            np.concatenate([(m @ v[..., :2, None])[..., 0], v[..., :1:-1]], axis=-1)
+            for m in b
+        ]
+
+    return xs, ys
+
+
+def test_bounded_table_equals_the_all_exact_table_on_zero_and_nan_differences():
+    rng = np.random.default_rng(44)
+    xs, ys = block_families(rng)
+    probes = list(random_grid(rng, 5, 4))
+    zero = np.array([0.0, 0.0, 1.5 - 2.0j, 0.25j])
+    assert same_bits(commutator_norm(xs, ys, [zero]), np.zeros((3, 2)))
+    for sweep in ([zero] + probes, probes + [zero], probes + probes[::-1]):
+        table = commutator_norm(xs, ys, sweep)
+        assert same_bits(table, all_exact_table(xs, ys, sweep))
+        assert table.min() > 0.01
+
+    def xs_nan(v):
+        images = xs(v)
+        images[1] = images[1] * np.nan
+        return images
+
+    table = commutator_norm(xs_nan, ys, probes)
+    assert np.isnan(table[1]).all() and not np.isnan(table[[0, 2]]).any()
+    assert np.array_equal(table, all_exact_table(xs_nan, ys, probes), equal_nan=True)
+
+
+def test_a_new_max_that_a_bound_without_slack_would_skip_is_kept():
+    # rescaling a probe by 1 + k 2^-52 moves its ratios by an ulp or so;
+    # find probes a, b and an entry where b's ratio tops a's, but the
+    # one-pass bound without slack falls below a's: the sweep [a, b] must
+    # still take b's exact ratio
+    rng = np.random.default_rng(45)
+    xs, ys = block_families(rng)
+    p = random_grid(rng, 4)
+    scaled = [p * (1 + k * 2.0**-52) for k in range(200)]
+    exact, naive = [], []
+    for q in scaled:
+        den = grid_norm(q)
+        yx, xy = ys(np.stack(xs(q))), xs(np.stack(ys(q)))
+        d = np.array([[xy[i][j] - yx[j][i] for j in range(2)] for i in range(3)])
+        exact.append([[grid_norm(e) / den for e in row] for row in d])
+        parts = d.view(float).reshape(3, 2, -1)
+        naive.append(np.sqrt(np.vecdot(parts, parts) * grid_weight(q.shape)) / den)
+    exact, naive = np.array(exact), np.array(naive)
+    skipped = (naive[None] < exact[:, None]) & (exact[:, None] < exact[None])
+    a, b, i, j = np.argwhere(skipped)[0]
+    table = commutator_norm(xs, ys, [scaled[a], scaled[b]])
+    assert table[i, j] == exact[b, i, j] > exact[a, i, j]
+    assert same_bits(table, all_exact_table(xs, ys, [scaled[a], scaled[b]]))
+
+
+def test_the_bound_slack_covers_the_summation_error_at_the_load_cap():
+    # a difference of a grid_n 1448 probe, the largest grid that loads,
+    # has 2 * 1448^2 real and imaginary parts
+    u = Fraction(1, 2**53)
+    terms = 2 * 1448**2
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    slack = _norm_slack(terms)
+    # the one-pass sum's error, the exact norm's, 11 u for a modulus
+    # squared and weighted, and four roundings of the bound
+    need = (1 + gamma(terms // 2)) * (1 + 11 * u) / (1 - gamma(terms))
+    assert (1 - u) ** 4 * (1 + Fraction(slack)) >= need
+    assert slack < 1e-9
 
 
 def test_commutator_norm_rejects_an_empty_generator():
