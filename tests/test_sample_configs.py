@@ -39,6 +39,11 @@ EXPECTED = {
         "diffraction.svg": "4b079b97361c7b4fddcd1bf0c21fb6f70722368a1670a0fa568189570fbae9d5",
         "report.txt": "a761ebce696cc8a5694fa6f2dfdce51709d725b74c0054108a47e28e12482446",
     }),
+    "diffraction_three_component": ("diffraction", 0, {
+        "density.txt": "d2c53a4328bbd17c3119988317a74aa7c4a8ee9abf2386c61a9d9918861ab7de",
+        "diffraction.svg": "b927ea1c3a7ec9518dd4316351729e9eb3866b1cf2f95eb86a781486195b4139",
+        "report.txt": "5740441332972db368f5b772a04fe6f17f8130785a44d2f0f42796129e1871a4",
+    }),
     "diffraction_two_component": ("diffraction", 0, {
         "density.txt": "46c611af973e8ee32dc999c13362c8e2485d9d1575cf17e199dbfd09f5f9ac84",
         "diffraction.svg": "df25b50c35363c1cf86370f85e54687e4c31a109a9428308121ef39ccfd41af8",
