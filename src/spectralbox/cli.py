@@ -78,7 +78,7 @@ An explicit spectrum needs no window.  The sections:
       b: {default: 0.0, table: {"1": 0.3}}
       phases: [0.0, 0.0]          # two reals
       window: {radius: 8}         # two indices per axis, 4096 modes at most
-      grid_n: 64                  # >= the window width per axis; <= 912 with these times
+      grid_n: 64                  # >= the window width per axis; <= 640 with these times
       times: [0.125, 0.25, 0.375, 0.5, 0.625]   # each >= 0, on the 1/grid_n grid;
                                   #   the first, the spectral check's, <= 1
       sub_radius: 2               # >= 0; the window modes with |m|, |n| <=
@@ -107,12 +107,13 @@ An explicit spectrum needs no window.  The sections:
 
 Artifacts written to the output directory: report.txt always; gram.txt,
 spectrum.txt, multiplicity.txt, tiling.svg, diffraction.svg, density.txt,
-commutator_sweep.csv per command.  They appear only when a run completes:
-a run that exits 2 or 3 leaves no output directory and changes no file in
-one.  Fixed config and seed give byte-identical outputs.  check-cocycle
-classifies a pair, constant pairs included, from its two sequences alone,
-an oracle beside the shift identities; simulate-groups hands one
-seam-twisted pair to its cocycle cross-oracle and to group_matrix_spectral.
+commutator_sweep.csv per command; the five tables are written in blocks
+of rows by one writer.  They appear only when a run completes: a run that
+exits 2 or 3 leaves no output directory and changes no file in one.  Fixed
+config and seed give byte-identical outputs.  check-cocycle classifies a
+pair, constant pairs included, from its two sequences alone, an oracle
+beside the shift identities; simulate-groups hands one seam-twisted pair
+to its cocycle cross-oracle and to group_matrix_spectral.
 """
 
 from __future__ import annotations
@@ -173,10 +174,6 @@ from .exponentials import eval_F_omega  # noqa: F401
 from .model import spectrum_difference_set  # noqa: F401
 
 
-def _write_text(outdir: Path, name: str, text: str) -> None:
-    (outdir / name).write_text(text, encoding="utf-8")
-
-
 # cells a block of rows holds at most, unless a single row is wider: the
 # writer holds one block's codes, cells and text at a time
 _BLOCK_CELLS = 1 << 16
@@ -184,55 +181,59 @@ _BLOCK_CELLS = 1 << 16
 _EXACT_POW10 = np.array([float(10**j) for j in range(23)])
 
 
-def _write_table(sink, table: np.ndarray, index: np.ndarray, seps: str) -> None:
-    """Write the nonempty float64 or int64 table table[index] to sink, one
-    value a cell, as '%.12e' or '%d' writes it.
+def _write_table(sink, tables: tuple, index: np.ndarray, seps: str) -> None:
+    """Write the rows that index, (rows, k), picks of the nonempty float64
+    or int64 tables, which share their first axis, to sink, one value a
+    cell, as '%.12e' or '%d' writes it.
 
-    index is (rows, k) and picks rows of table, whose trailing axes are
-    flattened into the columns of the text.  seps[c] is the one character
-    written after column c, so a row ends with seps[-1].  A float table is
-    grouped by the bits of its magnitudes, which keeps NaN payloads apart,
-    and each distinct magnitude is formatted once; an int table is grouped
-    by value.  Each group gets one field: for floats a sign slot, its text,
-    NULs up to the longest text, and a separator slot.  The rows go to
-    sink in blocks of _BLOCK_CELLS cells: a block gathers its fields, fills
-    the slots of each cell, and drops the NULs.  Beside the table and its
-    codes, the writer holds the fields and one block, never the whole text.
+    A row's columns are the trailing axes of each table, flattened, one
+    table after another; seps[c] is the one character written after column
+    c, so a row ends with seps[-1].  A float table is grouped by the bits
+    of its magnitudes, which keeps NaN payloads apart, an int table by
+    value, and each group is formatted once into one field: for floats a
+    sign slot, its text, NULs up to the longest text of any table, and a
+    separator slot.  The rows go to sink in blocks of _BLOCK_CELLS cells:
+    a block gathers each table's fields, fills the slots of each cell, and
+    drops the NULs.  The writer holds the fields, codes and one block.
     """
-    table = np.ascontiguousarray(table)
-    if table.dtype == np.float64:
-        keys, inverse = np.unique(np.abs(table).view(np.uint64), return_inverse=True)
-        mags = keys.view(np.float64)
-        # a sign slot, then the magnitude's text, formatted a block's worth
-        # at a time so that the formatter's temporaries stay that small
-        texts = np.zeros((mags.size, 20), dtype=np.uint8)
-        for start in range(0, mags.size, _BLOCK_CELLS):
-            texts[start : start + _BLOCK_CELLS, 1:] = _float_texts(
-                mags[start : start + _BLOCK_CELLS]
-            )
-        # each value's sign byte; '%' prints no sign for NaN
-        signs = (np.signbit(table) & ~np.isnan(table)) * np.uint8(ord("-"))
-        signs = signs.reshape(len(table), -1)
-    else:
-        keys, inverse = np.unique(table, return_inverse=True)
-        texts = _padded_texts("d", 20, keys.tolist())
-        signs = None
-    width = texts.shape[1]
-    while not texts[:, width - 1].any():
-        width -= 1
-    fields = np.zeros((len(texts), width + 1), dtype=np.uint8)
-    fields[:, :-1] = texts[:, :width]
-    # int32 codes: the size caps keep the distinct values far below 2^31
-    codes = inverse.astype(np.int32).reshape(len(table), -1)
+    groups = []
+    for table in map(np.ascontiguousarray, tables):
+        if table.dtype == np.float64:
+            keys, inverse = np.unique(np.abs(table).view(np.uint64), return_inverse=True)
+            mags = keys.view(np.float64)
+            # a sign slot, then the magnitude's text, formatted a block's
+            # worth at a time so that the formatter's temporaries stay small
+            texts = np.zeros((mags.size, 20), dtype=np.uint8)
+            for start in range(0, mags.size, _BLOCK_CELLS):
+                texts[start : start + _BLOCK_CELLS, 1:] = _float_texts(
+                    mags[start : start + _BLOCK_CELLS]
+                )
+            # each value's sign byte; '%' prints no sign for NaN
+            signs = (np.signbit(table) & ~np.isnan(table)) * np.uint8(ord("-"))
+            signs = signs.reshape(len(table), -1)
+        else:
+            keys, inverse = np.unique(table, return_inverse=True)
+            texts = _padded_texts("d", 20, keys.tolist())
+            signs = None
+        # int32 codes: the size caps keep the distinct values far below 2^31
+        groups.append((texts, inverse.astype(np.int32).reshape(len(table), -1), signs))
     del keys, inverse, texts
+    width = 20
+    while not any(texts[:, width - 1].any() for texts, _, _ in groups):
+        width -= 1
+    groups = [(np.pad(t[:, :width], ((0, 0), (0, 1))), c, s) for t, c, s in groups]
     sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     rows = max(1, _BLOCK_CELLS // len(seps))
     for start in range(0, len(index), rows):
         picked = index[start : start + rows]
-        block = np.take(fields, np.take(codes, picked, axis=0), axis=0)
-        block = block.reshape(len(picked), len(seps), width + 1)
-        if signs is not None:
-            block[:, :, 0] = np.take(signs, picked, axis=0).reshape(len(picked), -1)
+        blocks = []
+        for fields, codes, signs in groups:
+            block = np.take(fields, np.take(codes, picked, axis=0), axis=0)
+            block = block.reshape(len(picked), -1, width + 1)
+            if signs is not None:
+                block[:, :, 0] = np.take(signs, picked, axis=0).reshape(len(picked), -1)
+            blocks.append(block)
+        block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         block[:, :, -1] = sep
         block = block.ravel()
         sink.write(block[block != 0])
@@ -337,7 +338,7 @@ def _cmd_build_spectrum(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     seps = "\t" * (points.shape[1] - 1) + "\n"
     rows = np.arange(len(points))[:, None]
     with open(outdir / "spectrum.txt", "wb") as sink:
-        _write_table(sink, points, rows, seps)
+        _write_table(sink, (points,), rows, seps)
     report.add(
         "model.enumerate_spectrum",
         "one point per window index tuple, family formula applied",
@@ -355,7 +356,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     seps = (",\t" * points.shape[0])[:-1] + "\n"
     parts = gram.table.view(np.float64).reshape(-1, 2)
     with open(outdir / "gram.txt", "wb") as sink:
-        _write_table(sink, parts, gram.index, seps)
+        _write_table(sink, (parts,), gram.index, seps)
 
     orth = orthogonality_verdict(gram, tol["eq_tol"])
     notes = []
@@ -401,19 +402,7 @@ def _cmd_verify_pair(cfg: RunConfig, report: ReportBuilder, outdir: Path):
             ],
         )
 
-        verdict = tiling_verdict(
-            multiplicity_map(cfg.spectrum, cfg.tiling["window"], cfg.tiling["resolution"])
-        )
-        report.add(
-            "tiling.tiling_verdict",
-            "translate multiplicity is one off cube faces (finite-torus "
-            "surrogate for the full-space statement)",
-            verdict.tiles,
-            [
-                ("overlap_fraction", verdict.overlap_fraction),
-                ("gap_fraction", verdict.gap_fraction),
-            ],
-        )
+        _check_tiling(cfg, report, excluded=False)
 
 
 def _cmd_check_cocycle(cfg: RunConfig, report: ReportBuilder, outdir: Path):
@@ -478,12 +467,12 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
         grid_group_action(2, g["times"], by),
         probes,
     )
-    rows = ["s,t,commutator_norm"] + [
-        f"{format_float(s)},{format_float(t)},{format_float(table[i, j])}"
-        for i, s in enumerate(g["times"])
-        for j, t in enumerate(g["times"])
-    ]
-    _write_text(outdir, "commutator_sweep.csv", "\n".join(rows) + "\n")
+    # a row (s, t, norm) per pair of times, s outermost
+    sweep = np.stack([*np.meshgrid(g["times"], g["times"], indexing="ij"), table], -1)
+    with open(outdir / "commutator_sweep.csv", "wb") as sink:
+        sink.write(b"s,t,commutator_norm\n")
+        rows = np.arange(table.size)[:, None]
+        _write_table(sink, (sweep.reshape(-1, 3),), rows, ",,\n")
     worst = float(table.max(initial=0.0))
 
     cocycle_holds = check_cocycle_2d(twisted, tol["eq_tol"]).holds
@@ -536,28 +525,35 @@ def _cmd_simulate_groups(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     )
 
 
-def _cmd_check_tiling(cfg: RunConfig, report: ReportBuilder, outdir: Path):
-    torus_n = cfg.tiling["window"]
-    res = cfg.tiling["resolution"]
-    mp = multiplicity_map(cfg.spectrum, torus_n, res)
+def _check_tiling(cfg: RunConfig, report: ReportBuilder, excluded: bool):
+    """Add the tiling verdict on the tiling section's torus, with the face
+    samples it excludes when asked; return the multiplicity map."""
+    mp = multiplicity_map(cfg.spectrum, cfg.tiling["window"], cfg.tiling["resolution"])
     verdict = tiling_verdict(mp)
-    if cfg.spectrum.dimension == 2:
-        seps = " " * (mp.counts.shape[1] - 1) + "\n"
-        rows = np.arange(len(mp.counts))[:, None]
-        with open(outdir / "multiplicity.txt", "wb") as sink:
-            _write_table(sink, mp.counts, rows, seps)
-        emit_tiling_svg(cfg.spectrum, torus_n, outdir / "tiling.svg")
+    metrics = [
+        ("overlap_fraction", verdict.overlap_fraction),
+        ("gap_fraction", verdict.gap_fraction),
+    ]
+    if excluded:
+        metrics.append(("excluded_face_samples", verdict.n_excluded))
     report.add(
         "tiling.tiling_verdict",
         "translate multiplicity is one off cube faces (finite-torus "
         "surrogate for the full-space statement)",
         verdict.tiles,
-        [
-            ("overlap_fraction", verdict.overlap_fraction),
-            ("gap_fraction", verdict.gap_fraction),
-            ("excluded_face_samples", verdict.n_excluded),
-        ],
+        metrics,
     )
+    return mp
+
+
+def _cmd_check_tiling(cfg: RunConfig, report: ReportBuilder, outdir: Path):
+    mp = _check_tiling(cfg, report, excluded=True)
+    if cfg.spectrum.dimension == 2:
+        seps = " " * (mp.counts.shape[1] - 1) + "\n"
+        rows = np.arange(len(mp.counts))[:, None]
+        with open(outdir / "multiplicity.txt", "wb") as sink:
+            _write_table(sink, (mp.counts,), rows, seps)
+        emit_tiling_svg(cfg.spectrum, cfg.tiling["window"], outdir / "tiling.svg")
 
 
 def _cmd_diffraction(cfg: RunConfig, report: ReportBuilder, outdir: Path):
@@ -570,13 +566,13 @@ def _cmd_diffraction(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     density = build_density(model, range(-n_rad, n_rad + 1), d["k_radius"])
     diffr = eval_diffraction(density, test_fn)
     rel = abs(direct - diffr) / max(abs(direct), 1e-300)
-    order = density.sorted_order()
-    c = density.weights[order]
-    # a row per mass in (k, n) order; %.12e writes what format_float does
-    row = ";".join(["%d"] * len(density.periods)) + ",%d,%.12e,%.12e"
-    columns = (*density.harmonics[order].T.tolist(), density.heights[order].tolist())
-    rows = [row % v for v in zip(*columns, c.real.tolist(), c.imag.tolist())]
-    _write_text(outdir, "density.txt", "\n".join(["k,n,re,im", *rows]) + "\n")
+    # a row per mass in (k, n) order: its harmonics and height, its re and im
+    ints = np.column_stack((density.harmonics, density.heights))
+    parts = density.weights.view(np.float64).reshape(-1, 2)
+    seps = ";" * (len(density.periods) - 1) + ",,,\n"
+    with open(outdir / "density.txt", "wb") as sink:
+        sink.write(b"k,n,re,im\n")
+        _write_table(sink, (ints, parts), density.sorted_order()[:, None], seps)
     emit_diffraction_svg(density, outdir / "diffraction.svg")
     report.add(
         "diffraction.eval_direct/eval_diffraction",
@@ -637,7 +633,7 @@ def run(cfg: RunConfig, config_path: str, outdir: Path) -> int:
             tolerances=cfg.tolerances,
         )
         _DISPATCH[cfg.command](cfg, report, staging)
-        _write_text(staging, "report.txt", report.render())
+        (staging / "report.txt").write_text(report.render(), encoding="utf-8")
         outdir.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir()):
             path.replace(outdir / path.name)

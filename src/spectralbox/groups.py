@@ -386,28 +386,30 @@ def check_sweep_grid(
     The window must fit in grid_n modes without aliasing, every time must
     be a multiple of the grid step 1/grid_n, and the window's dense
     spectral matrix, cardinality^2 complex entries, must fit in
-    MAX_SPECTRAL_BYTES.  The larger of the sweep's holdings and the
-    spectral check's stack of MAX_SPECTRAL_PROBES probes must fit in
-    MAX_SWEEP_BYTES.  Per probe, the sweep (commutator_norm over two
-    grid_group_action families of T = len(times) times) holds the
-    extensions of the stacks of T X- and T Y-images, each T R rows of
-    grid_n, where R is the rows the windows cover (T grid_n when none
-    overlap), and T differences: 16 (2 T R + T grid_n) grid_n bytes.
+    MAX_SPECTRAL_BYTES.  The larger of the sweep's peak and the spectral
+    check's stack of MAX_SPECTRAL_PROBES probes must fit in MAX_SWEEP_BYTES.
+    Per probe, the sweep (commutator_norm over two grid_group_action
+    families of T = len(times) times) peaks while xs moves the stack of
+    Y-images.  It then holds the extensions of both image stacks, each T R
+    rows of grid_n, where R is the rows the windows cover (T grid_n when
+    none overlap); T differences; the stack; and a DiagonalBoundary
+    transform's temporaries, priced as three arrays the size of the stack
+    (2.4 under tracemalloc).  That is 16 (2 T R + 5 T grid_n) grid_n bytes.
     """
     _check_window_fits(window, grid_n)
     steps = [_steps_for(t, grid_n) for t in times]
+    rows = sum(hi - lo for lo, hi in _runs(steps, grid_n))
+    sweep = 16 * len(times) * (2 * rows + 5 * grid_n) * grid_n
     if 16 * window.cardinality**2 > MAX_SPECTRAL_BYTES:
         raise ValueError(
             f"the spectral matrix of a {window.cardinality}-mode window "
             f"needs more than {MAX_SPECTRAL_BYTES} bytes"
         )
-    rows = sum(hi - lo for lo, hi in _runs(steps, grid_n))
-    sweep = len(times) * (2 * rows + grid_n)
-    if 16 * max(sweep, MAX_SPECTRAL_PROBES * grid_n) * grid_n > MAX_SWEEP_BYTES:
+    if max(sweep, 16 * MAX_SPECTRAL_PROBES * grid_n**2) > MAX_SWEEP_BYTES:
         held = (
             f"the sweep's two extensions of {len(times)} x {rows} rows and "
-            f"{len(times)} differences"
-            if sweep >= MAX_SPECTRAL_PROBES * grid_n
+            f"{5 * len(times)} working states"
+            if sweep >= 16 * MAX_SPECTRAL_PROBES * grid_n**2
             else f"the spectral check's {MAX_SPECTRAL_PROBES} probes"
         )
         raise ValueError(
@@ -515,8 +517,9 @@ def commutator_norm(
     table is bit-equal to one grid_norm per pair.  A NaN difference has a
     NaN bound, so its NaN propagates into its entry instead of reading as
     zero.  `probes` may be any iterable, a generator included: probes are
-    read one at a time.  A probe's images are held until the next probe's
-    replace them: the two extensions that check_sweep_grid prices.
+    read one at a time.  A probe's images are dropped before the next
+    probe's are made, so the sweep holds one probe's at a time, the peak
+    that check_sweep_grid prices.
     """
     table = diff = None
     for values, den in _checked_probes(probes):
@@ -541,6 +544,7 @@ def commutator_norm(
                 # grid_norm of each difference, summed in the same order
                 norms = np.sqrt(np.sum(w * np.abs(diff[undecided]) ** 2, axis=axes))
                 row[undecided] = np.maximum(row[undecided], norms / den)
+        del yx, xy, images
     if table is None:
         raise ValueError("empty probe list")
     return table

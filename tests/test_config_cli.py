@@ -953,12 +953,12 @@ TWO_COMPONENTS = (
          "groups: the spectral matrix of a 4225-mode window"),
         # a 65536^2 probe grid alone is 68.7 GB
         (GROUPS + "{grid_n: 65536}",
-         "groups: the sweep's two extensions of 5 x 98304 rows and 5 "
-         "differences of a 65536^2 grid need more than 268435456 bytes"),
+         "groups: the sweep's two extensions of 5 x 98304 rows and 25 "
+         "working states of a 65536^2 grid need more than 268435456 bytes"),
         (GROUPS + "{grid_n: 1024}",
-         "groups: the sweep's two extensions of 5 x 1536 rows and 5 "
-         "differences of a 1024^2 grid"),
-        # with one or two times the spectral check's stack is the larger
+         "groups: the sweep's two extensions of 5 x 1536 rows and 25 "
+         "working states of a 1024^2 grid"),
+        # with one time the spectral check's stack is the larger
         (GROUPS + "{grid_n: 1450, times: [0.5]}",
          "groups: the spectral check's 8 probes of a 1450^2 grid need more "
          "than 268435456 bytes"),
@@ -998,9 +998,10 @@ def test_oversize_input_exits_two_at_load(tmp_path, capsys, text, message):
         GROUPS + "{window: {radius: 31}, grid_n: 64}",
         # the benchmark's groups-sweep size
         GROUPS + "{window: {radius: 8}, grid_n: 64, times: [0.125, 0.25, 0.375, 0.5, 0.625]}",
-        # exactly at the sweep cap: 16 * 1024 * 4 * (2 * 1536 + 1024) bytes
-        GROUPS + "{grid_n: 1024, times: [0.0, 0.125, 0.25, 0.5]}",
-        GROUPS + "{grid_n: 1448, times: [0.25, 0.5]}",
+        # exactly at the sweep cap: 16 * 1024 * 2 * (2 * 1536 + 5 * 1024) bytes
+        GROUPS + "{grid_n: 1024, times: [0.0, 0.5]}",
+        # the spectral check's stack at its edge, past the one-time sweep
+        GROUPS + "{grid_n: 1448, times: [0.5]}",
         # 1 089 points, about 250 MB
         PAIR + "window: {radius: 16}",
         PAIR + "window: {radius: 21}",
@@ -1022,10 +1023,10 @@ def test_sizes_under_the_caps_load(text):
     "times, edge, above, rows",
     [
         # windows that do not overlap: two extensions of 5 x 5 grid_n rows
-        ("[0, 1, 2, 3, 4]", 552, 553, 5 * 553),
+        ("[0, 1, 2, 3, 4]", 472, 473, 5 * 473),
         # the default times chain into one run of 1.5 grid_n rows; the
         # next grid they lie on is 8 steps up
-        ("[0.125, 0.25, 0.375, 0.5, 0.625]", 912, 920, 1380),
+        ("[0.125, 0.25, 0.375, 0.5, 0.625]", 640, 648, 972),
     ],
 )
 def test_five_time_sweep_loads_at_its_edge_and_exits_two_one_step_above(
@@ -1034,8 +1035,8 @@ def test_five_time_sweep_loads_at_its_edge_and_exits_two_one_step_above(
     parse_config(GROUPS + f"{{grid_n: {edge}, times: {times}}}")
     assert_load_error(
         tmp_path, capsys, GROUPS + f"{{grid_n: {above}, times: {times}}}",
-        f"groups: the sweep's two extensions of 5 x {rows} rows and 5 differences "
-        f"of a {above}^2 grid need more than 268435456 bytes",
+        f"groups: the sweep's two extensions of 5 x {rows} rows and 25 working "
+        f"states of a {above}^2 grid need more than 268435456 bytes",
     )
 
 

@@ -1,21 +1,27 @@
-"""The table writer of gram.txt and spectrum.txt against per-entry loops.
+"""The table writer of gram.txt, spectrum.txt, density.txt and
+commutator_sweep.csv against per-entry loops.
 
-The references format one entry at a time with `format_float`, the way
-the two tables were first written.  The writer formats each distinct
-magnitude once, most through a vectorised '%.12e' and the rest through
-'%', and writes the rows in blocks of `_BLOCK_CELLS` cells; it must give
-the same bytes under `==`, whether it is handed the table as it stands or
-the Gram's distinct values and its index, and whatever the block size.
+The references format one entry at a time, the way the tables were first
+written: `format_float` for gram.txt, spectrum.txt and the sweep, a '%'
+row template for density.txt.  The writer formats each distinct
+magnitude or int once, most floats through a vectorised '%.12e' and the
+rest through '%', and writes the rows in blocks of `_BLOCK_CELLS` cells;
+it must give the same bytes under `==`, whether it is handed the table as
+it stands, the Gram's distinct values and its index, or a density's ints
+and floats side by side, and whatever the block size.
 """
 
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectralbox import cli
 from spectralbox.cli import _write_table
+from spectralbox.config import load_config
+from spectralbox.diffraction import DiffractionDensity
 from spectralbox.exponentials import gram_matrix
 from spectralbox.model import (
     Domain,
@@ -28,11 +34,12 @@ from spectralbox.model import (
 )
 from spectralbox.reporting import format_float
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def text_table(table: np.ndarray, index: np.ndarray, seps: str) -> bytes:
     """All the bytes _write_table writes for table[index]."""
     sink = io.BytesIO()
-    _write_table(sink, table, index, seps)
+    _write_table(sink, (table,), index, seps)
     return sink.getvalue()
 
 
@@ -245,12 +252,89 @@ def test_most_distinct_magnitudes_of_a_gram_take_the_vectorised_path(monkeypatch
 
 
 # ---------------------------------------------------------------------------
+# density.txt and commutator_sweep.csv as the commands write them
+# ---------------------------------------------------------------------------
+
+
+def density_reference(density: DiffractionDensity) -> bytes:
+    """density.txt as a '%' row template wrote it, a row per mass."""
+    order = density.sorted_order()
+    c = density.weights[order]
+    row = ";".join(["%d"] * len(density.periods)) + ",%d,%.12e,%.12e"
+    columns = (*density.harmonics[order].T.tolist(), density.heights[order].tolist())
+    rows = [row % v for v in zip(*columns, c.real.tolist(), c.imag.tolist())]
+    return ("\n".join(["k,n,re,im", *rows]) + "\n").encode("ascii")
+
+
+def sweep_reference(times: list, table: np.ndarray) -> bytes:
+    """commutator_sweep.csv as a format_float loop wrote it."""
+    rows = ["s,t,commutator_norm"] + [
+        f"{format_float(s)},{format_float(t)},{format_float(table[i, j])}"
+        for i, s in enumerate(times)
+        for j, t in enumerate(times)
+    ]
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def seeded_density(rng, components: int, masses: int) -> DiffractionDensity:
+    """Masses at harmonics in [-12, 12] and heights in [-30, 30], some
+    (k, n) repeated, whose weights' parts are drawn from SPECIAL, '%.12e'
+    ties and normal draws."""
+    pool = np.concatenate((SPECIAL, TIES[:50], rng.standard_normal(50)))
+    # parts set one by one: re + 1j*im would turn inf into NaN and lose -0.0
+    weights = np.empty(masses, dtype=complex)
+    weights.real = rng.choice(pool, masses)
+    weights.imag = rng.choice(pool, masses)
+    return DiffractionDensity(
+        rng.integers(-12, 13, size=(masses, components)),
+        rng.integers(-30, 31, size=masses),
+        weights,
+        tuple(np.sqrt([2.0, 3.0, 5.0][:components])),
+    )
+
+
+def density_file(monkeypatch, tmp_path, density: DiffractionDensity) -> bytes:
+    """density.txt as the diffraction command writes it for density; the
+    pairing and the figure are stubbed, so the run exits 1."""
+    monkeypatch.setattr(cli, "build_density", lambda *args: density)
+    monkeypatch.setattr(cli, "eval_diffraction", lambda *args: 0j)
+    monkeypatch.setattr(cli, "emit_diffraction_svg", lambda *args: None)
+    out = tmp_path / "density"
+    config = str(CONFIGS / "diffraction_one_harmonic.yaml")
+    assert cli.main(["diffraction", "--config", config, "--out", str(out)]) == 1
+    return (out / "density.txt").read_bytes()
+
+
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_density_matches_the_percent_rows(monkeypatch, tmp_path, components):
+    density = seeded_density(np.random.default_rng(components), components, 2000)
+    assert (density.harmonics < 0).any() and (density.heights < 0).any()
+    text = density_file(monkeypatch, tmp_path, density)
+    assert text == density_reference(density)
+    assert text.count(b";") == (components - 1) * 2000
+
+
+def test_sweep_matches_the_format_float_loop(monkeypatch, tmp_path):
+    rng = np.random.default_rng(13)
+    cells = [np.nan, -np.nan, -0.0, 0.0, 5e-324, 2.5e-16, 0.3, np.inf, 1e200]
+    table = rng.choice(cells, size=(5, 5))
+    table[0, :3] = np.nan, -0.0, 0.0
+    monkeypatch.setattr(cli, "commutator_norm", lambda *args: table)
+    config = CONFIGS / "simulate_groups_class_i.yaml"
+    out = tmp_path / "out"
+    cli.main(["simulate-groups", "--config", str(config), "--out", str(out)])
+    times = load_config(config).groups["times"]
+    assert len(times) == 5
+    assert (out / "commutator_sweep.csv").read_bytes() == sweep_reference(times, table)
+
+
+# ---------------------------------------------------------------------------
 # block boundaries
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_any_block_size_gives_the_same_bytes(monkeypatch, block):
+def test_any_block_size_gives_the_same_bytes(monkeypatch, tmp_path, block):
     monkeypatch.setattr(cli, "_BLOCK_CELLS", block)
     rng = np.random.default_rng(block)
     # 23 rows of 3 cells: 23 is a multiple of no block's row count above 1
@@ -264,6 +348,10 @@ def test_any_block_size_gives_the_same_bytes(monkeypatch, block):
     assert coded_gram_table(gram) == gram_table_reference(gram.entries)
     one = np.array([[complex(-0.25, 1e-300)]])
     assert gram_table(one) == gram_table_reference(one)
+    # 23 rows of 3 + 1 ints and 2 floats, the ints' fields padded to the
+    # floats' width
+    density = seeded_density(rng, 3, 23)
+    assert density_file(monkeypatch, tmp_path, density) == density_reference(density)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +383,7 @@ def test_radius_16_gram_streams_in_blocks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _write_table(sink, parts, gram.index, seps)
+        _write_table(sink, (parts,), gram.index, seps)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

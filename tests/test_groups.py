@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralbox import cocycles
+from spectralbox import cocycles, groups
 from spectralbox.cocycles import (
     BoundaryEigenvalues,
     check_cocycle_2d,
@@ -26,6 +26,7 @@ from spectralbox.groups import (
     MatrixBoundary,
     TruncationLeakageError,
     _norm_slack,
+    check_sweep_grid,
     commutator_norm,
     default_probe_coefficients,
     eigenrelation_check,
@@ -1126,12 +1127,14 @@ def test_truncated_operator_on_a_stack_equals_per_vector_loop():
     assert (op(stack[0]) == op.matrix @ stack[0]).all()
 
 
-def sweep_inputs(rng, phases, radius=8, sub_radius=2, n_random=4):
+def sweep_inputs(
+    rng, phases, radius=8, sub_radius=2, n_random=4,
+    times=(0.125, 0.25, 0.375, 0.5, 0.625),
+):
     win = LatticeWindow.centered(radius, 2)
     one = phases_of({1: 0.4})
     bx = DiagonalBoundary(one, shift=phases[1])
     by = DiagonalBoundary(random_sequence(rng, radius), shift=phases[0])
-    times = (0.125, 0.25, 0.375, 0.5, 0.625)
     xs = grid_group_action(1, times, bx)
     ys = grid_group_action(2, times, by)
     coeffs = default_probe_coefficients(win, sub_radius, n_random, rng)
@@ -1308,6 +1311,32 @@ def test_streamed_sweep_of_benchmark_size_stays_under_5_mib():
         tracemalloc.stop()
     assert table.shape == (5, 5)
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("times", [(0.125, 0.25, 0.375, 0.5, 0.625), (0, 1, 2, 3, 4)])
+def test_sweep_peak_is_at_most_its_price(monkeypatch, n, times):
+    # the price check_sweep_grid caps: both extensions, the differences,
+    # the stack a family call moves and its transform's temporaries
+    rng = np.random.default_rng(36)
+    phases = (0.3, 0.7)
+    xs, ys, coeffs, win = sweep_inputs(rng, phases, sub_radius=0, n_random=1, times=times)
+    probes = [synthesize_window_state(v, phases, win, n) for v in coeffs]
+    assert len(probes) == 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        commutator_norm(xs, ys, probes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a cap one byte below the peak refuses the sweep, one of twice the
+    # peak takes it
+    monkeypatch.setattr(groups, "MAX_SWEEP_BYTES", peak - 1)
+    with pytest.raises(ValueError, match="the sweep's two extensions"):
+        check_sweep_grid(win, n, times)
+    monkeypatch.setattr(groups, "MAX_SWEEP_BYTES", 2 * peak)
+    check_sweep_grid(win, n, times)
 
 
 # ---------------------------------------------------------------------------

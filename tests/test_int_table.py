@@ -17,7 +17,7 @@ from spectralbox.cli import _write_table
 def text_table(table: np.ndarray, index: np.ndarray, seps: str) -> bytes:
     """All the bytes _write_table writes for table[index]."""
     sink = io.BytesIO()
-    _write_table(sink, table, index, seps)
+    _write_table(sink, (table,), index, seps)
     return sink.getvalue()
 
 
