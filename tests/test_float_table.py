@@ -36,6 +36,7 @@ from spectralbox.reporting import format_float
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+
 def text_table(table: np.ndarray, index: np.ndarray, seps: str) -> bytes:
     """All the bytes _write_table writes for table[index]."""
     sink = io.BytesIO()
@@ -322,7 +323,8 @@ def test_sweep_matches_the_format_float_loop(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "commutator_norm", lambda *args: table)
     config = CONFIGS / "simulate_groups_class_i.yaml"
     out = tmp_path / "out"
-    cli.main(["simulate-groups", "--config", str(config), "--out", str(out)])
+    # the stubbed table's NaN reads as not commuting, against the cocycle
+    assert cli.main(["simulate-groups", "--config", str(config), "--out", str(out)]) == 1
     times = load_config(config).groups["times"]
     assert len(times) == 5
     assert (out / "commutator_sweep.csv").read_bytes() == sweep_reference(times, table)
