@@ -20,6 +20,10 @@ EXPECTED = {
         "report.txt": "c20f7e98f2cddb7d5bbc600e7f8ce2ecd487a6b12448038b2d0dd50707bf31a7",
         "spectrum.txt": "ffd66abccb6a2c9193d81d214a562bcb80e404a428444c4db3bb4505a20f3f30",
     }),
+    "build_spectrum_translated_lattice": ("build-spectrum", 0, {
+        "report.txt": "d8e3848725a8df0d485ce8b37780ebc48a64c439d266b274cfbd3301b5f47c24",
+        "spectrum.txt": "3fad47e5f76f4752155acad933d933a490a505578a8b483a73236f05ddff7d51",
+    }),
     "check_cocycle_commuting": ("check-cocycle", 0, {
         "report.txt": "30e8ec06d848e04e23f92d4d3d1b5ff417a5d9882494d81f9be8faf2238f61e0",
     }),
@@ -33,6 +37,11 @@ EXPECTED = {
         "multiplicity.txt": "ef70f9898f854644a38afcabd4877fb04e4d38d203755aad3d171abd1959a8a9",
         "report.txt": "8d78077ae6bce6f4c2f4dd2541436457be108002ce780cedcfcb2a9302205e9c",
         "tiling.svg": "5c0fdf6c712088c1c32d5b81552ddc84829c6d01407dfb2fd6a8630572f2f054",
+    }),
+    "check_tiling_translated_lattice": ("check-tiling", 0, {
+        "multiplicity.txt": "395cbfd11407e5a512a972af1c5f5693cb3354f6589f066071f6f428cf4f9f3c",
+        "report.txt": "d5acee8f8720a3a16035939142d65eaec353adb442c95fb1ba416c1453f00767",
+        "tiling.svg": "382367fba08104c86963403c6a66b8ee5460f7998c3f06af2c8b632dd944debd",
     }),
     "diffraction_one_harmonic": ("diffraction", 0, {
         "density.txt": "e237b05a2cda71d7edfbfa53d1cf0d9973c359bafef7709915211eda1c813025",
