@@ -1,13 +1,14 @@
 """spectralbox: numerics for exponential bases and boundary unitaries on boxes.
 
-Spectrum families are TranslatedLattice (alpha + Z^d), ExplicitSpectrum
-(a listed point set) and Tower, the one staircase type: coordinate j is
-levels[j](k_0, ..., k_{j-1}) + k_j on output axis axis_order[j].  The
-config families class-a, class-b and tower3d are spellings of one Tower:
-the planar column- and row-shifted towers and the 3-D tower with a zero
-level 0.  IntFunction is also the one phase-table type of the boundary
-data: the 2-D pair (a, b), a DiagonalBoundary and a Tower's levels hold
-phase fractions p in [0, 1), each lifted to exp(i*2*pi*p) by one function.
+A frequency set is an ExplicitSpectrum (a listed point set) or a Tower,
+the one staircase type: coordinate j is levels[j](k_0, ..., k_{j-1}) + k_j
+on output axis axis_order[j].  The config families translated-lattice,
+class-a, class-b and tower3d are spellings of one Tower: alpha + Z^d as
+the constant levels alpha_j mod 1, the planar column- and row-shifted
+towers and the 3-D tower with a zero level 0.  IntFunction is also the
+one phase-table type of the boundary data: the 2-D pair (a, b), a
+DiagonalBoundary and a Tower's levels hold phase fractions p in [0, 1),
+each lifted to exp(i*2*pi*p) by one function.
 
 Submodules:
   model         domain/spectrum value types and family enumeration
@@ -31,7 +32,6 @@ from .model import (
     LatticeWindow,
     SpectralBoxError,
     Tower,
-    TranslatedLattice,
     UnitCube,
     enumerate_spectrum,
     spectrum_difference_set,
@@ -47,7 +47,6 @@ __all__ = [
     "LatticeWindow",
     "SpectralBoxError",
     "Tower",
-    "TranslatedLattice",
     "UnitCube",
     "enumerate_spectrum",
     "spectrum_difference_set",

@@ -47,7 +47,8 @@ An explicit spectrum needs no window.  The sections:
                                   #   explicit: points
       alpha: 0.25                 # class-a/class-b offset, in [0, 1); a
                                   #   translated-lattice's one-axis offset
-      alpha_vector: [0.25, 0.5]   # translated-lattice; any finite reals
+      alpha_vector: [0.25, 0.5]   # translated-lattice; any finite reals, at
+                                  #   least one
       beta:  {default: 0.0, table: {"0": 0.2, "1": 0.5}}
       gamma: {default: 0.0, table: {"0,0": 0.3}}
       levels:                     # level k takes k indices
@@ -60,8 +61,12 @@ An explicit spectrum needs no window.  The sections:
                                   #   its Gram's measured peak (gram.txt is
                                   #   written in blocks of rows)
 
-    class-a, class-b and tower3d are config spellings of one Tower,
-    level k holding a table of k indices with values in [0, 1):
+    translated-lattice, class-a, class-b and tower3d are config spellings
+    of one Tower, level k holding a table of k indices with values in
+    [0, 1):
+      translated-lattice
+                constant levels [alpha_0 mod 1, ..., alpha_{d-1} mod 1]:
+                points k + (alpha mod 1), the set alpha + Z^d
       class-a   levels [alpha, beta]: points (alpha+m, beta(m)+n)
       class-b   levels [alpha, beta] on swapped axes: (beta(n)+m, alpha+n)
       tower3d   levels [0, beta, gamma]: (k, beta(k)+l, gamma(k,l)+m)

@@ -18,7 +18,7 @@ from typing import Any
 
 import yaml
 
-from .cocycles import check_identity_window
+from .cocycles import check_identity_window, seam_twisted
 from .diffraction import GaussianTestFunction, QuasiPeriodicModel, TrigComponent
 from .diffraction import check_diffraction_size
 from .exponentials import check_pair_size, check_scan_size
@@ -32,7 +32,6 @@ from .model import (
     SpectralBoxError,
     SpectrumSpec,
     Tower,
-    TranslatedLattice,
     UnitCube,
 )
 from .tiling import check_window
@@ -276,11 +275,16 @@ def _parse_spectrum(section: dict, cfg: "RunConfig") -> SpectrumSpec:
             raise ConfigError(
                 "spectrum: needs at most one of 'alpha' and 'alpha_vector'"
             )
-        if "alpha_vector" in section:
-            return TranslatedLattice(
-                tuple(_reals(section["alpha_vector"], "spectrum.alpha_vector"))
-            )
-        return TranslatedLattice((alpha(),))
+        where = "spectrum.alpha_vector"
+        offsets = _reals(section.get("alpha_vector", [alpha()]), where)
+        if not offsets:
+            raise ConfigError(f"{where}: needs at least one entry")
+        # alpha + Z^d is the tower of constant levels alpha_j mod 1, the zero
+        # level twisted by -alpha_j; a remainder that rounds to 1.0 (a tiny
+        # negative alpha_j) is stored as 0.0
+        return Tower(tuple(
+            seam_twisted(IntFunction(j), -a) for j, a in enumerate(offsets)
+        ))
     if family == "class-a":
         return Tower((offset(), level("beta", 1)))
     if family == "class-b":

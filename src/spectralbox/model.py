@@ -1,9 +1,12 @@
 """Shared domain types and the candidate-spectrum families.
 
 Everything here is an immutable value object: domains carrying Lebesgue
-measure, windowed index sets, and the parametrized families of frequency sets that the rest of the package analyzes.  A
-domain is one type, the product of 1-D interval-union factors; UnitCube(d)
-builds the product of d unit intervals.  All exponentials in the package
+measure, windowed index sets, and the frequency sets that the rest of the
+package analyzes.  A domain is one type, the product of 1-D interval-union
+factors; UnitCube(d) builds the product of d unit intervals.  A frequency
+set is one of two types: a Tower, the one staircase family (the lattice
+alpha + Z^d is the tower of constant levels alpha_j mod 1), or an
+ExplicitSpectrum, a listed point set.  All exponentials in the package
 use the normalization e(x) = exp(i*2*pi*lam.x), so spectra live on the same
 scale as the frequency parameters stored here.
 """
@@ -27,7 +30,6 @@ __all__ = [
     "UnitCube",
     "IntFunction",
     "LatticeWindow",
-    "TranslatedLattice",
     "Tower",
     "ExplicitSpectrum",
     "SpectrumSpec",
@@ -219,24 +221,6 @@ class LatticeWindow:
 
 
 @dataclass(frozen=True)
-class TranslatedLattice:
-    """alpha + Z^d: the shifted integer lattice."""
-
-    alpha: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if not self.alpha:
-            raise ValueError("alpha must have at least one coordinate")
-        if not all(math.isfinite(a) for a in self.alpha):
-            raise ValueError(f"alpha {self.alpha} has a non-finite entry")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
 class Tower:
     """Staircase family in d dimensions, the one type for every staircase.
 
@@ -326,7 +310,7 @@ class ExplicitSpectrum:
         return self.points.shape[1]
 
 
-SpectrumSpec = Union[TranslatedLattice, Tower, ExplicitSpectrum]
+SpectrumSpec = Union[Tower, ExplicitSpectrum]
 
 
 def spectrum_points(
@@ -336,9 +320,8 @@ def spectrum_points(
 
     `ranges` holds an inclusive integer range per output axis.  With
     `period` N the family is read on the N-torus: tower tables take their
-    arguments modulo N, and a lattice offset is reduced modulo 1, which
-    leaves alpha + Z^d unchanged.  ExplicitSpectrum ignores the box: it is
-    already a finite set.
+    arguments modulo N.  ExplicitSpectrum ignores the box: it is already a
+    finite set.
     """
     if isinstance(spec, ExplicitSpectrum):
         return np.array(spec.points, copy=True)
@@ -349,9 +332,6 @@ def spectrum_points(
         )
     grids = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in ranges), indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=1)
-    if isinstance(spec, TranslatedLattice):
-        alpha = spec.alpha if period is None else np.mod(spec.alpha, 1.0)
-        return idx + np.asarray(alpha, dtype=float)
     return spec.points_at(idx, period)
 
 

@@ -8,7 +8,9 @@ import yaml
 from spectralbox import cli, config
 from spectralbox.cli import main
 from spectralbox.config import ConfigError, load_config, parse_config
-from spectralbox.model import Domain, IntervalUnion, IntFunction, Tower, UnitCube
+from spectralbox.model import (
+    Domain, ExplicitSpectrum, IntervalUnion, IntFunction, Tower, UnitCube,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -389,6 +391,21 @@ spectrum:
     - {default: 0.0, table: {"0": 0.2, "1": 0.5}}
 """
 
+# alpha + Z^2 with alpha outside [0, 1)^2, and its tower of constant levels
+LATTICE = """
+spectrum:
+  family: translated-lattice
+  alpha_vector: [1.25, -0.5]
+"""
+
+TOWER_CONSTANT = """
+spectrum:
+  family: tower
+  levels:
+    - {default: 0.25}
+    - {default: 0.5}
+"""
+
 # the sections besides the spectrum that each command reads
 PLANAR_SECTIONS = {
     "build-spectrum": "window: {radius: 2}\n",
@@ -437,22 +454,26 @@ def run_artifacts(tmp_path, name, spectrum, sections, command):
 
 @pytest.mark.parametrize("command", ["build-spectrum", "verify-pair", "check-tiling"])
 def test_class_a_and_two_level_tower_give_identical_artifacts(tmp_path, command):
-    code_a, files_a = run_artifacts(
-        tmp_path, "class_a", CLASS_A_SPECTRUM, PLANAR_SECTIONS, command
-    )
-    code_t, files_t = run_artifacts(
-        tmp_path, "tower", TOWER_2LEVEL, PLANAR_SECTIONS, command
-    )
-    assert code_a == code_t == 0
     expected = {
         "build-spectrum": "spectrum.txt",
         "verify-pair": "gram.txt",
         "check-tiling": "tiling.svg",
     }
-    assert expected[command] in files_a
-    assert files_a == files_t
-    if command == "check-tiling":
-        assert b"<text" in files_t["tiling.svg"]
+    for name, family, tower in [
+        ("class_a", CLASS_A_SPECTRUM, TOWER_2LEVEL),
+        ("lattice", LATTICE, TOWER_CONSTANT),
+    ]:
+        code_a, files_a = run_artifacts(
+            tmp_path, name, family, PLANAR_SECTIONS, command
+        )
+        code_t, files_t = run_artifacts(
+            tmp_path, f"{name}_tower", tower, PLANAR_SECTIONS, command
+        )
+        assert code_a == code_t == 0
+        assert expected[command] in files_a
+        assert files_a == files_t
+        if command == "check-tiling":
+            assert b"<text" in files_t["tiling.svg"]
 
 
 @pytest.mark.parametrize("command", ["build-spectrum", "check-tiling"])
@@ -487,6 +508,18 @@ tiling: {{window: 4, resolution: 16}}
     assert main(["check-tiling", "--config", cfg, "--out", str(out)]) == 2
     assert "alpha 1.3 outside [0,1)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_tiny_negative_lattice_offset_loads_as_zero(tmp_path):
+    # -1e-17 % 1.0 rounds to 1.0, which no level holds: the offset is 0.0
+    text = (
+        "command: check-tiling\ntiling: {window: 4, resolution: 16}\n"
+        "spectrum: {family: translated-lattice, alpha_vector: [-1.0e-17, 0.5]}\n"
+    )
+    levels = parse_config(text).spectrum.levels
+    assert [level.default for level in levels] == [0.0, 0.5]
+    cfg = write(tmp_path, "cfg.yaml", text)
+    assert main(["check-tiling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -800,6 +833,9 @@ ONE_PERIOD = "command: diffraction\ndiffraction: {components: [{period: 1.5, "
         ("command: simulate-groups\ngroups: {times: 0.5}", "groups.times: 0.5 is not a list"),
         ("command: simulate-groups\ngroups: {times: []}",
          "groups.times: needs at least one entry"),
+        ("command: build-spectrum\nspectrum: {family: translated-lattice, "
+         "alpha_vector: []}\nwindow: {radius: 1}",
+         "spectrum.alpha_vector: needs at least one entry"),
         ("command: root-scan\nrootscan: {coefficients: [[1]]}",
          "rootscan.coefficients: expected 2 entries, got [1]"),
         ("command: root-scan\nrootscan: {coefficients: [{a: 1}]}",
@@ -1202,9 +1238,11 @@ def spectrum_text(family, keys):
     return f"command: build-spectrum\nspectrum: {{{', '.join(entries)}}}\nwindow: {{radius: 1}}"
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_KEYS))
+@pytest.mark.parametrize("family", sorted(config._SPECTRUM_KEYS))
 def test_a_spectrum_of_its_family_keys_loads(family):
-    assert parse_config(spectrum_text(family, FAMILY_KEYS[family])).spectrum is not None
+    # every family loads to one of the two spectrum types
+    spec = parse_config(spectrum_text(family, FAMILY_KEYS[family])).spectrum
+    assert isinstance(spec, (Tower, ExplicitSpectrum))
 
 
 @pytest.mark.parametrize("family, key", [

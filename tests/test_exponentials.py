@@ -22,10 +22,10 @@ from spectralbox.model import (
     IntFunction,
     LatticeWindow,
     Tower,
-    TranslatedLattice,
     UnitCube,
     enumerate_spectrum,
 )
+from test_model import lattice
 
 # refined two-stage scan value for coefficients (1, 0, 1, 1); computed by
 # this implementation at 1e5 and 2e5 samples (agreement < 1e-15) and
@@ -201,7 +201,7 @@ def _grid_indicator_x(n, frac):
 def test_completeness_constant_function():
     n = 64
     f = np.ones((n, n), dtype=complex)
-    spec = TranslatedLattice((0.0, 0.0))
+    spec = lattice(0.0, 0.0)
     report = completeness_probe(
         UnitCube(2), enumerate_spectrum(spec, LatticeWindow.centered(2, 2)), [f]
     )
@@ -214,7 +214,7 @@ def test_completeness_indicator_approaches_one():
     # radius K is (1/4 + 2 sum_{odd k <= K} (pi k)^{-2}) / (1/2).
     n = 256
     f = _grid_indicator_x(n, 0.5)
-    spec = TranslatedLattice((0.0, 0.0))
+    spec = lattice(0.0, 0.0)
     radii = [2, 8, 32]
     ratios = [
         completeness_probe(
@@ -260,7 +260,7 @@ def test_completeness_rejects_zero_norm():
     with pytest.raises(ValueError):
         completeness_probe(
             UnitCube(2),
-            enumerate_spectrum(TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2)),
+            enumerate_spectrum(lattice(0.0, 0.0), LatticeWindow.centered(1, 2)),
             [f],
         )
 
@@ -272,7 +272,7 @@ def test_completeness_rejects_non_finite_test_functions(bad):
     with pytest.raises(ValueError, match="finite"):
         completeness_probe(
             UnitCube(2),
-            enumerate_spectrum(TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2)),
+            enumerate_spectrum(lattice(0.0, 0.0), LatticeWindow.centered(1, 2)),
             [np.ones((8, 8)), f],
         )
 
@@ -469,7 +469,7 @@ def test_completeness_probe_needs_the_unit_cube():
     half = Domain((IntervalUnion(((0.0, 0.5),)), IntervalUnion(((0.0, 1.0),))))
     with pytest.raises(TypeError):
         completeness_probe(
-            half, enumerate_spectrum(TranslatedLattice((0.0, 0.0)), LatticeWindow.centered(1, 2)),
+            half, enumerate_spectrum(lattice(0.0, 0.0), LatticeWindow.centered(1, 2)),
             [f],
         )
 

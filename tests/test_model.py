@@ -9,7 +9,6 @@ from spectralbox.model import (
     IntFunction,
     LatticeWindow,
     Tower,
-    TranslatedLattice,
     UnitCube,
     WindowCapError,
     enumerate_spectrum,
@@ -77,10 +76,13 @@ def test_lattice_window_basics():
         LatticeWindow(((2, 1),))
 
 
+def lattice(*alpha):
+    """alpha + Z^d for alpha in [0, 1)^d: the tower of constant levels."""
+    return Tower(tuple(IntFunction(j, a) for j, a in enumerate(alpha)))
+
+
 def test_translated_lattice_window_points():
-    pts = enumerate_spectrum(
-        TranslatedLattice((0.25,)), LatticeWindow(((-1, 1),))
-    )
+    pts = enumerate_spectrum(lattice(0.25), LatticeWindow(((-1, 1),)))
     np.testing.assert_allclose(pts.ravel(), [-0.75, 0.25, 1.25])
 
 
@@ -186,7 +188,7 @@ def test_explicit_ignores_window():
 
 def test_window_arity_mismatch_raises():
     with pytest.raises(ArityMismatchError):
-        enumerate_spectrum(TranslatedLattice((0.1, 0.2)), LatticeWindow(((0, 1),)))
+        enumerate_spectrum(lattice(0.1, 0.2), LatticeWindow(((0, 1),)))
 
 
 def test_difference_set_examples():

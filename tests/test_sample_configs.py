@@ -41,7 +41,7 @@ EXPECTED = {
     "check_tiling_translated_lattice": ("check-tiling", 0, {
         "multiplicity.txt": "395cbfd11407e5a512a972af1c5f5693cb3354f6589f066071f6f428cf4f9f3c",
         "report.txt": "d5acee8f8720a3a16035939142d65eaec353adb442c95fb1ba416c1453f00767",
-        "tiling.svg": "382367fba08104c86963403c6a66b8ee5460f7998c3f06af2c8b632dd944debd",
+        "tiling.svg": "efaa5010a7909617a72960331ebddeabbb91ddfdd4911bcfbbeaf865f6ec3f31",
     }),
     "diffraction_one_harmonic": ("diffraction", 0, {
         "density.txt": "e237b05a2cda71d7edfbfa53d1cf0d9973c359bafef7709915211eda1c813025",
@@ -91,7 +91,7 @@ EXPECTED = {
     }),
     "verify_pair_translated_lattice": ("verify-pair", 0, {
         "gram.txt": "225de4f4bfa6ff779beb0859d27b54437acbdcb9131a54ce1fde25dfb99ebe70",
-        "report.txt": "0e95b9843348b5fe17f292818021282732c55005bbfea693f961ea698c20bb80",
+        "report.txt": "f9ef33576ff527f8d4668f23d3ed5da4f081ea80c0a6e1b5b4e89309efe47428",
     }),
 }
 

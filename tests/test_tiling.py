@@ -9,8 +9,8 @@ from spectralbox.model import (
     ExplicitSpectrum,
     IntFunction,
     Tower,
-    TranslatedLattice,
 )
+from spectralbox.config import parse_config
 from spectralbox.tiling import (
     MAX_SAMPLES,
     check_window,
@@ -19,6 +19,7 @@ from spectralbox.tiling import (
     tiling_verdict,
     torus_translates,
 )
+from test_model import lattice
 
 
 def random_beta(rng, n):
@@ -27,8 +28,17 @@ def random_beta(rng, n):
     )
 
 
+def loaded_lattice(alpha):
+    """The spec a translated-lattice config loads, for any finite alpha."""
+    text = (
+        "command: build-spectrum\nwindow: {radius: 0}\n"
+        f"spectrum: {{family: translated-lattice, alpha_vector: {list(alpha)}}}\n"
+    )
+    return parse_config(text).spectrum
+
+
 def test_integer_lattice_tiles():
-    mp = multiplicity_map(TranslatedLattice((0.0, 0.0)), 4, 16)
+    mp = multiplicity_map(lattice(0.0, 0.0), 4, 16)
     rep = tiling_verdict(mp)
     assert rep.tiles
     assert rep.overlap_fraction == 0.0 and rep.gap_fraction == 0.0
@@ -38,7 +48,7 @@ def test_integer_lattice_tiles():
 def test_lattice_offset_outside_unit_interval_tiles(alpha):
     # alpha + Z^d is the same set for alpha mod 1; the torus cover must
     # not lose the cubes that a large offset pushes past the padding
-    rep = tiling_verdict(multiplicity_map(TranslatedLattice(alpha), 4, 16))
+    rep = tiling_verdict(multiplicity_map(loaded_lattice(alpha), 4, 16))
     assert rep.tiles
     assert rep.gap_fraction == 0.0 and rep.overlap_fraction == 0.0
 
@@ -94,7 +104,7 @@ def test_verdict_invariant_under_translation():
 
 def test_resolution_guard():
     with pytest.raises(ValueError):
-        multiplicity_map(TranslatedLattice((0.0, 0.0)), 4, 4)
+        multiplicity_map(lattice(0.0, 0.0), 4, 4)
 
 
 def random_level(rng, arity, n):
@@ -112,14 +122,12 @@ def random_tower(rng, d, n, offset=0.0, axis_order=None):
 
 
 def reference_translates(spec, torus_n, pad=1):
-    """torus_translates as a meshgrid with one branch per family type."""
+    """torus_translates as a meshgrid with one branch per spectrum type."""
     if isinstance(spec, ExplicitSpectrum):
         return np.array(spec.points, copy=True)
     axis = np.arange(-pad, torus_n + pad)
     grids = np.meshgrid(*([axis] * spec.dimension), indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=1)
-    if isinstance(spec, TranslatedLattice):
-        return idx + np.mod(spec.alpha, 1.0)
     return spec.points_at(idx, period=torus_n)
 
 
@@ -127,7 +135,7 @@ def reference_translates(spec, torus_n, pad=1):
 def test_torus_translates_match_meshgrid_reference(pad):
     rng = np.random.default_rng(6)
     specs = [
-        TranslatedLattice(alpha)
+        loaded_lattice(alpha)
         for alpha in [(0.25,), (1.3, -2.0), (-0.5, 0.4, 7.75), (0.0,) * 4]
     ]
     specs += [
@@ -152,7 +160,7 @@ def test_one_dimensional_torus_wider_than_the_window_cap():
     # the padded torus block is no LatticeWindow, so check_window's 1-D
     # limit of 2^21 units applies, not the window cap of 10^6 points
     n = MAX_WINDOW_CARDINALITY + 1
-    pts = torus_translates(TranslatedLattice((2.5,)), n)
+    pts = torus_translates(loaded_lattice((2.5,)), n)
     assert pts.shape == (n + 2, 1)
     assert pts[0, 0] == -0.5 and pts[-1, 0] == n + 0.5
     spec = ExplicitSpectrum([[0.0], [0.5], [n - 1.0]])
@@ -209,9 +217,9 @@ def assert_matches_reference(spec, n, res):
 def test_block_kernel_matches_reference_on_face_offsets(d, res, n):
     # samples sit at (i + 0.5) / res, so these offsets put faces on samples
     for offset in (0.5 / res, 1.5 / res):
-        mp = assert_matches_reference(TranslatedLattice((offset,) * d), n, res)
+        mp = assert_matches_reference(lattice(*(offset,) * d), n, res)
         assert tiling_verdict(mp).n_excluded > 0
-    assert_matches_reference(TranslatedLattice((1.0 / 3.0,) * d), n, res)
+    assert_matches_reference(lattice(*(1.0 / 3.0,) * d), n, res)
 
 
 @pytest.mark.parametrize("d, res, n", ORACLE_WINDOWS)
@@ -267,7 +275,7 @@ def test_window_limits():
     with pytest.raises(ValueError, match="samples"):
         check_window(40, 64, 3)
     with pytest.raises(ValueError, match="samples"):
-        multiplicity_map(TranslatedLattice((0.0,) * 4), 8, 16)
+        multiplicity_map(lattice(*(0.0,) * 4), 8, 16)
 
 
 def test_four_level_tower_tiles_and_a_moved_copy_does_not():
@@ -331,7 +339,8 @@ def test_svg_row_shifted_labels_on_the_right():
 
 
 def test_svg_plain_grid_has_no_annotations():
-    payload = emit_tiling_svg(TranslatedLattice((0.0, 0.0)), 3)
+    grid = ExplicitSpectrum([[m, n] for m in range(-1, 4) for n in range(-1, 4)])
+    payload = emit_tiling_svg(grid, 3)
     assert b"<text" not in payload
 
 
