@@ -170,6 +170,7 @@ from .groups import (
     synthesize_window_state,
 )
 from .model import SpectralBoxError, UnitCube, enumerate_spectrum
+from .model import group_bits, group_codes
 from .reporting import ReportBuilder, format_float
 from .tiling import emit_tiling_svg, multiplicity_map, tiling_verdict
 
@@ -193,19 +194,18 @@ def _write_table(sink, tables: tuple, index: np.ndarray, seps: str) -> None:
 
     A row's columns are the trailing axes of each table, flattened, one
     table after another; seps[c] is the one character written after column
-    c, so a row ends with seps[-1].  A float table is grouped by the bits
-    of its magnitudes, which keeps NaN payloads apart, an int table by
-    value, and each group is formatted once into one field: for floats a
-    sign slot, its text, NULs up to the longest text of any table, and a
-    separator slot.  The rows go to sink in blocks of _BLOCK_CELLS cells:
-    a block gathers each table's fields, fills the slots of each cell, and
-    drops the NULs.  The writer holds the fields, codes and one block.
+    c, so a row ends with seps[-1].  group_bits groups a float table's
+    magnitudes, group_codes an int table's values less its minimum, and
+    each group is formatted once into one field: for floats a sign slot,
+    its text, NULs up to the longest text of any table, and a separator
+    slot.  The rows go to sink in blocks of _BLOCK_CELLS cells: a block
+    gathers each table's fields, fills the slots of each cell, and drops
+    the NULs.  The writer holds the fields, codes and one block.
     """
     groups = []
     for table in map(np.ascontiguousarray, tables):
         if table.dtype == np.float64:
-            keys, inverse = np.unique(np.abs(table).view(np.uint64), return_inverse=True)
-            mags = keys.view(np.float64)
+            mags, inverse = group_bits(np.abs(table))
             # a sign slot, then the magnitude's text, formatted a block's
             # worth at a time so that the formatter's temporaries stay small
             texts = np.zeros((mags.size, 20), dtype=np.uint8)
@@ -217,12 +217,13 @@ def _write_table(sink, tables: tuple, index: np.ndarray, seps: str) -> None:
             signs = (np.signbit(table) & ~np.isnan(table)) * np.uint8(ord("-"))
             signs = signs.reshape(len(table), -1)
         else:
-            keys, inverse = np.unique(table, return_inverse=True)
-            texts = _padded_texts("d", 20, keys.tolist())
+            low = int(table.min())
+            keys, inverse = group_codes(table - low, int(table.max()) - low + 1)
+            texts = _padded_texts("d", 20, (keys + low).tolist())
             signs = None
         # int32 codes: the size caps keep the distinct values far below 2^31
         groups.append((texts, inverse.astype(np.int32).reshape(len(table), -1), signs))
-    del keys, inverse, texts
+    del inverse, texts
     width = 20
     while not any(texts[:, width - 1].any() for texts, _, _ in groups):
         width -= 1

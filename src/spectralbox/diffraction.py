@@ -20,7 +20,7 @@ from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
-from .model import SpectralBoxError
+from .model import SpectralBoxError, group_bits
 from .reporting import write_svg
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 
 _OVERSAMPLE = 4096  # samples per period in the harmonic analysis
 _TAIL_TOL = 1e-4  # coefficient mass allowed outside the harmonic window
+_HEIGHT_BLOCK = 64  # heights whose sampled signals are held at once, 4 MiB
 # a period ratio within _RATIO_TOL of some p/q with q <= _MAX_DENOMINATOR
 # is flagged as likely rational
 _MAX_DENOMINATOR = 50
@@ -201,41 +202,48 @@ class GaussianTestFunction:
         return math.sqrt(math.log(1.0 / _EPS) / math.pi) / s
 
 
-def _component_coeffs(comp: TrigComponent, n: int, k_radius: int) -> np.ndarray:
-    """Harmonic analysis of x -> exp(i*2*pi*xi(x)*n) over one period.
-
-    Returns (1/period) * integral of the signal against exp(+i*2*pi*k*x/
-    period) for k = -k_radius..k_radius, in that order: the k-sign
-    convention under which the point-mass pairing formula reproduces the
-    direct sum.  The sampled signal has unit modulus, so total coefficient
-    mass is exactly one and the in-window deficit is the tail guard.
+def _component_coeffs(comp: TrigComponent, heights, k_radius: int) -> np.ndarray:
+    """Harmonic analysis of x -> exp(i*2*pi*xi(x)*n) over one period, a row
+    a height n: (1/period) * integral of the signal against
+    exp(+i*2*pi*k*x/period), k = -k_radius..k_radius, the k-sign convention
+    under which the point-mass pairing reproduces the direct sum.  xi is
+    sampled once; exp and ifft act on each row alone, as at one height.
     """
     x = np.arange(_OVERSAMPLE) * comp.period / _OVERSAMPLE
-    g = np.exp(2j * np.pi * comp.value(x) * n)
-    # ifft gives (1/M) sum g_i exp(+i 2 pi k i / M): the +k convention
-    c_all = np.fft.ifft(g)
-    coeffs = c_all[np.arange(-k_radius, k_radius + 1) % _OVERSAMPLE]
-    in_mass = float(np.sum(np.abs(coeffs) ** 2))
-    if 1.0 - in_mass > _TAIL_TOL:
-        raise CoefficientTailError(
-            f"coefficient tail mass {1.0 - in_mass:.3e} above {_TAIL_TOL:.1e} "
-            f"for height {n}; enlarge the harmonic window"
-        )
+    phase = 2j * np.pi * comp.value(x)
+    window = np.arange(-k_radius, k_radius + 1) % _OVERSAMPLE
+    coeffs = np.empty((heights.size, window.size), dtype=complex)
+    for at in range(0, heights.size, _HEIGHT_BLOCK):
+        # ifft gives (1/M) sum g_i exp(+i 2 pi k i / M): the +k convention
+        g = np.exp(phase * heights[at : at + _HEIGHT_BLOCK, None])
+        coeffs[at : at + _HEIGHT_BLOCK] = np.fft.ifft(g)[:, window]
     return coeffs
 
 
-def density_coeffs(model: QuasiPeriodicModel, n: int, k_radius: int) -> np.ndarray:
-    """Weights c(k, n) over the harmonic window, products over components.
+def density_coeffs(model: QuasiPeriodicModel, n, k_radius: int) -> np.ndarray:
+    """Weights c(k, n) over the harmonic window, products over components;
+    at an array of heights n, one such table a height, stacked.
 
     Entry [k_1 + k_radius, ...] is ((1+0j) * c_1[k_1]) * ... * c_C[k_C],
     in real arithmetic spelled out as Python's complex product does it.
+    A component's signal has unit modulus, hence coefficient mass one; its
+    deficit in the window is the tail guard, tried height by height.
     """
-    re, im = np.ones(()), np.zeros(())
-    for comp in model.components:
-        c = _component_coeffs(comp, n, k_radius)
-        re, im = (np.multiply.outer(re, c.real) - np.multiply.outer(im, c.imag),
-                  np.multiply.outer(re, c.imag) + np.multiply.outer(im, c.real))
-    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+    heights = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    coeffs = [_component_coeffs(comp, heights, k_radius) for comp in model.components]
+    deficit = 1.0 - np.stack([np.sum(np.abs(c) ** 2, axis=1) for c in coeffs], axis=1)
+    for row, col in np.argwhere(deficit > _TAIL_TOL)[:1]:
+        raise CoefficientTailError(
+            f"coefficient tail mass {deficit[row, col]:.3e} above {_TAIL_TOL:.1e} "
+            f"for height {heights[row]}; enlarge the harmonic window"
+        )
+    re, im = np.ones(heights.size), np.zeros(heights.size)
+    for c in coeffs:
+        c = c.reshape((heights.size,) + (1,) * (re.ndim - 1) + c.shape[1:])
+        re, im = (re[..., None] * c.real - im[..., None] * c.imag,
+                  re[..., None] * c.imag + im[..., None] * c.real)
+    table = np.stack((re, im), axis=-1).view(complex)[..., 0]
+    return table if np.ndim(n) else table[0]
 
 
 @dataclass(frozen=True)
@@ -265,10 +273,9 @@ def build_density(
     heights = np.array([int(n) for n in n_values], dtype=np.int64)
     window = (2 * k_radius + 1,) * len(model.components)
     tuples = np.indices(window).reshape(len(window), -1).T - k_radius
-    weights = [density_coeffs(model, n, k_radius).ravel() for n in heights.tolist()]
     return DiffractionDensity(
         np.tile(tuples, (heights.size, 1)), np.repeat(heights, len(tuples)),
-        np.array(weights, dtype=complex).reshape(-1), model.periods,
+        density_coeffs(model, heights, k_radius).reshape(-1), model.periods,
     )
 
 
@@ -364,8 +371,8 @@ def lattice_sum(test_fn: GaussianTestFunction, window: int) -> complex:
 def _stem_masses(density: DiffractionDensity) -> tuple[np.ndarray, np.ndarray]:
     """Ascending positions freq(k) mod 1, rounded to 9 decimals, and the
     mass |c|^2 on each, added up in (harmonic tuple, height) order."""
-    pos, pos_of = np.unique(density.frequencies() % 1.0, return_inverse=True)
-    keys, key_of = np.unique([round(p, 9) for p in pos.tolist()], return_inverse=True)
+    pos, pos_of = group_bits(density.frequencies() % 1.0)
+    keys, key_of = group_bits(np.array([round(p, 9) for p in pos.tolist()]))
     order = density.sorted_order()
     c = density.weights[order]
     # abs(c) ** 2 bit for bit: Python squares the hypot with libm pow, not h * h

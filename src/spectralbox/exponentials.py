@@ -20,6 +20,7 @@ import numpy as np
 
 from .grid import grid_coords, grid_norm, grid_weight
 from .model import ArityMismatchError, Domain, IntervalUnion, UnitCube
+from .model import group_bits, group_codes
 
 # no function here calls it, but perfbench/spans.py wraps it by its name in
 # this module, so the name stays bound
@@ -170,54 +171,21 @@ class GramMatrix:
     axes: tuple
 
 
-def _bit_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct float64 bit patterns of `values`, ascending as unsigned
-    integers, and the index of each value's pattern; -0.0 is not 0.0."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel(),
-        return_inverse=True,
-    )
-    return bits.view(np.float64), inverse.reshape(-1)
-
-
-def _fold(
-    key: np.ndarray, count: int, code: np.ndarray, radix: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's tuple code after one more axis.
-
-    key holds each entry's tuple so far, below count, and code its index
-    on the next axis, below radix.  Returns the distinct mixed-radix
-    values key * radix + code, ascending, and each entry's index into
-    them.  A range of at most 16 values an entry is marked in a table,
-    with no sort; a wider one is sorted.
-    """
-    mixed = key.astype(np.intp, copy=False) * radix + code
-    bound = count * radix
-    if bound > 16 * key.size:
-        seen, inverse = np.unique(mixed, return_inverse=True)
-        return seen, inverse.reshape(key.shape)
-    present = np.zeros(bound, dtype=bool)
-    present[mixed] = True
-    seen = np.flatnonzero(present)
-    rank = np.empty(bound, dtype=np.int32 if bound < 2**31 else np.intp)
-    rank[seen] = np.arange(seen.size)
-    return seen, np.take(rank, mixed)
-
-
 def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     """Gram matrix G[j,k] = F(point_k - point_j); diagonal is the measure.
 
     Equal, bit for bit, to eval_F_omega on the P x P x d table of
     differences, but each axis's factor transform runs once per distinct
     difference, and the factors are multiplied once per distinct tuple of
-    them.  The axis's coordinates are grouped by bit pattern, the u x u
-    table of differences of the u distinct ones is grouped by bit pattern
-    again, and the axes are folded one at a time into a code per entry,
-    made dense again after each axis, so a code stays below P^2 times the
-    next axis's count of differences.  A difference is the same float
-    subtraction as in the dense table and the transform is elementwise, so
-    every factor is that of the dense table; the factors of a tuple are
-    multiplied as eval_F_omega multiplies them.
+    them.  Every grouping is model's one rule: group_bits groups an axis's
+    coordinates, then the u x u table of differences of the u distinct
+    ones, and group_codes folds the axes one at a time into a dense code
+    per entry, over the span of the codes so far times the axis's count
+    of differences, so a code stays below P^2 times that count.  A
+    difference is the same float subtraction as in the dense table and
+    the transform is elementwise, so every factor is that of the dense
+    table; the factors of a tuple are multiplied as eval_F_omega
+    multiplies them.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
@@ -225,22 +193,20 @@ def gram_matrix(domain: Domain, points: np.ndarray) -> GramMatrix:
     _check_arity(domain, pts)
     axes, factors = [], []
     for factor, column in zip(domain.factors, pts.T):
-        coords, slot = _bit_groups(column)
-        diffs, code = _bit_groups(coords[None, :] - coords[:, None])
+        coords, slot = group_bits(column)
+        diffs, code = group_bits(coords[None, :] - coords[:, None])
         # fewer than P^2 < 2^31 differences at any P whose Gram fits in memory
-        code = code.astype(np.int32).reshape(coords.size, coords.size)
-        axes.append((diffs, code, slot))
+        axes.append((diffs, code.astype(np.int32), slot))
         factors.append(_factor_transform(factor, diffs.astype(complex)))
-    key, parts = None, None
-    for diffs, code, slot in axes:
+    # the first axis's codes are dense: a difference is one of two points
+    (diffs, code, slot), *rest = axes
+    key, parts = np.take(code[slot], slot, axis=1), np.arange(diffs.size)[:, None]
+    for diffs, code, slot in rest:
+        # each entry's mixed-radix code after this axis, made dense
         entry = np.take(code[slot], slot, axis=1)
-        if key is None:
-            # dense already: each difference of two coordinates is one of
-            # two points
-            key, parts = entry, np.arange(diffs.size)[:, None]
-        else:
-            seen, key = _fold(key, parts.shape[0], entry, diffs.size)
-            parts = np.column_stack((parts[seen // diffs.size], seen % diffs.size))
+        seen, key = group_codes(key.astype(np.intp, copy=False) * diffs.size + entry,
+                                parts.shape[0] * diffs.size)
+        parts = np.column_stack((parts[seen // diffs.size], seen % diffs.size))
     stacked = np.empty(parts.shape, dtype=complex)
     for a, f in enumerate(factors):
         stacked[:, a] = np.take(f, parts[:, a])
@@ -323,7 +289,7 @@ def completeness_probe(
     """
     if domain != UnitCube(domain.dimension):
         raise TypeError("completeness probe requires a unit-cube domain")
-    slots = [_bit_groups(column) for column in points.T]
+    slots = [group_bits(column) for column in points.T]
     phases_of: dict = {}  # the per-axis (points, samples) phases per grid shape
     ratios = []
     for f in test_functions:

@@ -51,6 +51,31 @@ class WindowCapError(SpectralBoxError):
     """A lattice window has more than MAX_WINDOW_CARDINALITY points."""
 
 
+def group_codes(codes: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(codes, return_inverse=True), the inverse shaped as codes,
+    for integer codes in [0, span): the package's one grouping rule.  A
+    span of at most 16 codes an entry is marked in a table of flags and
+    ranked, with no sort; a wider one is sorted."""
+    if span > 16 * codes.size:
+        keys, inverse = np.unique(codes, return_inverse=True)
+        return keys, inverse.reshape(codes.shape)
+    present = np.zeros(span, dtype=bool)
+    present[codes] = True
+    keys = np.flatnonzero(present)
+    rank = np.empty(span, dtype=np.int32 if span < 2**31 else np.intp)
+    rank[keys] = np.arange(keys.size)
+    return keys.astype(codes.dtype, copy=False), np.take(rank, codes)
+
+
+def group_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """group_codes of the float64 bit patterns of values over a 2^64 span,
+    the keys viewed as float64: -0.0 is not 0.0, NaN payloads stay apart,
+    and on non-negative values bit order is value order."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    keys, inverse = group_codes(bits, 2**64)
+    return keys.view(np.float64), inverse
+
+
 # ---------------------------------------------------------------------------
 # Domains
 # ---------------------------------------------------------------------------
@@ -263,10 +288,10 @@ class Tower:
         Row i of `indices` holds the window index on each output axis.
         With `period`, level tables are read N-periodically: their
         arguments are reduced modulo `period`.  Each level is called once
-        per distinct argument tuple, in lexicographic order: a tuple is
-        keyed by its mixed-radix code over the box its columns span, which
-        for the rows of an index box (or their residues) holds no more
-        codes than the box has rows.
+        per distinct argument tuple, in lexicographic order: group_codes
+        groups the tuples' mixed-radix codes over the box their columns
+        span, which for an index box (or its residues) holds no more codes
+        than the box has rows, so no sort runs.
         """
         k = np.asarray(indices, dtype=int)[:, self.axis_order]
         out = np.empty(k.shape, dtype=float)
@@ -278,13 +303,13 @@ class Tower:
             else:
                 args = k[:, :j] if period is None else k[:, :j] % period
                 low = args.min(axis=0)
-                dims = tuple(args.max(axis=0) - low + 1)
-                codes, inverse = np.unique(
-                    np.ravel_multi_index((args - low).T, dims), return_inverse=True
+                dims = tuple((args.max(axis=0) - low + 1).tolist())
+                codes, inverse = group_codes(
+                    np.ravel_multi_index((args - low).T, dims), math.prod(dims)
                 )
                 keys = np.stack(np.unravel_index(codes, dims), axis=1) + low
                 values = np.array([fn(*key) for key in keys.tolist()])
-                shift = values[inverse.reshape(-1)]
+                shift = values[inverse]
             out[:, self.axis_order[j]] = shift + k[:, j]
         return out
 

@@ -215,7 +215,7 @@ def test_svg_emission_deterministic():
 def ref_density_coeffs(model, n, k_radius):
     ks = range(-k_radius, k_radius + 1)
     per_component = [
-        dict(zip(ks, _component_coeffs(comp, n, k_radius).tolist()))
+        dict(zip(ks, _component_coeffs(comp, np.array([n]), k_radius)[0].tolist()))
         for comp in model.components
     ]
     out = {}

@@ -4,7 +4,6 @@ import pytest
 from spectralbox.exponentials import (
     _SCAN_STRIDE,
     RootScanReport,
-    _fold,
     _poly_on_circle,
     completeness_probe,
     eval_F_omega,
@@ -24,6 +23,7 @@ from spectralbox.model import (
     Tower,
     UnitCube,
     enumerate_spectrum,
+    group_codes,
 )
 from test_model import lattice
 
@@ -785,8 +785,8 @@ def test_fold_gives_each_entry_its_mixed_radix_value(count, radix):
     rng = np.random.default_rng(count)
     key = rng.integers(0, count, size=(20, 20))
     code = rng.integers(0, radix, size=(20, 20))
-    seen, index = _fold(key, count, code, radix)
     mixed = key * radix + code
+    seen, index = group_codes(mixed, count * radix)
     assert index.shape == key.shape
     assert np.array_equal(seen[index], mixed)
     assert np.array_equal(seen, np.unique(mixed))

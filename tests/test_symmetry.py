@@ -7,8 +7,14 @@ it needs no second implementation:
   translated-lattice config loads alpha and alpha + k to the same Tower,
   so build-spectrum, verify-pair and check-tiling write the same bytes;
 - a reflection Lambda -> -Lambda conjugates every Gram entry, because
-  F_Omega(-xi) is the conjugate of F_Omega(xi) on a real domain.
+  F_Omega(-xi) is the conjugate of F_Omega(xi) on a real domain;
+- class-b with the (alpha, beta) of a class-a set is that set with its
+  axes swapped, and I^2 and its torus tiling are symmetric in the axes, so
+  verify-pair and check-tiling give the same verdicts, worst_offdiag and
+  fractions.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,3 +105,54 @@ def test_a_reflection_conjugates_every_gram_entry(domain, seed):
     gram = gram_matrix(domain, points).entries
     # equal values: a zero imaginary part may change its sign
     assert np.array_equal(gram_matrix(domain, -points).entries, np.conj(gram))
+
+
+CLASS_A_SAMPLE = (
+    Path(__file__).resolve().parent.parent / "configs" / "verify_pair_class_a.yaml"
+)
+
+
+def report_of(tmp_path, name, command, text):
+    """Exit status and report lines of one run of the config text."""
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / name
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    return code, (out / "report.txt").read_text(encoding="utf-8").splitlines()
+
+
+def swapped_runs(tmp_path, command, text):
+    """The runs of the class-a text and of its class-b twin."""
+    assert text.count("family: class-a") == 1
+    swapped = text.replace("family: class-a", "family: class-b")
+    return (
+        report_of(tmp_path, "class_a", command, text),
+        report_of(tmp_path, "class_b", command, swapped),
+    )
+
+
+def fields(lines, *names):
+    return [line for line in lines if line.strip().split(":")[0] in names]
+
+
+def test_class_b_is_class_a_with_its_axes_swapped_under_verify_pair(tmp_path):
+    text = CLASS_A_SAMPLE.read_text(encoding="utf-8")
+    (code_a, a), (code_b, b) = swapped_runs(tmp_path, "verify-pair", text)
+    assert code_a == code_b == 0
+    assert fields(a, "verdict") == fields(b, "verdict") == ["  verdict: PASS"] * 4
+    assert fields(a, "worst_offdiag") == fields(b, "worst_offdiag")
+    assert fields(a, "worst_offdiag") == ["  worst_offdiag: 3.216976900108e-16"]
+
+
+def test_class_b_is_class_a_with_its_axes_swapped_under_check_tiling(tmp_path):
+    # the sample's spectrum and tiling sections, as a check-tiling config
+    kept = [
+        line for line in CLASS_A_SAMPLE.read_text(encoding="utf-8").splitlines()
+        if not line.startswith(("domain:", "window:"))
+    ]
+    text = "\n".join(kept).replace("command: verify-pair", "command: check-tiling")
+    (code_a, a), (code_b, b) = swapped_runs(tmp_path, "check-tiling", text + "\n")
+    assert code_a == code_b == 0
+    names = ("verdict", "overlap_fraction", "gap_fraction")
+    assert fields(a, *names) == fields(b, *names)
+    assert len(fields(a, *names)) == 3
