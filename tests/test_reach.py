@@ -58,9 +58,6 @@ ALLOWED = {
     "groups.TruncationLeakageError.__init__": (
         ERROR_PATH, "raised for a generic pair whose leakage_tol is too "
         "small; the samples acknowledge their truncation"),
-    "reporting.ReportBuilder.note": (
-        ERROR_PATH, "rational period ratio warning of a diffraction model; "
-        "the samples use irrational ratios"),
     "extensions": (
         ROADMAP, "item 6: the boundary unitary W of the I x Omega_2 theorem "
         "and its Cayley pair"),

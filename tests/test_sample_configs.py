@@ -43,6 +43,11 @@ EXPECTED = {
         "report.txt": "d5acee8f8720a3a16035939142d65eaec353adb442c95fb1ba416c1453f00767",
         "tiling.svg": "efaa5010a7909617a72960331ebddeabbb91ddfdd4911bcfbbeaf865f6ec3f31",
     }),
+    "diffraction_commensurate": ("diffraction", 0, {
+        "density.txt": "14fd98a24bccc5c11c6d47d76f301f4c2f6c24ff08dd211390e355067dccab22",
+        "diffraction.svg": "92d64c73a384b94e4c12b466f46cbbc09023d1eeb309031c3c734433fb50d25c",
+        "report.txt": "9761def7bafc82ec3b858cbc1f7d776526bb48aa88471c7177d8b717207ea32f",
+    }),
     "diffraction_one_harmonic": ("diffraction", 0, {
         "density.txt": "e237b05a2cda71d7edfbfa53d1cf0d9973c359bafef7709915211eda1c813025",
         "diffraction.svg": "4b079b97361c7b4fddcd1bf0c21fb6f70722368a1670a0fa568189570fbae9d5",
