@@ -573,12 +573,11 @@ def _cmd_diffraction(cfg: RunConfig, report: ReportBuilder, outdir: Path):
     diffr = eval_diffraction(density, test_fn)
     rel = abs(direct - diffr) / max(abs(direct), 1e-300)
     # a row per mass in (k, n) order: its harmonics and height, its re and im
-    ints = np.column_stack((density.harmonics, density.heights))
-    parts = density.weights.view(np.float64).reshape(-1, 2)
+    tables = (density.rows(), density.weights.view(np.float64).reshape(-1, 2))
     seps = ";" * (len(density.periods) - 1) + ",,,\n"
     with open(outdir / "density.txt", "wb") as sink:
         sink.write(b"k,n,re,im\n")
-        _write_table(sink, (ints, parts), density.sorted_order()[:, None], seps)
+        _write_table(sink, tables, density.sorted_order()[:, None], seps)
     emit_diffraction_svg(density, outdir / "diffraction.svg")
     report.add(
         "diffraction.eval_direct/eval_diffraction",

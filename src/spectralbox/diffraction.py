@@ -248,22 +248,32 @@ def density_coeffs(model: QuasiPeriodicModel, n, k_radius: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffractionDensity:
-    """Point masses c(k, n) at (freq(k) + m, n) as columns: `harmonics` (T, C)
-    ints, `heights` (T,) ints and complex `weights` (T,), in build order:
-    height-major as the heights were given, then harmonic tuples lexicographic."""
+    """Point masses c(k, n) at (freq(k) + m, n) on a grid: the harmonic
+    `tuples` (K, C) ints, lexicographic, and the distinct `heights` (H,)
+    ints, as given.  The complex `weights` (H K,) are height-major, a row
+    per mass: row h K + j is tuple j at height h."""
 
-    harmonics: np.ndarray
+    tuples: np.ndarray
     heights: np.ndarray
     weights: np.ndarray
     periods: tuple[float, ...]
 
     def frequencies(self) -> np.ndarray:
-        """freq(k) = k_1/period_1 + ... + k_C/period_C per row, left to right."""
-        return sum(k / period for k, period in zip(self.harmonics.T, self.periods))
+        """freq(k) = k_1/period_1 + ... + k_C/period_C per tuple, left to right."""
+        return sum(k / period for k, period in zip(self.tuples.T, self.periods))
+
+    def rows(self) -> np.ndarray:
+        """(H K, C + 1) ints, a row per mass: its tuple, then its height."""
+        return np.column_stack((
+            np.tile(self.tuples, (len(self.heights), 1)),
+            np.repeat(self.heights, len(self.tuples)),
+        ))
 
     def sorted_order(self) -> np.ndarray:
-        """Row permutation that sorts by (harmonic tuple, height)."""
-        return np.lexsort((self.heights, *self.harmonics.T[::-1]))
+        """Row permutation that sorts by (harmonic tuple, height): the
+        transpose of the H x K grid, its heights ascending."""
+        return (np.argsort(self.heights) * len(self.tuples)
+                + np.arange(len(self.tuples))[:, None]).ravel()
 
 
 def build_density(
@@ -271,11 +281,18 @@ def build_density(
 ) -> DiffractionDensity:
     """Density over the distinct heights `n_values` and the harmonic window."""
     heights = np.array([int(n) for n in n_values], dtype=np.int64)
+    seen: set = set()
+    for n in heights.tolist():
+        if n in seen:
+            raise ValueError(f"height {n} is repeated; the heights must be distinct")
+        seen.add(n)
     window = (2 * k_radius + 1,) * len(model.components)
     tuples = np.indices(window).reshape(len(window), -1).T - k_radius
+    if not heights.size:
+        tuples = tuples[:0]  # no masses, so no stems either
     return DiffractionDensity(
-        np.tile(tuples, (heights.size, 1)), np.repeat(heights, len(tuples)),
-        density_coeffs(model, heights, k_radius).reshape(-1), model.periods,
+        tuples, heights, density_coeffs(model, heights, k_radius).reshape(-1),
+        model.periods,
     )
 
 
@@ -344,19 +361,22 @@ def eval_diffraction(
 
     Each point-mass comb is summed over the integers m that land inside
     the test function's effective support, a block of combs of one length
-    at a time; the weighted comb sums then accumulate in row order.
+    at a time; the weighted comb sums then accumulate in row order.  A
+    comb's first m and length depend on its tuple alone.
     """
     cx = test_fn.center[0]
     r = test_fn.space_radius()
-    theta = density.frequencies()
-    lo = np.floor(cx - theta - r).astype(np.int64)
-    lengths = np.ceil(cx - theta + r).astype(np.int64) - lo + 1
+    freq = density.frequencies()
+    first = np.floor(cx - freq - r).astype(np.int64)
+    runs = np.ceil(cx - freq + r).astype(np.int64) - first + 1
+    theta, lo, lengths = (np.tile(a, len(density.heights)) for a in (freq, first, runs))
+    heights = np.repeat(density.heights, len(freq))
     sums = np.empty(theta.shape)
-    for length in np.unique(lengths).tolist():
+    for length in np.unique(runs).tolist():
         rows = np.flatnonzero(lengths == length)
         for block in np.array_split(rows, -(-rows.size * length // _EVAL_BLOCK)):
             x = theta[block, None] + (lo[block, None] + np.arange(length))
-            sums[block] = test_fn.value(x, density.heights[block, None]).sum(axis=1)
+            sums[block] = test_fn.value(x, heights[block, None]).sum(axis=1)
     terms = np.concatenate(([0j], density.weights * sums))
     return complex(np.cumsum(terms)[-1])
 
@@ -373,12 +393,12 @@ def _stem_masses(density: DiffractionDensity) -> tuple[np.ndarray, np.ndarray]:
     mass |c|^2 on each, added up in (harmonic tuple, height) order."""
     pos, pos_of = group_bits(density.frequencies() % 1.0)
     keys, key_of = group_bits(np.array([round(p, 9) for p in pos.tolist()]))
-    order = density.sorted_order()
-    c = density.weights[order]
+    c = density.weights[density.sorted_order()]
     # abs(c) ** 2 bit for bit: Python squares the hypot with libm pow, not h * h
     mass_of_row = np.power(np.hypot(c.real, c.imag).astype(object), 2).astype(float)
     mass = np.zeros(keys.size)
-    np.add.at(mass, key_of[pos_of[order]], mass_of_row)
+    # the sorted rows run a tuple at a time, each over all its heights
+    np.add.at(mass, np.repeat(key_of[pos_of], len(density.heights)), mass_of_row)
     return keys, mass
 
 
@@ -403,10 +423,11 @@ def emit_diffraction_svg(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black" stroke-width="1"/>',
     ]
+    base = _fmt(height - margin)
     for x, h in zip(xs.tolist(), hs.tolist()):
+        x = _fmt(x)
         parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(height - margin)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(height - margin - h)}" '
-            'stroke="black" stroke-width="1.5"/>'
+            f'<line x1="{x}" y1="{base}" x2="{x}" '
+            f'y2="{_fmt(height - margin - h)}" stroke="black" stroke-width="1.5"/>'
         )
     return write_svg(parts, sink)

@@ -209,7 +209,8 @@ def test_svg_emission_deterministic():
 
 # Loop references: the per-weight code that the array forms replaced.  The
 # arrays must reproduce them bit for bit, on weights keyed by
-# (harmonic tuple, height) in build order.
+# (harmonic tuple, height) in build order: height-major, the heights as
+# given, then the tuples lexicographic.
 
 
 def ref_density_coeffs(model, n, k_radius):
@@ -304,6 +305,18 @@ def ref_svg(weights, periods):
 # all but 1e-4 of the coefficient mass at heights up to 6
 _AMPLITUDE = {0: 1e-4, 1: 2e-3, 2: 8e-3, 5: 3e-2, 16: 0.12}
 HEIGHTS = range(-6, 7)
+# orders in which a caller may give the heights: density.txt and the stems
+# read the grid's transpose over the heights sorted
+HEIGHT_ORDERS = ["ascending", "descending", "shuffled"]
+
+
+def reorder(heights, order):
+    heights = [int(n) for n in heights]
+    if order == "descending":
+        return heights[::-1]
+    if order == "shuffled":
+        return np.random.default_rng(len(heights)).permutation(heights).tolist()
+    return heights
 
 
 def random_model(seed, n_components, k_radius):
@@ -326,13 +339,16 @@ REFERENCE_CASES = [
 ]
 
 
+@pytest.mark.parametrize("order", HEIGHT_ORDERS)
 @pytest.mark.parametrize("seed, n_components, k_radius", REFERENCE_CASES)
-def test_density_arrays_match_loop_reference(seed, n_components, k_radius):
+def test_density_arrays_match_loop_reference(seed, n_components, k_radius, order):
     model, rng = random_model(seed, n_components, k_radius)
-    density = build_density(model, HEIGHTS, k_radius)
-    weights = ref_build_density(model, HEIGHTS, k_radius)
+    heights = reorder(HEIGHTS, order)
+    density = build_density(model, heights, k_radius)
+    weights = ref_build_density(model, heights, k_radius)
     assert len(density.weights) == len(weights)
-    keys = list(zip(map(tuple, density.harmonics.tolist()), density.heights.tolist()))
+    assert density.heights.tolist() == heights
+    keys = [(tuple(k), n) for n in heights for k in density.tuples.tolist()]
     assert keys == list(weights)
     assert density.weights.tolist() == list(weights.values())
 
@@ -357,10 +373,15 @@ def test_density_arrays_match_loop_reference(seed, n_components, k_radius):
     assert emit_diffraction_svg(density) == ref_svg(weights, model.periods)
 
 
+@pytest.mark.parametrize("order", HEIGHT_ORDERS)
 @pytest.mark.parametrize("seed, n_components, k_radius", REFERENCE_CASES[::3])
 def test_cli_diffraction_files_match_loop_reference(
-    tmp_path, seed, n_components, k_radius
+    monkeypatch, tmp_path, seed, n_components, k_radius, order
 ):
+    # the command gives its heights ascending; the files must not see them
+    # given in another order
+    monkeypatch.setattr(cli, "build_density", lambda model, n_values, k_radius: (
+        build_density(model, reorder(n_values, order), k_radius)))
     model, _ = random_model(seed, n_components, k_radius)
     phi = GaussianTestFunction((0.1, -0.2), (0.9, 1.1))
     cfg = RunConfig(command="diffraction", seed=seed)
@@ -372,6 +393,11 @@ def test_cli_diffraction_files_match_loop_reference(
     weights = ref_build_density(model, range(-n_rad, n_rad + 1), k_radius)
     assert (tmp_path / "density.txt").read_bytes() == ref_density_text(weights).encode()
     assert (tmp_path / "diffraction.svg").read_bytes() == ref_svg(weights, model.periods)
+
+
+def test_repeated_heights_are_refused():
+    with pytest.raises(ValueError, match="height 0 is repeated"):
+        build_density(one_harmonic_model(), [0, 1, 0], 3)
 
 
 def test_empty_density_pairs_to_zero():

@@ -258,12 +258,16 @@ def test_most_distinct_magnitudes_of_a_gram_take_the_vectorised_path(monkeypatch
 
 
 def density_reference(density: DiffractionDensity) -> bytes:
-    """density.txt as a '%' row template wrote it, a row per mass."""
-    order = density.sorted_order()
-    c = density.weights[order]
+    """density.txt as a '%' row template wrote it, a row per mass, sorted
+    by (harmonic tuple, height)."""
+    weights = iter(density.weights.tolist())
+    masses = sorted(
+        (*k, n, next(weights))
+        for n in density.heights.tolist()
+        for k in density.tuples.tolist()
+    )
     row = ";".join(["%d"] * len(density.periods)) + ",%d,%.12e,%.12e"
-    columns = (*density.harmonics[order].T.tolist(), density.heights[order].tolist())
-    rows = [row % v for v in zip(*columns, c.real.tolist(), c.imag.tolist())]
+    rows = [row % (*v[:-1], v[-1].real, v[-1].imag) for v in masses]
     return ("\n".join(["k,n,re,im", *rows]) + "\n").encode("ascii")
 
 
@@ -277,18 +281,21 @@ def sweep_reference(times: list, table: np.ndarray) -> bytes:
     return ("\n".join(rows) + "\n").encode("ascii")
 
 
-def seeded_density(rng, components: int, masses: int) -> DiffractionDensity:
-    """Masses at harmonics in [-12, 12] and heights in [-30, 30], some
-    (k, n) repeated, whose weights' parts are drawn from SPECIAL, '%.12e'
-    ties and normal draws."""
+def seeded_density(rng, components: int, tuples: int, heights: int) -> DiffractionDensity:
+    """A grid of distinct harmonic tuples in [-12, 12], lexicographic, and
+    distinct heights in [-30, 30], in random order, whose weights' parts
+    are drawn from SPECIAL, '%.12e' ties and normal draws."""
+    window = np.indices((25,) * components).reshape(components, -1).T - 12
+    picked = np.sort(rng.choice(len(window), tuples, replace=False))
     pool = np.concatenate((SPECIAL, TIES[:50], rng.standard_normal(50)))
     # parts set one by one: re + 1j*im would turn inf into NaN and lose -0.0
+    masses = tuples * heights
     weights = np.empty(masses, dtype=complex)
     weights.real = rng.choice(pool, masses)
     weights.imag = rng.choice(pool, masses)
     return DiffractionDensity(
-        rng.integers(-12, 13, size=(masses, components)),
-        rng.integers(-30, 31, size=masses),
+        window[picked],
+        rng.choice(np.arange(-30, 31), heights, replace=False),
         weights,
         tuple(np.sqrt([2.0, 3.0, 5.0][:components])),
     )
@@ -308,11 +315,11 @@ def density_file(monkeypatch, tmp_path, density: DiffractionDensity) -> bytes:
 
 @pytest.mark.parametrize("components", [1, 2, 3])
 def test_density_matches_the_percent_rows(monkeypatch, tmp_path, components):
-    density = seeded_density(np.random.default_rng(components), components, 2000)
-    assert (density.harmonics < 0).any() and (density.heights < 0).any()
+    density = seeded_density(np.random.default_rng(components), components, 20, 50)
+    assert (density.tuples < 0).any() and (density.heights < 0).any()
     text = density_file(monkeypatch, tmp_path, density)
     assert text == density_reference(density)
-    assert text.count(b";") == (components - 1) * 2000
+    assert text.count(b";") == (components - 1) * 1000
 
 
 def test_sweep_matches_the_format_float_loop(monkeypatch, tmp_path):
@@ -351,8 +358,8 @@ def test_any_block_size_gives_the_same_bytes(monkeypatch, tmp_path, block):
     one = np.array([[complex(-0.25, 1e-300)]])
     assert gram_table(one) == gram_table_reference(one)
     # 23 rows of 3 + 1 ints and 2 floats, the ints' fields padded to the
-    # floats' width
-    density = seeded_density(rng, 3, 23)
+    # floats' width: 23 tuples at one height
+    density = seeded_density(rng, 3, 23, 1)
     assert density_file(monkeypatch, tmp_path, density) == density_reference(density)
 
 
