@@ -4,8 +4,9 @@ Commutativity of the induced translation groups is equivalent to product
 identities on the unit-modulus eigenvalues v_j of the d boundary
 unitaries.  One type holds those eigenvalues over a finite index window,
 BoundaryEigenvalues, built from a 2-D pair (a, b) of phase tables
-(IntFunction) or from a staircase Tower of any d and axis order; a phase
-p enters as exp(i*2*pi*p), through one lift.  One vectorised kernel,
+(IntFunction) or from a staircase Tower of any d and axis order; each table
+is read over the window by IntFunction.on_box, and each distinct phase p in
+it enters as exp(i*2*pi*p) once, through one lift.  One vectorised kernel,
 check_cocycle, checks the pairwise shift identity for every ordered slot
 pair (witnesses (f, s, n, shift, modulus)); check_cocycle_2d relabels its
 witnesses ("b-shift" | "a-shift", m, n, shift, modulus) for a pair.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .model import (
     LatticeWindow,
     SpectralBoxError,
     Tower,
+    group_bits,
 )
 
 __all__ = [
@@ -79,25 +80,14 @@ def _lift(phase: float) -> complex:
     return _renormalize_unit(complex(np.exp(2j * np.pi * float(phase))), "phase")
 
 
-def _lift_window(fn: IntFunction, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """exp(i*2*pi*fn(k)) at every index tuple k of the inclusive ranges.
+def _lift_box(phases: np.ndarray) -> np.ndarray:
+    """exp(i*2*pi*p) at every entry p of a box array, of its shape.
 
-    The default and each table entry inside the ranges are lifted once, by
-    _lift; numpy only places them.  Entries outside the ranges are never
-    lifted.  The array has one axis per range, of its length.
+    Each distinct float64 bit pattern is lifted once, by _lift, and numpy
+    only places the lifts (group_bits keeps -0.0 apart from 0.0).
     """
-    if fn.arity != len(ranges):
-        raise ArityMismatchError(
-            f"a function of {fn.arity} indices over {len(ranges)} ranges"
-        )
-    lifted = np.full([hi - lo + 1 for lo, hi in ranges], _lift(fn.default))
-    if fn.table:
-        keys = np.array(list(fn.table)) - [lo for lo, _ in ranges]
-        inside = np.all((keys >= 0) & (keys < lifted.shape), axis=1)
-        lifted[tuple(keys[inside].T)] = [
-            _lift(p) for p, ok in zip(fn.table.values(), inside) if ok
-        ]
-    return lifted
+    keys, inverse = group_bits(phases)
+    return np.array([_lift(p) for p in keys.tolist()], dtype=complex)[inverse]
 
 
 def seam_twisted(fn: IntFunction, shift: float) -> IntFunction:
@@ -163,14 +153,9 @@ class BoundaryEigenvalues:
         on axis 0, is v_1."""
         if window.dimension != 2:
             raise ValueError("a 2-D pair needs a window of two axes")
-        m_range, n_range = window.ranges
-        return cls(
-            window,
-            (
-                _lift_window(a, [n_range])[None, :],
-                _lift_window(b, [m_range])[:, None],
-            ),
-        )
+        v0 = _lift_box(a.on_box(window.ranges, (1,)))
+        v1 = _lift_box(b.on_box(window.ranges, (0,)))
+        return cls(window, (v0, v1))
 
     @classmethod
     def from_tower(cls, tower: Tower, window: LatticeWindow) -> "BoundaryEigenvalues":
@@ -194,11 +179,7 @@ class BoundaryEigenvalues:
         sizes = [hi - lo + 1 for lo, hi in window.ranges]
         values = [None] * tower.dimension
         for j, level in enumerate(tower.levels):
-            read = tower.axis_order[:j]  # the axes of k_0, ..., k_{j-1}
-            lift = _lift_window(level, [window.ranges[a] for a in read])
-            lift = np.transpose(lift, np.argsort(read)).reshape(
-                [n if a in read else 1 for a, n in enumerate(sizes)]
-            )
+            lift = _lift_box(level.on_box(window.ranges, tower.axis_order[:j]))
             axis = tower.axis_order[j]
             values[axis] = np.broadcast_to(
                 lift, [1 if a == axis else n for a, n in enumerate(sizes)]

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .cocycles import BoundaryEigenvalues, _lift_window
+from .cocycles import BoundaryEigenvalues, _lift_box
 from .grid import (
     fft_mode_indices,
     grid_coords,
@@ -152,7 +152,8 @@ class DiagonalBoundary:
         if eig is None:
             modes = fft_mode_indices(n)
             lo = int(modes.min())
-            eig = _lift_window(self.phases, [(lo, int(modes.max()))])[modes - lo]
+            box = ((lo, int(modes.max())),)
+            eig = _lift_box(self.phases.on_box(box, (0,)))[modes - lo]
             eig.flags.writeable = False
             self._eig_cache[n] = eig
         return eig

@@ -6,9 +6,11 @@ package analyzes.  A domain is one type, the product of 1-D interval-union
 factors; UnitCube(d) builds the product of d unit intervals.  A frequency
 set is one of two types: a Tower, the one staircase family (the lattice
 alpha + Z^d is the tower of constant levels alpha_j mod 1), or an
-ExplicitSpectrum, a listed point set.  All exponentials in the package
-use the normalization e(x) = exp(i*2*pi*lam.x), so spectra live on the same
-scale as the frequency parameters stored here.
+ExplicitSpectrum, a listed point set; each gives its points over an index
+box by points_on.  IntFunction.on_box is the one reader of a phase table
+over a box, for a tower's points and its boundary eigenvalues alike.  All
+exponentials in the package use the normalization e(x) = exp(i*2*pi*lam.x),
+so spectra live on the same scale as the frequency parameters stored here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "Tower",
     "ExplicitSpectrum",
     "SpectrumSpec",
-    "spectrum_points",
     "enumerate_spectrum",
     "spectrum_difference_set",
 ]
@@ -187,6 +188,37 @@ class IntFunction:
             )
         return self.table.get(tuple(int(i) for i in indices), self.default)
 
+    def on_box(
+        self, ranges: tuple[tuple[int, int], ...], axes: tuple[int, ...], period=None
+    ) -> np.ndarray:
+        """The value at every index tuple of an inclusive box, the one
+        reader of a table over a box.
+
+        Argument i is the index on box axis axes[i], modulo `period` when
+        one is given.  The array has the box's length on `axes` and 1 on
+        every other axis.  The default fills it and each table entry inside
+        the box (or its residues) is placed; the function is never called.
+        """
+        if len(axes) != self.arity:
+            raise ArityMismatchError(
+                f"a function of {self.arity} indices read off {len(axes)} axes"
+            )
+        spans = [ranges[a] for a in axes]
+        if period is not None:
+            residues = [np.arange(lo, hi + 1) % period for lo, hi in spans]
+            spans = [(int(r.min()), int(r.max())) for r in residues]
+        lows = [lo for lo, _ in spans]
+        values = np.full([hi - lo + 1 for lo, hi in spans], self.default)
+        if self.table:
+            keys = np.array(list(self.table)) - lows
+            inside = np.all((keys >= 0) & (keys < values.shape), axis=1)
+            values[tuple(keys[inside].T)] = np.array(list(self.table.values()))[inside]
+        if period is not None and self.arity:
+            values = values[np.ix_(*(r - lo for r, lo in zip(residues, lows)))]
+        if self.arity > 1:
+            values = values.transpose(np.argsort(axes))
+        return np.expand_dims(values, [a for a in range(len(ranges)) if a not in axes])
+
     @classmethod
     def constant(cls, value: float) -> "IntFunction":
         return cls(arity=0, default=value)
@@ -282,36 +314,29 @@ class Tower:
     def dimension(self) -> int:
         return len(self.levels)
 
-    def points_at(self, indices: np.ndarray, period: Optional[int]) -> np.ndarray:
-        """Points at integer window tuples, an (n, d) array in row order.
+    def points_on(
+        self, ranges: tuple[tuple[int, int], ...], period: Optional[int] = None
+    ) -> np.ndarray:
+        """Points at every index tuple of an inclusive box, a
+        (cardinality, d) array in the box's row-major order.
 
-        Row i of `indices` holds the window index on each output axis.
-        With `period`, level tables are read N-periodically: their
-        arguments are reduced modulo `period`.  Each level is called once
-        per distinct argument tuple, in lexicographic order: group_codes
-        groups the tuples' mixed-radix codes over the box their columns
-        span, which for an index box (or its residues) holds no more codes
-        than the box has rows, so no sort runs.
+        `ranges` holds an inclusive integer range per output axis.  With
+        `period` N the tower is read on the N-torus: level tables take
+        their arguments modulo N.  Coordinate axis_order[j] is level j's
+        box array (IntFunction.on_box) plus that axis's index.
         """
-        k = np.asarray(indices, dtype=int)[:, self.axis_order]
-        out = np.empty(k.shape, dtype=float)
-        if k.shape[0] == 0:
-            return out
-        for j, fn in enumerate(self.levels):
-            if j == 0:
-                shift = fn()
-            else:
-                args = k[:, :j] if period is None else k[:, :j] % period
-                low = args.min(axis=0)
-                dims = tuple((args.max(axis=0) - low + 1).tolist())
-                codes, inverse = group_codes(
-                    np.ravel_multi_index((args - low).T, dims), math.prod(dims)
-                )
-                keys = np.stack(np.unravel_index(codes, dims), axis=1) + low
-                values = np.array([fn(*key) for key in keys.tolist()])
-                shift = values[inverse]
-            out[:, self.axis_order[j]] = shift + k[:, j]
-        return out
+        d = self.dimension
+        if len(ranges) != d:
+            raise ArityMismatchError(
+                f"window has {len(ranges)} axes, spectrum family needs {d}"
+            )
+        index = np.ix_(*(np.arange(lo, hi + 1) for lo, hi in ranges))
+        out = np.empty([hi - lo + 1 for lo, hi in ranges] + [d])
+        for j, level in enumerate(self.levels):
+            axis = self.axis_order[j]
+            values = level.on_box(ranges, self.axis_order[:j], period)
+            out[..., axis] = values + index[axis]
+        return out.reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -334,30 +359,13 @@ class ExplicitSpectrum:
     def dimension(self) -> int:
         return self.points.shape[1]
 
+    def points_on(self, ranges, period=None) -> np.ndarray:
+        """A copy of the points: the set is already finite, so the box and
+        the period are not read."""
+        return np.array(self.points, copy=True)
+
 
 SpectrumSpec = Union[Tower, ExplicitSpectrum]
-
-
-def spectrum_points(
-    spec: SpectrumSpec, ranges: tuple[tuple[int, int], ...], period: Optional[int]
-) -> np.ndarray:
-    """The family's points at the index tuples of a box, in row order.
-
-    `ranges` holds an inclusive integer range per output axis.  With
-    `period` N the family is read on the N-torus: tower tables take their
-    arguments modulo N.  ExplicitSpectrum ignores the box: it is already a
-    finite set.
-    """
-    if isinstance(spec, ExplicitSpectrum):
-        return np.array(spec.points, copy=True)
-    if len(ranges) != spec.dimension:
-        raise ArityMismatchError(
-            f"window has {len(ranges)} axes, spectrum family needs "
-            f"{spec.dimension}"
-        )
-    grids = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in ranges), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
-    return spec.points_at(idx, period)
 
 
 def enumerate_spectrum(
@@ -365,7 +373,7 @@ def enumerate_spectrum(
 ) -> np.ndarray:
     """The family's points over the window, an (cardinality, d) array; an
     ExplicitSpectrum needs no window."""
-    return spectrum_points(spec, () if window is None else window.ranges, None)
+    return spec.points_on(() if window is None else window.ranges)
 
 
 def spectrum_difference_set(points: np.ndarray) -> np.ndarray:

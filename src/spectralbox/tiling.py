@@ -15,7 +15,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .model import SpectrumSpec, Tower, spectrum_points
+from .model import SpectrumSpec, Tower
 from .reporting import write_svg
 
 MAX_SAMPLES = 2**24  # multiplicity map samples, 128 MiB of int64 counts
@@ -36,12 +36,12 @@ __all__ = [
 def torus_translates(spec: SpectrumSpec, torus_n: int, pad: int = 1) -> np.ndarray:
     """Translation points covering [0,N)^d, padded `pad` cubes beyond.
 
-    The family is read N-periodically, see `model.spectrum_points`.
+    The family is read N-periodically, see `Tower.points_on`.
     """
     if torus_n < 1:
         raise ValueError("torus window must be >= 1")
     box = ((-pad, torus_n + pad - 1),) * spec.dimension
-    return spectrum_points(spec, box, torus_n)
+    return spec.points_on(box, torus_n)
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,9 @@ def test_matrix_boundary_matches_diagonal():
 
 
 def test_pair_is_lifted_once_for_every_check(monkeypatch):
-    # M = 3 m indices for b, N = 5 n indices for a; b's keys 2 and 3 lie
-    # outside the window and are never lifted
+    # M = 3 m indices for b, N = 5 n indices for a; each distinct phase in
+    # the window is lifted once: a's 0.0 and b's three in-window entries.
+    # b's keys 2 and 3 lie outside the window and are never lifted
     rng = np.random.default_rng(41)
     lifts = []
     lift = cocycles._lift
@@ -249,13 +250,13 @@ def test_pair_is_lifted_once_for_every_check(monkeypatch):
         phases_of({m: rng.random() for m in range(-1, 4)}),
         LatticeWindow(((-1, 1), (0, 4))),
     )
-    assert len(lifts) == 2 + 3  # the two defaults, b's in-window entries
+    assert len(lifts) == 1 + 3
     assert check_cocycle_2d(eigs).holds
     assert check_single_identity_2d(eigs)
     assert classify_2d(eigs).value == "class-i"
     for axis in (1, 2):
         group_matrix_spectral(axis, 0.25, eigs, (0.0, 0.0), leakage_tol=1.0)
-    assert len(lifts) == 2 + 3
+    assert len(lifts) == 1 + 3
 
 
 def test_spectral_identity_at_time_zero():

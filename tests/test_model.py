@@ -132,7 +132,7 @@ def test_tower_axis_order_places_coordinates():
 
 
 @pytest.mark.parametrize("period", [None, 3])
-def test_points_at_matches_loop_formula(period):
+def test_points_on_matches_loop_formula(period):
     rng = np.random.default_rng(11)
     levels = (
         IntFunction.constant(0.375),
@@ -145,16 +145,16 @@ def test_points_at_matches_loop_formula(period):
     )
     order = (1, 2, 0)
     spec = Tower(levels, order)
-    idx = np.array(list(LatticeWindow.centered(3, 3).indices()))
+    window = LatticeWindow.centered(3, 3)
+    idx = np.array(list(window.indices()))
     expected = np.empty(idx.shape)
     for row, tup in enumerate(idx.tolist()):
         k = [tup[axis] for axis in order]
         args = k if period is None else [v % period for v in k]
         for j, fn in enumerate(levels):
             expected[row, order[j]] = fn(*args[:j]) + k[j]
-    assert np.array_equal(spec.points_at(idx, period), expected)
+    assert np.array_equal(spec.points_on(window.ranges, period), expected)
     if period is None:
-        window = LatticeWindow.centered(3, 3)
         assert np.array_equal(enumerate_spectrum(spec, window), expected)
 
 
@@ -210,71 +210,66 @@ def test_difference_set_closed_under_negation():
     assert all(tuple(np.round(-d, 12)) in as_set for d in diffs)
 
 
-def points_at_reference(spec, indices, period):
-    """Tower.points_at as it was first written: each level's argument rows
-    grouped by np.unique(axis=0)."""
-    k = np.asarray(indices, dtype=int)[:, spec.axis_order]
-    out = np.empty(k.shape, dtype=float)
-    for j, fn in enumerate(spec.levels):
-        if j == 0:
-            shift = fn()
-        else:
-            args = k[:, :j] if period is None else k[:, :j] % period
-            keys, inverse = np.unique(args, axis=0, return_inverse=True)
-            values = np.array([fn(*key) for key in keys.tolist()])
-            shift = values[inverse.reshape(-1)]
-        out[:, spec.axis_order[j]] = shift + k[:, j]
+def loop_points(spec, ranges, period):
+    """Tower.points_on as a loop of level calls at every box tuple, in
+    row-major order: the independent oracle of the box reader."""
+    box = list(LatticeWindow(ranges).indices())
+    out = np.empty((len(box), spec.dimension))
+    for row, tup in enumerate(box):
+        k = [tup[axis] for axis in spec.axis_order]
+        args = k if period is None else [v % period for v in k]
+        for j, fn in enumerate(spec.levels):
+            out[row, spec.axis_order[j]] = fn(*args[:j]) + k[j]
     return out
 
 
-class RecordingLevel:
-    """A level that records the arguments of every call."""
-
-    def __init__(self, fn):
-        self.fn, self.arity, self.calls = fn, fn.arity, []
-
-    def __call__(self, *args):
-        self.calls.append(args)
-        return self.fn(*args)
+def random_box_tower(rng, d):
+    """A box of up to 6 indices an axis in [-9, 9] and a tower of random
+    axis order whose tables hold 12 keys in [-9, 9), inside the box and
+    outside it alike."""
+    ranges = []
+    for _ in range(d):
+        lo = int(rng.integers(-9, 4))
+        ranges.append((lo, lo + int(rng.integers(0, 6))))
+    levels = [IntFunction.constant(float(rng.random()))]
+    for arity in range(1, d):
+        keys = rng.integers(-9, 9, size=(12, arity))
+        levels.append(IntFunction(
+            arity,
+            default=float(rng.random()),
+            table={tuple(key): float(rng.random()) for key in keys},
+        ))
+    order = tuple(int(a) for a in rng.permutation(d))
+    return tuple(ranges), Tower(tuple(levels), order)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("period", [None, 1, 2, 5])
-def test_points_at_equals_the_row_unique_reference(d, period):
+def test_points_on_equals_the_call_loop(d, period):
     rng = np.random.default_rng([d, period or 0])
     for _ in range(4):
-        ranges = []
-        for _ in range(d):
-            lo = int(rng.integers(-9, 4))
-            ranges.append((lo, lo + int(rng.integers(0, 6))))
-        levels = [IntFunction.constant(float(rng.random()))]
-        for arity in range(1, d):
-            keys = rng.integers(-9, 9, size=(12, arity))
-            levels.append(IntFunction(
-                arity,
-                default=float(rng.random()),
-                table={tuple(key): float(rng.random()) for key in keys},
-            ))
-        order = tuple(int(a) for a in rng.permutation(d))
-        recorded = [RecordingLevel(fn) for fn in levels]
-        spec = Tower(tuple(levels), order)
-        idx = np.array(list(LatticeWindow(tuple(ranges)).indices()))
-        got = Tower(tuple(recorded), order).points_at(idx, period)
-        want = points_at_reference(spec, idx, period)
-        assert got.tobytes() == want.tobytes()
-        # the same calls in the same order: distinct argument tuples,
-        # lexicographic
-        replay = [RecordingLevel(fn) for fn in levels]
-        points_at_reference(Tower(tuple(replay), order), idx, period)
-        assert [r.calls for r in recorded] == [r.calls for r in replay]
-        # rows in another order, some repeated: the same points row by row
-        rows = rng.permutation(np.concatenate([idx, idx[: len(idx) // 2]]))
-        assert spec.points_at(rows, period).tobytes() == (
-            points_at_reference(spec, rows, period).tobytes()
-        )
+        ranges, spec = random_box_tower(rng, d)
+        got = spec.points_on(ranges, period)
+        assert got.tobytes() == loop_points(spec, ranges, period).tobytes()
+        # each level's box array: the call at every cell, 1 off its axes
+        box = list(LatticeWindow(ranges).indices())
+        for j, fn in enumerate(spec.levels):
+            axes = spec.axis_order[:j]
+            values = fn.on_box(ranges, axes, period)
+            assert values.shape == tuple(
+                hi - lo + 1 if a in axes else 1 for a, (lo, hi) in enumerate(ranges)
+            )
+            full = np.broadcast_to(values, [hi - lo + 1 for lo, hi in ranges])
+            want = [
+                fn(*(tup[a] if period is None else tup[a] % period for a in axes))
+                for tup in box
+            ]
+            assert full.ravel().tobytes() == np.array(want).tobytes()
 
 
-def test_points_at_no_rows():
-    spec = Tower((IntFunction.constant(0.5), IntFunction(1, 0.25)), (1, 0))
-    got = spec.points_at(np.empty((0, 2), dtype=int), None)
-    assert got.shape == (0, 2)
+def test_on_box_reads_as_many_axes_as_arguments():
+    fn = IntFunction(2, 0.25, {(0, 1): 0.5})
+    assert fn.on_box(((0, 1), (1, 2), (0, 0)), (2, 0)).shape == (2, 1, 1)
+    for axes in [(0,), (0, 1, 2)]:
+        with pytest.raises(ArityMismatchError):
+            fn.on_box(((0, 1), (1, 2), (0, 0)), axes)

@@ -11,18 +11,33 @@ it needs no second implementation:
 - class-b with the (alpha, beta) of a class-a set is that set with its
   axes swapped, and I^2 and its torus tiling are symmetric in the axes, so
   verify-pair and check-tiling give the same verdicts, worst_offdiag and
-  fractions.
+  fractions;
+- a permutation sigma of a tower's output axes, applied to its axis_order
+  and its window alike, permutes the point coordinates, the order of the
+  rows, the multiplicity map's axes and the boundary eigenvalues, and
+  changes no value.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectralbox.cli import main
+from spectralbox.cocycles import BoundaryEigenvalues
 from spectralbox.config import parse_config
 from spectralbox.exponentials import gram_matrix
-from spectralbox.model import Domain, IntervalUnion, UnitCube
+from spectralbox.model import (
+    Domain,
+    IntervalUnion,
+    IntFunction,
+    LatticeWindow,
+    Tower,
+    UnitCube,
+    enumerate_spectrum,
+)
+from spectralbox.tiling import multiplicity_map, tiling_verdict, torus_translates
 
 # the sections besides the spectrum that each command reads, in dimension d
 SECTIONS = {
@@ -156,3 +171,63 @@ def test_class_b_is_class_a_with_its_axes_swapped_under_check_tiling(tmp_path):
     names = ("verdict", "overlap_fraction", "gap_fraction")
     assert fields(a, *names) == fields(b, *names)
     assert len(fields(a, *names)) == 3
+
+
+def seeded_tower(rng, d, offset):
+    """A d-level tower of seeded axis order whose tables hold keys in
+    [-3, 3]^j, inside the windows below and outside them."""
+    levels = [IntFunction.constant(offset)]
+    for j in range(1, d):
+        keys = itertools.product(range(-3, 4), repeat=j)
+        levels.append(IntFunction(
+            j, float(rng.random()), {k: float(rng.random()) for k in keys}
+        ))
+    return Tower(tuple(levels), tuple(int(a) for a in rng.permutation(d)))
+
+
+def permuted(tower, sigma):
+    """The tower with output axis a moved to sigma[a]."""
+    return Tower(tower.levels, tuple(sigma[a] for a in tower.axis_order))
+
+
+def moved_rows(points, sizes, sigma):
+    """Box points of the given shape with axis and coordinate a moved to
+    sigma[a], in the row-major order of the permuted box."""
+    inv = np.argsort(sigma)
+    grid = points.reshape(*sizes, len(sizes))
+    return np.transpose(grid, [*inv, len(sizes)])[..., inv].reshape(-1, len(sizes))
+
+
+@pytest.mark.parametrize("d, torus_n, resolution", [(2, 4, 16), (3, 3, 8)])
+def test_a_permutation_of_a_towers_axes_permutes_every_result(d, torus_n, resolution):
+    rng = np.random.default_rng(d)
+    tower = seeded_tower(rng, d, 0.25)
+    ranges = tuple((lo, lo + int(rng.integers(1, 5))) for lo in rng.integers(-3, 2, d))
+    window = LatticeWindow(ranges)
+    sizes = [hi - lo + 1 for lo, hi in ranges]
+    points = enumerate_spectrum(tower, window)
+    translates = torus_translates(tower, torus_n)
+    mp = multiplicity_map(tower, torus_n, resolution)
+    verdict = tiling_verdict(mp)
+    flat = Tower((IntFunction.constant(0.0),) + tower.levels[1:], tower.axis_order)
+    eigs = BoundaryEigenvalues.from_tower(flat, window)
+    for sigma in itertools.permutations(range(d)):
+        inv = tuple(int(a) for a in np.argsort(sigma))
+        moved = permuted(tower, sigma)
+        moved_window = LatticeWindow(tuple(ranges[a] for a in inv))
+        assert np.array_equal(
+            enumerate_spectrum(moved, moved_window), moved_rows(points, sizes, sigma)
+        )
+        assert np.array_equal(
+            torus_translates(moved, torus_n),
+            moved_rows(translates, [torus_n + 2] * d, sigma),
+        )
+        moved_mp = multiplicity_map(moved, torus_n, resolution)
+        assert np.array_equal(moved_mp.counts, np.transpose(mp.counts, inv))
+        assert np.array_equal(moved_mp.face_mask, np.transpose(mp.face_mask, inv))
+        assert tiling_verdict(moved_mp) == verdict
+        moved_eigs = BoundaryEigenvalues.from_tower(permuted(flat, sigma), moved_window)
+        for a in range(d):
+            assert np.array_equal(
+                moved_eigs.values[sigma[a]], np.transpose(eigs.values[a], inv)
+            )

@@ -19,7 +19,7 @@ from spectralbox.tiling import (
     tiling_verdict,
     torus_translates,
 )
-from test_model import lattice
+from test_model import lattice, loop_points
 
 
 def random_beta(rng, n):
@@ -122,17 +122,15 @@ def random_tower(rng, d, n, offset=0.0, axis_order=None):
 
 
 def reference_translates(spec, torus_n, pad=1):
-    """torus_translates as a meshgrid with one branch per spectrum type."""
+    """torus_translates as a loop of level calls over the padded box, with
+    one branch per spectrum type."""
     if isinstance(spec, ExplicitSpectrum):
         return np.array(spec.points, copy=True)
-    axis = np.arange(-pad, torus_n + pad)
-    grids = np.meshgrid(*([axis] * spec.dimension), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
-    return spec.points_at(idx, period=torus_n)
+    return loop_points(spec, ((-pad, torus_n + pad - 1),) * spec.dimension, torus_n)
 
 
 @pytest.mark.parametrize("pad", [1, 2])
-def test_torus_translates_match_meshgrid_reference(pad):
+def test_torus_translates_match_the_call_loop(pad):
     rng = np.random.default_rng(6)
     specs = [
         loaded_lattice(alpha)
