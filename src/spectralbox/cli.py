@@ -671,7 +671,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         return run(cfg, args.config, Path(args.out))
-    except (SpectralBoxError, OSError, ValueError) as exc:
+    except (SpectralBoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, never a verdict: keep it off status 1

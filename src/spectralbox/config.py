@@ -68,11 +68,15 @@ class _StrictLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoad
 def _no_duplicates(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        if key in mapping:
-            raise ConfigError(
-                f"duplicate key {key!r} at line {key_node.start_mark.line + 1}"
-            )
+        # deep: a list or table key is filled in before the message shows it
+        key = loader.construct_object(key_node, deep=True)
+        line = key_node.start_mark.line + 1
+        try:
+            duplicate = key in mapping
+        except TypeError as exc:  # a list or table as a key
+            raise ConfigError(f"key {key!r} at line {line} is not a scalar") from exc
+        if duplicate:
+            raise ConfigError(f"duplicate key {key!r} at line {line}")
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
 
@@ -485,11 +489,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config parse error{loc}: {exc}") from exc
     raw = _require_mapping(raw, "config")
     command = raw.get("command")
-    if command not in COMMANDS:
+    try:
+        required, optional, tolerances = COMMANDS[command]
+    except (KeyError, TypeError) as exc:  # TypeError: a list or table
         raise ConfigError(
             f"command must be one of {', '.join(COMMANDS)}; got {command!r}"
-        )
-    required, optional, tolerances = COMMANDS[command]
+        ) from exc
     if tolerances:
         optional += ("tolerances",)
     _check_keys(raw, {"command", "seed", *required, *optional}, f"a {command} config")
@@ -524,3 +529,5 @@ def load_config(path: str) -> RunConfig:
             return parse_config(fh.read())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc

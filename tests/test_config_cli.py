@@ -622,6 +622,54 @@ def test_internal_error_exits_three_with_one_stderr_line(
     assert err.splitlines() == ["internal error: KeyError: 'missing'"]
 
 
+def test_a_kernel_value_error_is_a_defect_and_exits_three(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(coeffs, samples):
+        raise ValueError("a defect inside the kernel")
+
+    monkeypatch.setattr(cli, "unit_circle_root_scan", broken)
+    cfg = write(tmp_path, "cfg.yaml", MINIMAL)
+    out = tmp_path / "out"
+    assert main(["root-scan", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: ValueError: a defect inside the kernel"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("command: [1]\n", r"command must be one of .*; got \[1\]"),
+    ("command: {a: 1}\n", r"command must be one of .*; got \{'a': 1\}"),
+    (MINIMAL + "[1]: 2\n", r"key \[1\] at line 6 is not a scalar"),
+    (MINIMAL + "{a: 1}: 2\n", r"key \{'a': 1\} at line 6 is not a scalar"),
+    ("command: root-scan\nrootscan: {[1]: 2}\n", r"key \[1\] at line 2 is not"),
+], ids=["list-command", "table-command", "list-key", "table-key", "nested-list-key"])
+def test_a_list_or_table_where_a_scalar_belongs_exits_two(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    for loader in LOADERS:
+        monkeypatch.setattr(config, "_StrictLoader", loader)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = write(tmp_path, "cfg.yaml", text)
+        out = tmp_path / "out"
+        assert main(["root-scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(MINIMAL.encode("utf-8") + b"# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["root-scan", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 TOWER3D_TILING = """
 command: check-tiling
 spectrum:
