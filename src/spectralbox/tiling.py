@@ -15,7 +15,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .model import SpectrumSpec, Tower
+from .model import SpectralBoxError, SpectrumSpec, Tower
 from .reporting import write_svg
 
 MAX_SAMPLES = 2**24  # multiplicity map samples, 128 MiB of int64 counts
@@ -146,11 +146,12 @@ class TilingReport:
 
 
 def tiling_verdict(mp: MultiplicityMap) -> TilingReport:
-    """Tiles iff every off-face sample is covered exactly once."""
+    """Tiles iff every off-face sample is covered exactly once.  A map with
+    no off-face sample judges nothing, an input error (SpectralBoxError)."""
     counts = mp.off_face_counts()
     total = counts.size
     if total == 0:
-        raise ValueError("no off-face samples to judge")
+        raise SpectralBoxError("no off-face samples to judge")
     gaps = int(np.count_nonzero(counts == 0))
     overlaps = int(np.count_nonzero(counts >= 2))
     return TilingReport(

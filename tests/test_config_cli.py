@@ -670,6 +670,20 @@ def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_map_with_every_sample_on_a_face_exits_two(tmp_path, capsys):
+    # a translate starts at each of the eight samples of the 1-torus
+    points = ", ".join(f"[{(2 * i + 1) / 16}]" for i in range(8))
+    text = (
+        f"command: check-tiling\nspectrum: {{family: explicit, points: [{points}]}}\n"
+        "tiling: {window: 1, resolution: 8}\n"
+    )
+    cfg = write(tmp_path, "cfg.yaml", text)
+    out = tmp_path / "out"
+    assert main(["check-tiling", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no off-face samples to judge\n"
+    assert not out.exists()
+
+
 TOWER3D_TILING = """
 command: check-tiling
 spectrum:
