@@ -151,6 +151,8 @@ def _normalize_key(key, arity: int) -> tuple[int, ...]:
         raise ArityMismatchError(
             f"table key {key!r} has {len(tup)} indices, expected {arity}"
         )
+    if not all(-(2**63) <= k < 2**63 for k in tup):  # on_box reads keys as int64
+        raise ValueError(f"table key {key!r} has an index outside int64")
     return tup
 
 
@@ -200,9 +202,7 @@ class IntFunction:
         the box (or its residues) is placed; the function is never called.
         """
         if len(axes) != self.arity:
-            raise ArityMismatchError(
-                f"a function of {self.arity} indices read off {len(axes)} axes"
-            )
+            raise ArityMismatchError(f"{self.arity} arguments read off {len(axes)} axes")
         spans = [ranges[a] for a in axes]
         if period is not None:
             residues = [np.arange(lo, hi + 1) % period for lo, hi in spans]

@@ -990,6 +990,12 @@ ROOTSCAN = "command: root-scan\nrootscan: {coefficients: %s, samples: %d}"
         (GROUPS + "{b: {default: -0.5}}", "groups.b: default -0.5 outside [0,1)"),
         (GROUPS + '{b: {default: 0.0, table: {"2": 0.25, "3": 1.0}}}',
          "groups.b: table value 1.0 at (3,) outside [0,1)"),
+        # table keys are read as int64 over a window
+        (STAIRCASE.format(family="class-a", alpha=0.0).replace(
+            "{default: 0.0}", '{table: {"9223372036854775808": 0.5}}'),
+         "spectrum.beta: table key (9223372036854775808,) has an index outside int64"),
+        (COCYCLE + '{a: {table: {"-9223372036854775809": 0.5}}}',
+         "cocycle.a: table key (-9223372036854775809,) has an index outside int64"),
     ],
 )
 def test_out_of_range_value_exits_two_at_load(tmp_path, capsys, text, message):
