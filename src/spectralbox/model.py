@@ -213,7 +213,7 @@ class IntFunction:
             keys = np.array(list(self.table)) - lows
             inside = np.all((keys >= 0) & (keys < values.shape), axis=1)
             values[tuple(keys[inside].T)] = np.array(list(self.table.values()))[inside]
-        if period is not None and self.arity:
+        if period is not None:
             values = values[np.ix_(*(r - lo for r, lo in zip(residues, lows)))]
         if self.arity > 1:
             values = values.transpose(np.argsort(axes))
